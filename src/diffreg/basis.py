@@ -161,11 +161,19 @@ class BasisSystem:
         return dev
 
     def compatible_with(self, other: "BasisSystem") -> bool:
-        return (
+        same_shape = (
             self.p == other.p
             and self.kind == other.kind
             and self.interval == other.interval
             and len(self.quad_nodes) == len(other.quad_nodes)
+        )
+        if not same_shape or self.kind != "custom":
+            return same_shape
+        return (
+            np.array_equal(self.quad_nodes, other.quad_nodes)
+            and np.array_equal(self.quad_weights, other.quad_weights)
+            and self.tables.keys() == other.tables.keys()
+            and all(np.array_equal(self.tables[k], other.tables[k]) for k in self.tables)
         )
 
     def _table_at(self, name: str, x: np.ndarray) -> np.ndarray:
@@ -356,16 +364,31 @@ def project(
         SingularSystemError: fewer distinct abscissae than basis functions.
         ValueError: samples fail to cover the basis interval.
     """
-    resampled = resample_to_quad_grid(x, y, basis)
-    phi = basis.quad_values()
-    w = basis.quad_weights
-    normal = (phi * w[:, None]).T @ phi
-    rhs = (phi * w[:, None]).T @ resampled
+    coeffs = solve_projection(
+        basis.quad_values(), resample_to_quad_grid(x, y, basis), basis, penalty
+    )
+    return FuncVec(coeffs=coeffs, basis=basis)
+
+
+def solve_projection(
+    design: np.ndarray, values: np.ndarray, basis: BasisSystem, penalty: float
+) -> np.ndarray:
+    """Quadrature-weighted least squares on the basis quadrature grid.
+
+    Minimizes sum_m w_m (values_m - (design @ c)_m)^2, plus
+    ``penalty * sum_k (k*pi/L)^4 c_k^2`` on the last p coefficients when
+    ``penalty > 0``.  The last p columns of ``design`` must be the basis
+    values on the grid; earlier columns (such as a constant) go unpenalized.
+
+    Raises:
+        SingularSystemError: the normal equations are singular.
+    """
+    weighted = (design * basis.quad_weights[:, None]).T
+    normal = weighted @ design
     if penalty > 0:
         ks = np.arange(1, basis.p + 1)
-        normal = normal + penalty * np.diag((ks * np.pi / basis.length) ** 4)
+        normal[-basis.p:, -basis.p:] += penalty * np.diag((ks * np.pi / basis.length) ** 4)
     try:
-        coeffs = np.linalg.solve(normal, rhs)
+        return np.linalg.solve(normal, weighted @ values)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"projection normal equations singular: {exc}") from exc
-    return FuncVec(coeffs=coeffs, basis=basis)

@@ -47,6 +47,7 @@ from .kernels import (
     KernelSpec,
     LinearOpSpec,
     assemble,
+    kernel_provenance,
     load_kernel_matrices,
     save_kernel_matrices,
 )
@@ -285,6 +286,11 @@ def _provenance(config: dict) -> dict:
     return {"config": config, "version": __version__}
 
 
+def _write(out: str, name: str, payload: bytes) -> None:
+    with open(os.path.join(out, name), "wb") as fh:
+        fh.write(payload)
+
+
 def _build_basis(config: dict):
     basis_cfg = config["basis"]
     return make_cosine_basis(
@@ -296,32 +302,40 @@ def _build_basis(config: dict):
 
 def _build_kernels(config: dict, basis):
     kcfg = config.get("kernel", {})
-    ops = {
-        role: LinearOpSpec(spec["kind"], spec.get("param", 0.0))
-        for role, spec in (
-            ("P", kcfg.get("P", {"kind": "neg_laplacian"})),
-            ("B", kcfg.get("B", {"kind": "identity"})),
-            ("L", kcfg.get("L", {"kind": "neg_laplacian"})),
+    P, B, L = (
+        LinearOpSpec(spec["kind"], spec.get("param", 0.0))
+        for spec in (
+            kcfg.get("P", {"kind": "neg_laplacian"}),
+            kcfg.get("B", {"kind": "identity"}),
+            kcfg.get("L", {"kind": "neg_laplacian"}),
         )
-    }
+    )
     spec = KernelSpec(h=kcfg.get("h", 0.01), include_boundary=kcfg.get("include_boundary", True))
     cache = kcfg.get("cache")
     if cache and os.path.exists(cache):
         km = load_kernel_matrices(cache)
-        expect = {"p": basis.p, "h": spec.h, "n_quad": len(basis.quad_nodes)}
-        got = {key: km.provenance.get(key) for key in expect}
-        if got != expect:
-            raise DataError(f"kernel cache {cache} was built with {got}, expected {expect}")
+        # compare as stored: the cache holds the provenance as JSON
+        expect = json.loads(json.dumps(kernel_provenance(basis, P, B, L, spec)))
+        stale = sorted(
+            key
+            for key in expect.keys() | km.provenance.keys()
+            if km.provenance.get(key) != expect.get(key)
+        )
+        if stale:
+            raise DataError(f"kernel cache {cache} was built with different {', '.join(stale)}")
         return km
-    km = assemble(basis, ops["P"], ops["B"], ops["L"], spec)
+    km = assemble(basis, P, B, L, spec)
     if cache:
         save_kernel_matrices(km, cache)
     return km
 
 
-def _load_data(config: dict, basis):
+def _load_inputs(config: dict):
+    """Basis, kernel matrices and dataset of a dataset-consuming command."""
+    basis = _build_basis(config)
+    km = _build_kernels(config, basis)
     ds = config["dataset"]
-    return load_dataset(ds["u_csv"], ds["f_csv"], basis)
+    return basis, km, load_dataset(ds["u_csv"], ds["f_csv"], basis)
 
 
 def cmd_simulate(config: dict, out: str, threads: int) -> None:
@@ -333,7 +347,6 @@ def cmd_simulate(config: dict, out: str, threads: int) -> None:
     base = {k: config[k] for k in sim_keys if k in config}
     if "lambda_grid" in config:
         base["lambda_grid"] = tuple(config["lambda_grid"])
-    outputs: list[tuple[str, bytes]] = []
     cells = {}
     progress = sys.stderr.isatty()
     for omega in config["omegas"]:
@@ -365,19 +378,14 @@ def cmd_simulate(config: dict, out: str, threads: int) -> None:
             ]
             for rec in report.records
         ]
-        outputs.append((f"records_{label.replace('=', '')}.csv", _csv_bytes(header, rows)))
+        _write(out, f"records_{label.replace('=', '')}.csv", _csv_bytes(header, rows))
         for rep, values in report.bootstrap_dumps:
-            outputs.append(
-                (
-                    f"bootstrap_{label.replace('=', '')}_rep{rep}.csv",
-                    _csv_bytes(["q_n_boot"], [[v] for v in values]),
-                )
+            _write(
+                out,
+                f"bootstrap_{label.replace('=', '')}_rep{rep}.csv",
+                _csv_bytes(["q_n_boot"], [[v] for v in values]),
             )
-    summary = {**_provenance(config), "cells": cells}
-    outputs.append(("summary.json", _json_bytes(summary)))
-    for name, payload in outputs:
-        with open(os.path.join(out, name), "wb") as fh:
-            fh.write(payload)
+    _write(out, "summary.json", _json_bytes({**_provenance(config), "cells": cells}))
     if config.get("dump_dataset"):
         cfg = SimConfig(omega=float(config["omegas"][0]), **base)
         data, _ = replication_dataset(cfg, rep=0)
@@ -385,32 +393,23 @@ def cmd_simulate(config: dict, out: str, threads: int) -> None:
 
 
 def cmd_fit(config: dict, out: str, threads: int) -> None:
-    basis = _build_basis(config)
-    km = _build_kernels(config, basis)
-    data = _load_data(config, basis)
+    _, km, data = _load_inputs(config)
     result = fit(data, km, config["lambda"])
     doc = {**_provenance(config), "fit": result.to_json_dict()}
-    with open(os.path.join(out, "fit.json"), "wb") as fh:
-        fh.write(_json_bytes(doc))
+    _write(out, "fit.json", _json_bytes(doc))
 
 
 def cmd_sweep(config: dict, out: str, threads: int) -> None:
-    basis = _build_basis(config)
-    km = _build_kernels(config, basis)
-    data = _load_data(config, basis)
+    _, km, data = _load_inputs(config)
     result = gcv_sweep(data, km, config["lambda_grid"])
     rows = [[r.lam, r.rss, r.gcv, r.trace] for r in result.rows]
-    with open(os.path.join(out, "sweep.csv"), "wb") as fh:
-        fh.write(_csv_bytes(["lambda", "rss", "gcv", "trace"], rows))
+    _write(out, "sweep.csv", _csv_bytes(["lambda", "rss", "gcv", "trace"], rows))
     doc = {**_provenance(config), "best_lambda": result.best_lambda}
-    with open(os.path.join(out, "sweep.json"), "wb") as fh:
-        fh.write(_json_bytes(doc))
+    _write(out, "sweep.json", _json_bytes(doc))
 
 
 def cmd_test(config: dict, out: str, threads: int) -> None:
-    basis = _build_basis(config)
-    km = _build_kernels(config, basis)
-    data = _load_data(config, basis)
+    basis, km, data = _load_inputs(config)
     family = ParamFamily.scaled_neg_laplacian(basis)
     result = bootstrap_test(
         data,
@@ -428,23 +427,18 @@ def cmd_test(config: dict, out: str, threads: int) -> None:
         "alpha": alpha,
         "reject": bool(result.p_value < alpha),
     }
-    with open(os.path.join(out, "gof.json"), "wb") as fh:
-        fh.write(_json_bytes(doc))
-    with open(os.path.join(out, "bootstrap_values.csv"), "wb") as fh:
-        fh.write(_csv_bytes(["q_n_boot"], [[v] for v in result.bootstrap_values]))
+    _write(out, "gof.json", _json_bytes(doc))
+    rows = [[v] for v in result.bootstrap_values]
+    _write(out, "bootstrap_values.csv", _csv_bytes(["q_n_boot"], rows))
 
 
 def cmd_spectrum(config: dict, out: str, threads: int) -> None:
-    basis = _build_basis(config)
-    km = _build_kernels(config, basis)
-    data = _load_data(config, basis)
+    _, km, data = _load_inputs(config)
     gammas = spectrum_diag(data, km, config["top_m"])
     rows = [[k + 1, g] for k, g in enumerate(gammas)]
-    with open(os.path.join(out, "spectrum.csv"), "wb") as fh:
-        fh.write(_csv_bytes(["k", "gamma"], rows))
+    _write(out, "spectrum.csv", _csv_bytes(["k", "gamma"], rows))
     doc = {**_provenance(config), "gammas": [float(g) for g in gammas]}
-    with open(os.path.join(out, "spectrum.json"), "wb") as fh:
-        fh.write(_json_bytes(doc))
+    _write(out, "spectrum.json", _json_bytes(doc))
 
 
 def _recipe_from_config(rcfg: dict) -> RecipeSpec:
@@ -488,13 +482,7 @@ def cmd_ingest(config: dict, out: str, threads: int) -> None:
         variables=tuple(config["schema"]["variables"]),
     )
     recipe = _recipe_from_config(config["recipe"])
-    basis_cfg = dict(config["basis"])
-    basis_cfg.setdefault("interval", list(recipe.interval))
-    basis = make_cosine_basis(
-        p=basis_cfg["p"],
-        n_quad=basis_cfg.get("n_quad", 201),
-        interval=tuple(basis_cfg["interval"]),
-    )
+    basis = _build_basis({"basis": {"interval": list(recipe.interval), **config["basis"]}})
     table = load_trajectories(config["input"], schema, lenient=config.get("lenient", False))
     curves, report = curves_to_basis(table, recipe, basis)
     data = build_thermo_dataset(curves, recipe, basis)

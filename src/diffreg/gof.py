@@ -63,10 +63,6 @@ class ParamFamily:
         )
 
     @staticmethod
-    def from_multipliers(multipliers: np.ndarray, kind: str = "spectral") -> "ParamFamily":
-        return ParamFamily(kind=kind, multipliers=np.asarray(multipliers, dtype=float))
-
-    @staticmethod
     def from_matrix(matrix: np.ndarray, kind: str = "matrix") -> "ParamFamily":
         return ParamFamily(kind=kind, matrix=np.asarray(matrix, dtype=float))
 

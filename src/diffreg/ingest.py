@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSystem, DataSet, FuncVec, resample_to_quad_grid
+from .basis import BasisSystem, DataSet, FuncVec, resample_to_quad_grid, solve_projection
 from .errors import DataError, SingularSystemError
 
 
@@ -100,9 +100,6 @@ class RecipeSpec:
     center: bool = True
     penalty: float = 0.0
 
-    def required_variables(self) -> tuple[str, ...]:
-        return tuple(sorted({self.predictor, self.response.variable}))
-
 
 def load_trajectories(path: str, schema: TableSchema, lenient: bool = False) -> TrajectoryTable:
     """Parse a trajectory CSV into per-subject tracks.
@@ -172,15 +169,8 @@ def project_with_offset(
     x: np.ndarray, y: np.ndarray, basis: BasisSystem, penalty: float = 0.0
 ) -> ProjectedCurve:
     """Least squares over span{1, phi_1..phi_p} on the quadrature grid."""
-    resampled = resample_to_quad_grid(x, y, basis)
-    phi = basis.quad_values()
-    w = basis.quad_weights
-    design = np.column_stack([np.ones(len(basis.quad_nodes)), phi])
-    normal = (design * w[:, None]).T @ design
-    if penalty > 0:
-        ks = np.arange(1, basis.p + 1)
-        normal[1:, 1:] += penalty * np.diag((ks * np.pi / basis.length) ** 4)
-    solution = np.linalg.solve(normal, (design * w[:, None]).T @ resampled)
+    design = np.column_stack([np.ones(len(basis.quad_nodes)), basis.quad_values()])
+    solution = solve_projection(design, resample_to_quad_grid(x, y, basis), basis, penalty)
     return ProjectedCurve(span=FuncVec(solution[1:], basis), offset=float(solution[0]))
 
 
@@ -252,13 +242,6 @@ def curves_to_basis(
     return curves, report
 
 
-def _project_grid_values(values: np.ndarray, basis: BasisSystem) -> np.ndarray:
-    """Coefficients of values given on the quadrature grid."""
-    phi = basis.quad_values()
-    w = basis.quad_weights
-    return np.linalg.solve((phi * w[:, None]).T @ phi, (phi * w[:, None]).T @ values)
-
-
 def response_coefficients(curves: dict, response, basis: BasisSystem) -> np.ndarray:
     """Response coefficient vector for one subject's pre-smoothed curves."""
     if isinstance(response, IdentityResponse):
@@ -270,7 +253,7 @@ def response_coefficients(curves: dict, response, basis: BasisSystem) -> np.ndar
         # ordinate is log(p), so the pressure weight is exp(x)/p0 pointwise
         weight = (np.exp(basis.quad_nodes) / response.p0) ** (-response.kappa)
         f_vals = weight * (curve.grid_slope() - response.kappa * curve.grid_values())
-        return _project_grid_values(f_vals, basis)
+        return solve_projection(basis.quad_values(), f_vals, basis, 0.0)
     raise TypeError(f"unsupported response formula {type(response).__name__}")
 
 
@@ -323,6 +306,9 @@ def load_dataset(u_path: str, f_path: str, basis: BasisSystem) -> DataSet:
         mat = np.array(rows)
         if mat.shape[1] != len(header):
             raise DataError(f"{path}: ragged rows")
+        bad_rows = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+        if bad_rows.size:
+            raise DataError(f"{path}: non-finite entry in data row {bad_rows[0] + 1}")
         return mat
 
     U = read_matrix(u_path)

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,35 +60,24 @@ class LinearOpSpec:
 
     def apply_grid(self, basis: BasisSystem) -> np.ndarray:
         """Values of (op phi_k) on the quadrature grid, shape (n_quad, p)."""
-        phi = basis.quad_values()
-        if self.kind == "identity":
-            return phi
-        if self.kind in ("neg_laplacian", "neg_laplacian_minus_const", "scaled_neg_laplacian"):
-            neg_lap = -self._second_deriv(basis)
-            if self.kind == "neg_laplacian":
-                return neg_lap
-            if self.kind == "neg_laplacian_minus_const":
-                return neg_lap - self.param * phi
-            return self.param * neg_lap
-        return self._first_deriv(basis)
+        return self._combine(
+            basis.quad_values,
+            lambda: self._grid_deriv(basis, 1),
+            lambda: -self._grid_deriv(basis, 2),
+        )
 
     def apply_boundary(self, basis: BasisSystem) -> np.ndarray:
         """Values of (op phi_k) at the two endpoints, shape (2, p)."""
-        if self.kind == "identity":
-            return basis.boundary_values()
-        if basis.kind != "cosine":
+        if self.kind != "identity" and basis.kind != "cosine":
             raise CapabilityError(
                 f"boundary action of {self.kind!r} needs an analytic basis"
             )
         ends = np.array(basis.interval)
-        if self.kind == "first_derivative":
-            return basis.deriv_values(ends, order=1)
-        neg_lap = -basis.deriv_values(ends, order=2)
-        if self.kind == "neg_laplacian":
-            return neg_lap
-        if self.kind == "neg_laplacian_minus_const":
-            return neg_lap - self.param * basis.values(ends)
-        return self.param * neg_lap
+        return self._combine(
+            basis.boundary_values,
+            lambda: basis.deriv_values(ends, order=1),
+            lambda: -basis.deriv_values(ends, order=2),
+        )
 
     def apply_kernel_grid(self, diff: np.ndarray, h: float) -> np.ndarray:
         """[L_y K1](y, eta) on a grid, given diff = y - eta elementwise.
@@ -95,16 +86,11 @@ class LinearOpSpec:
         (rows of ``diff``) is the differentiated one.
         """
         k1 = gaussian_kernel(diff, h)
-        if self.kind == "identity":
-            return k1
-        if self.kind == "first_derivative":
-            return -diff / h**2 * k1
-        neg_second = (h**2 - diff**2) / h**4 * k1
-        if self.kind == "neg_laplacian":
-            return neg_second
-        if self.kind == "neg_laplacian_minus_const":
-            return neg_second - self.param * k1
-        return self.param * neg_second
+        return self._combine(
+            lambda: k1,
+            lambda: -diff / h**2 * k1,
+            lambda: (h**2 - diff**2) / h**4 * k1,
+        )
 
     def multipliers(self, basis: BasisSystem) -> np.ndarray:
         """Eigenvalues on the cosine basis for diagonal kinds.
@@ -114,31 +100,36 @@ class LinearOpSpec:
         """
         if basis.kind != "cosine":
             raise CapabilityError("spectral multipliers require the cosine basis")
+
+        def no_diagonal_action():
+            raise CapabilityError(f"{self.kind!r} has no diagonal action on the cosine basis")
+
         lap = (np.arange(1, basis.p + 1) * np.pi / basis.length) ** 2
+        return self._combine(lambda: np.ones(basis.p), no_diagonal_action, lambda: lap)
+
+    def _combine(self, identity, first, neg_second) -> np.ndarray:
+        """This operator's action, built from the parts its kind needs.
+
+        Each part is a zero-argument callable giving the identity, d/dx or
+        -d^2/dx^2 action, so parts a kind does not use are never computed.
+        """
         if self.kind == "identity":
-            return np.ones(basis.p)
+            return identity()
+        if self.kind == "first_derivative":
+            return first()
         if self.kind == "neg_laplacian":
-            return lap
+            return neg_second()
         if self.kind == "neg_laplacian_minus_const":
-            return lap - self.param
-        if self.kind == "scaled_neg_laplacian":
-            return self.param * lap
-        raise CapabilityError(f"{self.kind!r} has no diagonal action on the cosine basis")
+            return neg_second() - self.param * identity()
+        return self.param * neg_second()
 
-    def _second_deriv(self, basis: BasisSystem) -> np.ndarray:
+    def _grid_deriv(self, basis: BasisSystem, order: int) -> np.ndarray:
         try:
-            return basis.deriv_values(basis.quad_nodes, order=2)
+            return basis.deriv_values(basis.quad_nodes, order=order)
         except CapabilityError as exc:
+            word = "first" if order == 1 else "second"
             raise CapabilityError(
-                f"operator {self.kind!r} needs second derivatives: {exc}"
-            ) from exc
-
-    def _first_deriv(self, basis: BasisSystem) -> np.ndarray:
-        try:
-            return basis.deriv_values(basis.quad_nodes, order=1)
-        except CapabilityError as exc:
-            raise CapabilityError(
-                f"operator {self.kind!r} needs first derivatives: {exc}"
+                f"operator {self.kind!r} needs {word} derivatives: {exc}"
             ) from exc
 
 
@@ -251,37 +242,15 @@ def _factor_matrices(
     return C, kernel_gram(w, phi, phi, L.apply_kernel_grid(diff, spec.h))
 
 
-def assemble_K(
-    basis: BasisSystem, P: LinearOpSpec, B: LinearOpSpec, spec: KernelSpec
-) -> np.ndarray:
-    """Assemble the p^2 x p^2 Gram matrix K; symmetric PSD by construction."""
-    C, M = _factor_matrices(basis, P, B, spec, L=None)
-    return np.kron(C, M)
-
-
-def assemble_KL(
+def kernel_provenance(
     basis: BasisSystem,
     P: LinearOpSpec,
     B: LinearOpSpec,
     L: LinearOpSpec,
     spec: KernelSpec,
-) -> np.ndarray:
-    """Assemble K_L: as K but with L applied to the (y, eta) kernel factor."""
-    C, M_L = _factor_matrices(basis, P, B, spec, L)
-    return np.kron(C, M_L)
-
-
-def assemble(
-    basis: BasisSystem,
-    P: LinearOpSpec,
-    B: LinearOpSpec,
-    L: LinearOpSpec,
-    spec: KernelSpec,
-) -> KernelMatrices:
-    """Assemble K and K_L together with provenance metadata."""
-    C, M = _factor_matrices(basis, P, B, spec, L=None)
-    _, M_L = _factor_matrices(basis, P, B, spec, L)
-    provenance = {
+) -> dict:
+    """Every setting that determines the assembled K and K_L."""
+    return {
         "p": basis.p,
         "interval": list(basis.interval),
         "basis_kind": basis.kind,
@@ -294,17 +263,47 @@ def assemble(
         "flattening": "flat index (j, k) -> j + k*p, j fastest",
         "jitter_policy": "1e-10 * trace(K) / p^2 added before factorization",
     }
-    return KernelMatrices(K=np.kron(C, M), K_L=np.kron(C, M_L), provenance=provenance)
+
+
+def assemble(
+    basis: BasisSystem,
+    P: LinearOpSpec,
+    B: LinearOpSpec,
+    L: LinearOpSpec,
+    spec: KernelSpec,
+) -> KernelMatrices:
+    """Assemble K and K_L together with provenance metadata.
+
+    K uses the identity as output operator and is symmetric PSD by
+    construction; K_L applies L to the (y, eta) kernel factor.
+    """
+    C, M = _factor_matrices(basis, P, B, spec, L=None)
+    _, M_L = _factor_matrices(basis, P, B, spec, L)
+    return KernelMatrices(
+        K=np.kron(C, M),
+        K_L=np.kron(C, M_L),
+        provenance=kernel_provenance(basis, P, B, L, spec),
+    )
 
 
 def save_kernel_matrices(km: KernelMatrices, path: str) -> None:
-    """Write K, K_L and the provenance header to an .npz file."""
+    """Write K, K_L and the provenance header to an .npz file.
+
+    The file is written under a temporary name in the same directory and
+    renamed into place, so a reader never sees a partial cache.
+    """
     buf = io.BytesIO()
     np.savez_compressed(
         buf, K=km.K, K_L=km.K_L, provenance=json.dumps(km.provenance, sort_keys=True)
     )
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(buf.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_kernel_matrices(path: str) -> KernelMatrices:

@@ -14,6 +14,7 @@ smoothing matrix is W diag(s^2 / (s^2 + n lambda)) W' with eigenvalues in
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,11 +111,6 @@ class RidgeSystem:
     def trace(self, lam: float) -> float:
         return float(self.shrink_factors(lam).sum())
 
-    def smoother_apply(self, lam: float, cols: np.ndarray) -> np.ndarray:
-        """S_lambda applied to one stacked vector or a matrix of columns."""
-        f = self.shrink_factors(lam)
-        return self.W @ (f[:, None] * (self.W.T @ cols) if cols.ndim == 2 else f * (self.W.T @ cols))
-
     def cond_estimate(self, lam: float) -> float:
         s2 = self.s**2 + self.n * lam
         return float(s2.max() / s2.min())
@@ -198,11 +194,11 @@ def fit(
     return FitResult(c_hat=c_hat, lam=lam, basis=data.basis, provenance=provenance, system=system)
 
 
-def predict(fit_result: FitResult, u: FuncVec, km: KernelMatrices) -> FuncVec:
+def predict(fit_result: FitResult, u: FuncVec) -> FuncVec:
     """Apply the estimated operator to a predictor function."""
     if u.basis is not fit_result.basis and not u.basis.compatible_with(fit_result.basis):
         raise ValueError("predictor basis does not match the fitted basis")
-    dmat = (km.K_L @ fit_result.c_hat).reshape(fit_result.system.p, fit_result.system.p, order="F")
+    dmat = fit_result.system.operator_matrix(fit_result.c_hat)
     return FuncVec(coeffs=dmat @ u.coeffs, basis=u.basis)
 
 
@@ -222,9 +218,9 @@ def smoothing_matrix(
     )
 
 
-def rss(fit_result: FitResult, data: DataSet, km: KernelMatrices) -> float:
+def rss(fit_result: FitResult, data: DataSet) -> float:
     """Residual sum of squares sum_i ||F_i - D_hat(U_i)||^2 in L2."""
-    dmat = (km.K_L @ fit_result.c_hat).reshape(data.p, data.p, order="F")
+    dmat = fit_result.system.operator_matrix(fit_result.c_hat)
     return float(np.sum((data.F - data.U @ dmat.T) ** 2))
 
 
@@ -235,10 +231,10 @@ def gcv_value(rss_val: float, n: int, p: int, trace: float) -> float:
     return rss_val / n / (1.0 - trace / (n * p)) ** 2
 
 
-def gcv(fit_result: FitResult, data: DataSet, km: KernelMatrices) -> float:
+def gcv(fit_result: FitResult, data: DataSet) -> float:
     """Generalized cross-validation score of a fit."""
     return gcv_value(
-        rss(fit_result, data, km), data.n, data.p, fit_result.system.trace(fit_result.lam)
+        rss(fit_result, data), data.n, data.p, fit_result.system.trace(fit_result.lam)
     )
 
 
@@ -254,6 +250,17 @@ class SweepRow:
 class SweepResult:
     best_lambda: float
     rows: tuple[SweepRow, ...]
+
+
+def lambda_path(system: RidgeSystem, grid) -> Iterator[tuple[SweepRow, np.ndarray]]:
+    """Yield (SweepRow, fitted responses) for each lambda, in the order given."""
+    data = system.data
+    for lam in grid:
+        fitted = system.fitted(system.solve(lam))
+        rss_val = float(np.sum((data.F - fitted) ** 2))
+        trace = system.trace(lam)
+        gcv_val = gcv_value(rss_val, data.n, data.p, trace)
+        yield SweepRow(lam=lam, rss=rss_val, gcv=gcv_val, trace=trace), fitted
 
 
 def gcv_sweep(
@@ -276,14 +283,10 @@ def gcv_sweep(
         system = RidgeSystem(data, km)
     rows = []
     best_lambda, best_gcv = None, np.inf
-    for lam in grid:
-        c_hat = system.solve(lam)
-        rss_val = float(np.sum((data.F - system.fitted(c_hat)) ** 2))
-        trace = system.trace(lam)
-        gcv_val = gcv_value(rss_val, data.n, data.p, trace)
-        rows.append(SweepRow(lam=lam, rss=rss_val, gcv=gcv_val, trace=trace))
-        if gcv_val < best_gcv:
-            best_lambda, best_gcv = lam, gcv_val
+    for row, _ in lambda_path(system, grid):
+        rows.append(row)
+        if row.gcv < best_gcv:
+            best_lambda, best_gcv = row.lam, row.gcv
     return SweepResult(best_lambda=best_lambda, rows=tuple(rows))
 
 

@@ -29,7 +29,7 @@ from .kernels import (
     identity_op,
     neg_laplacian,
 )
-from .regress import RidgeSystem, gcv_value
+from .regress import RidgeSystem, lambda_path
 
 DEFAULT_LAMBDA_GRID = (1e0, 1e1, 1e2, 1e3, 1e4, 1e5)
 
@@ -203,8 +203,7 @@ def _refine_ess_lambda(system, data, mu, grid, ess_grid, rounds):
         for lam in candidates:
             if any(abs(np.log(lam / l)) < 1e-12 for l in lams):
                 continue
-            c_hat = system.solve(lam)
-            v = float(np.sum((system.fitted(c_hat) - data.U * mu) ** 2))
+            v = ess(lambda d: system.fitted(system.solve(lam)), data, mu)
             j = int(np.searchsorted(lams, lam))
             lams.insert(j, float(lam))
             vals.insert(j, v)
@@ -225,16 +224,11 @@ def _run_rep(
     system = RidgeSystem(data, km)
     grid = tuple(float(l) for l in config.lambda_grid)
 
-    ess_l, rss_l, gcv_l, tr_l = [], [], [], []
-    for lam in grid:
-        c_hat = system.solve(lam)
-        fitted = system.fitted(c_hat)
-        ess_l.append(float(np.sum((fitted - data.U * mu) ** 2)))
-        rss_val = float(np.sum((data.F - fitted) ** 2))
-        trace = system.trace(lam)
-        rss_l.append(rss_val)
-        tr_l.append(trace)
-        gcv_l.append(gcv_value(rss_val, data.n, data.p, trace))
+    rows, ess_l = [], []
+    for row, fitted in lambda_path(system, grid):
+        rows.append(row)
+        ess_l.append(ess(lambda d: fitted, data, mu))
+    gcv_l = [row.gcv for row in rows]
 
     gcv_best = grid[int(np.argmin(gcv_l))]
     ess_min_lam, ess_min_val = _refine_ess_lambda(
@@ -242,7 +236,7 @@ def _run_rep(
     )
 
     theta = fit_parametric(data, family)
-    ess_theta = float(np.sum((family.apply(data.U, theta.theta) - data.U * mu) ** 2))
+    ess_theta = ess(lambda d: family.apply(d.U, theta.theta), data, mu)
     tss_val = tss(data, mu)
 
     gof = None
@@ -270,9 +264,9 @@ def _run_rep(
     record = RepRecord(
         rep=rep,
         ess_lambda=np.array(ess_l),
-        rss_lambda=np.array(rss_l),
+        rss_lambda=np.array([row.rss for row in rows]),
         gcv_lambda=np.array(gcv_l),
-        trace_lambda=np.array(tr_l),
+        trace_lambda=np.array([row.trace for row in rows]),
         gcv_best_lambda=gcv_best,
         ess_min_lambda=ess_min_lam,
         ess_min_value=ess_min_val,
@@ -287,9 +281,13 @@ def _run_rep(
     return record, gof
 
 
-def _rep_streams(seed: int, reps: int, rep: int) -> tuple[np.random.SeedSequence, int]:
-    """Data stream and bootstrap seed for one replication of a study."""
-    stream = np.random.SeedSequence(seed).spawn(reps)[rep]
+def _rep_streams(seed: int, rep: int) -> tuple[np.random.SeedSequence, int]:
+    """Data stream and bootstrap seed for one replication of a study.
+
+    The replication's stream is child ``rep`` of ``SeedSequence(seed)``, so
+    it does not depend on how many replications the study runs.
+    """
+    stream = np.random.SeedSequence(seed, spawn_key=(rep,))
     data_seed, boot_stream = stream.spawn(2)
     return data_seed, int(boot_stream.generate_state(1)[0])
 
@@ -298,7 +296,7 @@ def replication_dataset(
     config: SimConfig, rep: int = 0, basis: BasisSystem | None = None
 ) -> tuple[DataSet, np.ndarray]:
     """The dataset drawn by replication ``rep`` of ``run_mc(config)``."""
-    data_seed, _ = _rep_streams(config.seed, config.reps, rep)
+    data_seed, _ = _rep_streams(config.seed, rep)
     return gen_dataset(config, np.random.default_rng(data_seed), basis)
 
 
@@ -308,8 +306,9 @@ def run_mc(config: SimConfig, max_workers: int = 1, progress: bool = False) -> M
     Replications use independent RNG streams spawned from ``config.seed``
     and results are merged by replication index, so the report does not
     depend on ``max_workers``.  A failing replication aborts the study
-    with its index unless ``config.skip_failures`` is set, in which case
-    it is recorded in ``report.skipped``.
+    with its index, and cancels the replications not yet started, unless
+    ``config.skip_failures`` is set, in which case it is recorded in
+    ``report.skipped``.
     """
     basis = make_cosine_basis(config.p, config.n_quad)
     km = assemble(
@@ -320,51 +319,40 @@ def run_mc(config: SimConfig, max_workers: int = 1, progress: bool = False) -> M
         spec=KernelSpec(h=config.h),
     )
     family = ParamFamily.scaled_neg_laplacian(basis)
-    streams = np.random.SeedSequence(config.seed).spawn(config.reps)
 
     def job(rep: int):
-        # seed derivation must stay in sync with _rep_streams
-        data_seed, boot_stream = streams[rep].spawn(2)
-        boot_seed = int(boot_stream.generate_state(1)[0])
-        return _run_rep(rep, config, basis, km, family, data_seed, boot_seed)
+        try:
+            return _run_rep(rep, config, basis, km, family, *_rep_streams(config.seed, rep))
+        except Exception as exc:
+            return exc
 
-    results: list = [None] * config.reps
-    skipped = []
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {rep: pool.submit(job, rep) for rep in range(config.reps)}
-            for rep, fut in futures.items():
-                try:
-                    results[rep] = fut.result()
-                except Exception as exc:
-                    if not config.skip_failures:
-                        raise RuntimeError(f"replication {rep} failed: {exc}") from exc
-                    skipped.append((rep, str(exc)))
-                if progress:
-                    print(f"\rreplication {rep + 1}/{config.reps}", end="", file=sys.stderr)
-    else:
-        for rep in range(config.reps):
-            try:
-                results[rep] = job(rep)
-            except Exception as exc:
+    results, skipped = [], []
+    with ThreadPoolExecutor(max_workers=max(max_workers, 1)) as pool:
+        # one worker runs in the calling thread, so replications run in order
+        # and a failure stops the study before the next one starts
+        reps = range(config.reps)
+        outcomes = pool.map(job, reps) if max_workers > 1 else map(job, reps)
+        for rep, outcome in enumerate(outcomes):
+            if isinstance(outcome, Exception):
                 if not config.skip_failures:
-                    raise RuntimeError(f"replication {rep} failed: {exc}") from exc
-                skipped.append((rep, str(exc)))
+                    pool.shutdown(cancel_futures=True)
+                    raise RuntimeError(f"replication {rep} failed: {outcome}") from outcome
+                skipped.append((rep, str(outcome)))
+            else:
+                results.append(outcome)
             if progress:
                 print(f"\rreplication {rep + 1}/{config.reps}", end="", file=sys.stderr)
     if progress:
         print(file=sys.stderr)
 
-    records = tuple(res[0] for res in results if res is not None)
-    dumps = tuple(
-        (rec.rep, gof.bootstrap_values)
-        for rec, gof in (res for res in results if res is not None)
-        if gof is not None and rec.rep < config.keep_bootstrap
-    )
     return McReport(
         config=config,
         lambda_grid=tuple(float(l) for l in config.lambda_grid),
-        records=records,
+        records=tuple(rec for rec, _ in results),
         skipped=tuple(skipped),
-        bootstrap_dumps=dumps,
+        bootstrap_dumps=tuple(
+            (rec.rep, gof.bootstrap_values)
+            for rec, gof in results
+            if gof is not None and rec.rep < config.keep_bootstrap
+        ),
     )

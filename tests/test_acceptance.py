@@ -28,7 +28,7 @@ from diffreg import (
     wild_multipliers,
 )
 from diffreg.gof import GOLDEN_MINUS, GOLDEN_PLUS
-from diffreg.kernels import assemble_K, assemble_KL, psd_jitter
+from diffreg.kernels import psd_jitter
 from diffreg.regress import RidgeSystem, build_design
 
 ACC_SEED = 20240501
@@ -249,8 +249,8 @@ def test_criterion_7_quadrature_and_gram_sanity():
     basis = make_cosine_basis(10, 201)
     gram_dev = float(np.max(np.abs(basis.gram() - np.eye(10))))
     spec = KernelSpec(h=0.01)
-    K = assemble_K(basis, neg_laplacian(), identity_op(), spec)
-    K_L_id = assemble_KL(basis, neg_laplacian(), identity_op(), identity_op(), spec)
+    km = assemble(basis, neg_laplacian(), identity_op(), identity_op(), spec)
+    K, K_L_id = km.K, km.K_L
     sym_dev = float(np.max(np.abs(K - K.T)))
     K_j = (K + K.T) / 2 + psd_jitter(K) * np.eye(100)
     chol_ok = True

@@ -200,6 +200,22 @@ def test_tabulated_basis_round_trip():
     np.testing.assert_allclose(custom.quad_values(), reference.quad_values())
 
 
+def test_tabulated_bases_compare_their_tables():
+    reference = make_cosine_basis(p=3, n_quad=101)
+
+    def tabulated(values):
+        return make_tabulated_basis(
+            interval=(0.0, 1.0),
+            quad_nodes=reference.quad_nodes,
+            quad_weights=reference.quad_weights,
+            values=values,
+        )
+
+    a = tabulated(reference.quad_values())
+    assert a.compatible_with(tabulated(reference.quad_values()))
+    assert not a.compatible_with(tabulated(reference.quad_values()[:, ::-1]))
+
+
 def test_tabulated_basis_rejects_non_orthonormal():
     reference = make_cosine_basis(p=3, n_quad=101)
     with pytest.raises(ValueError):

@@ -56,12 +56,14 @@ def test_simulate_writes_records_and_summary(tmp_path):
 
 
 def test_simulate_byte_identical_reruns(tmp_path):
-    cfg = write_config(tmp_path, "sim.json", sim_config(reps=1))
-    out1, out2 = tmp_path / "a", tmp_path / "b"
+    cfg = write_config(tmp_path, "sim.json", sim_config(reps=3))
+    out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
+    assert main(["simulate", "--config", cfg, "--threads", "2", "--out", str(out3)]) == 0
     for name in ("records_omega0.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
 
 
 def test_simulate_invalid_snr_names_field(tmp_path, capsys):
@@ -184,6 +186,33 @@ def test_kernel_cache_round_trip(tmp_path, dataset_dir):
     assert (tmp_path / "kernels.npz").exists()
     assert main(["sweep", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+def test_stale_kernel_cache_is_a_data_error(tmp_path, dataset_dir, capsys):
+    cache = str(tmp_path / "kernels.npz")
+
+    def fit_config(name, L):
+        doc = {**ds_section(dataset_dir), "lambda": 1e3}
+        return write_config(tmp_path, name, {**doc, "kernel": {"cache": cache, "L": {"kind": L}}})
+
+    built, stale = fit_config("identity.json", "identity"), fit_config("lap.json", "neg_laplacian")
+    assert main(["fit", "--config", built, "--out", str(tmp_path / "first")]) == 0
+    out = tmp_path / "second"
+    assert main(["fit", "--config", stale, "--out", str(out)]) == 3
+    assert f"kernel cache {cache} was built with different L" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_non_finite_data_is_a_data_error(tmp_path, dataset_dir, capsys):
+    rows = read_csv(dataset_dir / "U.csv")
+    rows[3][2] = "nan"
+    with open(dataset_dir / "U.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    cfg = write_config(tmp_path, "fit.json", {**ds_section(dataset_dir), "lambda": 1e3})
+    out = tmp_path / "fitout"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 3
+    assert "U.csv: non-finite entry in data row 3" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_data_error_leaves_no_partial_outputs(tmp_path):

@@ -8,8 +8,6 @@ from diffreg import (
     KernelMatrices,
     KernelSpec,
     assemble,
-    assemble_K,
-    assemble_KL,
     first_derivative,
     identity_op,
     load_kernel_matrices,
@@ -55,7 +53,8 @@ def test_single_entry_against_brute_force_quadrature():
     # integral (int int K1(s,t) phi_1(s) phi_1(t) ds dt)^2
     h = 0.2
     basis = make_cosine_basis(p=1, n_quad=101)
-    K = assemble_K(basis, identity_op(), identity_op(), KernelSpec(h=h, include_boundary=False))
+    spec = KernelSpec(h=h, include_boundary=False)
+    K = assemble(basis, identity_op(), identity_op(), identity_op(), spec).K
     oracle = trapz_double_integral(
         lambda s, t: gaussian_kernel(s - t, h) * phi(1, s) * phi(1, t)
     )
@@ -65,22 +64,23 @@ def test_single_entry_against_brute_force_quadrature():
 
 def test_assembled_K_is_exactly_symmetric():
     basis = make_cosine_basis(p=4, n_quad=101)
-    K = assemble_K(basis, neg_laplacian(), identity_op(), KernelSpec(h=0.2))
+    K = assemble(basis, neg_laplacian(), identity_op(), identity_op(), KernelSpec(h=0.2)).K
     assert np.array_equal(K, K.T)
 
 
 def test_large_bandwidth_flattens_interior():
     # h >> 1 makes K1 nearly constant and cosines integrate it to ~0
     basis = make_cosine_basis(p=3, n_quad=101)
-    K = assemble_K(basis, identity_op(), identity_op(), KernelSpec(h=10.0, include_boundary=False))
+    spec = KernelSpec(h=10.0, include_boundary=False)
+    K = assemble(basis, identity_op(), identity_op(), identity_op(), spec).K
     assert np.max(np.abs(K)) < 1e-3
 
 
 def test_identity_L_reproduces_K():
     basis = make_cosine_basis(p=3, n_quad=101)
     spec = KernelSpec(h=0.2)
-    K = assemble_K(basis, neg_laplacian(), identity_op(), spec)
-    K_L = assemble_KL(basis, neg_laplacian(), identity_op(), identity_op(), spec)
+    km = assemble(basis, neg_laplacian(), identity_op(), identity_op(), spec)
+    K, K_L = km.K, km.K_L
     assert np.max(np.abs(K_L - K)) < 1e-12 * np.max(np.abs(K))
 
 
@@ -103,8 +103,8 @@ def test_neg_laplacian_factor_against_brute_force():
     h = 0.2
     basis = make_cosine_basis(p=1, n_quad=101)
     spec = KernelSpec(h=h, include_boundary=False)
-    K = assemble_K(basis, identity_op(), identity_op(), spec)
-    K_L = assemble_KL(basis, identity_op(), identity_op(), neg_laplacian(), spec)
+    km = assemble(basis, identity_op(), identity_op(), neg_laplacian(), spec)
+    K, K_L = km.K, km.K_L
     factor = K_L[0, 0] / np.sqrt(K[0, 0])  # C * M_L over sqrt(C * M) with C = M
     oracle = trapz_double_integral(
         lambda s, t: neg_laplacian().apply_kernel_grid(s - t, h) * phi(1, s) * phi(1, t)
@@ -148,8 +148,9 @@ def test_kernel_gram_invariant_under_node_relabeling():
 )
 def test_quadrature_convergence_under_doubling(h, n1, n2):
     spec = KernelSpec(h=h)
-    K1 = assemble_K(make_cosine_basis(p=4, n_quad=n1), neg_laplacian(), identity_op(), spec)
-    K2 = assemble_K(make_cosine_basis(p=4, n_quad=n2), neg_laplacian(), identity_op(), spec)
+    ops = (neg_laplacian(), identity_op(), identity_op())
+    K1 = assemble(make_cosine_basis(p=4, n_quad=n1), *ops, spec).K
+    K2 = assemble(make_cosine_basis(p=4, n_quad=n2), *ops, spec).K
     assert np.max(np.abs(K1 - K2)) < 1e-8 * np.max(np.abs(K2))
 
 
@@ -160,8 +161,8 @@ def test_boundary_contribution_closed_form():
     spec_on = KernelSpec(h=0.2, include_boundary=True)
     spec_off = KernelSpec(h=0.2, include_boundary=False)
     P = neg_laplacian()
-    K_on = assemble_K(basis, P, identity_op(), spec_on)
-    K_off = assemble_K(basis, P, identity_op(), spec_off)
+    K_on = assemble(basis, P, identity_op(), identity_op(), spec_on).K
+    K_off = assemble(basis, P, identity_op(), identity_op(), spec_off).K
     M = kernel_gram(
         basis.quad_weights,
         basis.quad_values(),
@@ -219,8 +220,9 @@ def test_custom_basis_without_tables_raises():
         quad_weights=reference.quad_weights,
         values=reference.quad_values(),
     )
+    spec = KernelSpec(h=0.2, include_boundary=False)
     with pytest.raises(CapabilityError):
-        assemble_K(custom, neg_laplacian(), identity_op(), KernelSpec(h=0.2, include_boundary=False))
+        assemble(custom, neg_laplacian(), identity_op(), identity_op(), spec).K
 
 
 def test_custom_basis_with_tables_matches_cosine():
@@ -234,8 +236,8 @@ def test_custom_basis_with_tables_matches_cosine():
         boundary_values=reference.boundary_values(),
     )
     spec = KernelSpec(h=0.2)
-    K_ref = assemble_K(reference, neg_laplacian(), identity_op(), spec)
-    K_custom = assemble_K(custom, neg_laplacian(), identity_op(), spec)
+    K_ref = assemble(reference, neg_laplacian(), identity_op(), identity_op(), spec).K
+    K_custom = assemble(custom, neg_laplacian(), identity_op(), identity_op(), spec).K
     np.testing.assert_allclose(K_custom, K_ref, rtol=0, atol=1e-12 * np.max(np.abs(K_ref)))
 
 

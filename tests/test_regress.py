@@ -114,7 +114,7 @@ def test_predict_zero_operator(basis_p3, km_p3):
     U, F = random_dataset(basis_p3, n=4, seed=5)
     data = DataSet(U=U, F=np.zeros_like(F), basis=basis_p3)
     result = fit(data, km_p3, lam=1.0)
-    out = predict(result, FuncVec(np.array([1.0, -2.0, 0.5]), basis_p3), km_p3)
+    out = predict(result, FuncVec(np.array([1.0, -2.0, 0.5]), basis_p3))
     assert np.max(np.abs(out.coeffs)) < 1e-12
 
 
@@ -125,8 +125,8 @@ def test_predict_linearity(basis_p3, km_p3):
     u1 = FuncVec(np.array([1.0, 0.5, -0.25]), basis_p3)
     u2 = FuncVec(np.array([-0.5, 2.0, 1.0]), basis_p3)
     combo = FuncVec(2.0 * u1.coeffs - 3.0 * u2.coeffs, basis_p3)
-    lhs = predict(result, combo, km_p3).coeffs
-    rhs = 2.0 * predict(result, u1, km_p3).coeffs - 3.0 * predict(result, u2, km_p3).coeffs
+    lhs = predict(result, combo).coeffs
+    rhs = 2.0 * predict(result, u1).coeffs - 3.0 * predict(result, u2).coeffs
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -137,7 +137,7 @@ def test_noiseless_fit_interpolates(basis_p3, km_p3):
     data = DataSet(U=U, F=F, basis=basis_p3)
     result = fit(data, km_p3, lam=1e-8)
     for i in range(data.n):
-        pred = predict(result, FuncVec(U[i], basis_p3), km_p3).coeffs
+        pred = predict(result, FuncVec(U[i], basis_p3)).coeffs
         assert np.linalg.norm(pred - F[i]) < 1e-3 * np.linalg.norm(F[i])
 
 
@@ -146,7 +146,7 @@ def test_predict_rejects_basis_mismatch(basis_p3, km_p3):
     result = fit(DataSet(U=U, F=F, basis=basis_p3), km_p3, lam=1.0)
     other = make_cosine_basis(p=4, n_quad=101)
     with pytest.raises(ValueError):
-        predict(result, FuncVec(np.zeros(4), other), km_p3)
+        predict(result, FuncVec(np.zeros(4), other))
 
 
 def test_smoother_matches_predictions(basis_p3, km_p3):
@@ -156,7 +156,7 @@ def test_smoother_matches_predictions(basis_p3, km_p3):
     result = fit(data, km_p3, lam)
     S = smoothing_matrix(data, km_p3, lam)
     fitted = np.stack(
-        [predict(result, FuncVec(U[i], basis_p3), km_p3).coeffs for i in range(data.n)]
+        [predict(result, FuncVec(U[i], basis_p3)).coeffs for i in range(data.n)]
     )
     diff = fitted.flatten(order="F") - S.apply(F.flatten(order="F"))
     assert np.linalg.norm(diff) < 1e-9
@@ -191,7 +191,7 @@ def test_rss_zero_for_perfect_fit(basis_p3, km_p3):
     U, _ = random_dataset(basis_p3, n=5, seed=13)
     data = DataSet(U=U, F=np.zeros_like(U), basis=basis_p3)
     result = fit(data, km_p3, lam=1.0)
-    assert rss(result, data, km_p3) == 0.0
+    assert rss(result, data) == 0.0
 
 
 def test_rss_and_gcv_null_model_limit(basis_p3, km_p3):
@@ -199,8 +199,8 @@ def test_rss_and_gcv_null_model_limit(basis_p3, km_p3):
     data = DataSet(U=U, F=F, basis=basis_p3)
     result = fit(data, km_p3, lam=1e12)
     total = float(np.sum(F**2))
-    assert abs(rss(result, data, km_p3) - total) < 1e-3 * total
-    assert abs(gcv(result, data, km_p3) - total / data.n) < 2e-3 * total / data.n
+    assert abs(rss(result, data) - total) < 1e-3 * total
+    assert abs(gcv(result, data) - total / data.n) < 2e-3 * total / data.n
 
 
 def test_gcv_degenerate_denominator():

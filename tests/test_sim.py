@@ -140,10 +140,13 @@ def test_run_mc_records_match_replication_dataset():
         assert report.records[rep].tss == pytest.approx(tss(data, mu), rel=1e-12)
 
 
-def test_run_mc_fail_fast_and_skip(monkeypatch):
+@pytest.mark.parametrize("max_workers", [1, 3])
+def test_run_mc_fail_fast_and_skip(monkeypatch, max_workers):
     real = sim._run_rep
+    started = []
 
     def exploding(rep, *args, **kwargs):
+        started.append(rep)
         if rep == 1:
             raise ValueError("synthetic failure")
         return real(rep, *args, **kwargs)
@@ -151,9 +154,11 @@ def test_run_mc_fail_fast_and_skip(monkeypatch):
     monkeypatch.setattr(sim, "_run_rep", exploding)
     config = SimConfig(n=30, reps=3, seed=12, run_test=False, refine_rounds=0)
     with pytest.raises(RuntimeError, match="replication 1"):
-        run_mc(config)
+        run_mc(config, max_workers=max_workers)
+    if max_workers == 1:
+        assert started == [0, 1]
     lenient = SimConfig(n=30, reps=3, seed=12, run_test=False, refine_rounds=0, skip_failures=True)
-    report = run_mc(lenient)
+    report = run_mc(lenient, max_workers=max_workers)
     assert len(report.records) == 2
     assert report.skipped[0][0] == 1
 
