@@ -110,8 +110,7 @@ def qn_statistic(S: SmoothingMatrix, residuals: np.ndarray) -> float:
     n, p = residuals.shape
     if (n, p) != (S.n, S.p):
         raise ValueError(f"residuals are {residuals.shape}, smoother expects ({S.n}, {S.p})")
-    smoothed = S.apply(residuals.flatten(order="F"))
-    return float(smoothed @ smoothed) / n
+    return float(S.smoothed_sq_norms(residuals, np.ones((1, n)))[0]) / n
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +172,7 @@ def bootstrap_test(
         raise ValueError(f"lambda must be positive, got {lam}")
     if system is None:
         system = RidgeSystem(data, km)
-    n, p = data.n, data.p
+    n = data.n
 
     theta = fit_parametric(data, family)
     eps_null = data.F - family.apply(data.U, theta.theta)
@@ -188,13 +187,11 @@ def bootstrap_test(
         n_para = int(round(B / 3))
 
     streams = np.random.SeedSequence(seed).spawn(B)
-    cols = np.empty((n * p, B))
-    for b in range(B):
-        delta = wild_multipliers(n, np.random.default_rng(streams[b]))
-        source = eps_null if b < n_para else eps_fit
-        cols[:, b] = (delta[:, None] * source).flatten(order="F")
-    smoothed = S.apply(cols)
-    q_boot = np.einsum("ij,ij->j", smoothed, smoothed) / n
+    deltas = np.stack([wild_multipliers(n, np.random.default_rng(s)) for s in streams])
+    q_boot = np.concatenate([
+        S.smoothed_sq_norms(eps_null, deltas[:n_para]),
+        S.smoothed_sq_norms(eps_fit, deltas[n_para:]),
+    ]) / n
     p_value = 1.0 - float(np.count_nonzero(q_n >= q_boot)) / B
 
     return GofResult(

@@ -1,4 +1,4 @@
-"""Assembly of the p^2 x p^2 operator-kernel Gram matrices.
+"""Assembly of the operator-kernel Gram matrices in Kronecker-factor form.
 
 The operator kernel is separable: an interior term K1(x, xi) * K1(y, eta)
 built from a Gaussian K1 with bandwidth h, plus an optional boundary term
@@ -13,8 +13,9 @@ with C[k', k] = int int K1(x, xi) P phi_k'(x) P phi_k(xi) dx dxi
              (+ sum over boundary points of B phi_k' * B phi_k),
 M    the K1 Gram of the basis, and M_L the same with K1 replaced by its
 image under L acting on the first argument.  Flat indices pair (j, k) as
-j + k*p (j fastest), so the full matrices are Kronecker products and no
-4-D sums are ever formed.
+j + k*p (j fastest), so K = C kron M and K_L = C kron M_L.  Only the three
+p x p factors are assembled, stored and cached (3 p^2 numbers instead of
+2 p^4); the p^2 x p^2 matrices are formed on request for dense checks.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ import io
 import json
 import os
 import tempfile
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import BasisSystem
-from .errors import CapabilityError
+from .errors import CapabilityError, DataError
 
 OP_KINDS = (
     "identity",
@@ -195,24 +198,45 @@ def kernel_gram(
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrices:
-    """The assembled Gram matrices K and K_L plus assembly provenance."""
+    """The p x p factors of K = C kron M and K_L = C kron M_L, plus provenance."""
 
-    K: np.ndarray
-    K_L: np.ndarray
+    C: np.ndarray
+    M: np.ndarray
+    M_L: np.ndarray
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.K.shape != self.K_L.shape or self.K.shape[0] != self.K.shape[1]:
-            raise ValueError("K and K_L must be square with identical shape")
+        shapes = {np.shape(self.C), np.shape(self.M), np.shape(self.M_L)}
+        if len(shapes) != 1 or self.C.ndim != 2 or self.C.shape[0] != self.C.shape[1]:
+            raise ValueError("C, M and M_L must be square with identical shape")
 
     @property
     def p(self) -> int:
-        return int(round(np.sqrt(self.K.shape[0])))
+        return self.C.shape[0]
+
+    @property
+    def K(self) -> np.ndarray:
+        """The dense p^2 x p^2 Gram matrix C kron M."""
+        return np.kron(self.C, self.M)
+
+    @property
+    def K_L(self) -> np.ndarray:
+        """The dense p^2 x p^2 Gram matrix C kron M_L."""
+        return np.kron(self.C, self.M_L)
+
+    @property
+    def jitter(self) -> float:
+        """psd_jitter(K), from the p^2 products on K's diagonal."""
+        return _trace_jitter(np.outer(np.diag(self.C), np.diag(self.M)).ravel())
 
 
 def psd_jitter(K: np.ndarray) -> float:
     """Diagonal jitter 1e-10 * trace(K) / dim, making small-h Grams factorable."""
-    return 1e-10 * float(np.trace(K)) / K.shape[0]
+    return _trace_jitter(np.diagonal(K))
+
+
+def _trace_jitter(diagonal: np.ndarray) -> float:
+    return 1e-10 * float(diagonal.sum()) / diagonal.size
 
 
 def _factor_matrices(
@@ -272,29 +296,30 @@ def assemble(
     L: LinearOpSpec,
     spec: KernelSpec,
 ) -> KernelMatrices:
-    """Assemble K and K_L together with provenance metadata.
+    """Assemble the factors of K and K_L together with provenance metadata.
 
     K uses the identity as output operator and is symmetric PSD by
     construction; K_L applies L to the (y, eta) kernel factor.
     """
     C, M = _factor_matrices(basis, P, B, spec, L=None)
     _, M_L = _factor_matrices(basis, P, B, spec, L)
-    return KernelMatrices(
-        K=np.kron(C, M),
-        K_L=np.kron(C, M_L),
-        provenance=kernel_provenance(basis, P, B, L, spec),
-    )
+    return KernelMatrices(C=C, M=M, M_L=M_L, provenance=kernel_provenance(basis, P, B, L, spec))
+
+
+_FACTORS = ("C", "M", "M_L")
 
 
 def save_kernel_matrices(km: KernelMatrices, path: str) -> None:
-    """Write K, K_L and the provenance header to an .npz file.
+    """Write C, M, M_L and the provenance header to an .npz file.
 
     The file is written under a temporary name in the same directory and
     renamed into place, so a reader never sees a partial cache.
     """
     buf = io.BytesIO()
     np.savez_compressed(
-        buf, K=km.K, K_L=km.K_L, provenance=json.dumps(km.provenance, sort_keys=True)
+        buf,
+        **{name: getattr(km, name) for name in _FACTORS},
+        provenance=json.dumps(km.provenance, sort_keys=True),
     )
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
@@ -307,7 +332,39 @@ def save_kernel_matrices(km: KernelMatrices, path: str) -> None:
 
 
 def load_kernel_matrices(path: str) -> KernelMatrices:
-    """Read kernel matrices written by :func:`save_kernel_matrices`."""
-    with np.load(path, allow_pickle=False) as data:
-        provenance = json.loads(str(data["provenance"]))
-        return KernelMatrices(K=data["K"], K_L=data["K_L"], provenance=provenance)
+    """Read kernel factors written by :func:`save_kernel_matrices`.
+
+    Raises DataError naming the file when it is not such a cache: not an
+    .npz archive, truncated or corrupt, in the older K/K_L layout, or
+    holding factors that are not p x p for the p its provenance records.
+    """
+    unreadable = (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, zlib.error)
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except unreadable as exc:
+        raise DataError(f"kernel cache {path} is not a readable .npz archive: {exc}") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise DataError(f"kernel cache {path} is not an .npz archive")
+    with archive:
+        names = set(archive.files)
+        if {"K", "K_L"} <= names:
+            raise DataError(
+                f"kernel cache {path} holds dense K/K_L matrices, a layout this version "
+                "no longer reads; delete it to rebuild the factored cache"
+            )
+        missing = sorted({*_FACTORS, "provenance"} - names)
+        if missing:
+            raise DataError(f"kernel cache {path} lacks {', '.join(missing)}")
+        try:
+            factors = {name: archive[name] for name in _FACTORS}
+            provenance = json.loads(str(archive["provenance"]))
+        except unreadable as exc:
+            raise DataError(f"kernel cache {path} is corrupt: {exc}") from exc
+    p = provenance.get("p") if isinstance(provenance, dict) else None
+    shapes = [factors[name].shape for name in _FACTORS]
+    if not isinstance(p, int) or any(shape != (p, p) for shape in shapes):
+        raise DataError(
+            f"kernel cache {path} holds factors C, M, M_L of shapes {shapes}, "
+            f"expected p x p for the recorded p = {p}"
+        )
+    return KernelMatrices(**factors, provenance=provenance)

@@ -1,15 +1,24 @@
 """Regularized operator estimation, smoothing matrix, GCV and diagnostics.
 
-The estimator minimizes, over coefficient vectors c of length p^2,
+The estimator minimizes, over coefficient vectors c = vec(X) of length p^2,
 
-    || vec(F) - A c ||^2 + n * lambda * c' K c,
+    || vec(F) - A c ||^2 + n * lambda * c' (K + eps I) c,
 
-where A is the design built from the predictor scores U and K_L, and vec
-stacks the n x p response matrix column-major.  Solves are routed through a
-Cholesky factor R of the (jittered) K: with the whitened design
-A R^{-T} = W diag(s) V', every lambda on a grid reuses one SVD, the
-smoothing matrix is W diag(s^2 / (s^2 + n lambda)) W' with eigenvalues in
-[0, 1) by construction, and its trace is a cheap sum.
+where A c = vec(U C X' M_L') is the design built from the predictor
+scores U and K_L = C kron M_L, vec stacks the n x p response matrix
+column-major, and eps = psd_jitter(K).  Nothing p^2-dimensional is formed
+from the data.  The eigenvectors of the factors C = Q_C diag(l_C) Q_C' and
+M = Q_M diag(l_M) Q_M' diagonalize K + eps I exactly, and in its whitened
+coordinates the design is (H kron G) diag(d) up to the vec transpose,
+with G = U Q_C diag(l_C), H = M_L Q_M and d = (l_C l_M + eps)^{-1/2}.
+Given the thin SVDs G = P_G diag(sigma) V_G' and H = P_H diag(tau) V_H',
+its SVD is (P_H kron P_G) times the SVD W diag(s) V' of the (p r) x p^2
+core (diag(tau) V_H' kron diag(sigma) V_G') diag(d), with r = min(n, p).
+Every lambda on a grid reuses these factors; the smoothing matrix is
+(P_H kron P_G) W diag(s^2 / (s^2 + n lambda)) W' (P_H kron P_G)' with
+eigenvalues in [0, 1) by construction, and its trace is a cheap sum.
+Factoring costs O(n p^2 + p^6), against O(n p^5) for an SVD of the
+(n p) x p^2 design.
 """
 
 from __future__ import annotations
@@ -18,23 +27,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from .basis import BasisSystem, DataSet, FuncVec
 from .errors import GcvDegenerateError, SingularSystemError
-from .kernels import KernelMatrices, psd_jitter
-
-
-def build_design(U: np.ndarray, K_L: np.ndarray) -> np.ndarray:
-    """The (n*p) x p^2 design matrix A.
-
-    Row (i + j'*n) of A, applied to c, yields the j'-th output coefficient
-    of the fitted operator at sample i:
-    sum_{k'} U[i, k'] * K_L[(j' + k'*p), :] @ c.
-    """
-    n, p = U.shape
-    T = K_L.reshape(p, p, p * p, order="F")  # T[j', k', col]
-    return np.einsum("ik,jkc->ijc", U, T).reshape(n * p, p * p, order="F")
+from .kernels import KernelMatrices
 
 
 class RidgeSystem:
@@ -42,30 +38,30 @@ class RidgeSystem:
 
     def __init__(self, data: DataSet, km: KernelMatrices):
         p = data.p
-        if km.K.shape[0] != p * p:
-            raise ValueError(
-                f"kernel matrices are {km.K.shape[0]}-dimensional, expected p^2 = {p * p}"
-            )
+        if km.p != p:
+            raise ValueError(f"kernel factors are {km.p} x {km.p}, expected p = {p}")
         self.data = data
         self.km = km
         self.n = data.n
         self.p = p
-        K_sym = (km.K + km.K.T) / 2
-        self.jitter = psd_jitter(km.K)
-        try:
-            # lower-triangular R with R R' = K + jitter * I
-            self.R = cholesky(K_sym + self.jitter * np.eye(p * p), lower=True)
-        except np.linalg.LinAlgError as exc:
-            eigs = np.linalg.eigvalsh(K_sym)
+        self.jitter = km.jitter
+        l_C, self.Q_C = np.linalg.eigh((km.C + km.C.T) / 2)
+        l_M, self.Q_M = np.linalg.eigh((km.M + km.M.T) / 2)
+        # eigenvalues of K, indexed [C eigenpair, M eigenpair]
+        eigs = np.outer(l_C, l_M)
+        if eigs.min() + self.jitter <= 0:
             cond = float(np.abs(eigs).max() / max(np.abs(eigs).min(), 1e-300))
             raise SingularSystemError(
                 "kernel matrix K is not positive definite after jitter", cond
-            ) from exc
-        self.A = build_design(data.U, km.K_L)
-        whitened = solve_triangular(self.R, self.A.T, lower=True).T  # A R^{-T}
-        self.W, self.s, self.Vt = np.linalg.svd(whitened, full_matrices=False)
-        self.y = data.F.flatten(order="F")
-        self._Wty = self.W.T @ self.y
+            )
+        self.d = (eigs + self.jitter) ** -0.5
+        self.P_G, sigma, VGt = np.linalg.svd((data.U @ self.Q_C) * l_C, full_matrices=False)
+        self.P_H, tau, VHt = np.linalg.svd(km.M_L @ self.Q_M)
+        # rows a*r + b pair (P_H column a, P_G column b); columns k + j*p
+        # pair (C eigenpair k, M eigenpair j), the vec order of d
+        core = np.kron(tau[:, None] * VHt, sigma[:, None] * VGt) * self.d.ravel(order="F")
+        self.W, self.s, self.Vt = np.linalg.svd(core, full_matrices=False)
+        self._Wty = self.W.T @ (self.P_G.T @ data.F @ self.P_H).ravel(order="F")
 
     def shrink_factors(self, lam: float) -> np.ndarray:
         """Spectral shrinkage s^2 / (s^2 + n * lambda), in [0, 1)."""
@@ -73,37 +69,19 @@ class RidgeSystem:
         return s2 / (s2 + self.n * lam)
 
     def solve(self, lam: float) -> np.ndarray:
-        """Coefficient vector minimizing the penalized objective.
-
-        One pass of iterative refinement on the normal equations recovers
-        the accuracy the SVD route loses when n*p < p^2 or the spectrum is
-        wide, at negligible cost.
-        """
+        """Coefficient vector minimizing the penalized objective."""
         scale = self.s / (self.s**2 + self.n * lam)
-        c_white = self.Vt.T @ (scale * self._Wty)
-        c = solve_triangular(self.R.T, c_white, lower=False)
-        rhs = self.A.T @ self.y
-        residual = rhs - self._normal_matvec(lam, c)
-        return c + self._solve_normal(lam, residual)
-
-    def _normal_matvec(self, lam: float, c: np.ndarray) -> np.ndarray:
-        """(A'A + n lam (K + jitter I)) @ c without forming the matrix."""
-        K_c = (self.km.K @ c + self.km.K.T @ c) / 2 + self.jitter * c
-        return self.A.T @ (self.A @ c) + self.n * lam * K_c
-
-    def _solve_normal(self, lam: float, x: np.ndarray) -> np.ndarray:
-        """(A'A + n lam (K + jitter I))^{-1} @ x via the cached factors."""
-        w = solve_triangular(self.R, x, lower=True)
-        proj = self.Vt @ w
-        u = self.Vt.T @ (proj / (self.s**2 + self.n * lam))
-        if self.Vt.shape[0] < self.Vt.shape[1]:
-            # economy SVD spans only range(A~'); the complement is pure ridge
-            u += (w - self.Vt.T @ proj) / (self.n * lam)
-        return solve_triangular(self.R.T, u, lower=False)
+        # Y = Q_C' X' Q_M, indexed [C eigenpair, M eigenpair], un-whitened by d
+        Y = (self.Vt.T @ (scale * self._Wty)).reshape(self.p, self.p, order="F") * self.d
+        return (self.Q_M @ Y.T @ self.Q_C.T).ravel(order="F")
 
     def operator_matrix(self, c_hat: np.ndarray) -> np.ndarray:
-        """p x p matrix mapping predictor coefficients to output coefficients."""
-        return (self.km.K_L @ c_hat).reshape(self.p, self.p, order="F")
+        """p x p matrix mapping predictor coefficients to output coefficients.
+
+        Equals (K_L @ c_hat) reshaped, that is M_L X C' for c_hat = vec(X).
+        """
+        X = c_hat.reshape(self.p, self.p, order="F")
+        return self.km.M_L @ X @ self.km.C.T
 
     def fitted(self, c_hat: np.ndarray) -> np.ndarray:
         return self.data.U @ self.operator_matrix(c_hat).T
@@ -140,29 +118,57 @@ class FitResult:
 
 @dataclass(frozen=True, eq=False)
 class SmoothingMatrix:
-    """S_lambda in factored form W diag(f) W' with f in [0, 1).
+    """S_lambda in factored form (P_H kron P_G) W diag(f) W' (P_H kron P_G)'.
 
-    Supports products, trace, and densification; ``W`` has orthonormal
-    columns so the eigenvalues of S are exactly the entries of ``f``
-    (padded with zeros on the orthogonal complement).
+    P_G (n x r), P_H (p x q) and W ((q r) x k) have orthonormal columns, so
+    the eigenvalues of S are exactly the entries of ``f`` in [0, 1) (padded
+    with zeros on the orthogonal complement).  The vector vec(E) of an
+    n x p matrix E reaches the core as vec(P_G' E P_H), whose entry
+    (b, a) sits at a*r + b.
     """
 
+    P_G: np.ndarray
+    P_H: np.ndarray
     W: np.ndarray
     f: np.ndarray
-    n: int
-    p: int
     lam: float
+
+    @property
+    def n(self) -> int:
+        return self.P_G.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.P_H.shape[0]
 
     def apply(self, cols: np.ndarray) -> np.ndarray:
         """S @ cols for a stacked (n*p,) vector or (n*p, m) matrix."""
-        proj = self.W.T @ cols
-        return self.W @ (self.f[:, None] * proj if cols.ndim == 2 else self.f * proj)
+        E = cols.reshape(self.n, self.p, -1, order="F")
+        proj = np.einsum("ib,ijm,ja->abm", self.P_G, E, self.P_H, optimize=True)
+        core = self.W @ (self.f[:, None] * (self.W.T @ proj.reshape(self.W.shape[0], -1)))
+        out = np.einsum(
+            "ib,abm,ja->ijm", self.P_G, core.reshape(proj.shape), self.P_H, optimize=True
+        )
+        return out.reshape(cols.shape, order="F")
+
+    def smoothed_sq_norms(self, residuals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """||S vec(diag(w) residuals)||^2 for every row w of ``weights``.
+
+        Row i of ``outer`` is vec(P_G[i]' (residuals P_H)[i]), so one product
+        ``weights @ outer`` projects every row-weighted copy of the n x p
+        residuals.  The outer factors have orthonormal columns, so each norm
+        is that of f * W' (projection); no (n*p)-long vector is formed.
+        """
+        outer = np.einsum("ia,ib->iab", residuals @ self.P_H, self.P_G).reshape(self.n, -1)
+        core = (weights @ outer) @ self.W * self.f
+        return np.einsum("bk,bk->b", core, core)
 
     def trace(self) -> float:
         return float(self.f.sum())
 
     def to_dense(self) -> np.ndarray:
-        return (self.W * self.f) @ self.W.T
+        basis = np.kron(self.P_H, self.P_G) @ self.W
+        return (basis * self.f) @ basis.T
 
 
 def fit(
@@ -214,7 +220,7 @@ def smoothing_matrix(
     if system is None:
         system = RidgeSystem(data, km)
     return SmoothingMatrix(
-        W=system.W, f=system.shrink_factors(lam), n=system.n, p=system.p, lam=lam
+        P_G=system.P_G, P_H=system.P_H, W=system.W, f=system.shrink_factors(lam), lam=lam
     )
 
 

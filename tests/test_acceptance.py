@@ -29,7 +29,9 @@ from diffreg import (
 )
 from diffreg.gof import GOLDEN_MINUS, GOLDEN_PLUS
 from diffreg.kernels import psd_jitter
-from diffreg.regress import RidgeSystem, build_design
+from diffreg.regress import RidgeSystem
+
+from conftest import design_by_loops
 
 ACC_SEED = 20240501
 EIGEN_SIGN = "plus"  # reproduces the reference tables; recorded per criterion
@@ -148,7 +150,7 @@ def test_criterion_4_oracle_equivalence():
         data = DataSet(U=U, F=F, basis=bases[p])
         km = kms[p]
         result = fit(data, km, lam)
-        A = build_design(U, km.K_L)
+        A = design_by_loops(U, km.K_L)
         y = F.flatten(order="F")
         K_sym = (km.K + km.K.T) / 2
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from diffreg.cli import main
+from diffreg.kernels import load_kernel_matrices
 from diffreg.presets import PRESETS, get_preset
 
 from test_ingest import synthetic_rows, write_rows
@@ -200,6 +201,53 @@ def test_stale_kernel_cache_is_a_data_error(tmp_path, dataset_dir, capsys):
     out = tmp_path / "second"
     assert main(["fit", "--config", stale, "--out", str(out)]) == 3
     assert f"kernel cache {cache} was built with different L" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def _old_layout(path, good, data):
+    km = load_kernel_matrices(good)
+    np.savez_compressed(path, K=km.K, K_L=km.K_L, provenance=json.dumps(km.provenance))
+
+
+def _truncated(path, good, data):
+    with open(path, "wb") as fh:
+        fh.write(data[: len(data) // 2])
+
+
+def _not_npz(path, good, data):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("this is not a kernel cache\n")
+
+
+def _wrong_shape(path, good, data):
+    km = load_kernel_matrices(good)
+    small = km.C[:3, :3]
+    np.savez_compressed(path, C=small, M=small, M_L=small, provenance=json.dumps(km.provenance))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_old_layout, "holds dense K/K_L matrices"),
+        (_truncated, "is not a readable .npz archive"),
+        (_not_npz, "is not a readable .npz archive"),
+        (_wrong_shape, "expected p x p for the recorded p = 10"),
+    ],
+    ids=["old_layout", "truncated", "not_npz", "wrong_shape"],
+)
+def test_unreadable_kernel_cache_is_a_data_error(tmp_path, dataset_dir, capsys, corrupt, message):
+    good, cache = str(tmp_path / "good.npz"), str(tmp_path / "kernels.npz")
+    doc = {**ds_section(dataset_dir), "lambda": 1e3}
+    build = write_config(tmp_path, "build.json", {**doc, "kernel": {"cache": good}})
+    assert main(["fit", "--config", build, "--out", str(tmp_path / "first")]) == 0
+    with open(good, "rb") as fh:
+        corrupt(cache, good, fh.read())
+    cfg = write_config(tmp_path, "fit.json", {**doc, "kernel": {"cache": cache}})
+    out = tmp_path / "second"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"kernel cache {cache} " in err
+    assert message in err
     assert not any(out.iterdir())
 
 

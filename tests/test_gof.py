@@ -89,7 +89,7 @@ def test_qn_zero_smoother(basis_p3, km_p3):
 
 def test_qn_hand_computed_identity_smoother():
     # n=2, p=1, S = I: Q_n = (1^2 + 2^2) / 2
-    S = SmoothingMatrix(W=np.eye(2), f=np.ones(2), n=2, p=1, lam=1.0)
+    S = SmoothingMatrix(P_G=np.eye(2), P_H=np.eye(1), W=np.eye(2), f=np.ones(2), lam=1.0)
     assert qn_statistic(S, np.array([[1.0], [2.0]])) == pytest.approx(2.5)
 
 

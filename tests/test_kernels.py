@@ -247,11 +247,11 @@ def test_save_load_round_trip(tmp_path):
     path = str(tmp_path / "kernels.npz")
     save_kernel_matrices(km, path)
     loaded = load_kernel_matrices(path)
-    assert np.array_equal(loaded.K, km.K)
-    assert np.array_equal(loaded.K_L, km.K_L)
+    for name in ("C", "M", "M_L"):
+        assert np.array_equal(getattr(loaded, name), getattr(km, name))
     assert loaded.provenance == km.provenance
 
 
 def test_kernel_matrices_shape_check():
     with pytest.raises(ValueError):
-        KernelMatrices(K=np.eye(4), K_L=np.eye(3))
+        KernelMatrices(C=np.eye(2), M=np.eye(2), M_L=np.eye(3))

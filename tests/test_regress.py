@@ -23,21 +23,9 @@ from diffreg import (
     spectrum_diag,
 )
 from diffreg.kernels import psd_jitter
-from diffreg.regress import RidgeSystem, build_design, gcv_value
+from diffreg.regress import RidgeSystem, gcv_value
 
-from conftest import random_dataset
-
-
-def design_by_loops(U, K_L, p):
-    """Index-by-index design construction, independent of the vectorized path."""
-    n = U.shape[0]
-    A = np.zeros((n * p, p * p))
-    for i in range(n):
-        for j_out in range(p):
-            row = i + j_out * n
-            for k_in in range(p):
-                A[row, :] += U[i, k_in] * K_L[j_out + k_in * p, :]
-    return A
+from conftest import design_by_loops, random_dataset
 
 
 def objective(c, A, y, K, n, lam):
@@ -56,8 +44,10 @@ def fd_gradient(f, c, step=1e-6):
 
 def test_design_matches_loop_construction(basis_p3, km_p3):
     U, F = random_dataset(basis_p3, n=5, seed=0)
-    A = build_design(U, km_p3.K_L)
-    np.testing.assert_allclose(A, design_by_loops(U, km_p3.K_L, 3), atol=1e-12)
+    system = RidgeSystem(DataSet(U=U, F=F, basis=basis_p3), km_p3)
+    c = np.random.default_rng(0).standard_normal(9)
+    expected = (design_by_loops(U, km_p3.K_L) @ c).reshape(5, 3, order="F")
+    np.testing.assert_allclose(system.fitted(c), expected, atol=1e-12)
 
 
 def test_zero_response_gives_zero_coefficients(basis_p3, km_p3):
@@ -73,7 +63,7 @@ def test_fit_matches_generic_dense_solver(basis_p3, km_p3):
     data = DataSet(U=U, F=F, basis=basis_p3)
     lam = 0.5
     result = fit(data, km_p3, lam)
-    A = design_by_loops(U, km_p3.K_L, 3)
+    A = design_by_loops(U, km_p3.K_L)
     y = F.flatten(order="F")
     K_eff = (km_p3.K + km_p3.K.T) / 2 + psd_jitter(km_p3.K) * np.eye(9)
     oracle = np.linalg.solve(A.T @ A + data.n * lam * K_eff, A.T @ y)
@@ -88,7 +78,7 @@ def test_gradient_vanishes_at_solution(basis_p3, km_p3):
     data = DataSet(U=U, F=F, basis=basis_p3)
     lam = 0.5
     result = fit(data, km_p3, lam)
-    A = build_design(U, km_p3.K_L)
+    A = design_by_loops(U, km_p3.K_L)
     y = F.flatten(order="F")
     K_eff = (km_p3.K + km_p3.K.T) / 2 + psd_jitter(km_p3.K) * np.eye(9)
     f = lambda c: objective(c, A, y, K_eff, data.n, lam)
@@ -300,7 +290,7 @@ def test_spectrum_validates_top_m(basis_p3, km_p3):
 
 
 def test_indefinite_kernel_raises_singularity(basis_p3):
-    bad = KernelMatrices(K=-np.eye(9), K_L=np.eye(9))
+    bad = KernelMatrices(C=-np.eye(3), M=np.eye(3), M_L=np.eye(3))
     U, F = random_dataset(basis_p3, n=4, seed=25)
     with pytest.raises(SingularSystemError):
         fit(DataSet(U=U, F=F, basis=basis_p3), bad, lam=1.0)
