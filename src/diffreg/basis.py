@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import roots_legendre
 
 from .errors import CapabilityError, SingularSystemError
 
@@ -51,9 +49,10 @@ def composite_gauss_legendre(
     per, extra = divmod(n_nodes, n_panels)
     counts = [per + 1] * extra + [per] * (n_panels - extra)
     edges = np.linspace(a, b, n_panels + 1)
+    rules = {count: np.polynomial.legendre.leggauss(count) for count in set(counts)}
     nodes, weights = [], []
     for count, lo, hi in zip(counts, edges[:-1], edges[1:]):
-        x, w = roots_legendre(count)
+        x, w = rules[count]
         nodes.append((hi - lo) / 2 * (x + 1) + lo)
         weights.append(w * (hi - lo) / 2)
     return np.concatenate(nodes), np.concatenate(weights)
@@ -307,21 +306,22 @@ def l2_inner(f: FuncVec, g: FuncVec) -> float:
     return float(f.coeffs @ g.coeffs)
 
 
-def resample_to_quad_grid(x: np.ndarray, y: np.ndarray, basis: BasisSystem) -> np.ndarray:
-    """Sampled curve values interpolated onto the basis quadrature grid.
+def distinct_samples(x: np.ndarray, y: np.ndarray, basis: BasisSystem) -> tuple:
+    """One curve's samples sorted by abscissa, with repeated abscissae dropped.
 
-    Sorts and deduplicates the abscissae, then uses a cubic spline (linear
-    below 4 points).  Raises if there are fewer distinct abscissae than
-    basis functions or the samples fail to cover the basis interval.
+    Of each run of equal abscissae after ``np.argsort`` the first is kept.
+    ``y`` holds the values along its first axis.  Raises if there are fewer
+    distinct abscissae than basis functions or the samples fail to cover the
+    basis quadrature span.
     """
     x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size != y.size:
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 0 or y.shape[0] != x.size:
         raise ValueError("x and y must have the same length")
     order = np.argsort(x)
-    x, y = x[order], y[order]
+    x = x[order]
     keep = np.concatenate([[True], np.diff(x) > 0])
-    x, y = x[keep], y[keep]
+    x, y = x[keep], y[order[keep]]
     if x.size < basis.p:
         raise SingularSystemError(
             f"projection design is rank deficient: {x.size} distinct nodes < p={basis.p}"
@@ -335,9 +335,99 @@ def resample_to_quad_grid(x: np.ndarray, y: np.ndarray, basis: BasisSystem) -> n
             f"samples cover [{x[0]:.6g}, {x[-1]:.6g}], short of the quadrature span "
             f"[{lo:.6g}, {hi:.6g}]"
         )
-    if x.size >= 4:
-        return CubicSpline(x, y)(basis.quad_nodes)
-    return np.interp(basis.quad_nodes, x, y)
+    return x, y
+
+
+def resample_to_quad_grid(xs, ys, basis: BasisSystem) -> np.ndarray:
+    """Curves interpolated onto the basis quadrature grid, shape (S, n_quad, V).
+
+    ``xs`` holds S knot vectors and ``ys`` the values at them, each of shape
+    (m_s, V), as :func:`distinct_samples` returns them.  Curves are stacked
+    by knot count; each stack of four or more knots gets one not-a-knot cubic
+    spline, a smaller one linear interpolation.
+    """
+    nodes = basis.quad_nodes
+    sizes = np.array([x.size for x in xs])
+    out = np.empty((len(xs), nodes.size, ys[0].shape[1]))
+    for m in np.unique(sizes):
+        rows = np.flatnonzero(sizes == m)
+        x = np.stack([xs[i] for i in rows])
+        y = np.stack([ys[i] for i in rows])
+        pieces = _cubic_pieces(x, y) if m >= 4 else _linear_pieces(x, y)
+        out[rows] = _evaluate_pieces(x, pieces, nodes)
+    return out
+
+
+def _linear_pieces(x: np.ndarray, y: np.ndarray) -> list:
+    """Polynomial coefficients, highest degree first, of each linear piece."""
+    return [np.diff(y, axis=1) / np.diff(x, axis=1)[..., None], y[:, :-1]]
+
+
+def _cubic_pieces(x: np.ndarray, y: np.ndarray) -> list:
+    """Coefficients, highest degree first, of the not-a-knot cubic spline pieces.
+
+    ``x`` is (S, m) with m >= 4 strictly increasing knots per row and ``y``
+    is (S, m, V).  The knot slopes s solve the tridiagonal system of
+    scipy's ``CubicSpline`` (de Boor, A Practical Guide to Splines, 1978,
+    ch. IV).  Subtracting each not-a-knot end row from its neighbour leaves
+    a strictly diagonally dominant system in s_1..s_{m-2}, which a Thomas
+    sweep solves without pivoting.
+    """
+    dx = np.diff(x, axis=1)
+    w = dx[..., None]  # broadcasts against the V value columns
+    slope = np.diff(y, axis=1) / w
+    d0 = (x[:, 2] - x[:, 0])[:, None]
+    d1 = (x[:, -1] - x[:, -3])[:, None]
+    # end rows: dx_1 s_0 + d0 s_1 = rhs0 and d1 s_{m-2} + dx_{m-3} s_{m-1} = rhs1
+    rhs0 = ((w[:, 0] + 2 * d0) * w[:, 1] * slope[:, 0] + w[:, 0] ** 2 * slope[:, 1]) / d0
+    rhs1 = (w[:, -1] ** 2 * slope[:, -2] + (2 * d1 + w[:, -1]) * w[:, -2] * slope[:, -1]) / d1
+    # row r = 1..m-2: dx_r s_{r-1} + 2 (dx_{r-1} + dx_r) s_r + dx_{r-1} s_{r+1}, less
+    # the end row it shares an unknown with (that unknown's coefficients match)
+    lower, upper = w[:, 1:], w[:, :-1]
+    diag = 2 * (w[:, :-1] + w[:, 1:])
+    rhs = 3 * (w[:, 1:] * slope[:, :-1] + w[:, :-1] * slope[:, 1:])
+    diag[:, 0] -= d0
+    diag[:, -1] -= d1
+    rhs[:, 0] -= rhs0
+    rhs[:, -1] -= rhs1
+    k = diag.shape[1]
+    for r in range(1, k):
+        factor = lower[:, r] / diag[:, r - 1]
+        diag[:, r] -= factor * upper[:, r - 1]
+        rhs[:, r] -= factor * rhs[:, r - 1]
+    s = np.empty_like(y)
+    s[:, k] = rhs[:, k - 1] / diag[:, k - 1]
+    for r in range(k - 2, -1, -1):
+        s[:, r + 1] = (rhs[:, r] - upper[:, r] * s[:, r + 2]) / diag[:, r]
+    s[:, 0] = (rhs0 - d0 * s[:, 1]) / w[:, 1]
+    s[:, -1] = (rhs1 - d1 * s[:, -2]) / w[:, -2]
+    t = (s[:, :-1] + s[:, 1:] - 2 * slope) / w
+    return [t / w, (slope - s[:, :-1]) / w - t, s[:, :-1], y[:, :-1]]
+
+
+def _evaluate_pieces(x: np.ndarray, pieces: list, nodes: np.ndarray) -> np.ndarray:
+    """Piecewise polynomials of every row of ``x`` at the sorted ``nodes``.
+
+    Node q falls in piece i of row s when x[s, i] <= nodes[q] < x[s, i + 1],
+    clipped to the first and last piece.  That index counts the interior
+    knots at or below the node: one ``searchsorted`` places each interior
+    knot among the nodes, and a running sum over the nodes does the count.
+    """
+    S, m = x.shape
+    n = nodes.size
+    first = np.searchsorted(nodes, x[:, 1:-1], side="left")
+    counts = np.bincount((np.arange(S)[:, None] * (n + 1) + first).ravel(), minlength=S * (n + 1))
+    index = np.cumsum(counts.reshape(S, n + 1)[:, :n], axis=1)
+    flat = (index + np.arange(S)[:, None] * (m - 1)).ravel()
+    h = (nodes - np.take(x[:, :-1], flat).reshape(S, n)).ravel()
+    # one gather of every coefficient of each node's piece, laid out as
+    # (degree + 1, V, S * n) so that the Horner steps run along long rows
+    table = np.stack(pieces).transpose(0, 3, 1, 2).reshape(len(pieces), -1, S * (m - 1))
+    terms = np.take(table, flat, axis=2)
+    value = terms[0]
+    for term in terms[1:]:
+        value = value * h + term
+    return value.T.reshape(S, n, -1)
 
 
 def project(
@@ -364,9 +454,9 @@ def project(
         SingularSystemError: fewer distinct abscissae than basis functions.
         ValueError: samples fail to cover the basis interval.
     """
-    coeffs = solve_projection(
-        basis.quad_values(), resample_to_quad_grid(x, y, basis), basis, penalty
-    )
+    knots, values = distinct_samples(x, y, basis)
+    grid = resample_to_quad_grid([knots], [values.reshape(-1, 1)], basis)
+    coeffs = solve_projection(basis.quad_values(), grid[0, :, 0], basis, penalty)
     return FuncVec(coeffs=coeffs, basis=basis)
 
 
@@ -379,6 +469,7 @@ def solve_projection(
     ``penalty * sum_k (k*pi/L)^4 c_k^2`` on the last p coefficients when
     ``penalty > 0``.  The last p columns of ``design`` must be the basis
     values on the grid; earlier columns (such as a constant) go unpenalized.
+    ``values`` may hold one curve per column.
 
     Raises:
         SingularSystemError: the normal equations are singular.

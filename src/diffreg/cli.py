@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 runtime failure, 2 config error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -56,6 +57,20 @@ from .regress import fit, gcv_sweep, spectrum_diag
 from .sim import SimConfig, replication_dataset, run_mc
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG, EXIT_DATA = 0, 1, 2, 3
+
+
+class ConfigError(DiffregError):
+    """A config value the schema admits but the command cannot use."""
+
+
+@contextlib.contextmanager
+def _from_config():
+    """Report a ValueError raised while building objects out of the config as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
 
 _NUM_POS = {"type": "number", "exclusiveMinimum": 0}
 _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
@@ -293,24 +308,28 @@ def _write(out: str, name: str, payload: bytes) -> None:
 
 def _build_basis(config: dict):
     basis_cfg = config["basis"]
-    return make_cosine_basis(
-        p=basis_cfg["p"],
-        n_quad=basis_cfg.get("n_quad", 201),
-        interval=tuple(basis_cfg.get("interval", (0.0, 1.0))),
-    )
+    with _from_config():
+        return make_cosine_basis(
+            p=basis_cfg["p"],
+            n_quad=basis_cfg.get("n_quad", 201),
+            interval=tuple(basis_cfg.get("interval", (0.0, 1.0))),
+        )
 
 
 def _build_kernels(config: dict, basis):
     kcfg = config.get("kernel", {})
-    P, B, L = (
-        LinearOpSpec(spec["kind"], spec.get("param", 0.0))
-        for spec in (
-            kcfg.get("P", {"kind": "neg_laplacian"}),
-            kcfg.get("B", {"kind": "identity"}),
-            kcfg.get("L", {"kind": "neg_laplacian"}),
+    with _from_config():
+        P, B, L = (
+            LinearOpSpec(spec["kind"], spec.get("param", 0.0))
+            for spec in (
+                kcfg.get("P", {"kind": "neg_laplacian"}),
+                kcfg.get("B", {"kind": "identity"}),
+                kcfg.get("L", {"kind": "neg_laplacian"}),
+            )
         )
-    )
-    spec = KernelSpec(h=kcfg.get("h", 0.01), include_boundary=kcfg.get("include_boundary", True))
+        spec = KernelSpec(
+            h=kcfg.get("h", 0.01), include_boundary=kcfg.get("include_boundary", True)
+        )
     cache = kcfg.get("cache")
     if cache and os.path.exists(cache):
         km = load_kernel_matrices(cache)
@@ -347,10 +366,11 @@ def cmd_simulate(config: dict, out: str, threads: int) -> None:
     base = {k: config[k] for k in sim_keys if k in config}
     if "lambda_grid" in config:
         base["lambda_grid"] = tuple(config["lambda_grid"])
+    with _from_config():
+        cfgs = [SimConfig(omega=float(omega), **base) for omega in config["omegas"]]
     cells = {}
     progress = sys.stderr.isatty()
-    for omega in config["omegas"]:
-        cfg = SimConfig(omega=float(omega), **base)
+    for omega, cfg in zip(config["omegas"], cfgs):
         report = run_mc(cfg, max_workers=threads, progress=progress)
         label = f"omega={omega:g}"
         cells[label] = report.summary()
@@ -387,8 +407,7 @@ def cmd_simulate(config: dict, out: str, threads: int) -> None:
             )
     _write(out, "summary.json", _json_bytes({**_provenance(config), "cells": cells}))
     if config.get("dump_dataset"):
-        cfg = SimConfig(omega=float(config["omegas"][0]), **base)
-        data, _ = replication_dataset(cfg, rep=0)
+        data, _ = replication_dataset(cfgs[0], rep=0)
         save_dataset(data, os.path.join(out, "U.csv"), os.path.join(out, "F.csv"))
 
 
@@ -433,7 +452,9 @@ def cmd_test(config: dict, out: str, threads: int) -> None:
 
 
 def cmd_spectrum(config: dict, out: str, threads: int) -> None:
-    _, km, data = _load_inputs(config)
+    basis, km, data = _load_inputs(config)
+    if config["top_m"] > basis.p**2:
+        raise ConfigError(f"top_m must be at most p^2 = {basis.p**2}, got {config['top_m']}")
     gammas = spectrum_diag(data, km, config["top_m"])
     rows = [[k + 1, g] for k, g in enumerate(gammas)]
     _write(out, "spectrum.csv", _csv_bytes(["k", "gamma"], rows))
@@ -441,8 +462,17 @@ def cmd_spectrum(config: dict, out: str, threads: int) -> None:
     _write(out, "spectrum.json", _json_bytes(doc))
 
 
-def _recipe_from_config(rcfg: dict) -> RecipeSpec:
+def _recipe_from_config(rcfg: dict, variables: tuple, p: int) -> RecipeSpec:
+    """The ingest recipe, checked against the traced variables and the basis size."""
     response_cfg = rcfg["response"]
+    for role, name in (("predictor", rcfg["predictor"]), ("response", response_cfg["variable"])):
+        if name not in variables:
+            raise ValueError(
+                f"recipe {role} {name!r} is not one of the schema variables {list(variables)}"
+            )
+    multipliers = response_cfg.get("multipliers")
+    if multipliers is not None and len(multipliers) != p:
+        raise ValueError(f"spectral response has {len(multipliers)} multipliers but basis p = {p}")
     kind = response_cfg["type"]
     if kind == "thermo":
         response = ThermoResponse(
@@ -481,8 +511,9 @@ def cmd_ingest(config: dict, out: str, threads: int) -> None:
         ordinate=config["schema"]["ordinate"],
         variables=tuple(config["schema"]["variables"]),
     )
-    recipe = _recipe_from_config(config["recipe"])
-    basis = _build_basis({"basis": {"interval": list(recipe.interval), **config["basis"]}})
+    basis = _build_basis({"basis": {"interval": config["recipe"]["interval"], **config["basis"]}})
+    with _from_config():
+        recipe = _recipe_from_config(config["recipe"], schema.variables, basis.p)
     table = load_trajectories(config["input"], schema, lenient=config.get("lenient", False))
     curves, report = curves_to_basis(table, recipe, basis)
     data = build_thermo_dataset(curves, recipe, basis)
@@ -569,10 +600,10 @@ def main(argv=None) -> int:
     except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DiffregError, RuntimeError) as exc:
+    except (DiffregError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

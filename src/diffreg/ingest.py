@@ -10,18 +10,38 @@ balance
 
 whose derivative is taken term-by-term on the basis expansion rather than
 on raw samples, since finely-sampled differences are noise dominated.
+
+The gates run subject by subject; they also sort and deduplicate each
+subject's samples.  Subjects that pass are then pre-smoothed in blocks of
+``BLOCK_SUBJECTS``: one call resamples a block's curves onto the quadrature
+grid, with one vectorized spline per knot count, and one projection solve
+takes every curve of the block as a column of its right-hand side.  The
+derivative gate and the thermo response are one matrix product each over
+the stacked coefficients.  Blocks bound the size of the stacked arrays.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSystem, DataSet, FuncVec, resample_to_quad_grid, solve_projection
+from .basis import (
+    BasisSystem,
+    DataSet,
+    FuncVec,
+    distinct_samples,
+    resample_to_quad_grid,
+    solve_projection,
+)
 from .errors import DataError, SingularSystemError
+
+#: subjects resampled and projected together; bounds the (block, n_quad,
+#: variables) arrays of one pass, and with them the peak memory of ingest
+BLOCK_SUBJECTS = 256
 
 
 @dataclass(frozen=True)
@@ -105,24 +125,32 @@ def load_trajectories(path: str, schema: TableSchema, lenient: bool = False) -> 
     """Parse a trajectory CSV into per-subject tracks.
 
     Rows with missing or non-numeric fields raise a parse error naming the
-    line, or are dropped and counted when ``lenient`` is set.
+    line, or are dropped and counted when ``lenient`` is set.  Blank lines
+    are skipped and not counted.
     """
     columns = (schema.subject, schema.ordinate, *schema.variables)
     raw: dict = {}
     dropped = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in columns if c not in header]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        # a repeated name refers to its last column, as with csv.DictReader
+        index = {name: i for i, name in enumerate(header)}
+        missing = [c for c in columns if c not in index]
         if missing:
             raise DataError(f"{path}: header is missing column(s) {missing}")
-        for lineno, row in enumerate(reader, start=2):
+        subject_col = index[schema.subject]
+        value_cols = [index[c] for c in columns[1:]]
+        width = max(subject_col, *value_cols) + 1
+        for lineno, row in enumerate(filter(None, reader), start=2):
             try:
-                subject = row[schema.subject]
-                if subject is None or subject == "":
+                if len(row) < width:
+                    raise ValueError(f"row has {len(row)} of the header's {len(header)} fields")
+                subject = row[subject_col]
+                if subject == "":
                     raise ValueError("empty subject id")
-                values = {name: float(row[name]) for name in (schema.ordinate, *schema.variables)}
-            except (TypeError, ValueError) as exc:
+                values = [float(row[i]) for i in value_cols]
+            except ValueError as exc:
                 if lenient:
                     dropped += 1
                     continue
@@ -132,14 +160,11 @@ def load_trajectories(path: str, schema: TableSchema, lenient: bool = False) -> 
         raise DataError(f"{path}: no usable rows")
     subjects = {}
     for subject in sorted(raw):
-        rows = raw[subject]
-        x = np.array([r[schema.ordinate] for r in rows])
-        order = np.argsort(x)
+        rows = np.array(raw[subject])
+        rows = rows[np.argsort(rows[:, 0])]
         subjects[subject] = SubjectTrack(
-            ordinate=x[order],
-            variables={
-                name: np.array([r[name] for r in rows])[order] for name in schema.variables
-            },
+            ordinate=rows[:, 0],
+            variables={name: rows[:, j] for j, name in enumerate(schema.variables, start=1)},
         )
     return TrajectoryTable(subjects=subjects, dropped_rows=dropped)
 
@@ -165,13 +190,63 @@ class ProjectedCurve:
         return basis.deriv_values(basis.quad_nodes, order=1) @ self.span.coeffs
 
 
-def project_with_offset(
-    x: np.ndarray, y: np.ndarray, basis: BasisSystem, penalty: float = 0.0
-) -> ProjectedCurve:
-    """Least squares over span{1, phi_1..phi_p} on the quadrature grid."""
-    design = np.column_stack([np.ones(len(basis.quad_nodes)), basis.quad_values()])
-    solution = solve_projection(design, resample_to_quad_grid(x, y, basis), basis, penalty)
-    return ProjectedCurve(span=FuncVec(solution[1:], basis), offset=float(solution[0]))
+def project_with_offset(x, y, basis: BasisSystem, penalty: float = 0.0):
+    """Least squares over span{1, phi_1..phi_p} on the quadrature grid.
+
+    Given one curve's samples as arrays ``x`` and ``y``, returns its
+    ProjectedCurve.  Given a list ``x`` of S knot vectors and a list ``y``
+    of value arrays (m_s, V), as :func:`~diffreg.basis.distinct_samples`
+    returns them, returns the offsets (S, V) and the span coefficients
+    (S, V, p) of every curve from one resampling call and one solve.
+    """
+    one_curve = isinstance(x, np.ndarray)
+    if one_curve:
+        knots, values = distinct_samples(x, y, basis)
+        x, y = [knots], [values.reshape(-1, 1)]
+    grid = resample_to_quad_grid(x, y, basis)
+    S, n_quad, V = grid.shape
+    design = np.column_stack([np.ones(n_quad), basis.quad_values()])
+    rhs = grid.transpose(1, 0, 2).reshape(n_quad, S * V)
+    solution = solve_projection(design, rhs, basis, penalty).reshape(-1, S, V)
+    offsets, coeffs = solution[0], solution[1:].transpose(1, 2, 0)
+    if one_curve:
+        return ProjectedCurve(span=FuncVec(coeffs[0, 0], basis), offset=float(offsets[0, 0]))
+    return offsets, coeffs
+
+
+class ProjectedCurves(Mapping):
+    """The kept subjects' pre-smoothed curves, stacked in input order.
+
+    ``offsets`` is (S, V) and ``coeffs`` is (S, V, p): subjects on the first
+    axis, the traced ``variables`` on the second.  Looking up a subject
+    gives its {variable: ProjectedCurve}.
+    """
+
+    def __init__(self, subjects, variables, offsets, coeffs, basis: BasisSystem):
+        self.subjects = tuple(subjects)
+        self.variables = tuple(variables)
+        self.offsets = offsets
+        self.coeffs = coeffs
+        self.basis = basis
+        self._row = {subject: i for i, subject in enumerate(self.subjects)}
+
+    def __getitem__(self, subject) -> dict:
+        i = self._row[subject]
+        return {
+            name: ProjectedCurve(
+                span=FuncVec(self.coeffs[i, v], self.basis), offset=float(self.offsets[i, v])
+            )
+            for v, name in enumerate(self.variables)
+        }
+
+    def __contains__(self, subject) -> bool:
+        return subject in self._row
+
+    def __iter__(self):
+        return iter(self.subjects)
+
+    def __len__(self) -> int:
+        return len(self.subjects)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,75 +267,128 @@ class IngestReport:
         }
 
 
+def _screen(track: SubjectTrack, variables: tuple, recipe: RecipeSpec, basis: BasisSystem):
+    """One subject's distinct knots and (m, V) values, or why it fails a gate."""
+    x = track.ordinate
+    lo, hi = float(x.min()), float(x.max())
+    a, b = recipe.interval
+    if recipe.start_gate is not None and not (recipe.start_gate[0] < lo < recipe.start_gate[1]):
+        return f"smallest ordinate {lo:.6g} outside start gate"
+    if recipe.end_gate is not None and not (recipe.end_gate[0] < hi < recipe.end_gate[1]):
+        return f"largest ordinate {hi:.6g} outside end gate"
+    if lo > a or hi < b:
+        return f"samples cover [{lo:.6g}, {hi:.6g}], not [{a}, {b}]"
+    if np.unique(x).size < basis.p:
+        return f"{np.unique(x).size} distinct ordinates < p = {basis.p}"
+    samples = np.column_stack([track.variables[name] for name in variables])
+    try:
+        knots, values = distinct_samples(x, samples, basis)
+    except (SingularSystemError, ValueError) as exc:
+        return str(exc)
+    if not np.isfinite(knots).all():
+        return "non-finite ordinate sample"
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        return f"non-finite {variables[int(np.argmin(finite))]} sample"
+    return knots, values
+
+
 def curves_to_basis(
     table: TrajectoryTable, recipe: RecipeSpec, basis: BasisSystem
-) -> tuple[dict, IngestReport]:
+) -> tuple[ProjectedCurves, IngestReport]:
     """Pre-smooth every gated subject's traced variables onto the basis.
 
     Subjects failing a gate are skipped with a reason; projection is the
     pre-smoothing step, so the derivative-magnitude gate is evaluated on
-    the projected predictor.
+    the projected predictor.  Skips are reported in input order.
     """
-    a, b = recipe.interval
-    curves: dict = {}
-    skipped = []
-    for subject, track in table.subjects.items():
-        x = track.ordinate
-        lo, hi = float(x.min()), float(x.max())
-        if recipe.start_gate is not None and not (recipe.start_gate[0] < lo < recipe.start_gate[1]):
-            skipped.append((subject, f"smallest ordinate {lo:.6g} outside start gate"))
-            continue
-        if recipe.end_gate is not None and not (recipe.end_gate[0] < hi < recipe.end_gate[1]):
-            skipped.append((subject, f"largest ordinate {hi:.6g} outside end gate"))
-            continue
-        if lo > a or hi < b:
-            skipped.append((subject, f"samples cover [{lo:.6g}, {hi:.6g}], not [{a}, {b}]"))
-            continue
-        if np.unique(x).size < basis.p:
-            skipped.append((subject, f"{np.unique(x).size} distinct ordinates < p = {basis.p}"))
-            continue
+    variables = tuple(next(iter(table.subjects.values())).variables) if table.subjects else ()
+    kept = []  # (position, subject, knots, values)
+    skipped = []  # (position, subject, reason)
+    for position, (subject, track) in enumerate(table.subjects.items()):
+        screened = _screen(track, variables, recipe, basis)
+        if isinstance(screened, str):
+            skipped.append((position, subject, screened))
+        else:
+            kept.append((position, subject, *screened))
+
+    kept_subjects, offsets, coeffs = [], [], []
+    for start in range(0, len(kept), BLOCK_SUBJECTS):
+        block = kept[start : start + BLOCK_SUBJECTS]
         try:
-            projected = {
-                name: project_with_offset(x, values, basis, penalty=recipe.penalty)
-                for name, values in track.variables.items()
-            }
-        except (SingularSystemError, ValueError) as exc:
-            skipped.append((subject, str(exc)))
+            block_offsets, block_coeffs = project_with_offset(
+                [k[2] for k in block], [k[3] for k in block], basis, penalty=recipe.penalty
+            )
+        except SingularSystemError as exc:
+            skipped += [(position, subject, str(exc)) for position, subject, _, _ in block]
             continue
+        finite = np.isfinite(block_coeffs).all(axis=(1, 2))
+        steep = np.zeros(len(block), dtype=bool)
         if recipe.derivative_gate is not None:
-            peak = float(np.max(np.abs(projected[recipe.predictor].grid_slope())))
-            if peak > recipe.derivative_gate:
-                skipped.append((subject, f"|d {recipe.predictor}/dx| peak {peak:.6g} above gate"))
-                continue
-        curves[subject] = projected
+            predictor = block_coeffs[:, variables.index(recipe.predictor)]
+            slopes = basis.deriv_values(basis.quad_nodes, order=1) @ predictor.T
+            peaks = np.max(np.abs(slopes), axis=0)
+            steep = peaks > recipe.derivative_gate
+        keep = []
+        for j, (position, subject, _, _) in enumerate(block):
+            if not finite[j]:
+                skipped.append((position, subject, "coefficients must be finite"))
+            elif steep[j]:
+                reason = f"|d {recipe.predictor}/dx| peak {float(peaks[j]):.6g} above gate"
+                skipped.append((position, subject, reason))
+            else:
+                keep.append(j)
+                kept_subjects.append(subject)
+        offsets.append(block_offsets[keep])
+        coeffs.append(block_coeffs[keep])
+    skipped.sort(key=lambda entry: entry[0])
+    V = len(variables)
+    curves = ProjectedCurves(
+        kept_subjects,
+        variables,
+        np.concatenate(offsets) if offsets else np.empty((0, V)),
+        np.concatenate(coeffs) if coeffs else np.empty((0, V, basis.p)),
+        basis,
+    )
     report = IngestReport(
         n_in=len(table.subjects),
         n_out=len(curves),
-        skipped=tuple(skipped),
+        skipped=tuple((subject, reason) for _, subject, reason in skipped),
         dropped_rows=table.dropped_rows,
     )
     return curves, report
 
 
+def _response_block(offsets, coeffs, variables, response, basis: BasisSystem) -> np.ndarray:
+    """Response coefficients (S, p) from stacked curves: offsets (S, V), coeffs (S, V, p)."""
+    if not isinstance(response, (IdentityResponse, SpectralResponse, ThermoResponse)):
+        raise TypeError(f"unsupported response formula {type(response).__name__}")
+    v = variables.index(response.variable)
+    offsets, coeffs = offsets[:, v], coeffs[:, v]
+    if isinstance(response, IdentityResponse):
+        return coeffs.copy()
+    if isinstance(response, SpectralResponse):
+        return np.asarray(response.multipliers) * coeffs
+    # ordinate is log(p), so the pressure weight is exp(x)/p0 pointwise
+    weight = (np.exp(basis.quad_nodes) / response.p0) ** (-response.kappa)
+    phi = basis.quad_values()
+    slopes = basis.deriv_values(basis.quad_nodes, order=1) @ coeffs.T
+    values = offsets + phi @ coeffs.T
+    f_vals = weight[:, None] * (slopes - response.kappa * values)
+    return solve_projection(phi, f_vals, basis, 0.0).T
+
+
 def response_coefficients(curves: dict, response, basis: BasisSystem) -> np.ndarray:
     """Response coefficient vector for one subject's pre-smoothed curves."""
-    if isinstance(response, IdentityResponse):
-        return curves[response.variable].span.coeffs.copy()
-    if isinstance(response, SpectralResponse):
-        return np.asarray(response.multipliers) * curves[response.variable].span.coeffs
-    if isinstance(response, ThermoResponse):
-        curve = curves[response.variable]
-        # ordinate is log(p), so the pressure weight is exp(x)/p0 pointwise
-        weight = (np.exp(basis.quad_nodes) / response.p0) ** (-response.kappa)
-        f_vals = weight * (curve.grid_slope() - response.kappa * curve.grid_values())
-        return solve_projection(basis.quad_values(), f_vals, basis, 0.0)
-    raise TypeError(f"unsupported response formula {type(response).__name__}")
+    offsets = np.array([[curve.offset for curve in curves.values()]])
+    coeffs = np.stack([curve.span.coeffs for curve in curves.values()])[None]
+    return _response_block(offsets, coeffs, tuple(curves), response, basis)[0]
 
 
 def build_thermo_dataset(
-    curves: dict, recipe: RecipeSpec, basis: BasisSystem
+    curves: ProjectedCurves, recipe: RecipeSpec, basis: BasisSystem
 ) -> DataSet:
-    """Assemble the (U, F) dataset from projected curves.
+    """Assemble the (U, F) dataset from projected curves, in subject order.
 
     U holds the predictor coefficients and F the response formula's
     coefficients; with ``recipe.center`` the sample mean coefficient
@@ -268,9 +396,10 @@ def build_thermo_dataset(
     """
     if not curves:
         raise DataError("no subjects survived the gates")
-    subjects = sorted(curves)
-    U = np.stack([curves[s][recipe.predictor].span.coeffs for s in subjects])
-    F = np.stack([response_coefficients(curves[s], recipe.response, basis) for s in subjects])
+    order = sorted(range(len(curves)), key=curves.subjects.__getitem__)
+    offsets, coeffs = curves.offsets[order], curves.coeffs[order]
+    U = coeffs[:, curves.variables.index(recipe.predictor)]
+    F = _response_block(offsets, coeffs, curves.variables, recipe.response, basis)
     if recipe.center:
         U = U - U.mean(axis=0)
         F = F - F.mean(axis=0)

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,3 +304,73 @@ def test_ingest_command_end_to_end(tmp_path):
 def test_ingest_requires_input(tmp_path):
     out = tmp_path / "noin"
     assert main(["ingest", "--preset", "era5", "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize(
+    "command, section, message",
+    [
+        ("fit", {"basis": {"p": 10, "n_quad": 11}, "lambda": 1e3}, "n_quad must be >= 2p+1"),
+        ("spectrum", {"top_m": 101}, "top_m must be at most p^2 = 100"),
+    ],
+    ids=["basis", "top_m"],
+)
+def test_config_values_the_command_cannot_use_exit_2(
+    tmp_path, dataset_dir, capsys, command, section, message
+):
+    cfg = write_config(tmp_path, "cfg.json", {**ds_section(dataset_dir), **section})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "recipe, message",
+    [
+        ({"predictor": "T_dew"}, "recipe predictor 'T_dew' is not one of the schema variables"),
+        (
+            {"response": {"type": "spectral", "variable": "T_real", "multipliers": [1.0, 2.0]}},
+            "spectral response has 2 multipliers but basis p = 10",
+        ),
+    ],
+    ids=["predictor", "multipliers"],
+)
+def test_ingest_recipe_mismatch_is_a_config_error(tmp_path, capsys, recipe, message):
+    tracks = tmp_path / "tracks.csv"
+    write_rows(tracks, synthetic_rows("s0", [0.5], [0.2], x_range=(6.295, 6.905)))
+    doc = get_preset("era5")
+    del doc["command"]
+    doc["input"] = str(tracks)
+    doc["recipe"].update(recipe)
+    cfg = write_config(tmp_path, "ingest.json", doc)
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", cfg, "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_value_error_inside_the_numerics_is_a_runtime_error(
+    tmp_path, dataset_dir, capsys, monkeypatch
+):
+    def broken_fit(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr("diffreg.cli.fit", broken_fit)
+    cfg = write_config(tmp_path, "fit.json", {**ds_section(dataset_dir), "lambda": 1e3})
+    out = tmp_path / "out"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 1
+    assert "error: operands could not be broadcast together" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import subprocess
+    import sys
+
+    probe = "import sys, diffreg.cli; print('scipy' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -4,14 +4,18 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from diffreg import DataError, make_cosine_basis
+from diffreg.basis import distinct_samples, resample_to_quad_grid
 from diffreg.ingest import (
     IdentityResponse,
     RecipeSpec,
     SpectralResponse,
     TableSchema,
     ThermoResponse,
+    TrajectoryTable,
     build_thermo_dataset,
     curves_to_basis,
     load_dataset,
@@ -87,15 +91,19 @@ def test_load_three_subjects(three_subject_csv):
 
 
 def test_load_malformed_row_strict_and_lenient(tmp_path):
-    rows = synthetic_rows("s0", [1.0, 0.5], [0.3, -0.2])
-    rows.insert(5, ["s0", "6.35", "not-a-number", "280"])
-    path = tmp_path / "bad.csv"
-    write_rows(path, rows)
-    with pytest.raises(DataError, match="line 7"):
-        load_trajectories(str(path), SCHEMA)
-    table = load_trajectories(str(path), SCHEMA, lenient=True)
-    assert table.dropped_rows == 1
-    assert len(table.subjects["s0"].ordinate) == len(rows) - 1
+    good = synthetic_rows("s0", [1.0, 0.5], [0.3, -0.2])
+    for bad_row, message in (
+        (["s0", "6.35", "not-a-number", "280"], "not-a-number"),
+        (["s0", "6.35"], "2 of the header's 4 fields"),
+    ):
+        rows = good[:5] + [bad_row] + good[5:]
+        path = tmp_path / "bad.csv"
+        write_rows(path, rows)
+        with pytest.raises(DataError, match=f"malformed row at line 7: .*{message}"):
+            load_trajectories(str(path), SCHEMA)
+        table = load_trajectories(str(path), SCHEMA, lenient=True)
+        assert table.dropped_rows == 1
+        assert len(table.subjects["s0"].ordinate) == len(rows) - 1
 
 
 def test_load_missing_column(tmp_path):
@@ -164,13 +172,93 @@ def test_coverage_gates(tmp_path):
 def test_derivative_gate_excludes_steep_subject(tmp_path):
     rows = synthetic_rows("flat", [0.01, 0.0], [0.01, 0.0])
     rows += synthetic_rows("steep", [0.01, 0.0], [50.0, 30.0])
+    # fails the end gate, which is checked before projection; skips keep input order
+    rows += [r for r in synthetic_rows("stubby", [0.01, 0.0], [0.01, 0.0]) if float(r[1]) < 6.7]
     path = tmp_path / "steep.csv"
     write_rows(path, rows)
     basis = basis_on_interval(p=2)
     recipe = default_recipe(derivative_gate=10.0)
     curves, report = curves_to_basis(load_trajectories(str(path), SCHEMA), recipe, basis)
     assert list(curves) == ["flat"]
+    assert [subject for subject, _ in report.skipped] == ["steep", "stubby"]
     assert "above gate" in report.skipped[0][1]
+
+
+def test_non_finite_samples_skip_naming_the_variable(tmp_path):
+    rows = synthetic_rows("ok", [0.5, 0.2], [0.1, 0.3])
+    nan_real = synthetic_rows("nan_real", [0.5, 0.2], [0.1, 0.3])
+    nan_real[40][2] = "nan"
+    inf_pot = synthetic_rows("inf_pot", [0.5, 0.2], [0.1, 0.3])
+    inf_pot[7][3] = "-inf"
+    inf_x = synthetic_rows("inf_x", [0.5, 0.2], [0.1, 0.3])
+    inf_x[-1][1] = "inf"
+    path = tmp_path / "nonfinite.csv"
+    write_rows(path, rows + nan_real + inf_pot + inf_x)
+    recipe = default_recipe(start_gate=None, end_gate=None)
+    table = load_trajectories(str(path), SCHEMA)
+    curves, report = curves_to_basis(table, recipe, basis_on_interval(p=2))
+    assert list(curves) == ["ok"]
+    assert dict(report.skipped) == {
+        "inf_pot": "non-finite T_pot sample",
+        "inf_x": "non-finite ordinate sample",
+        "nan_real": "non-finite T_real sample",
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_batched_resample_and_project_match_scipy(data):
+    # tolerances, set from the error analysis of both solvers: knot gaps
+    # differ by at most 20x, so the spline systems are well conditioned and
+    # both slope solves are backward stable, and the projection's normal
+    # matrix is diag(L, 1, ..., 1) up to quadrature error.  Both sides then
+    # agree to a small multiple of eps times the largest sample value; the
+    # worst of 1500 random draws used 5% of this bound.
+    tol = 1e-13
+    p = data.draw(st.integers(1, 8), label="p")
+    V = data.draw(st.sampled_from([1, 2, 3]), label="V")
+    basis = make_cosine_basis(p=p, n_quad=101, interval=INTERVAL)
+    nodes, w = basis.quad_nodes, basis.quad_weights
+    knot_counts = data.draw(st.lists(st.integers(max(2, p), 60), min_size=1, max_size=4))
+    xs, ys, reference = [], [], []
+    for m in knot_counts:
+        for _ in range(data.draw(st.integers(1, 3), label="copies")):
+            gaps = data.draw(st.lists(st.floats(0.05, 1.0), min_size=m - 1, max_size=m - 1))
+            gaps = np.array(gaps)
+            knots = 6.29 + 0.62 * np.concatenate([[0.0], np.cumsum(gaps)]) / gaps.sum()
+            knots[-1] = 6.91
+            values = data.draw(st.lists(st.floats(-50, 50), min_size=m * V, max_size=m * V))
+            values = 280.0 + np.reshape(values, (m, V))
+            repeats = data.draw(st.lists(st.integers(0, m - 1), max_size=5), label="repeats")
+            x = np.concatenate([knots, knots[repeats]])
+            y = np.concatenate([values, values[repeats] + 1.0])
+            shuffle = np.random.default_rng(len(xs)).permutation(x.size)
+            x, y = x[shuffle], y[shuffle]
+            # the first of each run of equal abscissae after np.argsort is kept
+            order = np.argsort(x)
+            keep = np.concatenate([[True], np.diff(x[order]) > 0])
+            kx, ky = x[order][keep], y[order][keep]
+            if kx.size >= 4:
+                grid = CubicSpline(kx, ky)(nodes)
+            else:
+                grid = np.column_stack([np.interp(nodes, kx, ky[:, v]) for v in range(V)])
+            reference.append(grid)
+            got_x, got_y = distinct_samples(x, y, basis)
+            np.testing.assert_array_equal(got_x, kx)
+            np.testing.assert_array_equal(got_y, ky)
+            xs.append(got_x)
+            ys.append(got_y)
+    reference = np.stack(reference)
+    scale = np.max(np.abs(reference))
+    grid = resample_to_quad_grid(xs, ys, basis)
+    assert np.max(np.abs(grid - reference)) <= tol * scale
+
+    design = np.column_stack([np.ones(nodes.size), basis.quad_values()]) * np.sqrt(w)[:, None]
+    offsets, coeffs = project_with_offset(xs, ys, basis)
+    for s, curve in enumerate(reference):
+        solution = np.linalg.lstsq(design, curve * np.sqrt(w)[:, None], rcond=None)[0]
+        assert np.max(np.abs(offsets[s] - solution[0])) <= tol * scale
+        assert np.max(np.abs(coeffs[s] - solution[1:].T)) <= tol * scale
 
 
 def test_thermo_kappa_zero_is_derivative_projection(tmp_path):
@@ -238,14 +326,18 @@ def test_pipeline_deterministic(three_subject_csv):
     basis = basis_on_interval(p=4)
     recipe = default_recipe(center=True)
 
-    def run():
+    def run(reverse=False):
         table = load_trajectories(three_subject_csv, SCHEMA)
+        if reverse:  # rows of the dataset follow the subject ids, not the table order
+            table = TrajectoryTable(dict(reversed(table.subjects.items())), table.dropped_rows)
         curves, _ = curves_to_basis(table, recipe, basis)
         return build_thermo_dataset(curves, recipe, basis)
 
-    d1, d2 = run(), run()
+    d1, d2, d3 = run(), run(), run(reverse=True)
     assert np.array_equal(d1.U, d2.U)
     assert np.array_equal(d1.F, d2.F)
+    assert np.array_equal(d1.U, d3.U)
+    assert np.array_equal(d1.F, d3.F)
 
 
 def test_derivative_of_projection_vs_projection_of_finite_difference(three_subject_csv):
