@@ -18,13 +18,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
+import functools
 import io
 import json
 import os
 import sys
 import tempfile
+import typing
 
 import jsonschema
+import numpy as np
 
 from . import __version__
 from .basis import make_cosine_basis
@@ -54,7 +58,7 @@ from .kernels import (
 )
 from .presets import get_preset
 from .regress import fit, gcv_sweep, spectrum_diag
-from .sim import SimConfig, replication_dataset, run_mc
+from .sim import RepRecord, SimConfig, replication_dataset, run_mc
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG, EXIT_DATA = 0, 1, 2, 3
 
@@ -358,14 +362,13 @@ def _load_inputs(config: dict):
 
 
 def cmd_simulate(config: dict, out: str, threads: int) -> None:
-    sim_keys = (
-        "n", "p", "snr", "B", "reps", "seed", "strategy", "alpha", "eigen_sign",
-        "h", "n_quad", "test_lambda", "run_test", "refine_rounds", "skip_failures",
-        "keep_bootstrap",
-    )
-    base = {k: config[k] for k in sim_keys if k in config}
-    if "lambda_grid" in config:
-        base["lambda_grid"] = tuple(config["lambda_grid"])
+    base = {f.name: config[f.name] for f in dataclasses.fields(SimConfig) if f.name in config}
+    if "lambda_grid" in base:
+        base["lambda_grid"] = tuple(base["lambda_grid"])
+    # records columns follow the RepRecord fields; a lambda-indexed array
+    # field such as ess_lambda takes one column per grid point, ess_lam_<lambda>
+    names = [f.name for f in dataclasses.fields(RepRecord)]
+    arrays = {name for name, t in typing.get_type_hints(RepRecord).items() if t is np.ndarray}
     with _from_config():
         cfgs = [SimConfig(omega=float(omega), **base) for omega in config["omegas"]]
     cells = {}
@@ -374,27 +377,15 @@ def cmd_simulate(config: dict, out: str, threads: int) -> None:
         report = run_mc(cfg, max_workers=threads, progress=progress)
         label = f"omega={omega:g}"
         cells[label] = report.summary()
-        lam_labels = [f"{lam:g}" for lam in report.lambda_grid]
-        header = (
-            ["rep"]
-            + [f"ess_lam_{s}" for s in lam_labels]
-            + [f"rss_lam_{s}" for s in lam_labels]
-            + [f"gcv_lam_{s}" for s in lam_labels]
-            + [f"trace_lam_{s}" for s in lam_labels]
-            + [
-                "gcv_best_lambda", "ess_min_lambda", "ess_min_value",
-                "theta_hat", "ess_theta", "tss",
-                "test_lambda", "q_n", "p_value", "reject",
-            ]
-        )
+        header = []
+        for name in names:
+            lam_columns = [f"{name.removesuffix('lambda')}lam_{lam:g}" for lam in report.lambda_grid]
+            header += lam_columns if name in arrays else [name]
         rows = [
-            [rec.rep]
-            + list(rec.ess_lambda) + list(rec.rss_lambda)
-            + list(rec.gcv_lambda) + list(rec.trace_lambda)
-            + [
-                rec.gcv_best_lambda, rec.ess_min_lambda, rec.ess_min_value,
-                rec.theta_hat, rec.ess_theta, rec.tss,
-                rec.test_lambda, rec.q_n, rec.p_value, rec.reject,
+            [
+                value
+                for name in names
+                for value in (getattr(rec, name) if name in arrays else [getattr(rec, name)])
             ]
             for rec in report.records
         ]
@@ -462,9 +453,12 @@ def cmd_spectrum(config: dict, out: str, threads: int) -> None:
     _write(out, "spectrum.json", _json_bytes(doc))
 
 
+_RESPONSES = {"thermo": ThermoResponse, "identity": IdentityResponse, "spectral": SpectralResponse}
+
+
 def _recipe_from_config(rcfg: dict, variables: tuple, p: int) -> RecipeSpec:
     """The ingest recipe, checked against the traced variables and the basis size."""
-    response_cfg = rcfg["response"]
+    response_cfg = dict(rcfg["response"])
     for role, name in (("predictor", rcfg["predictor"]), ("response", response_cfg["variable"])):
         if name not in variables:
             raise ValueError(
@@ -473,34 +467,15 @@ def _recipe_from_config(rcfg: dict, variables: tuple, p: int) -> RecipeSpec:
     multipliers = response_cfg.get("multipliers")
     if multipliers is not None and len(multipliers) != p:
         raise ValueError(f"spectral response has {len(multipliers)} multipliers but basis p = {p}")
-    kind = response_cfg["type"]
-    if kind == "thermo":
-        response = ThermoResponse(
-            variable=response_cfg["variable"],
-            kappa=response_cfg.get("kappa", 0.286),
-            p0=response_cfg.get("p0", 1000.0),
-        )
-    elif kind == "identity":
-        response = IdentityResponse(variable=response_cfg["variable"])
-    else:
-        response = SpectralResponse(
-            variable=response_cfg["variable"],
-            multipliers=tuple(response_cfg["multipliers"]),
-        )
-    gates = {
-        key: tuple(rcfg[key]) if rcfg.get(key) is not None else None
-        for key in ("start_gate", "end_gate")
-    }
-    return RecipeSpec(
-        predictor=rcfg["predictor"],
-        response=response,
-        interval=tuple(rcfg["interval"]),
-        start_gate=gates["start_gate"],
-        end_gate=gates["end_gate"],
-        derivative_gate=rcfg.get("derivative_gate"),
-        center=rcfg.get("center", True),
-        penalty=rcfg.get("penalty", 0.0),
-    )
+    # the schema admits exactly the dataclass fields; omitted ones take their defaults
+    response_type = _RESPONSES[response_cfg.pop("type")]
+    if multipliers is not None:
+        response_cfg["multipliers"] = tuple(multipliers)
+    settings = {**rcfg, "response": response_type(**response_cfg)}
+    for key in ("interval", "start_gate", "end_gate"):
+        if settings.get(key) is not None:
+            settings[key] = tuple(settings[key])
+    return RecipeSpec(**settings)
 
 
 def cmd_ingest(config: dict, out: str, threads: int) -> None:
@@ -533,6 +508,13 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _validator(command: str):
+    """The validator of one command's schema, built on first use."""
+    schema = SCHEMAS[command]
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 def resolve_config(command: str, preset: str | None, config_path: str | None, seed: int | None) -> dict:
     """Merge preset and config file, apply CLI overrides, and validate."""
     if preset is None and config_path is None:
@@ -545,10 +527,16 @@ def resolve_config(command: str, preset: str | None, config_path: str | None, se
             raise ValueError(f"preset {preset!r} is for the {expected!r} command")
     if config_path is not None:
         with open(config_path, encoding="utf-8") as fh:
-            merged = _deep_merge(merged, json.load(fh))
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{config_path} must hold a JSON object")
+        merged = _deep_merge(merged, doc)
     if seed is not None:
         merged["seed"] = seed
-    jsonschema.validate(merged, SCHEMAS[command])
+    # the error jsonschema.validate would raise, without its metaschema check per call
+    error = jsonschema.exceptions.best_match(_validator(command).iter_errors(merged))
+    if error is not None:
+        raise error
     return merged
 
 
@@ -577,19 +565,19 @@ def main(argv=None) -> int:
 
     try:
         config = resolve_config(args.command, args.preset, args.config, args.seed)
-    except (jsonschema.ValidationError) as exc:
-        path = exc.json_path if hasattr(exc, "json_path") else "$"
-        print(f"config error at {path}: {exc.message}", file=sys.stderr)
+    except jsonschema.ValidationError as exc:
+        print(f"config error at {exc.json_path}: {exc.message}", file=sys.stderr)
         return EXIT_CONFIG
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (KeyError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: --out {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     threads = max(1, args.threads)
     try:
         # stage everything, then publish with atomic renames
@@ -597,7 +585,7 @@ def main(argv=None) -> int:
             COMMANDS[args.command](config, tmp, threads)
             for name in sorted(os.listdir(tmp)):
                 os.replace(os.path.join(tmp, name), os.path.join(out_dir, name))
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ConfigError as exc:

@@ -11,32 +11,27 @@ balance
 whose derivative is taken term-by-term on the basis expansion rather than
 on raw samples, since finely-sampled differences are noise dominated.
 
-The gates run subject by subject; they also sort and deduplicate each
-subject's samples.  Subjects that pass are then pre-smoothed in blocks of
-``BLOCK_SUBJECTS``: one call resamples a block's curves onto the quadrature
-grid, with one vectorized spline per knot count, and one projection solve
-takes every curve of the block as a column of its right-hand side.  The
+Each subject's samples are one (m, V) block whose columns follow the
+schema's variables.  The gates run subject by subject; they also sort and
+deduplicate each subject's samples.  Subjects that pass are then
+pre-smoothed in blocks of ``BLOCK_SUBJECTS``: one call resamples a block's
+curves onto the quadrature grid, with one vectorized spline per knot
+count, and one projection solve takes every curve of the block as a
+column of its right-hand side.  The
 derivative gate and the thermo response are one matrix product each over
-the stacked coefficients.  Blocks bound the size of the stacked arrays.
+the stacked coefficients.  Blocks bound the size of the stacked arrays,
+and the kept curves come out as (S, V) offsets and (S, V, p) coefficients.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (
-    BasisSystem,
-    DataSet,
-    FuncVec,
-    distinct_samples,
-    resample_to_quad_grid,
-    solve_projection,
-)
+from .basis import BasisSystem, DataSet, distinct_samples, resample_to_quad_grid, solve_projection
 from .errors import DataError, SingularSystemError
 
 #: subjects resampled and projected together; bounds the (block, n_quad,
@@ -55,14 +50,17 @@ class TableSchema:
 
 @dataclass(frozen=True, eq=False)
 class SubjectTrack:
-    """One subject's samples, sorted by ordinate."""
+    """One subject's samples, sorted by ordinate: ``samples`` is (m, V)."""
 
     ordinate: np.ndarray
-    variables: dict
+    samples: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryTable:
+    """Per-subject tracks whose sample columns follow ``variables``."""
+
+    variables: tuple[str, ...]
     subjects: dict
     dropped_rows: int
 
@@ -162,91 +160,41 @@ def load_trajectories(path: str, schema: TableSchema, lenient: bool = False) -> 
     for subject in sorted(raw):
         rows = np.array(raw[subject])
         rows = rows[np.argsort(rows[:, 0])]
-        subjects[subject] = SubjectTrack(
-            ordinate=rows[:, 0],
-            variables={name: rows[:, j] for j, name in enumerate(schema.variables, start=1)},
-        )
-    return TrajectoryTable(subjects=subjects, dropped_rows=dropped)
+        subjects[subject] = SubjectTrack(ordinate=rows[:, 0], samples=rows[:, 1:])
+    return TrajectoryTable(variables=schema.variables, subjects=subjects, dropped_rows=dropped)
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectedCurve:
-    """Pre-smoothed curve: basis-span part plus a constant offset.
-
-    The cosine span contains no constants, so the offset is estimated
-    jointly with the coefficients and carried as an auxiliary; pointwise
-    formulas (like the pressure-weighted response) need it, while the
-    coefficient matrices only ever see the span part.
-    """
-
-    span: FuncVec
-    offset: float
-
-    def grid_values(self) -> np.ndarray:
-        return self.offset + self.span.basis.quad_values() @ self.span.coeffs
-
-    def grid_slope(self) -> np.ndarray:
-        basis = self.span.basis
-        return basis.deriv_values(basis.quad_nodes, order=1) @ self.span.coeffs
-
-
-def project_with_offset(x, y, basis: BasisSystem, penalty: float = 0.0):
+def project_with_offset(xs, ys, basis: BasisSystem, penalty: float = 0.0):
     """Least squares over span{1, phi_1..phi_p} on the quadrature grid.
 
-    Given one curve's samples as arrays ``x`` and ``y``, returns its
-    ProjectedCurve.  Given a list ``x`` of S knot vectors and a list ``y``
-    of value arrays (m_s, V), as :func:`~diffreg.basis.distinct_samples`
-    returns them, returns the offsets (S, V) and the span coefficients
-    (S, V, p) of every curve from one resampling call and one solve.
+    ``xs`` holds S knot vectors and ``ys`` the values at them, each of shape
+    (m_s, V), as :func:`~diffreg.basis.distinct_samples` returns them.
+    Returns the offsets (S, V) and the span coefficients (S, V, p) of every
+    curve, from one resampling call and one solve.
     """
-    one_curve = isinstance(x, np.ndarray)
-    if one_curve:
-        knots, values = distinct_samples(x, y, basis)
-        x, y = [knots], [values.reshape(-1, 1)]
-    grid = resample_to_quad_grid(x, y, basis)
+    grid = resample_to_quad_grid(xs, ys, basis)
     S, n_quad, V = grid.shape
     design = np.column_stack([np.ones(n_quad), basis.quad_values()])
     rhs = grid.transpose(1, 0, 2).reshape(n_quad, S * V)
     solution = solve_projection(design, rhs, basis, penalty).reshape(-1, S, V)
-    offsets, coeffs = solution[0], solution[1:].transpose(1, 2, 0)
-    if one_curve:
-        return ProjectedCurve(span=FuncVec(coeffs[0, 0], basis), offset=float(offsets[0, 0]))
-    return offsets, coeffs
+    return solution[0], solution[1:].transpose(1, 2, 0)
 
 
-class ProjectedCurves(Mapping):
+@dataclass(frozen=True, eq=False)
+class ProjectedCurves:
     """The kept subjects' pre-smoothed curves, stacked in input order.
 
     ``offsets`` is (S, V) and ``coeffs`` is (S, V, p): subjects on the first
-    axis, the traced ``variables`` on the second.  Looking up a subject
-    gives its {variable: ProjectedCurve}.
+    axis, the traced ``variables`` on the second.  The cosine span contains
+    no constants, so each curve's constant part is estimated jointly with
+    its coefficients and carried as its offset; pointwise formulas (like the
+    pressure-weighted response) need it, while U and F only see the span.
     """
 
-    def __init__(self, subjects, variables, offsets, coeffs, basis: BasisSystem):
-        self.subjects = tuple(subjects)
-        self.variables = tuple(variables)
-        self.offsets = offsets
-        self.coeffs = coeffs
-        self.basis = basis
-        self._row = {subject: i for i, subject in enumerate(self.subjects)}
-
-    def __getitem__(self, subject) -> dict:
-        i = self._row[subject]
-        return {
-            name: ProjectedCurve(
-                span=FuncVec(self.coeffs[i, v], self.basis), offset=float(self.offsets[i, v])
-            )
-            for v, name in enumerate(self.variables)
-        }
-
-    def __contains__(self, subject) -> bool:
-        return subject in self._row
-
-    def __iter__(self):
-        return iter(self.subjects)
-
-    def __len__(self) -> int:
-        return len(self.subjects)
+    subjects: tuple
+    variables: tuple
+    offsets: np.ndarray
+    coeffs: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,11 +226,11 @@ def _screen(track: SubjectTrack, variables: tuple, recipe: RecipeSpec, basis: Ba
         return f"largest ordinate {hi:.6g} outside end gate"
     if lo > a or hi < b:
         return f"samples cover [{lo:.6g}, {hi:.6g}], not [{a}, {b}]"
-    if np.unique(x).size < basis.p:
-        return f"{np.unique(x).size} distinct ordinates < p = {basis.p}"
-    samples = np.column_stack([track.variables[name] for name in variables])
+    distinct = np.unique(x).size
+    if distinct < basis.p:
+        return f"{distinct} distinct ordinates < p = {basis.p}"
     try:
-        knots, values = distinct_samples(x, samples, basis)
+        knots, values = distinct_samples(x, track.samples, basis)
     except (SingularSystemError, ValueError) as exc:
         return str(exc)
     if not np.isfinite(knots).all():
@@ -302,7 +250,7 @@ def curves_to_basis(
     pre-smoothing step, so the derivative-magnitude gate is evaluated on
     the projected predictor.  Skips are reported in input order.
     """
-    variables = tuple(next(iter(table.subjects.values())).variables) if table.subjects else ()
+    variables = table.variables
     kept = []  # (position, subject, knots, values)
     skipped = []  # (position, subject, reason)
     for position, (subject, track) in enumerate(table.subjects.items()):
@@ -344,45 +292,18 @@ def curves_to_basis(
     skipped.sort(key=lambda entry: entry[0])
     V = len(variables)
     curves = ProjectedCurves(
-        kept_subjects,
-        variables,
-        np.concatenate(offsets) if offsets else np.empty((0, V)),
-        np.concatenate(coeffs) if coeffs else np.empty((0, V, basis.p)),
-        basis,
+        subjects=tuple(kept_subjects),
+        variables=variables,
+        offsets=np.concatenate(offsets) if offsets else np.empty((0, V)),
+        coeffs=np.concatenate(coeffs) if coeffs else np.empty((0, V, basis.p)),
     )
     report = IngestReport(
         n_in=len(table.subjects),
-        n_out=len(curves),
+        n_out=len(kept_subjects),
         skipped=tuple((subject, reason) for _, subject, reason in skipped),
         dropped_rows=table.dropped_rows,
     )
     return curves, report
-
-
-def _response_block(offsets, coeffs, variables, response, basis: BasisSystem) -> np.ndarray:
-    """Response coefficients (S, p) from stacked curves: offsets (S, V), coeffs (S, V, p)."""
-    if not isinstance(response, (IdentityResponse, SpectralResponse, ThermoResponse)):
-        raise TypeError(f"unsupported response formula {type(response).__name__}")
-    v = variables.index(response.variable)
-    offsets, coeffs = offsets[:, v], coeffs[:, v]
-    if isinstance(response, IdentityResponse):
-        return coeffs.copy()
-    if isinstance(response, SpectralResponse):
-        return np.asarray(response.multipliers) * coeffs
-    # ordinate is log(p), so the pressure weight is exp(x)/p0 pointwise
-    weight = (np.exp(basis.quad_nodes) / response.p0) ** (-response.kappa)
-    phi = basis.quad_values()
-    slopes = basis.deriv_values(basis.quad_nodes, order=1) @ coeffs.T
-    values = offsets + phi @ coeffs.T
-    f_vals = weight[:, None] * (slopes - response.kappa * values)
-    return solve_projection(phi, f_vals, basis, 0.0).T
-
-
-def response_coefficients(curves: dict, response, basis: BasisSystem) -> np.ndarray:
-    """Response coefficient vector for one subject's pre-smoothed curves."""
-    offsets = np.array([[curve.offset for curve in curves.values()]])
-    coeffs = np.stack([curve.span.coeffs for curve in curves.values()])[None]
-    return _response_block(offsets, coeffs, tuple(curves), response, basis)[0]
 
 
 def build_thermo_dataset(
@@ -394,12 +315,27 @@ def build_thermo_dataset(
     coefficients; with ``recipe.center`` the sample mean coefficient
     vector is subtracted from both.
     """
-    if not curves:
+    if not curves.subjects:
         raise DataError("no subjects survived the gates")
-    order = sorted(range(len(curves)), key=curves.subjects.__getitem__)
-    offsets, coeffs = curves.offsets[order], curves.coeffs[order]
-    U = coeffs[:, curves.variables.index(recipe.predictor)]
-    F = _response_block(offsets, coeffs, curves.variables, recipe.response, basis)
+    response = recipe.response
+    if not isinstance(response, (IdentityResponse, SpectralResponse, ThermoResponse)):
+        raise TypeError(f"unsupported response formula {type(response).__name__}")
+    order = sorted(range(len(curves.subjects)), key=curves.subjects.__getitem__)
+    U = curves.coeffs[order, curves.variables.index(recipe.predictor)]
+    v = curves.variables.index(response.variable)
+    coeffs = curves.coeffs[order, v]
+    if isinstance(response, IdentityResponse):
+        F = coeffs
+    elif isinstance(response, SpectralResponse):
+        F = np.asarray(response.multipliers) * coeffs
+    else:
+        # ordinate is log(p), so the pressure weight is exp(x)/p0 pointwise
+        weight = (np.exp(basis.quad_nodes) / response.p0) ** (-response.kappa)
+        phi = basis.quad_values()
+        slopes = basis.deriv_values(basis.quad_nodes, order=1) @ coeffs.T
+        values = curves.offsets[order, v] + phi @ coeffs.T
+        f_vals = weight[:, None] * (slopes - response.kappa * values)
+        F = solve_projection(phi, f_vals, basis, 0.0).T
     if recipe.center:
         U = U - U.mean(axis=0)
         F = F - F.mean(axis=0)
@@ -432,9 +368,9 @@ def load_dataset(u_path: str, f_path: str, basis: BasisSystem) -> DataSet:
                 raise DataError(f"{path}: non-numeric entry: {exc}") from exc
         if not rows:
             raise DataError(f"{path}: no data rows")
-        mat = np.array(rows)
-        if mat.shape[1] != len(header):
+        if any(len(row) != len(header) for row in rows):
             raise DataError(f"{path}: ragged rows")
+        mat = np.array(rows)
         bad_rows = np.flatnonzero(~np.isfinite(mat).all(axis=1))
         if bad_rows.size:
             raise DataError(f"{path}: non-finite entry in data row {bad_rows[0] + 1}")

@@ -82,13 +82,17 @@ class LinearOpSpec:
             lambda: -basis.deriv_values(ends, order=2),
         )
 
-    def apply_kernel_grid(self, diff: np.ndarray, h: float) -> np.ndarray:
+    def apply_kernel_grid(
+        self, diff: np.ndarray, h: float, k1: np.ndarray | None = None
+    ) -> np.ndarray:
         """[L_y K1](y, eta) on a grid, given diff = y - eta elementwise.
 
         Uses the analytic derivatives of the Gaussian; the first argument
-        (rows of ``diff``) is the differentiated one.
+        (rows of ``diff``) is the differentiated one.  ``k1``, when given,
+        is ``gaussian_kernel(diff, h)`` already evaluated.
         """
-        k1 = gaussian_kernel(diff, h)
+        if k1 is None:
+            k1 = gaussian_kernel(diff, h)
         return self._combine(
             lambda: k1,
             lambda: -diff / h**2 * k1,
@@ -244,9 +248,9 @@ def _factor_matrices(
     P: LinearOpSpec,
     B: LinearOpSpec,
     spec: KernelSpec,
-    L: LinearOpSpec | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (x, xi) factor C and the (y, eta) factor for the given L."""
+    L: LinearOpSpec,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The (x, xi) factor C, and the (y, eta) factors M and M_L for the given L."""
     nodes, w = basis.quad_nodes, basis.quad_weights
     diff = nodes[:, None] - nodes[None, :]
     k1 = gaussian_kernel(diff, spec.h)
@@ -260,10 +264,11 @@ def _factor_matrices(
         C = C + (bc + bc.T) / 2
 
     phi = basis.quad_values()
-    if L is None or L.kind == "identity":
-        M = kernel_gram(w, phi, phi, k1)
-        return C, (M + M.T) / 2
-    return C, kernel_gram(w, phi, phi, L.apply_kernel_grid(diff, spec.h))
+    M = kernel_gram(w, phi, phi, k1)
+    M = (M + M.T) / 2
+    if L.kind == "identity":
+        return C, (M, M)
+    return C, (M, kernel_gram(w, phi, phi, L.apply_kernel_grid(diff, spec.h, k1)))
 
 
 def kernel_provenance(
@@ -301,8 +306,7 @@ def assemble(
     K uses the identity as output operator and is symmetric PSD by
     construction; K_L applies L to the (y, eta) kernel factor.
     """
-    C, M = _factor_matrices(basis, P, B, spec, L=None)
-    _, M_L = _factor_matrices(basis, P, B, spec, L)
+    C, (M, M_L) = _factor_matrices(basis, P, B, spec, L)
     return KernelMatrices(C=C, M=M, M_L=M_L, provenance=kernel_provenance(basis, P, B, L, spec))
 
 

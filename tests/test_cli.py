@@ -1,15 +1,20 @@
 """End-to-end CLI tests: exit codes, determinism, file contracts."""
 
+import contextlib
 import csv
+import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffreg.cli import main
-from diffreg.kernels import load_kernel_matrices
+from diffreg.gof import STRATEGIES
+from diffreg.kernels import OP_KINDS, load_kernel_matrices
 from diffreg.presets import PRESETS, get_preset
 
 from test_ingest import synthetic_rows, write_rows
@@ -51,7 +56,14 @@ def test_simulate_writes_records_and_summary(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     rows = read_csv(out / "records_omega0.csv")
     assert len(rows) == 3  # header + 2 reps
-    assert rows[0][0] == "rep"
+    lams = ["100", "1000", "10000"]
+    assert rows[0] == (
+        ["rep"]
+        + [f"{stat}_lam_{lam}" for stat in ("ess", "rss", "gcv", "trace") for lam in lams]
+        + ["gcv_best_lambda", "ess_min_lambda", "ess_min_value", "theta_hat", "ess_theta"]
+        + ["tss", "test_lambda", "q_n", "p_value", "reject"]
+    )
+    assert all(len(row) == len(rows[0]) for row in rows)
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["n"] == 40
     assert "omega=0" in summary["cells"]
@@ -301,6 +313,43 @@ def test_ingest_command_end_to_end(tmp_path):
     assert u_rows[0][0] == "u_1"
 
 
+_THERMO_DEFAULTS = {"type": "thermo", "variable": "T_real"}
+_THERMO_SET = {"type": "thermo", "variable": "T_real", "kappa": 0.2, "p0": 900.0}
+_RECIPE_SET = {
+    "start_gate": [6.28, 6.31], "derivative_gate": 1e6, "center": False, "penalty": 1e-6,
+}
+
+
+@pytest.mark.parametrize(
+    "response, settings, expect",
+    [
+        (_THERMO_DEFAULTS, {}, {
+            "response": {"kappa": 0.286, "p0": 1000.0},
+            "start_gate": None, "derivative_gate": None, "center": True, "penalty": 0.0,
+        }),
+        (_THERMO_SET, _RECIPE_SET, {"response": {"kappa": 0.2, "p0": 900.0}, **_RECIPE_SET}),
+    ],
+    ids=["defaults", "set"],
+)
+def test_ingest_recipe_takes_config_values_and_dataclass_defaults(
+    tmp_path, response, settings, expect
+):
+    tracks = tmp_path / "tracks.csv"
+    write_rows(tracks, synthetic_rows("s0", [0.5], [0.2], x_range=(6.295, 6.905)))
+    common = {"predictor": "T_pot", "interval": [6.3, 6.9], "end_gate": [6.89, 6.91]}
+    doc = {
+        "input": str(tracks),
+        "schema": {"subject": "subject", "ordinate": "log_p", "variables": ["T_real", "T_pot"]},
+        "recipe": {**common, "response": response, **settings},
+        "basis": {"p": 4},
+    }
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", write_config(tmp_path, "ingest.json", doc), "--out", str(out)]) == 0
+    recipe = json.loads((out / "ingest.json").read_text())["recipe"]
+    response_doc = {"type": "ThermoResponse", "variable": "T_real", **expect["response"]}
+    assert recipe == {**common, **expect, "response": response_doc}
+
+
 def test_ingest_requires_input(tmp_path):
     out = tmp_path / "noin"
     assert main(["ingest", "--preset", "era5", "--out", str(out)]) == 3
@@ -374,3 +423,208 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def _no_traceback_and_no_outputs(err, out):
+    assert "Traceback" not in err
+    assert not out.is_dir() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("case", ["config_is_a_directory", "config_is_not_an_object", "out_is_a_file"])
+def test_unusable_config_or_out_is_a_config_error(tmp_path, capsys, case):
+    doc = {"dataset": {"u_csv": "U.csv", "f_csv": "F.csv"}, "basis": {"p": 4}, "lambda": 1e3}
+    cfg = write_config(tmp_path, "fit.json", [doc] if case == "config_is_not_an_object" else doc)
+    if case == "config_is_a_directory":
+        cfg = str(tmp_path)
+    out = tmp_path / "out"
+    if case == "out_is_a_file":
+        out.write_text("")
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    _no_traceback_and_no_outputs(err, out)
+    assert case != "out_is_a_file" or out.read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["fit", "ingest"])
+def test_input_that_is_a_directory_is_a_data_error(tmp_path, capsys, command):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if command == "fit":
+        doc = {
+            "dataset": {"u_csv": str(folder), "f_csv": str(folder)},
+            "basis": {"p": 4, "n_quad": 41},
+            "lambda": 1e3,
+        }
+        argv = ["fit", "--config", write_config(tmp_path, "fit.json", doc)]
+    else:
+        argv = ["ingest", "--preset", "era5", "--config",
+                write_config(tmp_path, "ingest.json", {"input": str(folder)})]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(folder) in err
+    _no_traceback_and_no_outputs(err, out)
+
+
+def test_every_schema_passes_the_metaschema():
+    import jsonschema
+
+    from diffreg.cli import SCHEMAS
+
+    for schema in SCHEMAS.values():
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+# -- fuzz: schema-valid configs over corrupted inputs -------------------------
+
+CORRUPTIONS = ("none", "truncated", "ragged", "non_numeric", "non_finite", "empty", "directory")
+
+_op = st.sampled_from(OP_KINDS).flatmap(
+    lambda kind: st.fixed_dictionaries({"kind": st.just(kind)}, optional={"param": st.floats(-2, 2)})
+)
+_kernel = st.fixed_dictionaries(
+    {},
+    optional={
+        "h": st.floats(0.02, 1.0),
+        "include_boundary": st.booleans(),
+        "P": _op,
+        "B": _op,
+        "L": _op,
+    },
+)
+_lambda = st.floats(1e-3, 1e6)
+_sections = {
+    "fit": st.fixed_dictionaries({"lambda": _lambda}),
+    "sweep": st.fixed_dictionaries({"lambda_grid": st.lists(_lambda, min_size=1, max_size=3)}),
+    "test": st.fixed_dictionaries(
+        {"lambda": _lambda, "B": st.just(100)},
+        optional={"strategy": st.sampled_from(STRATEGIES), "seed": st.integers(0, 9)},
+    ),
+    "spectrum": st.fixed_dictionaries({"top_m": st.integers(1, 20)}),
+}
+
+
+def _corrupt(data, path, corruption):
+    """Write ``path`` from its intended text with one corruption applied."""
+    text = path.read_text()
+    lines = text.splitlines()
+    if corruption == "truncated":
+        text = text[: data.draw(st.integers(0, len(text) - 1), label="cut")]
+    elif corruption == "empty":
+        text = ""
+    elif corruption in ("ragged", "non_numeric", "non_finite") and len(lines) > 1:
+        i = data.draw(st.integers(1, len(lines) - 1), label="line")
+        fields = lines[i].split(",")
+        if corruption == "ragged":
+            fields = fields[:-1] if data.draw(st.booleans(), label="shorter") else fields + ["1"]
+        else:
+            j = data.draw(st.integers(0, len(fields) - 1), label="field")
+            bad = ["x1", ""] if corruption == "non_numeric" else ["nan", "inf", "-inf"]
+            fields[j] = data.draw(st.sampled_from(bad), label="value")
+        lines[i] = ",".join(fields)
+        text = "\n".join(lines) + "\n"
+    if corruption == "directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_text(text)
+
+
+def _run_fuzzed(argv, out):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", str(out)])
+    assert code in (0, 1, 2, 3), err.getvalue()
+    if code == 0:
+        assert "Traceback" not in err.getvalue()
+    else:
+        _no_traceback_and_no_outputs(err.getvalue(), out)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzz_dataset_commands_over_corrupted_csvs(data):
+    command = data.draw(st.sampled_from(sorted(_sections)), label="command")
+    p = data.draw(st.integers(1, 4), label="p")
+    n = data.draw(st.integers(2, 6), label="n")
+    basis = data.draw(
+        st.fixed_dictionaries({"p": st.just(p)}, optional={"n_quad": st.integers(2 * p, 21)}),
+        label="basis",
+    )
+    doc = {
+        "basis": basis,
+        "kernel": data.draw(_kernel, label="kernel"),
+        **data.draw(_sections[command], label="section"),
+    }
+    columns = data.draw(st.sampled_from([p, p + 1]), label="columns")
+    target = data.draw(st.sampled_from(["U.csv", "F.csv"]), label="target")
+    corruption = data.draw(st.sampled_from(CORRUPTIONS), label="corruption")
+    rng = np.random.default_rng(n * 10 + p)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, prefix in (("U.csv", "u"), ("F.csv", "f")):
+            rows = [[f"{prefix}_{k + 1}" for k in range(columns)]]
+            rows += [[repr(float(v)) for v in rng.standard_normal(columns)] for _ in range(n)]
+            (tmp / name).write_text("".join(",".join(row) + "\n" for row in rows))
+        _corrupt(data, tmp / target, corruption)
+        doc["dataset"] = {"u_csv": str(tmp / "U.csv"), "f_csv": str(tmp / "F.csv")}
+        _run_fuzzed([command, "--config", write_config(tmp, "cfg.json", doc)], tmp / "out")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzz_ingest_over_corrupted_trajectories(data):
+    p = data.draw(st.integers(1, 5), label="p")
+    response = data.draw(
+        st.sampled_from(["thermo", "identity", "spectral"]).flatmap(
+            lambda kind: st.fixed_dictionaries(
+                {
+                    "type": st.just(kind),
+                    "variable": st.sampled_from(["T_real", "T_pot"]),
+                    **(
+                        {"multipliers": st.lists(st.floats(-3, 3), min_size=p, max_size=p + 1)}
+                        if kind == "spectral"
+                        else {}
+                    ),
+                },
+                optional={"kappa": st.floats(0, 1), "p0": st.floats(1, 2000)}
+                if kind == "thermo"
+                else {},
+            )
+        ),
+        label="response",
+    )
+    recipe = data.draw(
+        st.fixed_dictionaries(
+            {
+                "predictor": st.sampled_from(["T_real", "T_pot"]),
+                "response": st.just(response),
+                "interval": st.just([6.3, 6.9]),
+            },
+            optional={
+                "start_gate": st.one_of(st.none(), st.just([6.28, 6.32])),
+                "end_gate": st.one_of(st.none(), st.just([6.88, 6.92])),
+                "derivative_gate": st.one_of(st.none(), st.floats(0.1, 100)),
+                "center": st.booleans(),
+                "penalty": st.floats(0, 1e-3),
+            },
+        ),
+        label="recipe",
+    )
+    doc = {
+        "lenient": data.draw(st.booleans(), label="lenient"),
+        "schema": {"subject": "subject", "ordinate": "log_p", "variables": ["T_real", "T_pot"]},
+        "recipe": recipe,
+        "basis": {"p": p, "n_quad": data.draw(st.integers(max(3, 2 * p), 41), label="n_quad")},
+    }
+    corruption = data.draw(st.sampled_from(CORRUPTIONS), label="corruption")
+    rows = []
+    for i in range(data.draw(st.integers(1, 3), label="subjects")):
+        rows += synthetic_rows(f"s{i}", [0.5, -0.2], [0.1, 0.3], m=25, x_range=(6.295, 6.905))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        doc["input"] = str(tmp / "tracks.csv")
+        write_rows(tmp / "tracks.csv", rows)
+        _corrupt(data, tmp / "tracks.csv", corruption)
+        _run_fuzzed(["ingest", "--config", write_config(tmp, "cfg.json", doc)], tmp / "out")

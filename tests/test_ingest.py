@@ -1,6 +1,7 @@
 """Tests for trajectory ingestion with synthetic CSV fixtures."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,13 +16,11 @@ from diffreg.ingest import (
     SpectralResponse,
     TableSchema,
     ThermoResponse,
-    TrajectoryTable,
     build_thermo_dataset,
     curves_to_basis,
     load_dataset,
     load_trajectories,
     project_with_offset,
-    response_coefficients,
     save_dataset,
 )
 
@@ -55,6 +54,18 @@ def synthetic_rows(
     return [[subject, f"{xi:.8f}", f"{tr:.12g}", f"{tp:.12g}"] for xi, tr, tp in zip(x, t_real, t_pot)]
 
 
+def span_coeffs(curves, subject, variable):
+    """One projected curve's span coefficients, looked up by name."""
+    return curves.coeffs[curves.subjects.index(subject), curves.variables.index(variable)]
+
+
+def project_one(x, y, basis):
+    """Offset and span coefficients of one curve, through the block API."""
+    knots, values = distinct_samples(x, y.reshape(-1, 1), basis)
+    offsets, coeffs = project_with_offset([knots], [values], basis)
+    return offsets[0, 0], coeffs[0, 0]
+
+
 def default_recipe(**overrides):
     settings = dict(
         predictor="T_pot",
@@ -85,9 +96,10 @@ def test_load_three_subjects(three_subject_csv):
     table = load_trajectories(three_subject_csv, SCHEMA)
     assert sorted(table.subjects) == ["s0", "s1", "s2"]
     assert table.dropped_rows == 0
+    assert table.variables == ("T_real", "T_pot")
     track = table.subjects["s0"]
     assert np.all(np.diff(track.ordinate) > 0)
-    assert set(track.variables) == {"T_real", "T_pot"}
+    assert track.samples.shape == (track.ordinate.size, 2)
 
 
 def test_load_malformed_row_strict_and_lenient(tmp_path):
@@ -126,9 +138,9 @@ def test_projection_round_trip_with_offset():
     coeffs = rng.uniform(-1, 1, basis.p)
     x = np.linspace(6.29, 6.91, 301)
     y = 4.2 + basis.values(x) @ coeffs
-    curve = project_with_offset(x, y, basis)
-    assert np.max(np.abs(curve.span.coeffs - coeffs)) < 1e-6
-    assert curve.offset == pytest.approx(4.2, abs=1e-6)
+    offset, span = project_one(x, y, basis)
+    assert np.max(np.abs(span - coeffs)) < 1e-6
+    assert offset == pytest.approx(4.2, abs=1e-6)
 
 
 def test_curves_recover_known_expansion(three_subject_csv):
@@ -139,9 +151,8 @@ def test_curves_recover_known_expansion(three_subject_csv):
     rng = np.random.default_rng(0)
     for i in range(3):
         c_real, c_pot = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
-        got = curves[f"s{i}"]
-        assert np.max(np.abs(got["T_real"].span.coeffs - c_real)) < 1e-6
-        assert np.max(np.abs(got["T_pot"].span.coeffs - c_pot)) < 1e-6
+        assert np.max(np.abs(span_coeffs(curves, f"s{i}", "T_real") - c_real)) < 1e-6
+        assert np.max(np.abs(span_coeffs(curves, f"s{i}", "T_pot") - c_pot)) < 1e-6
 
 
 def test_rank_gate_skips_short_subject(tmp_path):
@@ -151,7 +162,7 @@ def test_rank_gate_skips_short_subject(tmp_path):
     write_rows(path, rows)
     basis = make_cosine_basis(p=10, n_quad=201, interval=INTERVAL)
     curves, report = curves_to_basis(load_trajectories(str(path), SCHEMA), default_recipe(), basis)
-    assert "dense" in curves
+    assert curves.subjects == ("dense",)
     assert report.n_in == report.n_out + len(report.skipped) == 2
     assert report.skipped[0][0] == "sparse"
     assert "distinct ordinates" in report.skipped[0][1]
@@ -165,7 +176,7 @@ def test_coverage_gates(tmp_path):
     write_rows(path, rows + short)
     basis = basis_on_interval(p=2)
     curves, report = curves_to_basis(load_trajectories(str(path), SCHEMA), default_recipe(), basis)
-    assert list(curves) == ["ok"]
+    assert curves.subjects == ("ok",)
     assert report.skipped[0][0] == "short"
 
 
@@ -179,7 +190,7 @@ def test_derivative_gate_excludes_steep_subject(tmp_path):
     basis = basis_on_interval(p=2)
     recipe = default_recipe(derivative_gate=10.0)
     curves, report = curves_to_basis(load_trajectories(str(path), SCHEMA), recipe, basis)
-    assert list(curves) == ["flat"]
+    assert curves.subjects == ("flat",)
     assert [subject for subject, _ in report.skipped] == ["steep", "stubby"]
     assert "above gate" in report.skipped[0][1]
 
@@ -197,7 +208,7 @@ def test_non_finite_samples_skip_naming_the_variable(tmp_path):
     recipe = default_recipe(start_gate=None, end_gate=None)
     table = load_trajectories(str(path), SCHEMA)
     curves, report = curves_to_basis(table, recipe, basis_on_interval(p=2))
-    assert list(curves) == ["ok"]
+    assert curves.subjects == ("ok",)
     assert dict(report.skipped) == {
         "inf_pot": "non-finite T_pot sample",
         "inf_x": "non-finite ordinate sample",
@@ -271,7 +282,7 @@ def test_thermo_kappa_zero_is_derivative_projection(tmp_path):
     write_rows(path, rows)
     recipe = default_recipe(response=ThermoResponse(variable="T_real", kappa=0.0))
     curves, _ = curves_to_basis(load_trajectories(str(path), SCHEMA), recipe, basis)
-    got = response_coefficients(curves["s0"], recipe.response, basis)
+    got = build_thermo_dataset(curves, recipe, basis).F[0]
 
     L = INTERVAL[1] - INTERVAL[0]
     k = 2
@@ -292,7 +303,7 @@ def test_thermo_constant_temperature_closed_form(tmp_path):
     write_rows(path, rows)
     recipe = default_recipe(response=ThermoResponse(variable="T_real", kappa=kappa, p0=p0))
     curves, _ = curves_to_basis(load_trajectories(str(path), SCHEMA), recipe, basis)
-    got = response_coefficients(curves["s0"], recipe.response, basis)
+    got = build_thermo_dataset(curves, recipe, basis).F[0]
     x, w = basis.quad_nodes, basis.quad_weights
     target = -kappa * c0 * (np.exp(x) / p0) ** (-kappa)
     oracle = (basis.quad_values() * w[:, None]).T @ target  # direct quadrature projection
@@ -305,11 +316,11 @@ def test_identity_and_spectral_responses(three_subject_csv):
     recipe = default_recipe(response=IdentityResponse(variable="T_real"))
     curves, _ = curves_to_basis(table, recipe, basis)
     data = build_thermo_dataset(curves, recipe, basis)
-    np.testing.assert_allclose(data.F[0], curves["s0"]["T_real"].span.coeffs)
+    np.testing.assert_allclose(data.F[0], span_coeffs(curves, "s0", "T_real"))
     mults = (1.0, 2.0, 3.0, 4.0)
     recipe_s = default_recipe(response=SpectralResponse(variable="T_real", multipliers=mults))
     data_s = build_thermo_dataset(curves, recipe_s, basis)
-    np.testing.assert_allclose(data_s.F[1], np.array(mults) * curves["s1"]["T_real"].span.coeffs)
+    np.testing.assert_allclose(data_s.F[1], np.array(mults) * span_coeffs(curves, "s1", "T_real"))
 
 
 def test_centering_zeroes_column_means(three_subject_csv):
@@ -329,7 +340,7 @@ def test_pipeline_deterministic(three_subject_csv):
     def run(reverse=False):
         table = load_trajectories(three_subject_csv, SCHEMA)
         if reverse:  # rows of the dataset follow the subject ids, not the table order
-            table = TrajectoryTable(dict(reversed(table.subjects.items())), table.dropped_rows)
+            table = dataclasses.replace(table, subjects=dict(reversed(table.subjects.items())))
         curves, _ = curves_to_basis(table, recipe, basis)
         return build_thermo_dataset(curves, recipe, basis)
 
@@ -352,13 +363,11 @@ def test_derivative_of_projection_vs_projection_of_finite_difference(three_subje
     write_rows(path, rows)
     table = load_trajectories(path, SCHEMA)
     curves, _ = curves_to_basis(table, default_recipe(), basis)
-    curve = curves["s0"]["T_pot"]
-    via_expansion = project_with_offset(
-        basis.quad_nodes, curve.grid_slope(), basis
-    ).span.coeffs
+    slope = basis.deriv_values(basis.quad_nodes, order=1) @ span_coeffs(curves, "s0", "T_pot")
+    _, via_expansion = project_one(basis.quad_nodes, slope, basis)
     x = np.linspace(6.29, 6.91, 201)  # the raw sample grid
-    y = table.subjects["s0"].variables["T_pot"]
-    via_differences = project_with_offset(x, np.gradient(y, x), basis).span.coeffs
+    y = table.subjects["s0"].samples[:, table.variables.index("T_pot")]
+    _, via_differences = project_one(x, np.gradient(y, x), basis)
     rel = np.max(np.abs(via_expansion - via_differences)) / np.max(np.abs(via_expansion))
     assert rel < 1e-3
 
@@ -383,4 +392,8 @@ def test_load_dataset_validates(tmp_path):
     u_path.write_text("u_1,u_2\n1,2\n")
     f_path.write_text("f_1,f_2\n1,2\n3,4\n")
     with pytest.raises(DataError):
+        load_dataset(str(u_path), str(f_path), basis)
+    # one row longer than the header, one as long: a data error, not a numpy one
+    u_path.write_text("u_1,u_2\n1,2,3\n1,2\n")
+    with pytest.raises(DataError, match="U.csv: ragged rows"):
         load_dataset(str(u_path), str(f_path), basis)
