@@ -20,6 +20,7 @@ p x p factors are assembled, stored and cached (3 p^2 numbers instead of
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -343,13 +344,15 @@ def load_kernel_matrices(path: str) -> KernelMatrices:
     holding factors that are not p x p for the p its provenance records.
     """
     unreadable = (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, zlib.error)
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except unreadable as exc:
-        raise DataError(f"kernel cache {path} is not a readable .npz archive: {exc}") from exc
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise DataError(f"kernel cache {path} is not an .npz archive")
-    with archive:
+    with contextlib.ExitStack() as stack:
+        try:
+            # np.load leaves a file it opened itself open when the zip is truncated
+            archive = np.load(stack.enter_context(open(path, "rb")), allow_pickle=False)
+        except unreadable as exc:
+            raise DataError(f"kernel cache {path} is not a readable .npz archive: {exc}") from exc
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise DataError(f"kernel cache {path} is not an .npz archive")
+        stack.enter_context(archive)
         names = set(archive.files)
         if {"K", "K_L"} <= names:
             raise DataError(

@@ -9,16 +9,16 @@ scores U and K_L = C kron M_L, vec stacks the n x p response matrix
 column-major, and eps = psd_jitter(K).  Nothing p^2-dimensional is formed
 from the data.  The eigenvectors of the factors C = Q_C diag(l_C) Q_C' and
 M = Q_M diag(l_M) Q_M' diagonalize K + eps I exactly, and in its whitened
-coordinates the design is (H kron G) diag(d) up to the vec transpose,
+coordinates the design is A = (H kron G) diag(d) up to the vec transpose,
 with G = U Q_C diag(l_C), H = M_L Q_M and d = (l_C l_M + eps)^{-1/2}.
-Given the thin SVDs G = P_G diag(sigma) V_G' and H = P_H diag(tau) V_H',
-its SVD is (P_H kron P_G) times the SVD W diag(s) V' of the (p r) x p^2
-core (diag(tau) V_H' kron diag(sigma) V_G') diag(d), with r = min(n, p).
-Every lambda on a grid reuses these factors; the smoothing matrix is
-(P_H kron P_G) W diag(s^2 / (s^2 + n lambda)) W' (P_H kron P_G)' with
-eigenvalues in [0, 1) by construction, and its trace is a cheap sum.
-Factoring costs O(n p^2 + p^6), against O(n p^5) for an SVD of the
-(n p) x p^2 design.
+Its p^2 x p^2 Gram diag(d) (H'H kron G'G) diag(d) forms from two p x p
+Grams, and one symmetric eigendecomposition V diag(s2) V' of it serves
+every lambda on a grid: the solve is V (V'b / (s2 + n lambda)) with
+b = d * vec(G' F H), the smoothing matrix A V diag(1 / (s2 + n lambda)) V' A'
+has eigenvalues s2 / (s2 + n lambda) in [0, 1), and its trace is a cheap
+sum.  Eigenvalues at or below roundoff, p^2 max(s2) times machine epsilon,
+count as zero, and nothing divides by them.  Factoring costs
+O(n p^2 + p^6), against O(n p^5) for an SVD of the (n p) x p^2 design.
 """
 
 from __future__ import annotations
@@ -54,25 +54,26 @@ class RidgeSystem:
             raise SingularSystemError(
                 "kernel matrix K is not positive definite after jitter", cond
             )
-        self.d = (eigs + self.jitter) ** -0.5
-        self.P_G, sigma, VGt = np.linalg.svd((data.U @ self.Q_C) * l_C, full_matrices=False)
-        self.P_H, tau, VHt = np.linalg.svd(km.M_L @ self.Q_M)
-        # rows a*r + b pair (P_H column a, P_G column b); columns k + j*p
-        # pair (C eigenpair k, M eigenpair j), the vec order of d
-        core = np.kron(tau[:, None] * VHt, sigma[:, None] * VGt) * self.d.ravel(order="F")
-        self.W, self.s, self.Vt = np.linalg.svd(core, full_matrices=False)
-        self._Wty = self.W.T @ (self.P_G.T @ data.F @ self.P_H).ravel(order="F")
+        # whitening weights and their vec order k + j*p, k the C eigenpair
+        self.d = ((eigs + self.jitter) ** -0.5).ravel(order="F")
+        self.G = (data.U @ self.Q_C) * l_C
+        self.H = km.M_L @ self.Q_M
+        gram = np.kron(self.H.T @ self.H, self.G.T @ self.G) * np.outer(self.d, self.d)
+        s2, self.V = np.linalg.eigh(gram)
+        # zero at or below roundoff, the rank rule of np.linalg.matrix_rank
+        self.s2 = np.where(s2 > s2[-1] * s2.size * np.finfo(float).eps, s2, 0.0)
+        # right-hand side V'b of the solve, b = d * vec(G' F H)
+        self._rhs = self.V.T @ (self.d * (self.G.T @ data.F @ self.H).ravel(order="F"))
 
     def shrink_factors(self, lam: float) -> np.ndarray:
-        """Spectral shrinkage s^2 / (s^2 + n * lambda), in [0, 1)."""
-        s2 = self.s**2
-        return s2 / (s2 + self.n * lam)
+        """Spectral shrinkage s2 / (s2 + n * lambda), in [0, 1)."""
+        return self.s2 / (self.s2 + self.n * lam)
 
     def solve(self, lam: float) -> np.ndarray:
         """Coefficient vector minimizing the penalized objective."""
-        scale = self.s / (self.s**2 + self.n * lam)
+        z = self.V @ (self._rhs / (self.s2 + self.n * lam))
         # Y = Q_C' X' Q_M, indexed [C eigenpair, M eigenpair], un-whitened by d
-        Y = (self.Vt.T @ (scale * self._Wty)).reshape(self.p, self.p, order="F") * self.d
+        Y = (z * self.d).reshape(self.p, self.p, order="F")
         return (self.Q_M @ Y.T @ self.Q_C.T).ravel(order="F")
 
     def operator_matrix(self, c_hat: np.ndarray) -> np.ndarray:
@@ -90,7 +91,7 @@ class RidgeSystem:
         return float(self.shrink_factors(lam).sum())
 
     def cond_estimate(self, lam: float) -> float:
-        s2 = self.s**2 + self.n * lam
+        s2 = self.s2 + self.n * lam
         return float(s2.max() / s2.min())
 
 
@@ -118,57 +119,61 @@ class FitResult:
 
 @dataclass(frozen=True, eq=False)
 class SmoothingMatrix:
-    """S_lambda in factored form (P_H kron P_G) W diag(f) W' (P_H kron P_G)'.
+    """S_lambda = A V diag(1 / (s2 + n lambda)) V' A' for A = (H kron G) diag(d).
 
-    P_G (n x r), P_H (p x q) and W ((q r) x k) have orthonormal columns, so
-    the eigenvalues of S are exactly the entries of ``f`` in [0, 1) (padded
-    with zeros on the orthogonal complement).  The vector vec(E) of an
-    n x p matrix E reaches the core as vec(P_G' E P_H), whose entry
-    (b, a) sits at a*r + b.
+    A lambda-view of a RidgeSystem: V diag(s2) V' is the eigendecomposition
+    of A'A, so the eigenvalues of S are exactly s2 / (s2 + n lambda) in
+    [0, 1) (and zero on the complement of the range of A).  The vector
+    vec(E) of an n x p matrix E reaches the eigenbasis as
+    V' (d * vec(G' E H)), whose entry (k, j) of G' E H sits at k + j*p.
     """
 
-    P_G: np.ndarray
-    P_H: np.ndarray
-    W: np.ndarray
-    f: np.ndarray
+    G: np.ndarray
+    H: np.ndarray
+    d: np.ndarray
+    V: np.ndarray
+    s2: np.ndarray
     lam: float
 
     @property
     def n(self) -> int:
-        return self.P_G.shape[0]
+        return self.G.shape[0]
 
     @property
     def p(self) -> int:
-        return self.P_H.shape[0]
+        return self.H.shape[0]
+
+    def _inverse(self) -> np.ndarray:
+        return 1.0 / (self.s2 + self.n * self.lam)
 
     def apply(self, cols: np.ndarray) -> np.ndarray:
         """S @ cols for a stacked (n*p,) vector or (n*p, m) matrix."""
         E = cols.reshape(self.n, self.p, -1, order="F")
-        proj = np.einsum("ib,ijm,ja->abm", self.P_G, E, self.P_H, optimize=True)
-        core = self.W @ (self.f[:, None] * (self.W.T @ proj.reshape(self.W.shape[0], -1)))
-        out = np.einsum(
-            "ib,abm,ja->ijm", self.P_G, core.reshape(proj.shape), self.P_H, optimize=True
-        )
+        proj = np.einsum("ik,ijm,jl->lkm", self.G, E, self.H, optimize=True)
+        y = self.d[:, None] * proj.reshape(self.d.size, -1)
+        z = self.d[:, None] * (self.V @ (self._inverse()[:, None] * (self.V.T @ y)))
+        out = np.einsum("ik,lkm,jl->ijm", self.G, z.reshape(proj.shape), self.H, optimize=True)
         return out.reshape(cols.shape, order="F")
 
     def smoothed_sq_norms(self, residuals: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """||S vec(diag(w) residuals)||^2 for every row w of ``weights``.
 
-        Row i of ``outer`` is vec(P_G[i]' (residuals P_H)[i]), so one product
+        Row i of ``outer`` is vec(G[i]' (residuals H)[i]), so one product
         ``weights @ outer`` projects every row-weighted copy of the n x p
-        residuals.  The outer factors have orthonormal columns, so each norm
-        is that of f * W' (projection); no (n*p)-long vector is formed.
+        residuals.  Since V' A' A V = diag(s2), each norm is that of
+        V' (d * projection) * sqrt(s2) / (s2 + n lambda); no (n*p)-long
+        vector is formed.
         """
-        outer = np.einsum("ia,ib->iab", residuals @ self.P_H, self.P_G).reshape(self.n, -1)
-        core = (weights @ outer) @ self.W * self.f
+        outer = np.einsum("ij,ik->ijk", residuals @ self.H, self.G).reshape(self.n, -1)
+        core = ((weights @ outer) * self.d) @ self.V * (np.sqrt(self.s2) * self._inverse())
         return np.einsum("bk,bk->b", core, core)
 
     def trace(self) -> float:
-        return float(self.f.sum())
+        return float((self.s2 * self._inverse()).sum())
 
     def to_dense(self) -> np.ndarray:
-        basis = np.kron(self.P_H, self.P_G) @ self.W
-        return (basis * self.f) @ basis.T
+        basis = (np.kron(self.H, self.G) * self.d) @ self.V
+        return (basis * self._inverse()) @ basis.T
 
 
 def fit(
@@ -219,9 +224,7 @@ def smoothing_matrix(
         raise ValueError(f"lambda must be positive, got {lam}")
     if system is None:
         system = RidgeSystem(data, km)
-    return SmoothingMatrix(
-        P_G=system.P_G, P_H=system.P_H, W=system.W, f=system.shrink_factors(lam), lam=lam
-    )
+    return SmoothingMatrix(G=system.G, H=system.H, d=system.d, V=system.V, s2=system.s2, lam=lam)
 
 
 def rss(fit_result: FitResult, data: DataSet) -> float:
@@ -313,8 +316,4 @@ def spectrum_diag(
         raise ValueError(f"top_m must be in [1, p^2] = [1, {data.p ** 2}], got {top_m}")
     if system is None:
         system = RidgeSystem(data, km)
-    gammas = np.sort(system.s**2 / system.n)[::-1]
-    gammas = np.maximum(gammas, 0.0)
-    if gammas.size < top_m:
-        gammas = np.concatenate([gammas, np.zeros(top_m - gammas.size)])
-    return gammas[:top_m]
+    return system.s2[::-1][:top_m] / system.n

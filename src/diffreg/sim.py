@@ -106,13 +106,12 @@ def gen_dataset(
     return DataSet(U=U, F=F, basis=basis), mu
 
 
-def ess(action, data: DataSet, true_multipliers: np.ndarray) -> float:
+def ess(fitted: np.ndarray, data: DataSet, true_multipliers: np.ndarray) -> float:
     """Error sum of squares sum_i ||(D_hat - D)(U_i)||^2.
 
-    ``action`` maps a DataSet to the (n, p) matrix of fitted response
-    coefficients for its predictors.
+    ``fitted`` is the (n, p) matrix of fitted response coefficients
+    D_hat(U_i) for the predictors of ``data``.
     """
-    fitted = np.asarray(action(data), dtype=float)
     return float(np.sum((fitted - data.U * true_multipliers) ** 2))
 
 
@@ -203,7 +202,7 @@ def _refine_ess_lambda(system, data, mu, grid, ess_grid, rounds):
         for lam in candidates:
             if any(abs(np.log(lam / l)) < 1e-12 for l in lams):
                 continue
-            v = ess(lambda d: system.fitted(system.solve(lam)), data, mu)
+            v = ess(system.fitted(system.solve(lam)), data, mu)
             j = int(np.searchsorted(lams, lam))
             lams.insert(j, float(lam))
             vals.insert(j, v)
@@ -227,7 +226,7 @@ def _run_rep(
     rows, ess_l = [], []
     for row, fitted in lambda_path(system, grid):
         rows.append(row)
-        ess_l.append(ess(lambda d: fitted, data, mu))
+        ess_l.append(ess(fitted, data, mu))
     gcv_l = [row.gcv for row in rows]
 
     gcv_best = grid[int(np.argmin(gcv_l))]
@@ -236,7 +235,7 @@ def _run_rep(
     )
 
     theta = fit_parametric(data, family)
-    ess_theta = ess(lambda d: family.apply(d.U, theta.theta), data, mu)
+    ess_theta = ess(family.apply(data.U, theta.theta), data, mu)
     tss_val = tss(data, mu)
 
     gof = None

@@ -249,6 +249,9 @@ def _wrong_shape(path, good, data):
     ],
     ids=["old_layout", "truncated", "not_npz", "wrong_shape"],
 )
+# an unreadable cache must not leave its file open on any path
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+@pytest.mark.filterwarnings("error::ResourceWarning")
 def test_unreadable_kernel_cache_is_a_data_error(tmp_path, dataset_dir, capsys, corrupt, message):
     good, cache = str(tmp_path / "good.npz"), str(tmp_path / "kernels.npz")
     doc = {**ds_section(dataset_dir), "lambda": 1e3}

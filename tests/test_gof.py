@@ -88,9 +88,9 @@ def test_qn_zero_smoother(basis_p3, km_p3):
 
 
 def test_qn_hand_computed_identity_smoother():
-    # n=2, p=1, S = I: Q_n = (1^2 + 2^2) / 2
-    S = SmoothingMatrix(P_G=np.eye(2), P_H=np.eye(1), W=np.eye(2), f=np.ones(2), lam=1.0)
-    assert qn_statistic(S, np.array([[1.0], [2.0]])) == pytest.approx(2.5)
+    # n=2, p=2, A = V = I and s2 = 1 at lambda = 0, so S = I: Q_n = (1^2 + 2^2) / 2
+    S = SmoothingMatrix(G=np.eye(2), H=np.eye(2), d=np.ones(4), V=np.eye(4), s2=np.ones(4), lam=0.0)
+    assert qn_statistic(S, np.array([[1.0, 0.0], [2.0, 0.0]])) == pytest.approx(2.5)
 
 
 def test_qn_shape_check(basis_p3, km_p3):

@@ -53,6 +53,8 @@ def test_kronecker_core_matches_dense_oracle(
     data = DataSet(U=U, F=F, basis=basis)
     lam = 10.0**log_lam
     system = RidgeSystem(data, km)
+    # Gram eigenvalues at roundoff level read 0, so rank n*p < p^2 leaves zeros
+    assert system.s2.min() >= 0.0 and np.count_nonzero(system.s2) <= n * p
 
     A = design_by_loops(U, km.K_L)
     K_eff = (km.K + km.K.T) / 2 + psd_jitter(km.K) * np.eye(p * p)
@@ -71,6 +73,8 @@ def test_kronecker_core_matches_dense_oracle(
     assert abs(system.trace(lam) - np.trace(lu_solve(lu, gram))) <= tol * n * p
 
     S = smoothing_matrix(data, km, lam, system=system)
+    eigs = np.linalg.eigvalsh(S.to_dense())
+    assert eigs.min() >= -tol and eigs.max() < 1.0
     cols = rng.standard_normal((n * p, 2))
     smoothed = A @ lu_solve(lu, A.T @ cols)
     assert np.max(np.abs(S.apply(cols) - smoothed)) <= tol * np.max(np.abs(cols))

@@ -72,13 +72,13 @@ def test_empirical_snr_self_consistency():
 def test_ess_zero_for_true_operator():
     config = SimConfig(n=30, omega=0.7, snr=2.0, seed=4)
     data, mu = gen_dataset(config, np.random.default_rng(4))
-    assert ess(lambda d: d.U * mu, data, mu) == 0.0
+    assert ess(data.U * mu, data, mu) == 0.0
 
 
 def test_ess_of_zero_estimator_is_tss():
     config = SimConfig(n=30, omega=0.7, snr=2.0, seed=5)
     data, mu = gen_dataset(config, np.random.default_rng(5))
-    assert ess(lambda d: np.zeros_like(d.U), data, mu) == pytest.approx(tss(data, mu))
+    assert ess(np.zeros_like(data.U), data, mu) == pytest.approx(tss(data, mu))
 
 
 def test_tss_spectral_vs_quadrature():
