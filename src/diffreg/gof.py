@@ -20,7 +20,7 @@ import numpy as np
 from .basis import BasisSystem, DataSet
 from .errors import DegenerateDesignError
 from .kernels import KernelMatrices
-from .regress import RidgeSystem, SmoothingMatrix, smoothing_matrix
+from .regress import RidgeSystem, SmoothingMatrix
 
 STRATEGIES = ("parametric", "nonparametric", "mixed")
 
@@ -162,7 +162,8 @@ def bootstrap_test(
 
     Replicate multipliers are drawn from per-replicate RNG streams spawned
     from ``seed``, so results are reproducible and independent of any
-    execution order.
+    execution order.  ``system``, when given, is the RidgeSystem already
+    built for (data, km); the test then factors nothing.
     """
     if B < 100:
         raise ValueError(f"B must be >= 100, got {B}")
@@ -179,7 +180,7 @@ def bootstrap_test(
     c_hat = system.solve(lam)
     eps_fit = data.F - system.fitted(c_hat)
 
-    S = smoothing_matrix(data, km, lam, system=system)
+    S = SmoothingMatrix(system, lam)
     q_n = qn_statistic(S, eps_null)
 
     n_para = B if strategy == "parametric" else 0

@@ -21,6 +21,7 @@ p x p factors are assembled, stored and cached (3 p^2 numbers instead of
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSystem
-from .errors import CapabilityError, DataError
+from .errors import CapabilityError, DataError, SingularSystemError
 
 OP_KINDS = (
     "identity",
@@ -203,7 +204,12 @@ def kernel_gram(
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrices:
-    """The p x p factors of K = C kron M and K_L = C kron M_L, plus provenance."""
+    """The p x p factors of K = C kron M and K_L = C kron M_L, plus provenance.
+
+    The factors are read-only once assembled: ``whitening``, the part of
+    the ridge factorization that depends on the kernel alone, is computed
+    on first use and shared by every dataset fitted with this kernel.
+    """
 
     C: np.ndarray
     M: np.ndarray
@@ -233,6 +239,31 @@ class KernelMatrices:
     def jitter(self) -> float:
         """psd_jitter(K), from the p^2 products on K's diagonal."""
         return _trace_jitter(np.outer(np.diag(self.C), np.diag(self.M)).ravel())
+
+    @functools.cached_property
+    def whitening(self) -> tuple[np.ndarray, ...]:
+        """Kernel-only factors of the whitened ridge design: (Q_C, l_C, Q_M, d, H, H'H).
+
+        C = Q_C diag(l_C) Q_C' and M = Q_M diag(l_M) Q_M' (both symmetrized)
+        diagonalize K + jitter I, whose whitening weights are
+        d = (l_C l_M + jitter)^{-1/2} in vec order k + j*p, k the C
+        eigenpair.  H = M_L Q_M is the output side of the whitened design.
+        Raises SingularSystemError when K + jitter I is not positive
+        definite; a raised error is not cached, so every use raises.
+        """
+        l_C, Q_C = np.linalg.eigh((self.C + self.C.T) / 2)
+        l_M, Q_M = np.linalg.eigh((self.M + self.M.T) / 2)
+        # eigenvalues of K, indexed [C eigenpair, M eigenpair]
+        eigs = np.outer(l_C, l_M)
+        jitter = self.jitter
+        if eigs.min() + jitter <= 0:
+            cond = float(np.abs(eigs).max() / max(np.abs(eigs).min(), 1e-300))
+            raise SingularSystemError(
+                "kernel matrix K is not positive definite after jitter", cond
+            )
+        d = ((eigs + jitter) ** -0.5).ravel(order="F")
+        H = self.M_L @ Q_M
+        return Q_C, l_C, Q_M, d, H, H.T @ H
 
 
 def psd_jitter(K: np.ndarray) -> float:

@@ -11,14 +11,18 @@ from the data.  The eigenvectors of the factors C = Q_C diag(l_C) Q_C' and
 M = Q_M diag(l_M) Q_M' diagonalize K + eps I exactly, and in its whitened
 coordinates the design is A = (H kron G) diag(d) up to the vec transpose,
 with G = U Q_C diag(l_C), H = M_L Q_M and d = (l_C l_M + eps)^{-1/2}.
-Its p^2 x p^2 Gram diag(d) (H'H kron G'G) diag(d) forms from two p x p
-Grams, and one symmetric eigendecomposition V diag(s2) V' of it serves
-every lambda on a grid: the solve is V (V'b / (s2 + n lambda)) with
-b = d * vec(G' F H), the smoothing matrix A V diag(1 / (s2 + n lambda)) V' A'
-has eigenvalues s2 / (s2 + n lambda) in [0, 1), and its trace is a cheap
-sum.  Eigenvalues at or below roundoff, p^2 max(s2) times machine epsilon,
-count as zero, and nothing divides by them.  Factoring costs
-O(n p^2 + p^6), against O(n p^5) for an SVD of the (n p) x p^2 design.
+Only G depends on the data: Q_C, l_C, Q_M, d, H and H'H are the kernel's
+``KernelMatrices.whitening``, computed once per kernel and shared by every
+dataset fitted with it.  The p^2 x p^2 Gram diag(d) (H'H kron G'G) diag(d)
+forms from two p x p Grams, and one symmetric eigendecomposition
+V diag(s2) V' of it serves every lambda on a grid: the solve is
+V (V'b / (s2 + n lambda)) with b = d * vec(G' F H), the smoothing matrix
+A V diag(1 / (s2 + n lambda)) V' A' has eigenvalues s2 / (s2 + n lambda) in
+[0, 1), and its trace is a cheap sum.  Eigenvalues at or below roundoff,
+p^2 max(s2) times machine epsilon, count as zero, and nothing divides by
+them.  Factoring costs O(n p^2 + p^6), against O(n p^5) for an SVD of the
+(n p) x p^2 design.  A RidgeSystem is built once per dataset; every lambda
+reads it through ``solve``, ``trace`` and the view SmoothingMatrix(system, lam).
 """
 
 from __future__ import annotations
@@ -44,21 +48,9 @@ class RidgeSystem:
         self.km = km
         self.n = data.n
         self.p = p
-        self.jitter = km.jitter
-        l_C, self.Q_C = np.linalg.eigh((km.C + km.C.T) / 2)
-        l_M, self.Q_M = np.linalg.eigh((km.M + km.M.T) / 2)
-        # eigenvalues of K, indexed [C eigenpair, M eigenpair]
-        eigs = np.outer(l_C, l_M)
-        if eigs.min() + self.jitter <= 0:
-            cond = float(np.abs(eigs).max() / max(np.abs(eigs).min(), 1e-300))
-            raise SingularSystemError(
-                "kernel matrix K is not positive definite after jitter", cond
-            )
-        # whitening weights and their vec order k + j*p, k the C eigenpair
-        self.d = ((eigs + self.jitter) ** -0.5).ravel(order="F")
+        self.Q_C, l_C, self.Q_M, self.d, self.H, HtH = km.whitening
         self.G = (data.U @ self.Q_C) * l_C
-        self.H = km.M_L @ self.Q_M
-        gram = np.kron(self.H.T @ self.H, self.G.T @ self.G) * np.outer(self.d, self.d)
+        gram = np.kron(HtH, self.G.T @ self.G) * np.outer(self.d, self.d)
         s2, self.V = np.linalg.eigh(gram)
         # zero at or below roundoff, the rank rule of np.linalg.matrix_rank
         self.s2 = np.where(s2 > s2[-1] * s2.size * np.finfo(float).eps, s2, 0.0)
@@ -121,38 +113,37 @@ class FitResult:
 class SmoothingMatrix:
     """S_lambda = A V diag(1 / (s2 + n lambda)) V' A' for A = (H kron G) diag(d).
 
-    A lambda-view of a RidgeSystem: V diag(s2) V' is the eigendecomposition
-    of A'A, so the eigenvalues of S are exactly s2 / (s2 + n lambda) in
-    [0, 1) (and zero on the complement of the range of A).  The vector
-    vec(E) of an n x p matrix E reaches the eigenbasis as
-    V' (d * vec(G' E H)), whose entry (k, j) of G' E H sits at k + j*p.
+    The view of a RidgeSystem at one lambda; it reads G, H, d, V and s2
+    from the system and copies nothing.  V diag(s2) V' is the
+    eigendecomposition of A'A, so the eigenvalues of S are exactly
+    s2 / (s2 + n lambda) in [0, 1) (and zero on the complement of the range
+    of A), and its trace is the system's.  The vector vec(E) of an n x p
+    matrix E reaches the eigenbasis as V' (d * vec(G' E H)), whose entry
+    (k, j) of G' E H sits at k + j*p.
     """
 
-    G: np.ndarray
-    H: np.ndarray
-    d: np.ndarray
-    V: np.ndarray
-    s2: np.ndarray
+    system: RidgeSystem
     lam: float
 
     @property
     def n(self) -> int:
-        return self.G.shape[0]
+        return self.system.n
 
     @property
     def p(self) -> int:
-        return self.H.shape[0]
+        return self.system.p
 
     def _inverse(self) -> np.ndarray:
-        return 1.0 / (self.s2 + self.n * self.lam)
+        return 1.0 / (self.system.s2 + self.n * self.lam)
 
     def apply(self, cols: np.ndarray) -> np.ndarray:
         """S @ cols for a stacked (n*p,) vector or (n*p, m) matrix."""
+        s = self.system
         E = cols.reshape(self.n, self.p, -1, order="F")
-        proj = np.einsum("ik,ijm,jl->lkm", self.G, E, self.H, optimize=True)
-        y = self.d[:, None] * proj.reshape(self.d.size, -1)
-        z = self.d[:, None] * (self.V @ (self._inverse()[:, None] * (self.V.T @ y)))
-        out = np.einsum("ik,lkm,jl->ijm", self.G, z.reshape(proj.shape), self.H, optimize=True)
+        proj = np.einsum("ik,ijm,jl->lkm", s.G, E, s.H, optimize=True)
+        y = s.d[:, None] * proj.reshape(s.d.size, -1)
+        z = s.d[:, None] * (s.V @ (self._inverse()[:, None] * (s.V.T @ y)))
+        out = np.einsum("ik,lkm,jl->ijm", s.G, z.reshape(proj.shape), s.H, optimize=True)
         return out.reshape(cols.shape, order="F")
 
     def smoothed_sq_norms(self, residuals: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -164,42 +155,37 @@ class SmoothingMatrix:
         V' (d * projection) * sqrt(s2) / (s2 + n lambda); no (n*p)-long
         vector is formed.
         """
-        outer = np.einsum("ij,ik->ijk", residuals @ self.H, self.G).reshape(self.n, -1)
-        core = ((weights @ outer) * self.d) @ self.V * (np.sqrt(self.s2) * self._inverse())
+        s = self.system
+        outer = np.einsum("ij,ik->ijk", residuals @ s.H, s.G).reshape(self.n, -1)
+        core = ((weights @ outer) * s.d) @ s.V * (np.sqrt(s.s2) * self._inverse())
         return np.einsum("bk,bk->b", core, core)
 
     def trace(self) -> float:
-        return float((self.s2 * self._inverse()).sum())
+        return self.system.trace(self.lam)
 
     def to_dense(self) -> np.ndarray:
-        basis = (np.kron(self.H, self.G) * self.d) @ self.V
+        s = self.system
+        basis = (np.kron(s.H, s.G) * s.d) @ s.V
         return (basis * self._inverse()) @ basis.T
 
 
-def fit(
-    data: DataSet,
-    km: KernelMatrices,
-    lam: float,
-    system: RidgeSystem | None = None,
-) -> FitResult:
+def fit(data: DataSet, km: KernelMatrices, lam: float) -> FitResult:
     """Solve the penalized least-squares problem at tuning parameter lam.
 
     Args:
         data: paired coefficient matrices (U, F).
         km: assembled kernel matrices.
         lam: positive tuning parameter.
-        system: optional precomputed RidgeSystem to reuse across lambdas.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    if system is None:
-        system = RidgeSystem(data, km)
+    system = RidgeSystem(data, km)
     c_hat = system.solve(lam)
     provenance = {
         "kernel": km.provenance,
         "n": data.n,
         "p": data.p,
-        "jitter": system.jitter,
+        "jitter": km.jitter,
         "cond_estimate": system.cond_estimate(lam),
     }
     return FitResult(c_hat=c_hat, lam=lam, basis=data.basis, provenance=provenance, system=system)
@@ -213,18 +199,11 @@ def predict(fit_result: FitResult, u: FuncVec) -> FuncVec:
     return FuncVec(coeffs=dmat @ u.coeffs, basis=u.basis)
 
 
-def smoothing_matrix(
-    data: DataSet,
-    km: KernelMatrices,
-    lam: float,
-    system: RidgeSystem | None = None,
-) -> SmoothingMatrix:
+def smoothing_matrix(data: DataSet, km: KernelMatrices, lam: float) -> SmoothingMatrix:
     """The linear smoother mapping vec(F) to vec(F_hat) at this lambda."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    if system is None:
-        system = RidgeSystem(data, km)
-    return SmoothingMatrix(G=system.G, H=system.H, d=system.d, V=system.V, s2=system.s2, lam=lam)
+    return SmoothingMatrix(RidgeSystem(data, km), lam)
 
 
 def rss(fit_result: FitResult, data: DataSet) -> float:
@@ -272,12 +251,7 @@ def lambda_path(system: RidgeSystem, grid) -> Iterator[tuple[SweepRow, np.ndarra
         yield SweepRow(lam=lam, rss=rss_val, gcv=gcv_val, trace=trace), fitted
 
 
-def gcv_sweep(
-    data: DataSet,
-    km: KernelMatrices,
-    lambda_grid,
-    system: RidgeSystem | None = None,
-) -> SweepResult:
+def gcv_sweep(data: DataSet, km: KernelMatrices, lambda_grid) -> SweepResult:
     """Evaluate RSS/GCV/trace over a lambda grid and pick the GCV minimizer.
 
     The grid is processed in ascending order and ties resolve to the
@@ -288,23 +262,16 @@ def gcv_sweep(
         raise ValueError("lambda grid must be nonempty")
     if grid[0] <= 0:
         raise ValueError("lambda grid entries must be positive")
-    if system is None:
-        system = RidgeSystem(data, km)
     rows = []
     best_lambda, best_gcv = None, np.inf
-    for row, _ in lambda_path(system, grid):
+    for row, _ in lambda_path(RidgeSystem(data, km), grid):
         rows.append(row)
         if row.gcv < best_gcv:
             best_lambda, best_gcv = row.lam, row.gcv
     return SweepResult(best_lambda=best_lambda, rows=tuple(rows))
 
 
-def spectrum_diag(
-    data: DataSet,
-    km: KernelMatrices,
-    top_m: int,
-    system: RidgeSystem | None = None,
-) -> np.ndarray:
+def spectrum_diag(data: DataSet, km: KernelMatrices, top_m: int) -> np.ndarray:
     """Leading generalized eigenvalues of the prediction form against K.
 
     Solves (K_L' (I kron U'U / n) K_L) v = gamma K v and returns the
@@ -314,6 +281,4 @@ def spectrum_diag(
     """
     if top_m < 1 or top_m > data.p**2:
         raise ValueError(f"top_m must be in [1, p^2] = [1, {data.p ** 2}], got {top_m}")
-    if system is None:
-        system = RidgeSystem(data, km)
-    return system.s2[::-1][:top_m] / system.n
+    return RidgeSystem(data, km).s2[::-1][:top_m] / data.n

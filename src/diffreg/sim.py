@@ -190,7 +190,7 @@ class McReport:
         return out
 
 
-def _refine_ess_lambda(system, data, mu, grid, ess_grid, rounds):
+def _refine_ess_lambda(system, mu, grid, ess_grid, rounds):
     """Log-space refinement of the ESS-minimizing lambda around the grid min."""
     lams = list(map(float, grid))
     vals = list(map(float, ess_grid))
@@ -202,7 +202,7 @@ def _refine_ess_lambda(system, data, mu, grid, ess_grid, rounds):
         for lam in candidates:
             if any(abs(np.log(lam / l)) < 1e-12 for l in lams):
                 continue
-            v = ess(system.fitted(system.solve(lam)), data, mu)
+            v = ess(system.fitted(system.solve(lam)), system.data, mu)
             j = int(np.searchsorted(lams, lam))
             lams.insert(j, float(lam))
             vals.insert(j, v)
@@ -230,9 +230,7 @@ def _run_rep(
     gcv_l = [row.gcv for row in rows]
 
     gcv_best = grid[int(np.argmin(gcv_l))]
-    ess_min_lam, ess_min_val = _refine_ess_lambda(
-        system, data, mu, grid, ess_l, config.refine_rounds
-    )
+    ess_min_lam, ess_min_val = _refine_ess_lambda(system, mu, grid, ess_l, config.refine_rounds)
 
     theta = fit_parametric(data, family)
     ess_theta = ess(family.apply(data.U, theta.theta), data, mu)

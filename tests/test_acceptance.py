@@ -23,13 +23,12 @@ from diffreg import (
     make_cosine_basis,
     neg_laplacian,
     run_mc,
-    smoothing_matrix,
     tss,
     wild_multipliers,
 )
 from diffreg.gof import GOLDEN_MINUS, GOLDEN_PLUS
 from diffreg.kernels import psd_jitter
-from diffreg.regress import RidgeSystem
+from diffreg.regress import RidgeSystem, SmoothingMatrix
 
 from conftest import design_by_loops
 
@@ -200,7 +199,7 @@ def test_criterion_5_smoothing_matrix_properties():
         system = RidgeSystem(data, km)
         traces = []
         for lam in grid:
-            S = smoothing_matrix(data, km, lam, system=system)
+            S = SmoothingMatrix(system, lam)
             dense = S.to_dense()
             worst_sym = max(
                 worst_sym, np.max(np.abs(dense - dense.T)) / max(np.max(np.abs(dense)), 1e-300)

@@ -6,14 +6,16 @@ import pytest
 from diffreg import (
     DataSet,
     DegenerateDesignError,
+    KernelMatrices,
     ParamFamily,
     bootstrap_test,
     fit_parametric,
+    make_cosine_basis,
     qn_statistic,
     wild_multipliers,
 )
 from diffreg.gof import GOLDEN_MINUS, GOLDEN_PLUS
-from diffreg.regress import SmoothingMatrix
+from diffreg.regress import RidgeSystem, SmoothingMatrix
 
 from conftest import random_dataset
 
@@ -88,8 +90,12 @@ def test_qn_zero_smoother(basis_p3, km_p3):
 
 
 def test_qn_hand_computed_identity_smoother():
-    # n=2, p=2, A = V = I and s2 = 1 at lambda = 0, so S = I: Q_n = (1^2 + 2^2) / 2
-    S = SmoothingMatrix(G=np.eye(2), H=np.eye(2), d=np.ones(4), V=np.eye(4), s2=np.ones(4), lam=0.0)
+    # n=2, p=2 with U = C = M = M_L = I: at lambda = 0 the smoother is the
+    # projection onto the range of the invertible design, S = I up to the
+    # jitter, so Q_n = (1^2 + 2^2) / 2
+    km = KernelMatrices(C=np.eye(2), M=np.eye(2), M_L=np.eye(2))
+    data = DataSet(U=np.eye(2), F=np.zeros((2, 2)), basis=make_cosine_basis(2, 11))
+    S = SmoothingMatrix(RidgeSystem(data, km), lam=0.0)
     assert qn_statistic(S, np.array([[1.0, 0.0], [2.0, 0.0]])) == pytest.approx(2.5)
 
 

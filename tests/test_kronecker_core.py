@@ -17,11 +17,11 @@ from diffreg import (  # noqa: E402
     DataSet,
     KernelSpec,
     RidgeSystem,
+    SmoothingMatrix,
     assemble,
     identity_op,
     make_cosine_basis,
     neg_laplacian,
-    smoothing_matrix,
     spectrum_diag,
 )
 from diffreg.kernels import OP_KINDS, LinearOpSpec, psd_jitter  # noqa: E402
@@ -72,7 +72,7 @@ def test_kronecker_core_matches_dense_oracle(
     assert np.max(np.abs(system.fitted(c_hat) - fitted)) <= tol * np.max(np.abs(F))
     assert abs(system.trace(lam) - np.trace(lu_solve(lu, gram))) <= tol * n * p
 
-    S = smoothing_matrix(data, km, lam, system=system)
+    S = SmoothingMatrix(system, lam)
     eigs = np.linalg.eigvalsh(S.to_dense())
     assert eigs.min() >= -tol and eigs.max() < 1.0
     cols = rng.standard_normal((n * p, 2))
@@ -85,5 +85,5 @@ def test_kronecker_core_matches_dense_oracle(
     assert np.max(np.abs(S.smoothed_sq_norms(F, weights) - norms)) <= tol * np.sum(weighted**2)
 
     gammas = np.sort(np.maximum(eigh(gram / n, K_eff, eigvals_only=True), 0.0))[::-1]
-    got = spectrum_diag(data, km, p * p, system=system)
+    got = spectrum_diag(data, km, p * p)
     assert np.max(np.abs(got - gammas)) <= tol * gammas[0]

@@ -292,8 +292,15 @@ def test_spectrum_validates_top_m(basis_p3, km_p3):
 def test_indefinite_kernel_raises_singularity(basis_p3):
     bad = KernelMatrices(C=-np.eye(3), M=np.eye(3), M_L=np.eye(3))
     U, F = random_dataset(basis_p3, n=4, seed=25)
-    with pytest.raises(SingularSystemError):
-        fit(DataSet(U=U, F=F, basis=basis_p3), bad, lam=1.0)
+    data = DataSet(U=U, F=F, basis=basis_p3)
+    # the kernel's factors are computed on first use; a failure must not
+    # leave a cached result behind, so every later use fails the same way
+    messages = []
+    for _ in range(2):
+        with pytest.raises(SingularSystemError) as info:
+            fit(data, bad, lam=1.0)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_fit_rejects_nonpositive_lambda(basis_p3, km_p3):

@@ -140,6 +140,20 @@ def test_run_mc_records_match_replication_dataset():
         assert report.records[rep].tss == pytest.approx(tss(data, mu), rel=1e-12)
 
 
+def test_run_mc_factors_the_kernel_once(monkeypatch):
+    real = np.linalg.eigh
+    shapes = []
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    run_mc(SimConfig(n=30, p=4, reps=3, B=100, seed=1), max_workers=1)
+    # C and M once per study, the p^2 x p^2 Gram once per replication
+    assert sorted(shapes) == [(4, 4)] * 2 + [(16, 16)] * 3
+
+
 @pytest.mark.parametrize("max_workers", [1, 3])
 def test_run_mc_fail_fast_and_skip(monkeypatch, max_workers):
     real = sim._run_rep

@@ -1,0 +1,134 @@
+"""Run a fixed set of CLI commands from one source tree and print a sha256 per output.
+
+    python tools/output_digests.py SRC OUT
+
+SRC is the root of a diffreg checkout (the directory holding ``src/``);
+OUT is a work directory, emptied first.  Every command runs in a fresh
+interpreter with one BLAS thread and relative paths, so the outputs, and
+the configs they embed, depend only on the code under SRC.  A refactor
+that claims no numerical change must leave the printed list unchanged:
+
+    python tools/output_digests.py PARENT_TREE OUT > before.txt
+    python tools/output_digests.py . OUT > after.txt
+    diff before.txt after.txt
+
+The set covers simulate (a small table4 study under --threads 1 and 2, and
+a gcv_min/parametric cell with refine_rounds 3); sweep, fit, test and
+spectrum on (p, n) = (10, 200), (20, 2000) and (10, 6) with no kernel
+cache, a cache written and a cache read; and fit under four L kinds.
+Kernel caches are not listed: the zip archive stamps its members with the
+time of writing.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+
+import numpy as np
+
+DATASETS = {"p10_n200": (10, 200), "p20_n2000": (20, 2000), "p10_n6": (10, 6)}
+FIT_L_KINDS = {
+    "identity": {"kind": "identity"},
+    "first_derivative": {"kind": "first_derivative"},
+    "minus_const": {"kind": "neg_laplacian_minus_const", "param": 2.0},
+    "scaled": {"kind": "scaled_neg_laplacian", "param": 0.5},
+}
+SIM_SMALL_TABLE4 = {"reps": 8, "keep_bootstrap": 2, "dump_dataset": True}
+SIM_GCV_CELL = {
+    "n": 100,
+    "snr": 3.0,
+    "omegas": [0.5],
+    "reps": 4,
+    "B": 100,
+    "seed": 3,
+    "strategy": "parametric",
+    "test_lambda": "gcv_min",
+    "refine_rounds": 3,
+    "keep_bootstrap": 1,
+}
+
+
+def write_dataset(out: str, folder: str, p: int, n: int, seed: int) -> dict:
+    """U and F drawn from the simulation design with numpy alone, as headed CSVs.
+
+    Returns the dataset section of a config, with paths relative to ``out``.
+    """
+    rng = np.random.default_rng(seed)
+    ks = np.arange(1, p + 1)
+    U = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (n, p)) * ks**-3.0
+    F = U * (ks * np.pi) ** 2 + 0.5 * rng.standard_normal((n, p))
+    os.makedirs(os.path.join(out, folder))
+    paths = {}
+    for name, mat in (("u_csv", U), ("f_csv", F)):
+        path = os.path.join(folder, f"{name[0].upper()}.csv")
+        header = ",".join(f"{name[0]}_{k}" for k in ks)
+        np.savetxt(os.path.join(out, path), mat, fmt="%.17g", delimiter=",", header=header,
+                   comments="")
+        paths[name] = path
+    return paths
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src, out = (os.path.abspath(arg) for arg in argv)
+    if os.path.exists(out):
+        shutil.rmtree(out)
+    os.makedirs(out)
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.path.join(src, "src"),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+    }
+
+    def run(command: str, name: str, config: dict, *extra: str) -> None:
+        with open(os.path.join(out, f"{name}.json"), "w", encoding="utf-8") as fh:
+            json.dump(config, fh, indent=2)
+        args = [sys.executable, "-m", "diffreg.cli", command, "--config", f"{name}.json"]
+        subprocess.run([*args, "--out", name, *extra], cwd=out, env=env, check=True)
+
+    for threads in ("1", "2"):
+        run("simulate", f"simulate_table4_t{threads}", SIM_SMALL_TABLE4,
+            "--preset", "table4", "--threads", threads)
+    run("simulate", "simulate_gcv_parametric", SIM_GCV_CELL)
+
+    for seed, (label, (p, n)) in enumerate(DATASETS.items()):
+        base = {
+            "dataset": write_dataset(out, f"data_{label}", p, n, seed),
+            "basis": {"p": p},
+        }
+        commands = {
+            "sweep": {"lambda_grid": [1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4]},
+            "fit": {"lambda": 10.0},
+            "test": {"lambda": 10.0, "B": 200, "seed": 7},
+            "spectrum": {"top_m": p * p},
+        }
+        cache = f"kernels_{label}.npz"
+        # no cache, then a cache written, then the same cache read
+        for mode, kernel in (("nocache", {}), ("write", {"cache": cache}), ("read", {"cache": cache})):
+            for command, settings in commands.items():
+                run(command, f"{command}_{label}_{mode}", {**base, **settings, "kernel": kernel})
+        if label == "p10_n200":
+            for kind, L in FIT_L_KINDS.items():
+                run("fit", f"fit_{label}_L_{kind}", {**base, "lambda": 10.0, "kernel": {"L": L}})
+
+    for root, _, files in sorted(os.walk(out)):
+        rel = os.path.relpath(root, out)
+        if rel == "." or rel.startswith("data_"):
+            continue
+        for name in sorted(files):
+            with open(os.path.join(root, name), "rb") as fh:
+                print(f"{hashlib.sha256(fh.read()).hexdigest()}  {rel}/{name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
