@@ -21,12 +21,18 @@ column of its right-hand side.  The
 derivative gate and the thermo response are one matrix product each over
 the stacked coefficients.  Blocks bound the size of the stacked arrays,
 and the kept curves come out as (S, V) offsets and (S, V, p) coefficients.
+
+CSV files are read and written in bulk, one :func:`numpy.loadtxt` or
+:func:`numpy.savetxt` per file.  A row-wise scan runs only when a parse
+rejects a file, to say which row is malformed.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,43 +131,129 @@ def load_trajectories(path: str, schema: TableSchema, lenient: bool = False) -> 
     Rows with missing or non-numeric fields raise a parse error naming the
     line, or are dropped and counted when ``lenient`` is set.  Blank lines
     are skipped and not counted.
+
+    The file is parsed in one pass by :func:`numpy.loadtxt`, with the
+    subject column as Python strings and the value columns as floats.
+    Only when that parse rejects the file does a row-wise scan run, to name
+    the first malformed row or to drop the malformed rows before parsing
+    the rest again.
     """
     columns = (schema.subject, schema.ordinate, *schema.variables)
-    raw: dict = {}
-    dropped = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+        header = next(csv.reader(fh), [])
         # a repeated name refers to its last column, as with csv.DictReader
         index = {name: i for i, name in enumerate(header)}
         missing = [c for c in columns if c not in index]
         if missing:
             raise DataError(f"{path}: header is missing column(s) {missing}")
-        subject_col = index[schema.subject]
-        value_cols = [index[c] for c in columns[1:]]
-        width = max(subject_col, *value_cols) + 1
-        for lineno, row in enumerate(filter(None, reader), start=2):
-            try:
-                if len(row) < width:
-                    raise ValueError(f"row has {len(row)} of the header's {len(header)} fields")
-                subject = row[subject_col]
-                if subject == "":
-                    raise ValueError("empty subject id")
-                values = [float(row[i]) for i in value_cols]
-            except ValueError as exc:
-                if lenient:
+        usecols = [index[c] for c in columns]
+        width = max(usecols) + 1
+        dtype = np.dtype([("subject", object), ("values", float, (len(usecols) - 1,))])
+
+        def parse(lines):
+            rows = _loadtxt(lines, dtype=dtype, usecols=usecols, ndmin=1)
+            if rows is None:
+                raise DataError(f"{path}: no usable rows")
+            names, inverse = _group(rows["subject"])
+            if names[0] == "":  # the sorted names start with the empty one
+                raise ValueError("empty subject id")
+            return names, inverse, rows["values"]
+
+        def check(row: list) -> None:
+            if len(row) < width:
+                raise ValueError(f"row has {len(row)} of the header's {len(header)} fields")
+            if row[usecols[0]] == "":
+                raise ValueError("empty subject id")
+            for i in usecols[1:]:
+                _check_number(row[i])
+
+        dropped = 0
+        try:
+            names, inverse, values = parse(fh)
+        except ValueError:
+            kept = []
+            for lineno, (row, text) in enumerate(_data_records(fh), start=2):
+                try:
+                    check(row)
+                except ValueError as exc:
+                    if not lenient:
+                        raise DataError(f"{path}: malformed row at line {lineno}: {exc}") from exc
                     dropped += 1
-                    continue
-                raise DataError(f"{path}: malformed row at line {lineno}: {exc}") from exc
-            raw.setdefault(subject, []).append(values)
-    if not raw:
-        raise DataError(f"{path}: no usable rows")
+                else:
+                    kept.append(text)
+            try:
+                names, inverse, values = parse(io.StringIO("".join(kept), newline=""))
+            except ValueError as exc:  # a row csv.reader splits otherwise than np.loadtxt
+                raise DataError(f"{path}: {exc}") from exc
+    # one stable sort keeps each subject's rows in file order, and the
+    # per-subject argsort then orders them as it always has
+    values = values[np.argsort(inverse, kind="stable")]
+    ends = np.cumsum(np.bincount(inverse))[:-1]
     subjects = {}
-    for subject in sorted(raw):
-        rows = np.array(raw[subject])
+    for subject, rows in zip(names.tolist(), np.split(values, ends)):
         rows = rows[np.argsort(rows[:, 0])]
         subjects[subject] = SubjectTrack(ordinate=rows[:, 0], samples=rows[:, 1:])
     return TrajectoryTable(variables=schema.variables, subjects=subjects, dropped_rows=dropped)
+
+
+def _loadtxt(lines, **kwargs) -> np.ndarray | None:
+    """:func:`numpy.loadtxt` over CSV text read from ``lines``; None if it holds no data rows.
+
+    Fields split as :mod:`csv` splits them: on commas, with double-quoted
+    fields and no comment character (the default ``#`` would cut a field
+    such as ``2#3`` short).  Blank lines are skipped.
+    """
+    with warnings.catch_warnings():
+        # an empty result is the caller's error to raise, not a warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, **kwargs)
+    return rows if rows.size else None
+
+
+def _data_records(fh):
+    """Each non-blank CSV record after the header of ``fh``, as (fields, its source lines).
+
+    Reads the file again from its start.
+    """
+    fh.seek(0)
+    lines = fh.readlines()
+    reader = csv.reader(lines)
+    next(reader, None)
+    start = reader.line_num
+    for row in reader:
+        if row:
+            yield row, "".join(lines[start : reader.line_num])
+        start = reader.line_num
+
+
+def _check_number(field: str) -> None:
+    """Raise ``float(field)``'s ValueError unless :func:`numpy.loadtxt` reads ``field``.
+
+    numpy strips the whitespace ``str.strip`` strips and reads the rest as
+    ``float`` does, if it is ASCII without digit-group underscores.  So it
+    rejects ``1_0`` and non-ASCII digits, which ``float`` accepts, and
+    accepts the separators ``\\x1c``-``\\x1f`` around a number, which
+    ``float`` rejects.
+    """
+    text = field.strip()
+    if text.isascii() and "_" not in text:
+        try:
+            float(text)
+            return
+        except ValueError:
+            pass
+    raise ValueError(f"could not convert string to float: {field!r}")
+
+
+def _group(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(labels, return_inverse=True)``, run on the first label of each run.
+
+    Rows of one subject usually come in runs, so this sorts a few thousand
+    strings rather than one per row.
+    """
+    heads = np.flatnonzero(np.concatenate(([True], labels[1:] != labels[:-1])))
+    names, inverse = np.unique(labels[heads], return_inverse=True)
+    return names, np.repeat(inverse, np.diff(np.append(heads, labels.size)))
 
 
 def project_with_offset(xs, ys, basis: BasisSystem, penalty: float = 0.0):
@@ -343,34 +435,36 @@ def build_thermo_dataset(
 
 
 def save_dataset(data: DataSet, u_path: str, f_path: str) -> None:
-    """Write the coefficient matrices as two headed CSV files."""
+    """Write the coefficient matrices as two headed CSV files, CRLF line ends."""
     for path, mat, prefix in ((u_path, data.U, "u"), (f_path, data.F, "f")):
+        header = ",".join(f"{prefix}_{k}" for k in range(1, data.p + 1))
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"{prefix}_{k}" for k in range(1, data.p + 1)])
-            for row in mat:
-                writer.writerow([f"{v:.17g}" for v in row])
+            np.savetxt(
+                fh, mat, fmt="%.17g", delimiter=",", newline="\r\n", header=header, comments=""
+            )
 
 
 def load_dataset(u_path: str, f_path: str, basis: BasisSystem) -> DataSet:
-    """Read a dataset written by :func:`save_dataset`."""
+    """Read a dataset written by :func:`save_dataset`.
+
+    Each file is parsed by one :func:`numpy.loadtxt`; only when that parse
+    rejects it does a row-wise scan run, to name the first bad data row.
+    """
 
     def read_matrix(path: str) -> np.ndarray:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
             try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            try:
-                rows = [[float(v) for v in row] for row in reader if row]
+                mat = _loadtxt(fh, ndmin=2)
+                # np.loadtxt only checks that the rows agree with each other
+                if mat is not None and mat.shape[1] != len(header):
+                    raise ValueError(f"rows have {mat.shape[1]} fields, the header {len(header)}")
             except ValueError as exc:
-                raise DataError(f"{path}: non-numeric entry: {exc}") from exc
-        if not rows:
+                raise _bad_data_row(path, len(header), fh, exc) from exc
+        if mat is None:
             raise DataError(f"{path}: no data rows")
-        if any(len(row) != len(header) for row in rows):
-            raise DataError(f"{path}: ragged rows")
-        mat = np.array(rows)
         bad_rows = np.flatnonzero(~np.isfinite(mat).all(axis=1))
         if bad_rows.size:
             raise DataError(f"{path}: non-finite entry in data row {bad_rows[0] + 1}")
@@ -383,6 +477,21 @@ def load_dataset(u_path: str, f_path: str, basis: BasisSystem) -> DataSet:
     if U.shape[1] != basis.p:
         raise DataError(f"dataset has {U.shape[1]} columns but basis p = {basis.p}")
     return DataSet(U=U, F=F, basis=basis)
+
+
+def _bad_data_row(path: str, width: int, fh, exc: ValueError) -> DataError:
+    """The error naming the first data row of ``fh`` that is ragged or holds a non-number."""
+    for k, (row, _) in enumerate(_data_records(fh), start=1):
+        if len(row) != width:
+            return DataError(
+                f"{path}: ragged rows: data row {k} has {len(row)} fields, the header {width}"
+            )
+        try:
+            for field in row:
+                _check_number(field)
+        except ValueError as row_exc:
+            return DataError(f"{path}: non-numeric entry in data row {k}: {row_exc}")
+    return DataError(f"{path}: {exc}")  # a row csv.reader splits otherwise than np.loadtxt
 
 
 def save_ingest_provenance(

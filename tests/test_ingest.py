@@ -2,6 +2,10 @@
 
 import csv
 import dataclasses
+import io
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from diffreg import DataError, make_cosine_basis
-from diffreg.basis import distinct_samples, resample_to_quad_grid
+from diffreg.basis import DataSet, distinct_samples, resample_to_quad_grid
 from diffreg.ingest import (
     IdentityResponse,
     RecipeSpec,
@@ -397,3 +401,218 @@ def test_load_dataset_validates(tmp_path):
     u_path.write_text("u_1,u_2\n1,2,3\n1,2\n")
     with pytest.raises(DataError, match="U.csv: ragged rows"):
         load_dataset(str(u_path), str(f_path), basis)
+
+
+# -- the CSV boundary: bulk parsing and writing --------------------------------
+
+
+def reference_load_trajectories(path, schema, lenient=False):
+    """The row-wise parse the bulk one replaced: csv.reader plus one float() per field.
+
+    Returns ({subject: (ordinate, samples)}, dropped rows).
+    """
+    columns = (schema.subject, schema.ordinate, *schema.variables)
+    raw, dropped = {}, 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        index = {name: i for i, name in enumerate(header)}
+        subject_col = index[schema.subject]
+        value_cols = [index[c] for c in columns[1:]]
+        width = max(subject_col, *value_cols) + 1
+        for lineno, row in enumerate(filter(None, reader), start=2):
+            try:
+                if len(row) < width:
+                    raise ValueError(f"row has {len(row)} of the header's {len(header)} fields")
+                subject = row[subject_col]
+                if subject == "":
+                    raise ValueError("empty subject id")
+                values = [float(row[i]) for i in value_cols]
+            except ValueError as exc:
+                if lenient:
+                    dropped += 1
+                    continue
+                raise DataError(f"{path}: malformed row at line {lineno}: {exc}") from exc
+            raw.setdefault(subject, []).append(values)
+    if not raw:
+        raise DataError(f"{path}: no usable rows")
+    subjects = {}
+    for subject in sorted(raw):
+        rows = np.array(raw[subject])
+        rows = rows[np.argsort(rows[:, 0])]
+        subjects[subject] = (rows[:, 0], rows[:, 1:])
+    return subjects, dropped
+
+
+def _outcome(load):
+    try:
+        return load()
+    except DataError as exc:
+        return str(exc)
+
+
+# ids that need quoting, ordinates that repeat (two spellings of 6.5), and
+# fields both parsers reject
+_SUBJECT_IDS = ["s1", "s2", "s 3", "a,b", 'q"x', "n\nl", "\u00fc"]
+_ORDINATES = ["6.3", "6.4", "6.5", "6.500", " 6.45", "0.63e1"]
+_BAD_FIELDS = ["x1", "", "1e", "--1", "2#3", "1,5"]
+_JUNK = ["x", "", "7", 'a "b"', "c,d"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_load_trajectories_matches_the_row_wise_reference(data):
+    columns = ["subject", "log_p", "T_real", "T_pot"]
+    # an ignored column, and a repeated name whose last column wins
+    columns += data.draw(st.lists(st.sampled_from(["note", "T_real", "log_p"]), max_size=2))
+    header = data.draw(st.permutations(columns), label="header")
+    last = {name: i for i, name in enumerate(header)}
+    value = st.one_of(
+        st.floats(width=64).map(repr),
+        st.floats(-1e3, 1e3).map(lambda v: f"{v:.3g}"),
+        st.sampled_from(["nan", "-inf", "+2", " 1.5 ", "1E3", "-0"]),
+    )
+    records = []
+    for _ in range(data.draw(st.integers(0, 30), label="rows")):
+        row = []
+        for i, name in enumerate(header):
+            if last[name] != i or name == "note":
+                row.append(data.draw(st.sampled_from(_JUNK)))
+            elif name == "subject":
+                row.append(data.draw(st.sampled_from(_SUBJECT_IDS)))
+            elif name == "log_p":
+                row.append(data.draw(st.sampled_from(_ORDINATES)))
+            else:
+                row.append(data.draw(value))
+        if data.draw(st.integers(0, 9), label="fault") == 0:
+            kind = data.draw(st.sampled_from(["field", "short", "empty id"]))
+            if kind == "field":
+                bad = data.draw(st.sampled_from(_BAD_FIELDS))
+                row[data.draw(st.integers(0, len(row) - 1))] = bad
+            elif kind == "short":
+                row = row[: data.draw(st.integers(1, len(row) - 1))]
+            else:
+                row[last["subject"]] = ""
+        row += data.draw(st.lists(st.sampled_from(_JUNK), max_size=2), label="trailing")
+        records.append(row)
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+    blank = data.draw(st.sets(st.integers(0, len(records))), label="blank lines before")
+    lenient = data.draw(st.booleans(), label="lenient")
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator=newline)
+    writer.writerow(header)
+    for i, row in enumerate(records):
+        if i in blank:
+            buffer.write(newline)
+        writer.writerow(row)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tracks.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(buffer.getvalue())
+        want = _outcome(lambda: reference_load_trajectories(path, SCHEMA, lenient))
+        got = _outcome(lambda: load_trajectories(path, SCHEMA, lenient))
+    if isinstance(want, str):
+        assert got == want
+        return
+    subjects, dropped = want
+    assert not isinstance(got, str), got
+    assert got.dropped_rows == dropped
+    assert list(got.subjects) == list(subjects)
+    for name, (ordinate, samples) in subjects.items():
+        track = got.subjects[name]
+        assert track.ordinate.shape == ordinate.shape and track.samples.shape == samples.shape
+        # bitwise, so that nan payloads, signed zeros and tie order all count
+        assert track.ordinate.tobytes() == ordinate.tobytes()
+        assert track.samples.tobytes() == samples.tobytes()
+
+
+def test_bulk_parse_pitfalls_stay_data_errors(tmp_path):
+    basis = basis_on_interval(p=2)
+    u_path, f_path = tmp_path / "U.csv", tmp_path / "F.csv"
+    f_path.write_text("f_1,f_2\n1,2\n3,4\n5,6\n")
+
+    def dataset_error(u_text):
+        u_path.write_text(u_text)
+        with pytest.raises(DataError) as info:
+            load_dataset(str(u_path), str(f_path), basis)
+        return str(info.value)
+
+    # np.loadtxt's default comment character would read 2#3 as 2
+    assert dataset_error("u_1,u_2\n1,2\n3,4\n5,2#3\n").endswith(
+        "U.csv: non-numeric entry in data row 3: could not convert string to float: '2#3'"
+    )
+    # every row one longer than the header: they agree with each other
+    assert dataset_error("u_1,u_2\n1,2,0\n3,4,0\n5,6,0\n").endswith(
+        "U.csv: ragged rows: data row 1 has 3 fields, the header 2"
+    )
+    assert "data row 2 has 1 fields" in dataset_error("u_1,u_2\n1,2\n\n3\n5,6\n")
+    # float() takes these spellings, the bulk parse does not
+    message = dataset_error("u_1,u_2\n1,2\n1_0,4\n5,6\n")
+    assert "data row 2: could not convert string to float: '1_0'" in message
+    message = dataset_error("u_1,u_2\n\u0661,2\n3,4\n5,6\n")
+    assert "data row 1: could not convert string to float: '\u0661'" in message
+
+    rows = synthetic_rows("s0", [1.0, 0.5], [0.3, -0.2])
+    rows[3][2] = "2#3"
+    tracks = tmp_path / "tracks.csv"
+    write_rows(tracks, rows)
+    with pytest.raises(DataError, match="line 5: could not convert string to float: '2#3'"):
+        load_trajectories(str(tracks), SCHEMA)
+    assert load_trajectories(str(tracks), SCHEMA, lenient=True).dropped_rows == 1
+
+
+def test_header_without_data_rows_raises_without_warnings(tmp_path):
+    basis = basis_on_interval(p=2)
+    u_path, f_path = tmp_path / "U.csv", tmp_path / "F.csv"
+    u_path.write_text("u_1,u_2\r\n\r\n")
+    f_path.write_text("f_1,f_2\n1,2\n")
+    tracks = tmp_path / "tracks.csv"
+    tracks.write_text("subject,log_p,T_real,T_pot\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="U.csv: no data rows"):
+            load_dataset(str(u_path), str(f_path), basis)
+        with pytest.raises(DataError, match="tracks.csv: no usable rows"):
+            load_trajectories(str(tracks), SCHEMA)
+        # every row dropped: the same error, from the second parse
+        tracks.write_text("subject,log_p,T_real,T_pot\ns0,6.3,x,1\n")
+        with pytest.raises(DataError, match="tracks.csv: no usable rows"):
+            load_trajectories(str(tracks), SCHEMA, lenient=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(field=st.text(alphabet="0123456789._eE+-naifINFty \t\x1c\xa0\u0661\u2003", max_size=8))
+def test_row_scan_rejects_exactly_the_fields_numpy_rejects(field):
+    # the scan that names a bad row must agree with the bulk parse, or it
+    # would name a row the bulk parse reads, or pass the row it rejected
+    try:
+        value = np.loadtxt([f"{field},1"], delimiter=",", comments=None, quotechar='"')[0]
+    except ValueError:
+        value = None
+    else:  # numpy strips what str.strip strips; float() keeps \x1c-\x1f
+        assert np.float64(value).tobytes() == np.float64(float(field.strip())).tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        u_path, f_path = os.path.join(tmp, "U.csv"), os.path.join(tmp, "F.csv")
+        # the bad second row sends every file through the row-wise scan
+        with open(u_path, "w", encoding="utf-8") as fh:
+            fh.write(f"u_1,u_2\n{field},1\nx,1\n")
+        with open(f_path, "w", encoding="utf-8") as fh:
+            fh.write("f_1,f_2\n1,1\n1,1\n")
+        with pytest.raises(DataError) as info:
+            load_dataset(u_path, f_path, make_cosine_basis(p=2, n_quad=5))
+    assert f"non-numeric entry in data row {1 if value is None else 2}: " in str(info.value)
+
+
+def test_save_dataset_bytes_match_the_csv_writer(tmp_path):
+    U = np.array([[-0.0, 5e-324, 1e308, 1 / 3, 2.0], [3.0, -1e-300, 0.1, -7.0, 1e16]])
+    data = DataSet(U=U, F=-U[::-1], basis=make_cosine_basis(p=5, n_quad=11))
+    u_path, f_path = tmp_path / "U.csv", tmp_path / "F.csv"
+    save_dataset(data, str(u_path), str(f_path))
+    for path, mat, prefix in ((u_path, data.U, "u"), (f_path, data.F, "f")):
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow([f"{prefix}_{k}" for k in range(1, 6)])
+        for row in mat:
+            writer.writerow([f"{v:.17g}" for v in row])
+        assert path.read_bytes() == want.getvalue().encode("utf-8")

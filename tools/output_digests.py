@@ -15,7 +15,10 @@ that claims no numerical change must leave the printed list unchanged:
 The set covers simulate (a small table4 study under --threads 1 and 2, and
 a gcv_min/parametric cell with refine_rounds 3); sweep, fit, test and
 spectrum on (p, n) = (10, 200), (20, 2000) and (10, 6) with no kernel
-cache, a cache written and a cache read; and fit under four L kinds.
+cache, a cache written and a cache read; fit under four L kinds; and
+``ingest --preset era5`` on a small trajectory CSV with repeated
+ordinates, a subject split across the file and a subject that fails the
+end gate.
 Kernel caches are not listed: the zip archive stamps its members with the
 time of writing.
 """
@@ -73,6 +76,40 @@ def write_dataset(out: str, folder: str, p: int, n: int, seed: int) -> dict:
     return paths
 
 
+def write_trajectories(out: str, folder: str, seed: int) -> str:
+    """An era5-shaped trajectory CSV written with numpy alone; returns its path relative to ``out``.
+
+    Twelve subjects sample a constant plus a cosine series with k^-3
+    coefficients, plus noise, at 30 jittered ordinates spanning the
+    preset's gates.  Subject s00 repeats ordinates, with other values, in
+    shuffled rows; s01's rows come in two blocks with the other subjects
+    between them; s02 ends above the end gate.
+    """
+    rng = np.random.default_rng(seed)
+    a, length, m = 6.3, 0.6, 30
+    ks = np.arange(1, 11)
+    blocks = []
+    for s in range(12):
+        x = np.linspace(6.2975, 6.93 if s == 2 else 6.905, m)
+        x[1:-1] += rng.uniform(-0.2, 0.2, m - 2) * (x[1] - x[0])
+        if s == 0:
+            x[[6, 13, 14]] = x[[5, 12, 12]]
+        phi = np.sqrt(2.0 / length) * np.cos(np.outer(x - a, ks) * np.pi / length)
+        values = [
+            offset + phi @ (5.0 * ks**-3.0 * rng.uniform(-1.7, 1.7, ks.size))
+            + 0.01 * rng.standard_normal(m)
+            for offset in (280.0, 300.0)
+        ]
+        block = np.column_stack([np.full(m, s), x, *values])
+        blocks.append(block[rng.permutation(m)] if s == 0 else block)
+    rows = np.concatenate([blocks[1][: m // 2], *blocks[2:], blocks[0], blocks[1][m // 2 :]])
+    os.makedirs(os.path.join(out, folder))
+    path = os.path.join(folder, "tracks.csv")
+    np.savetxt(os.path.join(out, path), rows, fmt="s%02d,%.17g,%.17g,%.17g",
+               header="subject,log_p,T_real,T_pot", comments="")
+    return path
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -119,6 +156,9 @@ def main(argv: list[str]) -> int:
         if label == "p10_n200":
             for kind, L in FIT_L_KINDS.items():
                 run("fit", f"fit_{label}_L_{kind}", {**base, "lambda": 10.0, "kernel": {"L": L}})
+
+    tracks = write_trajectories(out, "data_era5", len(DATASETS))
+    run("ingest", "ingest_era5", {"input": tracks}, "--preset", "era5")
 
     for root, _, files in sorted(os.walk(out)):
         rel = os.path.relpath(root, out)
