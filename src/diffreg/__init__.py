@@ -50,14 +50,12 @@ from .kernels import (
 from .regress import (
     FitResult,
     RidgeSystem,
-    SmoothingMatrix,
     SweepResult,
     fit,
     gcv,
     gcv_sweep,
     predict,
     rss,
-    smoothing_matrix,
     spectrum_diag,
 )
 from .sim import (
@@ -94,7 +92,6 @@ __all__ = [
     "RidgeSystem",
     "SimConfig",
     "SingularSystemError",
-    "SmoothingMatrix",
     "SweepResult",
     "assemble",
     "bootstrap_test",
@@ -123,7 +120,6 @@ __all__ = [
     "run_mc",
     "save_kernel_matrices",
     "scaled_neg_laplacian",
-    "smoothing_matrix",
     "spectrum_diag",
     "tss",
     "true_multipliers",

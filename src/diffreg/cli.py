@@ -363,8 +363,6 @@ def _load_inputs(config: dict):
 
 def cmd_simulate(config: dict, out: str, threads: int) -> None:
     base = {f.name: config[f.name] for f in dataclasses.fields(SimConfig) if f.name in config}
-    if "lambda_grid" in base:
-        base["lambda_grid"] = tuple(base["lambda_grid"])
     # records columns follow the RepRecord fields; a lambda-indexed array
     # field such as ess_lambda takes one column per grid point, ess_lam_<lambda>
     names = [f.name for f in dataclasses.fields(RepRecord)]

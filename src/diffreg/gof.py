@@ -19,8 +19,8 @@ import numpy as np
 
 from .basis import BasisSystem, DataSet
 from .errors import DegenerateDesignError
-from .kernels import KernelMatrices
-from .regress import RidgeSystem, SmoothingMatrix
+from .kernels import KernelMatrices, neg_laplacian
+from .regress import RidgeSystem
 
 STRATEGIES = ("parametric", "nonparametric", "mixed")
 
@@ -57,9 +57,8 @@ class ParamFamily:
     @staticmethod
     def scaled_neg_laplacian(basis: BasisSystem) -> "ParamFamily":
         """The family theta * (-laplacian), diagonal on the cosine basis."""
-        ks = np.arange(1, basis.p + 1)
         return ParamFamily(
-            kind="scaled_neg_laplacian", multipliers=(ks * np.pi / basis.length) ** 2
+            kind="scaled_neg_laplacian", multipliers=neg_laplacian().multipliers(basis)
         )
 
     @staticmethod
@@ -104,13 +103,12 @@ def wild_multipliers(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.where(rng.random(n) < GOLDEN_PLUS_PROB, GOLDEN_PLUS, GOLDEN_MINUS)
 
 
-def qn_statistic(S: SmoothingMatrix, residuals: np.ndarray) -> float:
-    """Q_n = n^{-1} || S vec(residuals) ||^2 for an n x p residual matrix."""
+def qn_statistic(system: RidgeSystem, lam: float, residuals: np.ndarray) -> float:
+    """Q_n = n^{-1} || S vec(residuals) ||^2, S the smoother of ``system`` at ``lam``."""
     residuals = np.asarray(residuals, dtype=float)
-    n, p = residuals.shape
-    if (n, p) != (S.n, S.p):
-        raise ValueError(f"residuals are {residuals.shape}, smoother expects ({S.n}, {S.p})")
-    return float(S.smoothed_sq_norms(residuals, np.ones((1, n)))[0]) / n
+    if residuals.shape != (system.n, system.p):
+        raise ValueError(f"residuals are {residuals.shape}, expected ({system.n}, {system.p})")
+    return float(system.smoothed_sq_norms(lam, residuals, np.ones((1, system.n)))[0]) / system.n
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,8 +178,7 @@ def bootstrap_test(
     c_hat = system.solve(lam)
     eps_fit = data.F - system.fitted(c_hat)
 
-    S = SmoothingMatrix(system, lam)
-    q_n = qn_statistic(S, eps_null)
+    q_n = qn_statistic(system, lam, eps_null)
 
     n_para = B if strategy == "parametric" else 0
     if strategy == "mixed":
@@ -190,8 +187,8 @@ def bootstrap_test(
     streams = np.random.SeedSequence(seed).spawn(B)
     deltas = np.stack([wild_multipliers(n, np.random.default_rng(s)) for s in streams])
     q_boot = np.concatenate([
-        S.smoothed_sq_norms(eps_null, deltas[:n_para]),
-        S.smoothed_sq_norms(eps_fit, deltas[n_para:]),
+        system.smoothed_sq_norms(lam, eps_null, deltas[:n_para]),
+        system.smoothed_sq_norms(lam, eps_fit, deltas[n_para:]),
     ]) / n
     p_value = 1.0 - float(np.count_nonzero(q_n >= q_boot)) / B
 

@@ -29,6 +29,7 @@ rejects a file, to say which row is malformed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -125,6 +126,16 @@ class RecipeSpec:
     penalty: float = 0.0
 
 
+@contextlib.contextmanager
+def _open_csv(path: str):
+    """Open a CSV as UTF-8 text; bytes that do not decode are a DataError naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:  # a ValueError: a parse's handler may re-read first
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def load_trajectories(path: str, schema: TableSchema, lenient: bool = False) -> TrajectoryTable:
     """Parse a trajectory CSV into per-subject tracks.
 
@@ -139,7 +150,7 @@ def load_trajectories(path: str, schema: TableSchema, lenient: bool = False) -> 
     the rest again.
     """
     columns = (schema.subject, schema.ordinate, *schema.variables)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_csv(path) as fh:
         header = next(csv.reader(fh), [])
         # a repeated name refers to its last column, as with csv.DictReader
         index = {name: i for i, name in enumerate(header)}
@@ -452,7 +463,7 @@ def load_dataset(u_path: str, f_path: str, basis: BasisSystem) -> DataSet:
     """
 
     def read_matrix(path: str) -> np.ndarray:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with _open_csv(path) as fh:
             header = next(csv.reader(fh), None)
             if header is None:
                 raise DataError(f"{path}: empty file")

@@ -21,13 +21,16 @@ A V diag(1 / (s2 + n lambda)) V' A' has eigenvalues s2 / (s2 + n lambda) in
 [0, 1), and its trace is a cheap sum.  Eigenvalues at or below roundoff,
 p^2 max(s2) times machine epsilon, count as zero, and nothing divides by
 them.  Factoring costs O(n p^2 + p^6), against O(n p^5) for an SVD of the
-(n p) x p^2 design.  A RidgeSystem is built once per dataset; every lambda
-reads it through ``solve``, ``trace`` and the view SmoothingMatrix(system, lam).
+(n p) x p^2 design.  A RidgeSystem is built once per dataset.  Its
+``solve``, ``trace``, ``operator_matrix`` and ``fitted`` broadcast over a
+leading lambda axis as numpy functions do: a scalar lambda gives one
+result, an array of m lambdas gives m rows from the one eigendecomposition.
+``smooth``, ``smoothed_sq_norms`` and ``smoother`` apply the smoothing
+matrix at one lambda.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +41,13 @@ from .kernels import KernelMatrices
 
 
 class RidgeSystem:
-    """Factorizations shared by every lambda for one (data, kernels) pair."""
+    """Factorizations shared by every lambda for one (data, kernels) pair.
+
+    The smoother S = A V diag(1 / (s2 + n lambda)) V' A' is read off the
+    same factors; it is zero on the complement of the range of A.  The
+    vector vec(E) of an n x p matrix E reaches the eigenbasis as
+    V' (d * vec(G' E H)), whose entry (k, j) of G' E H sits at k + j*p.
+    """
 
     def __init__(self, data: DataSet, km: KernelMatrices):
         p = data.p
@@ -57,34 +66,68 @@ class RidgeSystem:
         # right-hand side V'b of the solve, b = d * vec(G' F H)
         self._rhs = self.V.T @ (self.d * (self.G.T @ data.F @ self.H).ravel(order="F"))
 
-    def shrink_factors(self, lam: float) -> np.ndarray:
-        """Spectral shrinkage s2 / (s2 + n * lambda), in [0, 1)."""
-        return self.s2 / (self.s2 + self.n * lam)
+    def _shifted(self, lam) -> np.ndarray:
+        """s2 + n * lambda, with one row per entry of a lambda array."""
+        return self.s2 + self.n * np.expand_dims(lam, -1)
 
-    def solve(self, lam: float) -> np.ndarray:
-        """Coefficient vector minimizing the penalized objective."""
-        z = self.V @ (self._rhs / (self.s2 + self.n * lam))
-        # Y = Q_C' X' Q_M, indexed [C eigenpair, M eigenpair], un-whitened by d
-        Y = (z * self.d).reshape(self.p, self.p, order="F")
-        return (self.Q_M @ Y.T @ self.Q_C.T).ravel(order="F")
+    def solve(self, lam) -> np.ndarray:
+        """Coefficient vector minimizing the penalized objective; (..., p^2)."""
+        z = (self._rhs / self._shifted(lam)) @ self.V.T
+        # Y' for Y = Q_C' X' Q_M, indexed [C eigenpair, M eigenpair], un-whitened by d
+        Yt = (z * self.d).reshape(*z.shape[:-1], self.p, self.p)
+        return (self.Q_M @ Yt @ self.Q_C.T).swapaxes(-1, -2).reshape(z.shape)
 
     def operator_matrix(self, c_hat: np.ndarray) -> np.ndarray:
         """p x p matrix mapping predictor coefficients to output coefficients.
 
-        Equals (K_L @ c_hat) reshaped, that is M_L X C' for c_hat = vec(X).
+        Equals (K_L @ c_hat) reshaped, that is M_L X C' for c_hat = vec(X);
+        a stack of coefficient vectors gives a stack of matrices.
         """
-        X = c_hat.reshape(self.p, self.p, order="F")
+        X = c_hat.reshape(*c_hat.shape[:-1], self.p, self.p).swapaxes(-1, -2)
         return self.km.M_L @ X @ self.km.C.T
 
     def fitted(self, c_hat: np.ndarray) -> np.ndarray:
-        return self.data.U @ self.operator_matrix(c_hat).T
+        """Fitted responses U D', (..., n, p) for (..., p^2) coefficients."""
+        return self.data.U @ self.operator_matrix(c_hat).swapaxes(-1, -2)
 
-    def trace(self, lam: float) -> float:
-        return float(self.shrink_factors(lam).sum())
+    def trace(self, lam):
+        """tr(S) = sum of the shrinkage factors s2 / (s2 + n lambda) in [0, 1)."""
+        return (self.s2 / self._shifted(lam)).sum(axis=-1)
 
     def cond_estimate(self, lam: float) -> float:
-        s2 = self.s2 + self.n * lam
+        s2 = self._shifted(lam)
         return float(s2.max() / s2.min())
+
+    def smooth(self, lam: float, cols: np.ndarray) -> np.ndarray:
+        """S @ cols for a stacked (n*p,) vector or (n*p, m) matrix."""
+        E = cols.reshape(self.n, self.p, -1, order="F")
+        proj = np.einsum("ik,ijm,jl->lkm", self.G, E, self.H, optimize=True)
+        y = self.d[:, None] * proj.reshape(self.d.size, -1)
+        inverse = 1.0 / self._shifted(lam)
+        z = self.d[:, None] * (self.V @ (inverse[:, None] * (self.V.T @ y)))
+        out = np.einsum("ik,lkm,jl->ijm", self.G, z.reshape(proj.shape), self.H, optimize=True)
+        return out.reshape(cols.shape, order="F")
+
+    def smoothed_sq_norms(
+        self, lam: float, residuals: np.ndarray, weights: np.ndarray
+    ) -> np.ndarray:
+        """||S vec(diag(w) residuals)||^2 for every row w of ``weights``.
+
+        Row i of ``outer`` is vec(G[i]' (residuals H)[i]), so one product
+        ``weights @ outer`` projects every row-weighted copy of the n x p
+        residuals.  Since V' A' A V = diag(s2), each norm is that of
+        V' (d * projection) * sqrt(s2) / (s2 + n lambda); no (n*p)-long
+        vector is formed.
+        """
+        outer = np.einsum("ij,ik->ijk", residuals @ self.H, self.G).reshape(self.n, -1)
+        inverse = 1.0 / self._shifted(lam)
+        core = ((weights @ outer) * self.d) @ self.V * (np.sqrt(self.s2) * inverse)
+        return np.einsum("bk,bk->b", core, core)
+
+    def smoother(self, lam: float) -> np.ndarray:
+        """The dense (n*p) x (n*p) smoothing matrix."""
+        basis = (np.kron(self.H, self.G) * self.d) @ self.V
+        return (basis * (1.0 / self._shifted(lam))) @ basis.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,66 +150,6 @@ class FitResult:
             "c_hat": self.c_hat.tolist(),
             "provenance": self.provenance,
         }
-
-
-@dataclass(frozen=True, eq=False)
-class SmoothingMatrix:
-    """S_lambda = A V diag(1 / (s2 + n lambda)) V' A' for A = (H kron G) diag(d).
-
-    The view of a RidgeSystem at one lambda; it reads G, H, d, V and s2
-    from the system and copies nothing.  V diag(s2) V' is the
-    eigendecomposition of A'A, so the eigenvalues of S are exactly
-    s2 / (s2 + n lambda) in [0, 1) (and zero on the complement of the range
-    of A), and its trace is the system's.  The vector vec(E) of an n x p
-    matrix E reaches the eigenbasis as V' (d * vec(G' E H)), whose entry
-    (k, j) of G' E H sits at k + j*p.
-    """
-
-    system: RidgeSystem
-    lam: float
-
-    @property
-    def n(self) -> int:
-        return self.system.n
-
-    @property
-    def p(self) -> int:
-        return self.system.p
-
-    def _inverse(self) -> np.ndarray:
-        return 1.0 / (self.system.s2 + self.n * self.lam)
-
-    def apply(self, cols: np.ndarray) -> np.ndarray:
-        """S @ cols for a stacked (n*p,) vector or (n*p, m) matrix."""
-        s = self.system
-        E = cols.reshape(self.n, self.p, -1, order="F")
-        proj = np.einsum("ik,ijm,jl->lkm", s.G, E, s.H, optimize=True)
-        y = s.d[:, None] * proj.reshape(s.d.size, -1)
-        z = s.d[:, None] * (s.V @ (self._inverse()[:, None] * (s.V.T @ y)))
-        out = np.einsum("ik,lkm,jl->ijm", s.G, z.reshape(proj.shape), s.H, optimize=True)
-        return out.reshape(cols.shape, order="F")
-
-    def smoothed_sq_norms(self, residuals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """||S vec(diag(w) residuals)||^2 for every row w of ``weights``.
-
-        Row i of ``outer`` is vec(G[i]' (residuals H)[i]), so one product
-        ``weights @ outer`` projects every row-weighted copy of the n x p
-        residuals.  Since V' A' A V = diag(s2), each norm is that of
-        V' (d * projection) * sqrt(s2) / (s2 + n lambda); no (n*p)-long
-        vector is formed.
-        """
-        s = self.system
-        outer = np.einsum("ij,ik->ijk", residuals @ s.H, s.G).reshape(self.n, -1)
-        core = ((weights @ outer) * s.d) @ s.V * (np.sqrt(s.s2) * self._inverse())
-        return np.einsum("bk,bk->b", core, core)
-
-    def trace(self) -> float:
-        return self.system.trace(self.lam)
-
-    def to_dense(self) -> np.ndarray:
-        s = self.system
-        basis = (np.kron(s.H, s.G) * s.d) @ s.V
-        return (basis * self._inverse()) @ basis.T
 
 
 def fit(data: DataSet, km: KernelMatrices, lam: float) -> FitResult:
@@ -199,23 +182,19 @@ def predict(fit_result: FitResult, u: FuncVec) -> FuncVec:
     return FuncVec(coeffs=dmat @ u.coeffs, basis=u.basis)
 
 
-def smoothing_matrix(data: DataSet, km: KernelMatrices, lam: float) -> SmoothingMatrix:
-    """The linear smoother mapping vec(F) to vec(F_hat) at this lambda."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    return SmoothingMatrix(RidgeSystem(data, km), lam)
-
-
 def rss(fit_result: FitResult, data: DataSet) -> float:
     """Residual sum of squares sum_i ||F_i - D_hat(U_i)||^2 in L2."""
     dmat = fit_result.system.operator_matrix(fit_result.c_hat)
     return float(np.sum((data.F - data.U @ dmat.T) ** 2))
 
 
-def gcv_value(rss_val: float, n: int, p: int, trace: float) -> float:
-    """GCV = n^{-1} RSS / (1 - tr(S)/(n p))^2; the operator trace is tr(S)/p."""
-    if trace / (n * p) >= 1.0:
-        raise GcvDegenerateError(trace, n, p)
+def gcv_value(rss_val, n: int, p: int, trace):
+    """GCV = n^{-1} RSS / (1 - tr(S)/(n p))^2; the operator trace is tr(S)/p.
+
+    Elementwise over arrays of RSS and trace values.
+    """
+    if np.any(np.asarray(trace) / (n * p) >= 1.0):
+        raise GcvDegenerateError(float(np.max(trace)), n, p)
     return rss_val / n / (1.0 - trace / (n * p)) ** 2
 
 
@@ -240,35 +219,29 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def lambda_path(system: RidgeSystem, grid) -> Iterator[tuple[SweepRow, np.ndarray]]:
-    """Yield (SweepRow, fitted responses) for each lambda, in the order given."""
+def lambda_path(system: RidgeSystem, grid) -> tuple[list[SweepRow], np.ndarray]:
+    """SweepRows and the (m, n, p) fitted responses for a grid of m lambdas, in its order."""
+    lams = np.asarray(grid, dtype=float)
     data = system.data
-    for lam in grid:
-        fitted = system.fitted(system.solve(lam))
-        rss_val = float(np.sum((data.F - fitted) ** 2))
-        trace = system.trace(lam)
-        gcv_val = gcv_value(rss_val, data.n, data.p, trace)
-        yield SweepRow(lam=lam, rss=rss_val, gcv=gcv_val, trace=trace), fitted
+    fitted = system.fitted(system.solve(lams))
+    rss_vals = np.sum((data.F - fitted) ** 2, axis=(-2, -1))
+    traces = system.trace(lams)
+    table = np.column_stack([lams, rss_vals, gcv_value(rss_vals, data.n, data.p, traces), traces])
+    return [SweepRow(*row) for row in table.tolist()], fitted
 
 
 def gcv_sweep(data: DataSet, km: KernelMatrices, lambda_grid) -> SweepResult:
     """Evaluate RSS/GCV/trace over a lambda grid and pick the GCV minimizer.
 
     The grid is processed in ascending order and ties resolve to the
-    smaller lambda (strict improvement required to move the argmin).
+    smaller lambda (the first minimum on the sorted grid).
     """
-    grid = sorted(float(l) for l in lambda_grid)
-    if not grid:
-        raise ValueError("lambda grid must be nonempty")
-    if grid[0] <= 0:
-        raise ValueError("lambda grid entries must be positive")
-    rows = []
-    best_lambda, best_gcv = None, np.inf
-    for row, _ in lambda_path(RidgeSystem(data, km), grid):
-        rows.append(row)
-        if row.gcv < best_gcv:
-            best_lambda, best_gcv = row.lam, row.gcv
-    return SweepResult(best_lambda=best_lambda, rows=tuple(rows))
+    grid = np.sort(np.asarray(lambda_grid, dtype=float))
+    if grid.size == 0 or not np.all(grid > 0):
+        raise ValueError(f"lambda grid must be nonempty and positive, got {list(lambda_grid)}")
+    rows, _ = lambda_path(RidgeSystem(data, km), grid)
+    best = int(np.argmin([row.gcv for row in rows]))
+    return SweepResult(best_lambda=rows[best].lam, rows=tuple(rows))
 
 
 def spectrum_diag(data: DataSet, km: KernelMatrices, top_m: int) -> np.ndarray:

@@ -68,8 +68,11 @@ class SimConfig:
             raise ValueError(f"omega must be >= 0, got {self.omega}")
         if self.eigen_sign not in ("minus", "plus"):
             raise ValueError(f"eigen_sign must be 'minus' or 'plus', got {self.eigen_sign!r}")
-        if not self.lambda_grid:
-            raise ValueError("lambda_grid must be nonempty")
+        grid = np.sort(np.asarray(self.lambda_grid, dtype=float))
+        if grid.size == 0 or not np.all(grid > 0):
+            raise ValueError(f"lambda_grid must be nonempty and positive, got {self.lambda_grid}")
+        # ascending, so the grid's neighbours are the refinement's neighbours
+        object.__setattr__(self, "lambda_grid", tuple(grid.tolist()))
 
 
 def true_multipliers(omega: float, p: int = 10, eigen_sign: str = "minus") -> np.ndarray:
@@ -106,13 +109,14 @@ def gen_dataset(
     return DataSet(U=U, F=F, basis=basis), mu
 
 
-def ess(fitted: np.ndarray, data: DataSet, true_multipliers: np.ndarray) -> float:
+def ess(fitted: np.ndarray, data: DataSet, true_multipliers: np.ndarray):
     """Error sum of squares sum_i ||(D_hat - D)(U_i)||^2.
 
     ``fitted`` is the (n, p) matrix of fitted response coefficients
-    D_hat(U_i) for the predictors of ``data``.
+    D_hat(U_i) for the predictors of ``data``, or a stack (..., n, p) of
+    them, which gives one sum per matrix.
     """
-    return float(np.sum((fitted - data.U * true_multipliers) ** 2))
+    return np.sum((fitted - data.U * true_multipliers) ** 2, axis=(-2, -1))
 
 
 def tss(data: DataSet, true_multipliers: np.ndarray) -> float:
@@ -191,23 +195,25 @@ class McReport:
 
 
 def _refine_ess_lambda(system, mu, grid, ess_grid, rounds):
-    """Log-space refinement of the ESS-minimizing lambda around the grid min."""
-    lams = list(map(float, grid))
-    vals = list(map(float, ess_grid))
+    """Log-space refinement of the ESS-minimizing lambda around the grid min.
+
+    Each round solves, in one call, 5 log-spaced candidates between the
+    neighbours of the minimum (a decade out past an end of the ascending
+    grid) that lie more than 1e-12 in log from every lambda already tried.
+    """
+    lams, vals = np.asarray(grid, dtype=float), np.asarray(ess_grid, dtype=float)
     for _ in range(rounds):
         i = int(np.argmin(vals))
         lo = lams[i - 1] if i > 0 else lams[i] / 10
-        hi = lams[i + 1] if i < len(lams) - 1 else lams[i] * 10
+        hi = lams[i + 1] if i < lams.size - 1 else lams[i] * 10
         candidates = np.exp(np.linspace(np.log(lo), np.log(hi), 7))[1:-1]
-        for lam in candidates:
-            if any(abs(np.log(lam / l)) < 1e-12 for l in lams):
-                continue
-            v = ess(system.fitted(system.solve(lam)), system.data, mu)
-            j = int(np.searchsorted(lams, lam))
-            lams.insert(j, float(lam))
-            vals.insert(j, v)
+        tried = np.any(np.abs(np.log(candidates[:, None] / lams)) < 1e-12, axis=1)
+        candidates = candidates[~tried]
+        j = np.searchsorted(lams, candidates)
+        lams = np.insert(lams, j, candidates)
+        vals = np.insert(vals, j, ess(system.fitted(system.solve(candidates)), system.data, mu))
     i = int(np.argmin(vals))
-    return lams[i], vals[i]
+    return float(lams[i]), float(vals[i])
 
 
 def _run_rep(
@@ -221,13 +227,11 @@ def _run_rep(
 ) -> tuple[RepRecord, GofResult | None]:
     data, mu = gen_dataset(config, np.random.default_rng(data_seed), basis)
     system = RidgeSystem(data, km)
-    grid = tuple(float(l) for l in config.lambda_grid)
+    grid = config.lambda_grid
 
-    rows, ess_l = [], []
-    for row, fitted in lambda_path(system, grid):
-        rows.append(row)
-        ess_l.append(ess(fitted, data, mu))
-    gcv_l = [row.gcv for row in rows]
+    rows, fitted = lambda_path(system, grid)
+    ess_l = ess(fitted, data, mu)
+    gcv_l = np.array([row.gcv for row in rows])
 
     gcv_best = grid[int(np.argmin(gcv_l))]
     ess_min_lam, ess_min_val = _refine_ess_lambda(system, mu, grid, ess_l, config.refine_rounds)
@@ -260,9 +264,9 @@ def _run_rep(
 
     record = RepRecord(
         rep=rep,
-        ess_lambda=np.array(ess_l),
+        ess_lambda=ess_l,
         rss_lambda=np.array([row.rss for row in rows]),
-        gcv_lambda=np.array(gcv_l),
+        gcv_lambda=gcv_l,
         trace_lambda=np.array([row.trace for row in rows]),
         gcv_best_lambda=gcv_best,
         ess_min_lambda=ess_min_lam,
@@ -344,7 +348,7 @@ def run_mc(config: SimConfig, max_workers: int = 1, progress: bool = False) -> M
 
     return McReport(
         config=config,
-        lambda_grid=tuple(float(l) for l in config.lambda_grid),
+        lambda_grid=config.lambda_grid,
         records=tuple(rec for rec, _ in results),
         skipped=tuple(skipped),
         bootstrap_dumps=tuple(

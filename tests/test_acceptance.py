@@ -28,7 +28,7 @@ from diffreg import (
 )
 from diffreg.gof import GOLDEN_MINUS, GOLDEN_PLUS
 from diffreg.kernels import psd_jitter
-from diffreg.regress import RidgeSystem, SmoothingMatrix
+from diffreg.regress import RidgeSystem
 
 from conftest import design_by_loops
 
@@ -199,8 +199,7 @@ def test_criterion_5_smoothing_matrix_properties():
         system = RidgeSystem(data, km)
         traces = []
         for lam in grid:
-            S = SmoothingMatrix(system, lam)
-            dense = S.to_dense()
+            dense = system.smoother(lam)
             worst_sym = max(
                 worst_sym, np.max(np.abs(dense - dense.T)) / max(np.max(np.abs(dense)), 1e-300)
             )
@@ -208,9 +207,10 @@ def test_criterion_5_smoothing_matrix_properties():
             worst_eig_lo = min(worst_eig_lo, float(eigs.min()))
             worst_eig_hi = max(worst_eig_hi, float(eigs.max()))
             fitted = system.fitted(system.solve(lam))
-            gap = np.linalg.norm(fitted.flatten(order="F") - S.apply(F.flatten(order="F")))
+            smoothed = system.smooth(lam, F.flatten(order="F"))
+            gap = np.linalg.norm(fitted.flatten(order="F") - smoothed)
             worst_consistency = max(worst_consistency, gap)
-            traces.append(S.trace())
+            traces.append(system.trace(lam))
         monotone = monotone and all(a > b for a, b in zip(traces, traces[1:]))
     ok = (
         worst_sym < 1e-10

@@ -470,6 +470,41 @@ def test_input_that_is_a_directory_is_a_data_error(tmp_path, capsys, command):
     _no_traceback_and_no_outputs(err, out)
 
 
+@pytest.mark.parametrize("at_line", [1, 400])
+@pytest.mark.parametrize("command", ["fit", "ingest"])
+def test_csv_that_is_not_utf8_is_a_data_error(tmp_path, capsys, command, at_line):
+    # the byte 0xff starts no UTF-8 sequence; at line 400 it lies past the
+    # first read buffer, so it reaches the bulk parse, whose ValueError
+    # handler must not take it for a malformed row
+    rng = np.random.default_rng(3)
+    if command == "fit":
+        path = tmp_path / "U.csv"
+        lines = ["u_1,u_2"] + [f"{a!r},{b!r}" for a, b in rng.uniform(-1, 1, (500, 2))]
+        doc = {
+            "dataset": {"u_csv": str(path), "f_csv": str(path)},
+            "basis": {"p": 2, "n_quad": 41},
+            "lambda": 1e3,
+        }
+        argv = ["fit", "--config", write_config(tmp_path, "fit.json", doc)]
+    else:
+        path = tmp_path / "tracks.csv"
+        rows = []
+        for i in range(4):
+            rows += synthetic_rows(f"s{i}", rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4))
+        lines = ["subject,log_p,T_real,T_pot"] + [",".join(row) for row in rows]
+        argv = ["ingest", "--preset", "era5", "--config",
+                write_config(tmp_path, "ingest.json", {"input": str(path)})]
+    payload = "\n".join(lines).encode()
+    cut = payload.index(b"\n", len("\n".join(lines[:at_line]).encode())) + 1
+    path.write_bytes(payload[:cut] + b"\xff" + payload[cut:])
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: not UTF-8 text: ")
+    assert "can't decode byte 0xff" in err
+    _no_traceback_and_no_outputs(err, out)
+
+
 def test_every_schema_passes_the_metaschema():
     import jsonschema
 

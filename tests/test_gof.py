@@ -15,7 +15,7 @@ from diffreg import (
     wild_multipliers,
 )
 from diffreg.gof import GOLDEN_MINUS, GOLDEN_PLUS
-from diffreg.regress import RidgeSystem, SmoothingMatrix
+from diffreg.regress import RidgeSystem
 
 from conftest import random_dataset
 
@@ -75,18 +75,14 @@ def test_wild_multiplier_moments():
 
 def test_qn_zero_residuals(basis_p3, km_p3):
     U, F = random_dataset(basis_p3, n=6, seed=5)
-    from diffreg import smoothing_matrix
-
-    S = smoothing_matrix(DataSet(U=U, F=F, basis=basis_p3), km_p3, lam=1.0)
-    assert qn_statistic(S, np.zeros((6, 3))) == 0.0
+    system = RidgeSystem(DataSet(U=U, F=F, basis=basis_p3), km_p3)
+    assert qn_statistic(system, 1.0, np.zeros((6, 3))) == 0.0
 
 
 def test_qn_zero_smoother(basis_p3, km_p3):
     U, F = random_dataset(basis_p3, n=6, seed=6)
-    from diffreg import smoothing_matrix
-
-    S = smoothing_matrix(DataSet(U=U, F=F, basis=basis_p3), km_p3, lam=1e15)
-    assert qn_statistic(S, np.ones((6, 3))) < 1e-12
+    system = RidgeSystem(DataSet(U=U, F=F, basis=basis_p3), km_p3)
+    assert qn_statistic(system, 1e15, np.ones((6, 3))) < 1e-12
 
 
 def test_qn_hand_computed_identity_smoother():
@@ -95,17 +91,15 @@ def test_qn_hand_computed_identity_smoother():
     # jitter, so Q_n = (1^2 + 2^2) / 2
     km = KernelMatrices(C=np.eye(2), M=np.eye(2), M_L=np.eye(2))
     data = DataSet(U=np.eye(2), F=np.zeros((2, 2)), basis=make_cosine_basis(2, 11))
-    S = SmoothingMatrix(RidgeSystem(data, km), lam=0.0)
-    assert qn_statistic(S, np.array([[1.0, 0.0], [2.0, 0.0]])) == pytest.approx(2.5)
+    system = RidgeSystem(data, km)
+    assert qn_statistic(system, 0.0, np.array([[1.0, 0.0], [2.0, 0.0]])) == pytest.approx(2.5)
 
 
 def test_qn_shape_check(basis_p3, km_p3):
     U, F = random_dataset(basis_p3, n=6, seed=7)
-    from diffreg import smoothing_matrix
-
-    S = smoothing_matrix(DataSet(U=U, F=F, basis=basis_p3), km_p3, lam=1.0)
+    system = RidgeSystem(DataSet(U=U, F=F, basis=basis_p3), km_p3)
     with pytest.raises(ValueError):
-        qn_statistic(S, np.zeros((5, 3)))
+        qn_statistic(system, 1.0, np.zeros((5, 3)))
 
 
 def test_bootstrap_rejects_small_B(basis_p3, km_p3):

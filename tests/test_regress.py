@@ -19,7 +19,6 @@ from diffreg import (
     neg_laplacian,
     predict,
     rss,
-    smoothing_matrix,
     spectrum_diag,
 )
 from diffreg.kernels import psd_jitter
@@ -144,26 +143,26 @@ def test_smoother_matches_predictions(basis_p3, km_p3):
     data = DataSet(U=U, F=F, basis=basis_p3)
     lam = 2.0
     result = fit(data, km_p3, lam)
-    S = smoothing_matrix(data, km_p3, lam)
+    system = RidgeSystem(data, km_p3)
     fitted = np.stack(
         [predict(result, FuncVec(U[i], basis_p3)).coeffs for i in range(data.n)]
     )
-    diff = fitted.flatten(order="F") - S.apply(F.flatten(order="F"))
+    diff = fitted.flatten(order="F") - system.smooth(lam, F.flatten(order="F"))
     assert np.linalg.norm(diff) < 1e-9
 
 
 def test_smoother_total_shrinkage(basis_p3, km_p3):
     U, F = random_dataset(basis_p3, n=6, seed=10)
     data = DataSet(U=U, F=F, basis=basis_p3)
-    S = smoothing_matrix(data, km_p3, lam=1e12)
-    assert S.trace() < 1e-6
-    assert np.max(np.abs(S.to_dense())) < 1e-6
+    system = RidgeSystem(data, km_p3)
+    assert system.trace(1e12) < 1e-6
+    assert np.max(np.abs(system.smoother(1e12))) < 1e-6
 
 
 def test_smoother_eigenvalues_in_unit_interval(basis_p3, km_p3):
     U, F = random_dataset(basis_p3, n=10, seed=11)
     data = DataSet(U=U, F=F, basis=basis_p3)
-    S = smoothing_matrix(data, km_p3, lam=0.5).to_dense()
+    S = RidgeSystem(data, km_p3).smoother(0.5)
     assert np.max(np.abs(S - S.T)) < 1e-10 * max(1.0, np.max(np.abs(S)))
     eigs = np.linalg.eigvalsh((S + S.T) / 2)
     assert eigs.min() >= -1e-10
@@ -173,8 +172,24 @@ def test_smoother_eigenvalues_in_unit_interval(basis_p3, km_p3):
 def test_trace_strictly_decreasing_in_lambda(basis_p3, km_p3):
     U, F = random_dataset(basis_p3, n=10, seed=12)
     data = DataSet(U=U, F=F, basis=basis_p3)
-    traces = [smoothing_matrix(data, km_p3, lam).trace() for lam in 10.0 ** np.arange(6)]
+    traces = RidgeSystem(data, km_p3).trace(10.0 ** np.arange(6))
     assert all(a > b for a, b in zip(traces, traces[1:]))
+
+
+def test_lambda_axis_broadcasts_and_scalars_stay_scalars(basis_p3, km_p3):
+    U, F = random_dataset(basis_p3, n=6, seed=19)
+    system = RidgeSystem(DataSet(U=U, F=F, basis=basis_p3), km_p3)
+    lams = np.array([0.1, 1.0, 10.0, 100.0])
+    c = system.solve(lams)
+    assert c.shape == (4, 9) and system.operator_matrix(c).shape == (4, 3, 3)
+    assert system.fitted(c).shape == (4, 6, 3) and system.trace(lams).shape == (4,)
+    for k, lam in enumerate(lams):
+        c_k = system.solve(lam)
+        assert c_k.shape == (9,) and system.fitted(c_k).shape == (6, 3)
+        assert np.max(np.abs(c_k - c[k])) <= 1e-12 * np.max(np.abs(c[k]))
+        # a 0-d array would not format as a float in the CLI's CSV writer
+        trace = system.trace(lam)
+        assert isinstance(trace, float) and trace == pytest.approx(system.trace(lams)[k])
 
 
 def test_rss_zero_for_perfect_fit(basis_p3, km_p3):
@@ -222,6 +237,8 @@ def test_gcv_sweep_validates_grid(basis_p3, km_p3):
         gcv_sweep(data, km_p3, [])
     with pytest.raises(ValueError):
         gcv_sweep(data, km_p3, [-1.0, 1.0])
+    with pytest.raises(ValueError):
+        gcv_sweep(data, km_p3, [1.0, float("nan")])
 
 
 def test_noiseless_rss_nondecreasing_in_lambda(basis_p3, km_p3):

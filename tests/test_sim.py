@@ -5,11 +5,16 @@ import pytest
 
 import diffreg.sim as sim
 from diffreg import (
+    KernelSpec,
+    RidgeSystem,
     SimConfig,
+    assemble,
     calibrate_sigma,
     ess,
     gen_dataset,
+    identity_op,
     make_cosine_basis,
+    neg_laplacian,
     replication_dataset,
     run_mc,
     true_multipliers,
@@ -154,6 +159,74 @@ def test_run_mc_factors_the_kernel_once(monkeypatch):
     assert sorted(shapes) == [(4, 4)] * 2 + [(16, 16)] * 3
 
 
+def test_run_mc_solves_once_per_round(monkeypatch):
+    real = RidgeSystem.solve
+    lams = []
+
+    def counting(self, lam):
+        lams.append(lam)
+        return real(self, lam)
+
+    monkeypatch.setattr(RidgeSystem, "solve", counting)
+    config = SimConfig(n=30, p=4, reps=3, B=100, seed=1)
+    run_mc(config, max_workers=1)
+    # the grid, one call per refinement round, and the bootstrap's fit
+    assert len(lams) <= (2 + config.refine_rounds) * config.reps
+    assert sum(np.size(lam) for lam in lams) > len(lams)
+
+
+def reference_refine(system, mu, grid, rounds):
+    """The ESS refinement as one solve per candidate, kept as the reference."""
+    lams = list(grid)
+    vals = [float(ess(system.fitted(system.solve(lam)), system.data, mu)) for lam in lams]
+    for _ in range(rounds):
+        i = int(np.argmin(vals))
+        lo = lams[i - 1] if i > 0 else lams[i] / 10
+        hi = lams[i + 1] if i < len(lams) - 1 else lams[i] * 10
+        for lam in np.exp(np.linspace(np.log(lo), np.log(hi), 7))[1:-1]:
+            if any(abs(np.log(lam / old)) < 1e-12 for old in lams):
+                continue
+            j = int(np.searchsorted(lams, lam))
+            lams.insert(j, float(lam))
+            vals.insert(j, float(ess(system.fitted(system.solve(lam)), system.data, mu)))
+    i = int(np.argmin(vals))
+    return lams[i], vals[i]
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 3])
+@pytest.mark.parametrize(
+    "grid", [(1e0, 1e1, 1e2, 1e3, 1e4, 1e5), (1e-3, 1e-2), (1e4, 1e5), (30.0,), (5.0, 5.0, 5.0)]
+)
+def test_refine_matches_the_per_candidate_loop(grid, rounds):
+    config = SimConfig(n=40, omega=0.84, eigen_sign="plus", lambda_grid=grid, seed=15)
+    data, mu = replication_dataset(config)
+    km = assemble(data.basis, neg_laplacian(), identity_op(), neg_laplacian(), KernelSpec(h=0.01))
+    system = RidgeSystem(data, km)
+    ess_grid = ess(system.fitted(system.solve(np.array(grid))), data, mu)
+    lam, value = sim._refine_ess_lambda(system, mu, config.lambda_grid, ess_grid, rounds)
+    want_lam, want_value = reference_refine(system, mu, config.lambda_grid, rounds)
+    assert lam == want_lam
+    assert value == pytest.approx(want_value, rel=1e-12)
+
+
+def test_permuted_lambda_grid_gives_identical_records():
+    base = dict(n=40, reps=3, seed=14, B=100, refine_rounds=2)
+    ascending = run_mc(SimConfig(lambda_grid=(1e0, 1e1, 1e2, 1e3, 1e4, 1e5), **base))
+    permuted = run_mc(SimConfig(lambda_grid=[1e3, 1e0, 1e5, 1e1, 1e4, 1e2], **base))
+    assert permuted.config.lambda_grid == permuted.lambda_grid == ascending.lambda_grid
+    for a, b in zip(ascending.records, permuted.records):
+        for name, value in vars(a).items():
+            np.testing.assert_array_equal(getattr(b, name), value, err_msg=name)
+
+
+def test_gcv_tie_resolves_to_the_smaller_lambda():
+    # at lambda this large the fit is zero to the last bit, so both GCV values are equal
+    config = SimConfig(n=40, seed=3, run_test=False, refine_rounds=0, lambda_grid=(1e301, 1e300))
+    record = run_mc(config).records[0]
+    assert record.gcv_lambda[0] == record.gcv_lambda[1]
+    assert record.gcv_best_lambda == 1e300
+
+
 @pytest.mark.parametrize("max_workers", [1, 3])
 def test_run_mc_fail_fast_and_skip(monkeypatch, max_workers):
     real = sim._run_rep
@@ -188,6 +261,11 @@ def test_config_validation():
         SimConfig(eigen_sign="negative")
     with pytest.raises(ValueError):
         SimConfig(omega=-1.0)
+    for grid in ((), (1.0, 0.0), (1.0, -1.0), (1.0, float("nan"))):
+        with pytest.raises(ValueError):
+            SimConfig(lambda_grid=grid)
+    grid = SimConfig(lambda_grid=[10, 1, 100]).lambda_grid
+    assert grid == (1.0, 10.0, 100.0) and all(type(lam) is float for lam in grid)
 
 
 def test_true_multipliers_signs():

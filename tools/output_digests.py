@@ -12,8 +12,9 @@ that claims no numerical change must leave the printed list unchanged:
     python tools/output_digests.py . OUT > after.txt
     diff before.txt after.txt
 
-The set covers simulate (a small table4 study under --threads 1 and 2, and
-a gcv_min/parametric cell with refine_rounds 3); sweep, fit, test and
+The set covers simulate (a small table4 study under --threads 1 and 2, the
+same study with its lambda grid reversed, and a gcv_min/parametric cell
+with refine_rounds 3); sweep, fit, test and
 spectrum on (p, n) = (10, 200), (20, 2000) and (10, 6) with no kernel
 cache, a cache written and a cache read; fit under four L kinds; and
 ``ingest --preset era5`` on a small trajectory CSV with repeated
@@ -42,6 +43,9 @@ FIT_L_KINDS = {
     "scaled": {"kind": "scaled_neg_laplacian", "param": 0.5},
 }
 SIM_SMALL_TABLE4 = {"reps": 8, "keep_bootstrap": 2, "dump_dataset": True}
+# simulate sorts its grid, so this cell's records and bootstrap files match
+# simulate_table4_t1's; only the config embedded in summary.json differs
+SIM_REVERSED_GRID = {**SIM_SMALL_TABLE4, "lambda_grid": [1e5, 1e4, 1e3, 1e2, 1e1, 1e0]}
 SIM_GCV_CELL = {
     "n": 100,
     "snr": 3.0,
@@ -135,6 +139,7 @@ def main(argv: list[str]) -> int:
     for threads in ("1", "2"):
         run("simulate", f"simulate_table4_t{threads}", SIM_SMALL_TABLE4,
             "--preset", "table4", "--threads", threads)
+    run("simulate", "simulate_table4_reversed_grid", SIM_REVERSED_GRID, "--preset", "table4")
     run("simulate", "simulate_gcv_parametric", SIM_GCV_CELL)
 
     for seed, (label, (p, n)) in enumerate(DATASETS.items()):
