@@ -310,30 +310,24 @@ def _write(out: str, name: str, payload: bytes) -> None:
         fh.write(payload)
 
 
+def _given(section: dict, *keys: str) -> dict:
+    """The entries of ``section`` under ``keys`` that the config sets; the callee owns the rest."""
+    return {key: section[key] for key in keys if key in section}
+
+
 def _build_basis(config: dict):
-    basis_cfg = config["basis"]
     with _from_config():
-        return make_cosine_basis(
-            p=basis_cfg["p"],
-            n_quad=basis_cfg.get("n_quad", 201),
-            interval=tuple(basis_cfg.get("interval", (0.0, 1.0))),
-        )
+        return make_cosine_basis(**config["basis"])
 
 
 def _build_kernels(config: dict, basis):
     kcfg = config.get("kernel", {})
     with _from_config():
         P, B, L = (
-            LinearOpSpec(spec["kind"], spec.get("param", 0.0))
-            for spec in (
-                kcfg.get("P", {"kind": "neg_laplacian"}),
-                kcfg.get("B", {"kind": "identity"}),
-                kcfg.get("L", {"kind": "neg_laplacian"}),
-            )
+            LinearOpSpec(**kcfg.get(role, {"kind": kind}))
+            for role, kind in (("P", "neg_laplacian"), ("B", "identity"), ("L", "neg_laplacian"))
         )
-        spec = KernelSpec(
-            h=kcfg.get("h", 0.01), include_boundary=kcfg.get("include_boundary", True)
-        )
+        spec = KernelSpec(h=kcfg.get("h", 0.01), **_given(kcfg, "include_boundary"))
     cache = kcfg.get("cache")
     if cache and os.path.exists(cache):
         km = load_kernel_matrices(cache)
@@ -377,7 +371,7 @@ def cmd_simulate(config: dict, out: str, threads: int) -> None:
         cells[label] = report.summary()
         header = []
         for name in names:
-            lam_columns = [f"{name.removesuffix('lambda')}lam_{lam:g}" for lam in report.lambda_grid]
+            lam_columns = [f"{name.removesuffix('lambda')}lam_{lam:g}" for lam in cfg.lambda_grid]
             header += lam_columns if name in arrays else [name]
         rows = [
             [
@@ -410,7 +404,8 @@ def cmd_fit(config: dict, out: str, threads: int) -> None:
 def cmd_sweep(config: dict, out: str, threads: int) -> None:
     _, km, data = _load_inputs(config)
     result = gcv_sweep(data, km, config["lambda_grid"])
-    rows = [[r.lam, r.rss, r.gcv, r.trace] for r in result.rows]
+    columns = (result.lambdas, result.rss, result.gcv, result.trace)
+    rows = zip(*(column.tolist() for column in columns))
     _write(out, "sweep.csv", _csv_bytes(["lambda", "rss", "gcv", "trace"], rows))
     doc = {**_provenance(config), "best_lambda": result.best_lambda}
     _write(out, "sweep.json", _json_bytes(doc))
@@ -420,13 +415,7 @@ def cmd_test(config: dict, out: str, threads: int) -> None:
     basis, km, data = _load_inputs(config)
     family = ParamFamily.scaled_neg_laplacian(basis)
     result = bootstrap_test(
-        data,
-        km,
-        config["lambda"],
-        family,
-        B=config.get("B", 200),
-        strategy=config.get("strategy", "mixed"),
-        seed=config.get("seed", 0),
+        data, km, config["lambda"], family, **_given(config, "B", "strategy", "seed")
     )
     alpha = config.get("alpha", 0.05)
     doc = {
@@ -524,8 +513,15 @@ def resolve_config(command: str, preset: str | None, config_path: str | None, se
         if expected != command:
             raise ValueError(f"preset {preset!r} is for the {expected!r} command")
     if config_path is not None:
+        def finite(literal: str) -> float:
+            # parse_constant sees NaN and Infinity; parse_float sees 1e999, which float reads as inf
+            value = float(literal)
+            if not np.isfinite(value):
+                raise ValueError(f"{config_path}: non-finite number {literal}")
+            return value
+
         with open(config_path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=finite, parse_float=finite)
         if not isinstance(doc, dict):
             raise ValueError(f"{config_path} must hold a JSON object")
         merged = _deep_merge(merged, doc)

@@ -160,8 +160,9 @@ def bootstrap_test(
 
     Replicate multipliers are drawn from per-replicate RNG streams spawned
     from ``seed``, so results are reproducible and independent of any
-    execution order.  ``system``, when given, is the RidgeSystem already
-    built for (data, km); the test then factors nothing.
+    execution order.  ``system``, when given, must be the RidgeSystem
+    already built for these very ``data`` and ``km`` objects; the test then
+    factors nothing.
     """
     if B < 100:
         raise ValueError(f"B must be >= 100, got {B}")
@@ -171,6 +172,8 @@ def bootstrap_test(
         raise ValueError(f"lambda must be positive, got {lam}")
     if system is None:
         system = RidgeSystem(data, km)
+    elif system.data is not data or system.km is not km:
+        raise ValueError("system was built for another dataset or other kernel matrices")
     n = data.n
 
     theta = fit_parametric(data, family)

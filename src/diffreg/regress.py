@@ -26,7 +26,7 @@ them.  Factoring costs O(n p^2 + p^6), against O(n p^5) for an SVD of the
 leading lambda axis as numpy functions do: a scalar lambda gives one
 result, an array of m lambdas gives m rows from the one eigendecomposition.
 ``smooth``, ``smoothed_sq_norms`` and ``smoother`` apply the smoothing
-matrix at one lambda.
+matrix at one lambda; ``smoother`` is ``smooth`` of the identity.
 """
 
 from __future__ import annotations
@@ -125,9 +125,8 @@ class RidgeSystem:
         return np.einsum("bk,bk->b", core, core)
 
     def smoother(self, lam: float) -> np.ndarray:
-        """The dense (n*p) x (n*p) smoothing matrix."""
-        basis = (np.kron(self.H, self.G) * self.d) @ self.V
-        return (basis * (1.0 / self._shifted(lam))) @ basis.T
+        """The dense (n*p) x (n*p) smoothing matrix, ``smooth`` applied to the identity."""
+        return self.smooth(lam, np.eye(self.n * self.p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,49 +198,50 @@ def gcv_value(rss_val, n: int, p: int, trace):
 
 
 def gcv(fit_result: FitResult, data: DataSet) -> float:
-    """Generalized cross-validation score of a fit."""
+    """Generalized cross-validation score of a fit, on the dataset it was fitted to."""
+    if data is not fit_result.system.data:
+        raise ValueError("gcv needs the dataset the fit was computed from")
     return gcv_value(
         rss(fit_result, data), data.n, data.p, fit_result.system.trace(fit_result.lam)
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    lam: float
-    rss: float
-    gcv: float
-    trace: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    best_lambda: float
-    rows: tuple[SweepRow, ...]
+    """RSS, GCV and trace tr(S) at each lambda of a grid, as (m,) arrays in grid order."""
+
+    lambdas: np.ndarray
+    rss: np.ndarray
+    gcv: np.ndarray
+    trace: np.ndarray
+
+    @property
+    def best_lambda(self) -> float:
+        """The GCV minimizer; a tie goes to the first, the smaller lambda on an ascending grid."""
+        return float(self.lambdas[np.argmin(self.gcv)])
 
 
-def lambda_path(system: RidgeSystem, grid) -> tuple[list[SweepRow], np.ndarray]:
-    """SweepRows and the (m, n, p) fitted responses for a grid of m lambdas, in its order."""
+def lambda_path(system: RidgeSystem, grid) -> tuple[SweepResult, np.ndarray]:
+    """The sweep and the (m, n, p) fitted responses for a grid of m lambdas, in its order."""
     lams = np.asarray(grid, dtype=float)
     data = system.data
     fitted = system.fitted(system.solve(lams))
     rss_vals = np.sum((data.F - fitted) ** 2, axis=(-2, -1))
     traces = system.trace(lams)
-    table = np.column_stack([lams, rss_vals, gcv_value(rss_vals, data.n, data.p, traces), traces])
-    return [SweepRow(*row) for row in table.tolist()], fitted
+    gcv_vals = gcv_value(rss_vals, data.n, data.p, traces)
+    return SweepResult(lambdas=lams, rss=rss_vals, gcv=gcv_vals, trace=traces), fitted
 
 
 def gcv_sweep(data: DataSet, km: KernelMatrices, lambda_grid) -> SweepResult:
-    """Evaluate RSS/GCV/trace over a lambda grid and pick the GCV minimizer.
+    """Evaluate RSS/GCV/trace over a lambda grid, sorted ascending.
 
-    The grid is processed in ascending order and ties resolve to the
-    smaller lambda (the first minimum on the sorted grid).
+    ``best_lambda`` of the result is the GCV minimizer, the smaller lambda
+    on a tie.
     """
     grid = np.sort(np.asarray(lambda_grid, dtype=float))
     if grid.size == 0 or not np.all(grid > 0):
         raise ValueError(f"lambda grid must be nonempty and positive, got {list(lambda_grid)}")
-    rows, _ = lambda_path(RidgeSystem(data, km), grid)
-    best = int(np.argmin([row.gcv for row in rows]))
-    return SweepResult(best_lambda=rows[best].lam, rows=tuple(rows))
+    return lambda_path(RidgeSystem(data, km), grid)[0]
 
 
 def spectrum_diag(data: DataSet, km: KernelMatrices, top_m: int) -> np.ndarray:

@@ -150,7 +150,6 @@ class McReport:
     """All replication records plus the settings that produced them."""
 
     config: SimConfig
-    lambda_grid: tuple
     records: tuple[RepRecord, ...]
     skipped: tuple = ()
     bootstrap_dumps: tuple = field(default=(), repr=False)
@@ -178,7 +177,7 @@ class McReport:
             "tss": mean_se([r.tss for r in recs]),
             "ess_min": mean_se([r.ess_min_value for r in recs]),
         }
-        for idx, lam in enumerate(self.lambda_grid):
+        for idx, lam in enumerate(self.config.lambda_grid):
             out["per_lambda"][f"{lam:g}"] = {
                 "ess": mean_se([r.ess_lambda[idx] for r in recs]),
                 "gcv": mean_se([r.gcv_lambda[idx] for r in recs]),
@@ -229,11 +228,8 @@ def _run_rep(
     system = RidgeSystem(data, km)
     grid = config.lambda_grid
 
-    rows, fitted = lambda_path(system, grid)
+    path, fitted = lambda_path(system, grid)
     ess_l = ess(fitted, data, mu)
-    gcv_l = np.array([row.gcv for row in rows])
-
-    gcv_best = grid[int(np.argmin(gcv_l))]
     ess_min_lam, ess_min_val = _refine_ess_lambda(system, mu, grid, ess_l, config.refine_rounds)
 
     theta = fit_parametric(data, family)
@@ -246,7 +242,7 @@ def _run_rep(
         if config.test_lambda == "ess_min":
             test_lambda = ess_min_lam
         elif config.test_lambda == "gcv_min":
-            test_lambda = gcv_best
+            test_lambda = path.best_lambda
         else:
             test_lambda = float(config.test_lambda)
         gof = bootstrap_test(
@@ -265,10 +261,10 @@ def _run_rep(
     record = RepRecord(
         rep=rep,
         ess_lambda=ess_l,
-        rss_lambda=np.array([row.rss for row in rows]),
-        gcv_lambda=gcv_l,
-        trace_lambda=np.array([row.trace for row in rows]),
-        gcv_best_lambda=gcv_best,
+        rss_lambda=path.rss,
+        gcv_lambda=path.gcv,
+        trace_lambda=path.trace,
+        gcv_best_lambda=path.best_lambda,
         ess_min_lambda=ess_min_lam,
         ess_min_value=ess_min_val,
         theta_hat=theta.theta,
@@ -348,7 +344,6 @@ def run_mc(config: SimConfig, max_workers: int = 1, progress: bool = False) -> M
 
     return McReport(
         config=config,
-        lambda_grid=config.lambda_grid,
         records=tuple(rec for rec, _ in results),
         skipped=tuple(skipped),
         bootstrap_dumps=tuple(

@@ -449,6 +449,26 @@ def test_unusable_config_or_out_is_a_config_error(tmp_path, capsys, case):
     assert case != "out_is_a_file" or out.read_text() == ""
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize(
+    "command, setting",
+    [("fit", '"lambda": {}'), ("sweep", '"lambda_grid": [1.0, {}]'),
+     ("test", '"lambda": 1.0, "kernel": {{"h": {}}}')],
+    ids=["fit", "sweep", "test"],
+)
+def test_non_finite_config_number_is_a_config_error(tmp_path, capsys, command, setting, literal):
+    cfg = tmp_path / f"{command}.json"
+    cfg.write_text(
+        '{"dataset": {"u_csv": "U.csv", "f_csv": "F.csv"}, "basis": {"p": 4}, '
+        + setting.format(literal) + "}"
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: non-finite number {literal}")
+    _no_traceback_and_no_outputs(err, out)
+
+
 @pytest.mark.parametrize("command", ["fit", "ingest"])
 def test_input_that_is_a_directory_is_a_data_error(tmp_path, capsys, command):
     folder = tmp_path / "folder"

@@ -7,10 +7,14 @@ from diffreg import (
     DataSet,
     DegenerateDesignError,
     KernelMatrices,
+    KernelSpec,
     ParamFamily,
+    assemble,
     bootstrap_test,
     fit_parametric,
+    identity_op,
     make_cosine_basis,
+    neg_laplacian,
     qn_statistic,
     wild_multipliers,
 )
@@ -125,6 +129,23 @@ def test_bootstrap_reproducible_bitwise(basis_p3, km_p3):
     assert r1.q_n == r2.q_n
     assert np.array_equal(r1.bootstrap_values, r2.bootstrap_values)
     assert r1.p_value == r2.p_value
+
+
+def test_bootstrap_system_must_be_built_from_the_same_objects(basis_p3, km_p3):
+    U, F = random_dataset(basis_p3, n=10, seed=12)
+    data = DataSet(U=U, F=F, basis=basis_p3)
+    other = DataSet(U=U, F=F[::-1].copy(), basis=basis_p3)
+    family = laplacian_family(basis_p3)
+    own = bootstrap_test(data, km_p3, 1.0, family, B=100, system=RidgeSystem(data, km_p3))
+    fresh = bootstrap_test(data, km_p3, 1.0, family, B=100)
+    assert own.q_n == fresh.q_n
+    assert np.array_equal(own.bootstrap_values, fresh.bootstrap_values)
+    other_km = assemble(
+        basis_p3, neg_laplacian(), identity_op(), neg_laplacian(), KernelSpec(h=0.3)
+    )
+    for system in (RidgeSystem(other, km_p3), RidgeSystem(data, other_km)):
+        with pytest.raises(ValueError, match="another dataset or other kernel matrices"):
+            bootstrap_test(data, km_p3, 1.0, family, B=100, system=system)
 
 
 def test_bootstrap_seed_changes_replicates(basis_p3, km_p3):

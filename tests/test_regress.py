@@ -208,6 +208,17 @@ def test_rss_and_gcv_null_model_limit(basis_p3, km_p3):
     assert abs(gcv(result, data) - total / data.n) < 2e-3 * total / data.n
 
 
+def test_gcv_rejects_other_data_and_rss_accepts_it(basis_p3, km_p3):
+    U, F = random_dataset(basis_p3, n=8, seed=22)
+    data = DataSet(U=U, F=F, basis=basis_p3)
+    other = DataSet(U=U, F=F + 0.5, basis=basis_p3)
+    result = fit(data, km_p3, lam=1.0)
+    with pytest.raises(ValueError, match="dataset the fit was computed from"):
+        gcv(result, other)
+    # a held-out residual sum of squares is meaningful
+    assert rss(result, other) > rss(result, data)
+
+
 def test_gcv_degenerate_denominator():
     with pytest.raises(GcvDegenerateError) as excinfo:
         gcv_value(1.0, n=2, p=2, trace=4.0)
@@ -219,7 +230,8 @@ def test_gcv_sweep_single_element(basis_p3, km_p3):
     data = DataSet(U=U, F=F, basis=basis_p3)
     result = gcv_sweep(data, km_p3, [7.5])
     assert result.best_lambda == 7.5
-    assert len(result.rows) == 1
+    for values in (result.lambdas, result.rss, result.gcv, result.trace):
+        assert values.shape == (1,)
 
 
 def test_gcv_sweep_tie_prefers_smaller_lambda(basis_p3, km_p3):
@@ -227,7 +239,26 @@ def test_gcv_sweep_tie_prefers_smaller_lambda(basis_p3, km_p3):
     data = DataSet(U=U, F=F, basis=basis_p3)
     result = gcv_sweep(data, km_p3, [3.0, 3.0])
     assert result.best_lambda == 3.0
-    assert [row.lam for row in result.rows] == [3.0, 3.0]
+    assert result.lambdas.tolist() == [3.0, 3.0]
+    assert result.gcv[0] == result.gcv[1]
+
+
+def test_gcv_sweep_sorts_the_grid_and_picks_the_gcv_minimum(basis_p3, km_p3):
+    U, F = random_dataset(basis_p3, n=12, seed=21)
+    data = DataSet(U=U, F=F, basis=basis_p3)
+    grid = [1e2, 1e-2, 1e4, 1e0, 1e-1, 1e3, 1e1]
+    result = gcv_sweep(data, km_p3, grid)
+    np.testing.assert_array_equal(result.lambdas, sorted(grid))
+    for values in (result.rss, result.gcv, result.trace):
+        assert values.shape == (len(grid),)
+    assert type(result.best_lambda) is float
+    assert result.best_lambda == result.lambdas[np.argmin(result.gcv)]
+    system = RidgeSystem(data, km_p3)
+    for k, lam in enumerate(result.lambdas):
+        single = fit(data, km_p3, lam)
+        assert result.rss[k] == pytest.approx(rss(single, data), rel=1e-9)
+        assert result.gcv[k] == pytest.approx(gcv(single, data), rel=1e-9)
+        assert result.trace[k] == pytest.approx(system.trace(lam), rel=1e-12)
 
 
 def test_gcv_sweep_validates_grid(basis_p3, km_p3):
@@ -246,7 +277,7 @@ def test_noiseless_rss_nondecreasing_in_lambda(basis_p3, km_p3):
     F = U * (np.arange(1, 4) * np.pi) ** 2
     data = DataSet(U=U, F=F, basis=basis_p3)
     result = gcv_sweep(data, km_p3, 10.0 ** np.arange(-2, 5))
-    rss_vals = [row.rss for row in result.rows]
+    rss_vals = result.rss.tolist()
     assert all(a <= b + 1e-12 for a, b in zip(rss_vals, rss_vals[1:]))
 
 

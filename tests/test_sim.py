@@ -11,6 +11,7 @@ from diffreg import (
     assemble,
     calibrate_sigma,
     ess,
+    gcv_sweep,
     gen_dataset,
     identity_op,
     make_cosine_basis,
@@ -213,10 +214,25 @@ def test_permuted_lambda_grid_gives_identical_records():
     base = dict(n=40, reps=3, seed=14, B=100, refine_rounds=2)
     ascending = run_mc(SimConfig(lambda_grid=(1e0, 1e1, 1e2, 1e3, 1e4, 1e5), **base))
     permuted = run_mc(SimConfig(lambda_grid=[1e3, 1e0, 1e5, 1e1, 1e4, 1e2], **base))
-    assert permuted.config.lambda_grid == permuted.lambda_grid == ascending.lambda_grid
+    assert permuted.config.lambda_grid == ascending.config.lambda_grid
     for a, b in zip(ascending.records, permuted.records):
         for name, value in vars(a).items():
             np.testing.assert_array_equal(getattr(b, name), value, err_msg=name)
+
+
+def test_records_share_the_sweep_computation():
+    config = SimConfig(n=40, seed=8, run_test=False, refine_rounds=0,
+                       lambda_grid=[1e3, 1e0, 1e5, 1e1, 1e4, 1e2])
+    record = run_mc(config).records[0]
+    data, _ = replication_dataset(config, 0)
+    km = assemble(
+        data.basis, neg_laplacian(), identity_op(), neg_laplacian(), KernelSpec(h=config.h)
+    )
+    sweep = gcv_sweep(data, km, config.lambda_grid)
+    np.testing.assert_array_equal(record.rss_lambda, sweep.rss)
+    np.testing.assert_array_equal(record.gcv_lambda, sweep.gcv)
+    np.testing.assert_array_equal(record.trace_lambda, sweep.trace)
+    assert record.gcv_best_lambda == sweep.best_lambda
 
 
 def test_gcv_tie_resolves_to_the_smaller_lambda():

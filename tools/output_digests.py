@@ -16,7 +16,8 @@ The set covers simulate (a small table4 study under --threads 1 and 2, the
 same study with its lambda grid reversed, and a gcv_min/parametric cell
 with refine_rounds 3); sweep, fit, test and
 spectrum on (p, n) = (10, 200), (20, 2000) and (10, 6) with no kernel
-cache, a cache written and a cache read; fit under four L kinds; and
+cache, a cache written and a cache read; sweep at (10, 200) with its grid
+reversed; fit under four L kinds; and
 ``ingest --preset era5`` on a small trajectory CSV with repeated
 ordinates, a subject split across the file and a subject that fails the
 end gate.
@@ -159,6 +160,10 @@ def main(argv: list[str]) -> int:
             for command, settings in commands.items():
                 run(command, f"{command}_{label}_{mode}", {**base, **settings, "kernel": kernel})
         if label == "p10_n200":
+            # sweep sorts its grid, so this sweep.csv matches sweep_p10_n200_nocache's;
+            # only the config embedded in sweep.json differs
+            reversed_sweep = {"lambda_grid": commands["sweep"]["lambda_grid"][::-1], "kernel": {}}
+            run("sweep", f"sweep_{label}_reversed", {**base, **reversed_sweep})
             for kind, L in FIT_L_KINDS.items():
                 run("fit", f"fit_{label}_L_{kind}", {**base, "lambda": 10.0, "kernel": {"L": L}})
 
