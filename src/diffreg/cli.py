@@ -58,7 +58,7 @@ from .kernels import (
 )
 from .presets import get_preset
 from .regress import fit, gcv_sweep, spectrum_diag
-from .sim import RepRecord, SimConfig, replication_dataset, run_mc
+from .sim import RepRecord, SimConfig, mc_kernels, replication_dataset, run_mc
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG, EXIT_DATA = 0, 1, 2, 3
 
@@ -115,7 +115,7 @@ _DATASET_SCHEMA = {
 _META_PROPS = {
     "command": {"type": "string"},
     "description": {"type": "string"},
-    "seed": {"type": "integer"},
+    "seed": {"type": "integer", "minimum": 0},
 }
 _DS_PROPS = {
     **_META_PROPS,
@@ -363,10 +363,12 @@ def cmd_simulate(config: dict, out: str, threads: int) -> None:
     arrays = {name for name, t in typing.get_type_hints(RepRecord).items() if t is np.ndarray}
     with _from_config():
         cfgs = [SimConfig(omega=float(omega), **base) for omega in config["omegas"]]
+    # the cells differ in omega only, so they share one basis and kernel
+    kernels = mc_kernels(cfgs[0])
     cells = {}
     progress = sys.stderr.isatty()
     for omega, cfg in zip(config["omegas"], cfgs):
-        report = run_mc(cfg, max_workers=threads, progress=progress)
+        report = run_mc(cfg, max_workers=threads, progress=progress, kernels=kernels)
         label = f"omega={omega:g}"
         cells[label] = report.summary()
         header = []
@@ -390,7 +392,7 @@ def cmd_simulate(config: dict, out: str, threads: int) -> None:
             )
     _write(out, "summary.json", _json_bytes({**_provenance(config), "cells": cells}))
     if config.get("dump_dataset"):
-        data, _ = replication_dataset(cfgs[0], rep=0)
+        data, _ = replication_dataset(cfgs[0], rep=0, basis=kernels[0])
         save_dataset(data, os.path.join(out, "U.csv"), os.path.join(out, "F.csv"))
 
 
@@ -495,11 +497,31 @@ COMMANDS = {
 }
 
 
+def _float_sized_type(validator, types, instance, schema):
+    """The ``type`` keyword, under which a "number" must also fit in a float.
+
+    JSON integers parse as Python ints of any size; one past the float range
+    would otherwise reach the numerics as an OverflowError.  The "number"
+    type itself is left alone, so ``minimum`` still checks a huge integer.
+    """
+    base_type = jsonschema.Draft202012Validator.VALIDATORS["type"]
+    yield from base_type(validator, types, instance, schema)
+    if types == "number" and isinstance(instance, int) and not isinstance(instance, bool):
+        try:
+            float(instance)
+        except OverflowError:
+            digits = len(str(abs(instance)))
+            message = f"an integer of {digits} digits does not fit in a float"
+            yield jsonschema.ValidationError(message)
+
+
 @functools.cache
 def _validator(command: str):
     """The validator of one command's schema, built on first use."""
-    schema = SCHEMAS[command]
-    return jsonschema.validators.validator_for(schema)(schema)
+    validator = jsonschema.validators.extend(
+        jsonschema.Draft202012Validator, {"type": _float_sized_type}
+    )
+    return validator(SCHEMAS[command])
 
 
 def resolve_config(command: str, preset: str | None, config_path: str | None, seed: int | None) -> dict:

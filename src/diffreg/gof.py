@@ -13,6 +13,7 @@ golden-ratio multipliers whose first three moments are 0, 1, 1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,17 @@ _SQRT5 = np.sqrt(5.0)
 GOLDEN_PLUS = (1.0 + _SQRT5) / 2.0
 GOLDEN_MINUS = (1.0 - _SQRT5) / 2.0
 GOLDEN_PLUS_PROB = (_SQRT5 - 1.0) / (2.0 * _SQRT5)
+_WILD_SUPPORT = np.array([GOLDEN_MINUS, GOLDEN_PLUS])
+_WILD_SUPPORT.flags.writeable = False
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# generate_state(4, uint64) draws 8 words; word i uses _STATE_CONST[i] and [i + 1]
+_STATE_CONST = np.array([_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(9)], np.uint32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +112,63 @@ def wild_multipliers(n: int, rng: np.random.Generator) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return np.where(rng.random(n) < GOLDEN_PLUS_PROB, GOLDEN_PLUS, GOLDEN_MINUS)
+    return _WILD_SUPPORT.take(rng.random(n) < GOLDEN_PLUS_PROB)
+
+
+def _spawned_pcg64_states(seed: int, B: int) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64(child) for each child of SeedSequence(seed).spawn(B).
+
+    Child b mixes the spawn key word b into the parent's pool exactly as
+    SeedSequence.mix_entropy would, then runs generate_state(4, uint64) and
+    PCG64's srandom, with all B children in one uint32 array pass.  Child
+    B - 1 is checked against numpy itself, so a change of numpy's seeding
+    raises instead of changing the streams.
+    """
+    # the parent's pool has consumed 4 fill and 12 cross hashes, plus 4 per word past the 4th
+    words = max(1, -(-seed.bit_length() // 32))
+    first = _INIT_A * pow(_MULT_A, 16 + 4 * max(words - 4, 0), 1 << 32)
+    hash_const = np.array([first * pow(_MULT_A, k, 1 << 32) & _MASK32 for k in range(5)], np.uint32)
+    hashed = (np.arange(B, dtype=np.uint32)[:, None] ^ hash_const[:-1]) * hash_const[1:]
+    hashed ^= hashed >> 16
+    parent_pool = np.random.SeedSequence(seed).pool
+    pool = parent_pool * np.uint32(_MIX_MULT_L) - hashed * np.uint32(_MIX_MULT_R)
+    pool ^= pool >> 16
+    state_words = (np.tile(pool, 2) ^ _STATE_CONST[:-1]) * _STATE_CONST[1:]
+    state_words ^= state_words >> 16
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in state_words.astype("<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    check = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(B - 1,))).state["state"]
+    if states[-1] != (check["state"], check["inc"]):
+        raise RuntimeError("derived bootstrap streams disagree with numpy's SeedSequence.spawn")
+    return states
+
+
+def bootstrap_multipliers(n: int, B: int, seed: int) -> np.ndarray:
+    """The (B, n) wild multipliers of the bootstrap replicates drawn from ``seed``.
+
+    Row b is ``wild_multipliers(n, default_rng(SeedSequence(seed).spawn(B)[b]))``
+    bit for bit.  The child generator states are derived directly, and one
+    PCG64 per call is re-seeded for each row, so concurrent calls share nothing.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if B < 1:
+        raise ValueError(f"B must be >= 1, got {B}")
+    bitgen = np.random.PCG64(0)  # re-seeded for every row below
+    rng = np.random.Generator(bitgen)
+    rows = []
+    for state, inc in _spawned_pcg64_states(seed, B):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        rows.append(wild_multipliers(n, rng))
+    return np.stack(rows)
 
 
 def qn_statistic(system: RidgeSystem, lam: float, residuals: np.ndarray) -> float:
@@ -158,9 +226,12 @@ def bootstrap_test(
     round(B/3) replicates use the null residuals and the rest the fit
     residuals.  The p-value is 1 - B^{-1} #{b : Q_n >= Q_n^b}.
 
-    Replicate multipliers are drawn from per-replicate RNG streams spawned
-    from ``seed``, so results are reproducible and independent of any
-    execution order.  ``system``, when given, must be the RidgeSystem
+    Replicate b draws its multipliers from child b of
+    ``SeedSequence(seed).spawn(B)`` through ``default_rng``, so results are
+    reproducible and independent of any execution order; the child states
+    are derived exactly in one vectorized pass rather than spawned (see
+    ``bootstrap_multipliers``).  ``seed`` must be a non-negative integer.
+    ``system``, when given, must be the RidgeSystem
     already built for these very ``data`` and ``km`` objects; the test then
     factors nothing.
     """
@@ -187,8 +258,7 @@ def bootstrap_test(
     if strategy == "mixed":
         n_para = int(round(B / 3))
 
-    streams = np.random.SeedSequence(seed).spawn(B)
-    deltas = np.stack([wild_multipliers(n, np.random.default_rng(s)) for s in streams])
+    deltas = bootstrap_multipliers(n, B, seed)
     q_boot = np.concatenate([
         system.smoothed_sq_norms(lam, eps_null, deltas[:n_para]),
         system.smoothed_sq_norms(lam, eps_fit, deltas[n_para:]),

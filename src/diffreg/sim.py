@@ -27,11 +27,13 @@ from .kernels import (
     KernelSpec,
     assemble,
     identity_op,
+    kernel_provenance,
     neg_laplacian,
 )
 from .regress import RidgeSystem, lambda_path
 
 DEFAULT_LAMBDA_GRID = (1e0, 1e1, 1e2, 1e3, 1e4, 1e5)
+_MC_OPERATORS = {"P": neg_laplacian(), "B": identity_op(), "L": neg_laplacian()}
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,8 @@ class SimConfig:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if self.omega < 0:
             raise ValueError(f"omega must be >= 0, got {self.omega}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eigen_sign not in ("minus", "plus"):
             raise ValueError(f"eigen_sign must be 'minus' or 'plus', got {self.eigen_sign!r}")
         grid = np.sort(np.asarray(self.lambda_grid, dtype=float))
@@ -289,6 +293,16 @@ def _rep_streams(seed: int, rep: int) -> tuple[np.random.SeedSequence, int]:
     return data_seed, int(boot_stream.generate_state(1)[0])
 
 
+def mc_kernels(config: SimConfig) -> tuple[BasisSystem, KernelMatrices]:
+    """The basis and kernel matrices every replication of ``config`` uses.
+
+    They depend on ``p``, ``n_quad`` and ``h`` only, so a command running
+    several cells that share those settings builds them once.
+    """
+    basis = make_cosine_basis(config.p, config.n_quad)
+    return basis, assemble(basis, **_MC_OPERATORS, spec=KernelSpec(h=config.h))
+
+
 def replication_dataset(
     config: SimConfig, rep: int = 0, basis: BasisSystem | None = None
 ) -> tuple[DataSet, np.ndarray]:
@@ -297,7 +311,12 @@ def replication_dataset(
     return gen_dataset(config, np.random.default_rng(data_seed), basis)
 
 
-def run_mc(config: SimConfig, max_workers: int = 1, progress: bool = False) -> McReport:
+def run_mc(
+    config: SimConfig,
+    max_workers: int = 1,
+    progress: bool = False,
+    kernels: tuple[BasisSystem, KernelMatrices] | None = None,
+) -> McReport:
     """Run the Monte Carlo study; deterministic for a given config.
 
     Replications use independent RNG streams spawned from ``config.seed``
@@ -305,16 +324,13 @@ def run_mc(config: SimConfig, max_workers: int = 1, progress: bool = False) -> M
     depend on ``max_workers``.  A failing replication aborts the study
     with its index, and cancels the replications not yet started, unless
     ``config.skip_failures`` is set, in which case it is recorded in
-    ``report.skipped``.
+    ``report.skipped``.  ``kernels``, when given, must be the
+    ``mc_kernels`` of a config with the same ``p``, ``n_quad`` and ``h``.
     """
-    basis = make_cosine_basis(config.p, config.n_quad)
-    km = assemble(
-        basis,
-        P=neg_laplacian(),
-        B=identity_op(),
-        L=neg_laplacian(),
-        spec=KernelSpec(h=config.h),
-    )
+    basis, km = mc_kernels(config) if kernels is None else kernels
+    want = kernel_provenance(basis, **_MC_OPERATORS, spec=KernelSpec(h=config.h))
+    if km.provenance != want or (basis.p, len(basis.quad_nodes)) != (config.p, config.n_quad):
+        raise ValueError("kernels were built for another p, n_quad or h than the config's")
     family = ParamFamily.scaled_neg_laplacian(basis)
 
     def job(rep: int):

@@ -469,6 +469,52 @@ def test_non_finite_config_number_is_a_config_error(tmp_path, capsys, command, s
     _no_traceback_and_no_outputs(err, out)
 
 
+_HUGE = "1" + "0" * 400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize(
+    "command, setting, path",
+    [("fit", f'"lambda": {_HUGE}', "$.lambda"),
+     ("sweep", f'"lambda_grid": [1.0, {_HUGE}]', "$.lambda_grid[1]"),
+     ("test", f'"lambda": 1.0, "kernel": {{"h": {_HUGE}}}', "$.kernel.h")],
+    ids=["fit", "sweep", "test"],
+)
+def test_number_too_large_for_a_float_is_a_config_error(tmp_path, capsys, command, setting, path):
+    cfg = tmp_path / f"{command}.json"
+    cfg.write_text(
+        '{"dataset": {"u_csv": "U.csv", "f_csv": "F.csv"}, "basis": {"p": 4}, ' + setting + "}"
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    message = "an integer of 401 digits does not fit in a float"
+    assert err.startswith(f"config error at {path}: {message}")
+    _no_traceback_and_no_outputs(err, out)
+
+
+def test_integer_fields_keep_big_values_and_their_minimum(tmp_path, capsys):
+    ok = write_config(tmp_path, "ok.json", sim_config(reps=1, seed=10**400))
+    assert main(["simulate", "--config", ok, "--out", str(tmp_path / "ok")]) == 0
+    bad = write_config(tmp_path, "bad.json", sim_config(p=-(10**400)))
+    out = tmp_path / "bad"
+    assert main(["simulate", "--config", bad, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at $.p: ") and "less than the minimum of 1" in err
+    _no_traceback_and_no_outputs(err, out)
+
+
+@pytest.mark.parametrize("via", ["config", "flag"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, via):
+    cfg = write_config(tmp_path, "sim.json", sim_config(seed=-3 if via == "config" else 11))
+    out = tmp_path / "out"
+    flag = ["--seed", "-5"] if via == "flag" else []
+    assert main(["simulate", "--config", cfg, "--out", str(out), *flag]) == 2
+    err = capsys.readouterr().err
+    seed = -3 if via == "config" else -5
+    assert err.startswith(f"config error at $.seed: {seed} is less than the minimum of 0")
+    _no_traceback_and_no_outputs(err, out)
+
+
 @pytest.mark.parametrize("command", ["fit", "ingest"])
 def test_input_that_is_a_directory_is_a_data_error(tmp_path, capsys, command):
     folder = tmp_path / "folder"

@@ -1,7 +1,11 @@
 """Tests for the parametric fit, wild multipliers, and bootstrap test."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from diffreg import (
     DataSet,
@@ -10,6 +14,7 @@ from diffreg import (
     KernelSpec,
     ParamFamily,
     assemble,
+    bootstrap_multipliers,
     bootstrap_test,
     fit_parametric,
     identity_op,
@@ -18,6 +23,7 @@ from diffreg import (
     qn_statistic,
     wild_multipliers,
 )
+from diffreg import gof
 from diffreg.gof import GOLDEN_MINUS, GOLDEN_PLUS
 from diffreg.regress import RidgeSystem
 
@@ -75,6 +81,62 @@ def test_wild_multiplier_moments():
     assert abs(draws.mean()) < 0.005
     assert abs(np.mean(draws**2) - 1.0) < 0.01
     assert abs(np.mean(draws**3) - 1.0) < 0.02
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**300),
+    B=st.sampled_from([1, 2, 7, 200]),
+    n=st.integers(1, 30),
+)
+@example(seed=0, B=200, n=5)
+@example(seed=2**32 - 1, B=7, n=5)
+@example(seed=2**32, B=7, n=5)
+@example(seed=2**128 - 1, B=7, n=5)
+@example(seed=2**128, B=7, n=5)
+@example(seed=2**200 + 1, B=7, n=5)
+def test_bootstrap_multipliers_equal_the_spawned_streams(seed, B, n):
+    spawned = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(B)]
+    want = np.stack([wild_multipliers(n, rng) for rng in spawned])
+    got = bootstrap_multipliers(n, B, seed)
+    assert got.shape == (B, n)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (-(2**64), ValueError),
+                                         (1.0, TypeError), ("3", TypeError)])
+def test_bootstrap_multipliers_need_a_non_negative_integer_seed(seed, error):
+    with pytest.raises(error):
+        bootstrap_multipliers(5, 100, seed)
+
+
+def test_bootstrap_multipliers_need_a_replicate():
+    with pytest.raises(ValueError, match="B must be >= 1"):
+        bootstrap_multipliers(5, 0, 3)
+
+
+def test_a_derivation_that_drifts_from_numpy_raises(monkeypatch):
+    monkeypatch.setattr(gof, "_PCG_MULT", gof._PCG_MULT + 2)
+    with pytest.raises(RuntimeError, match="disagree with numpy"):
+        bootstrap_multipliers(5, 100, 7)
+
+
+def test_bootstrap_multipliers_are_safe_across_threads():
+    want = {seed: bootstrap_multipliers(50, 100, seed) for seed in range(4)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            seeds = [seed for seed in range(4) for _ in range(10)]
+            futures = [pool.submit(bootstrap_multipliers, 50, 100, seed) for seed in seeds]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(block, want[seed]) for seed, block in zip(seeds, got))
+
+
+def test_bootstrap_multipliers_accept_numpy_integer_seeds():
+    assert np.array_equal(bootstrap_multipliers(5, 3, np.uint64(9)), bootstrap_multipliers(5, 3, 9))
 
 
 def test_qn_zero_residuals(basis_p3, km_p3):

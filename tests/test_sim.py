@@ -1,5 +1,7 @@
 """Tests for data generation, calibration, ESS/TSS, and the MC harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from diffreg import (
     gen_dataset,
     identity_op,
     make_cosine_basis,
+    mc_kernels,
     neg_laplacian,
     replication_dataset,
     run_mc,
@@ -160,6 +163,26 @@ def test_run_mc_factors_the_kernel_once(monkeypatch):
     assert sorted(shapes) == [(4, 4)] * 2 + [(16, 16)] * 3
 
 
+def test_run_mc_reuses_given_kernels(monkeypatch):
+    config = SimConfig(n=30, p=4, reps=2, B=100, seed=2, refine_rounds=0)
+    kernels = mc_kernels(config)
+    want = run_mc(config)
+    monkeypatch.setattr(sim, "assemble", None)  # a rebuild would fail
+    got = run_mc(config, kernels=kernels)
+    for a, b in zip(want.records, got.records):
+        np.testing.assert_array_equal(a.ess_lambda, b.ess_lambda)
+        assert a.p_value == b.p_value
+    # another omega cell shares the kernels
+    assert run_mc(replace(config, omega=1.5), kernels=kernels).records
+
+
+@pytest.mark.parametrize("change", [{"p": 5}, {"n_quad": 101}, {"h": 0.02}])
+def test_run_mc_rejects_kernels_of_other_settings(change):
+    config = SimConfig(n=30, p=4, reps=1, B=100)
+    with pytest.raises(ValueError, match="another p, n_quad or h"):
+        run_mc(config, kernels=mc_kernels(replace(config, **change)))
+
+
 def test_run_mc_solves_once_per_round(monkeypatch):
     real = RidgeSystem.solve
     lams = []
@@ -277,6 +300,8 @@ def test_config_validation():
         SimConfig(eigen_sign="negative")
     with pytest.raises(ValueError):
         SimConfig(omega=-1.0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SimConfig(seed=-1)
     for grid in ((), (1.0, 0.0), (1.0, -1.0), (1.0, float("nan"))):
         with pytest.raises(ValueError):
             SimConfig(lambda_grid=grid)
