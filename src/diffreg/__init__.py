@@ -14,7 +14,6 @@ from .basis import (
     evaluate,
     l2_inner,
     make_cosine_basis,
-    make_tabulated_basis,
     project,
 )
 from .errors import (
@@ -112,7 +111,6 @@ __all__ = [
     "l2_inner",
     "load_kernel_matrices",
     "make_cosine_basis",
-    "make_tabulated_basis",
     "mc_kernels",
     "neg_laplacian",
     "neg_laplacian_minus_const",

@@ -1,10 +1,10 @@
-"""Orthonormal function bases on an interval with quadrature-backed geometry.
+"""The orthonormal cosine basis on an interval, with quadrature-backed geometry.
 
-Functions are represented by coefficient vectors over an orthonormal system
-{phi_1, ..., phi_p} on [a, b].  The workhorse is the cosine system
-phi_k(x) = sqrt(2/L) * cos(k*pi*(x-a)/L) with L = b - a, which on the unit
-interval reduces to phi_k(x) = sqrt(2) * cos(k*pi*x).  A tabulated basis is
-supported for user-supplied systems.
+Functions are represented by coefficient vectors over the orthonormal
+cosine system phi_k(x) = sqrt(2/L) * cos(k*pi*(x-a)/L), k = 1..p, on [a, b]
+with L = b - a, which on the unit interval reduces to
+phi_k(x) = sqrt(2) * cos(k*pi*x).  It is the only basis: the estimator, the
+test's parametric family and the simulation design are all diagonal on it.
 
 All inner products and projections are backed by a composite Gauss-Legendre
 rule whose nodes and weights live on the BasisSystem.
@@ -12,16 +12,15 @@ rule whose nodes and weights live on the BasisSystem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import CapabilityError, SingularSystemError
+from .errors import SingularSystemError
 
 #: nodes per quadrature panel; panels are equal-width subintervals of [a, b]
 _PANEL_TARGET = 10
-
-GRAM_TOL_DEFAULT = 1e-8
 
 
 def composite_gauss_legendre(
@@ -60,26 +59,22 @@ def composite_gauss_legendre(
 
 @dataclass(frozen=True, eq=False)
 class BasisSystem:
-    """An orthonormal basis of p functions on [a, b] plus a quadrature rule.
+    """The cosine basis of p functions on [a, b] plus a quadrature rule.
 
     Attributes:
         interval: domain endpoints (a, b); the boundary set is {a, b}.
         p: number of basis functions.
-        kind: "cosine" for the analytic cosine system, "custom" for a
-            tabulated system.
         quad_nodes: quadrature nodes, strictly increasing inside [a, b].
         quad_weights: positive weights summing to b - a.
-        tables: for kind="custom", per-operator value tables on the
-            quadrature grid keyed by name ("values", "first_derivative",
-            "second_derivative", "boundary_values").
+        kind: always "cosine"; recorded in kernel and ingest provenance.
     """
+
+    kind: ClassVar[str] = "cosine"
 
     interval: tuple[float, float]
     p: int
-    kind: str
     quad_nodes: np.ndarray
     quad_weights: np.ndarray
-    tables: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         a, b = self.interval
@@ -105,84 +100,44 @@ class BasisSystem:
     def values(self, x: np.ndarray) -> np.ndarray:
         """Matrix of phi_k(x) values, shape (len(x), p)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.kind == "cosine":
-            a, _ = self.interval
-            L = self.length
-            ks = np.arange(1, self.p + 1)
-            return np.sqrt(2.0 / L) * np.cos(np.outer(x - a, ks) * np.pi / L)
-        return self._table_at("values", x)
+        a, _ = self.interval
+        L = self.length
+        ks = np.arange(1, self.p + 1)
+        return np.sqrt(2.0 / L) * np.cos(np.outer(x - a, ks) * np.pi / L)
 
     def deriv_values(self, x: np.ndarray, order: int = 1) -> np.ndarray:
         """Matrix of d^order phi_k / dx^order values, shape (len(x), p)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.kind == "cosine":
-            a, _ = self.interval
-            L = self.length
-            ks = np.arange(1, self.p + 1)
-            arg = np.outer(x - a, ks) * np.pi / L
-            amp = np.sqrt(2.0 / L) * (ks * np.pi / L) ** order
-            if order % 2 == 0:
-                vals = amp * np.cos(arg)
-            else:
-                vals = -amp * np.sin(arg)
-            sign = {0: 1.0, 1: 1.0, 2: -1.0, 3: -1.0}[order % 4]
-            return sign * vals
-        name = {1: "first_derivative", 2: "second_derivative"}.get(order)
-        if name is None:
-            raise CapabilityError(f"derivative order {order} not supported")
-        return self._table_at(name, x)
+        a, _ = self.interval
+        L = self.length
+        ks = np.arange(1, self.p + 1)
+        arg = np.outer(x - a, ks) * np.pi / L
+        amp = np.sqrt(2.0 / L) * (ks * np.pi / L) ** order
+        if order % 2 == 0:
+            vals = amp * np.cos(arg)
+        else:
+            vals = -amp * np.sin(arg)
+        sign = {0: 1.0, 1: 1.0, 2: -1.0, 3: -1.0}[order % 4]
+        return sign * vals
 
     def boundary_values(self) -> np.ndarray:
         """phi_k at the two endpoints, shape (2, p); row 0 is a, row 1 is b."""
-        if self.kind == "cosine":
-            return self.values(np.array(self.interval))
-        table = self.tables.get("boundary_values")
-        if table is None:
-            raise CapabilityError("custom basis lacks a boundary_values table")
-        return np.asarray(table, dtype=float)
+        return self.values(np.array(self.interval))
 
     def quad_values(self) -> np.ndarray:
         """phi_k on the quadrature grid, shape (n_quad, p)."""
-        if self.kind == "cosine":
-            return self.values(self.quad_nodes)
-        return np.asarray(self.tables["values"], dtype=float)
+        return self.values(self.quad_nodes)
 
     def gram(self) -> np.ndarray:
         """Quadrature Gram matrix G_jk = sum_m w_m phi_j(x_m) phi_k(x_m)."""
         phi = self.quad_values()
         return (phi * self.quad_weights[:, None]).T @ phi
 
-    def check_gram(self, tol: float = GRAM_TOL_DEFAULT) -> float:
-        """Max deviation of the Gram matrix from identity; raises above tol."""
-        dev = float(np.max(np.abs(self.gram() - np.eye(self.p))))
-        if dev > tol:
-            raise ValueError(f"basis fails orthonormality check: |G - I| = {dev:.2e}")
-        return dev
-
     def compatible_with(self, other: "BasisSystem") -> bool:
-        same_shape = (
+        return (
             self.p == other.p
-            and self.kind == other.kind
             and self.interval == other.interval
             and len(self.quad_nodes) == len(other.quad_nodes)
-        )
-        if not same_shape or self.kind != "custom":
-            return same_shape
-        return (
-            np.array_equal(self.quad_nodes, other.quad_nodes)
-            and np.array_equal(self.quad_weights, other.quad_weights)
-            and self.tables.keys() == other.tables.keys()
-            and all(np.array_equal(self.tables[k], other.tables[k]) for k in self.tables)
-        )
-
-    def _table_at(self, name: str, x: np.ndarray) -> np.ndarray:
-        table = self.tables.get(name)
-        if table is None:
-            raise CapabilityError(f"custom basis lacks a '{name}' table")
-        if x.shape == self.quad_nodes.shape and np.allclose(x, self.quad_nodes):
-            return np.asarray(table, dtype=float)
-        raise CapabilityError(
-            "custom basis is tabulated on its quadrature grid only"
         )
 
 
@@ -250,48 +205,7 @@ def make_cosine_basis(
     if n_quad < 2 * p + 1:
         raise ValueError(f"n_quad must be >= 2p+1 = {2 * p + 1}, got {n_quad}")
     nodes, weights = composite_gauss_legendre(n_quad, interval)
-    return BasisSystem(
-        interval=tuple(interval), p=p, kind="cosine", quad_nodes=nodes, quad_weights=weights
-    )
-
-
-def make_tabulated_basis(
-    interval: tuple[float, float],
-    quad_nodes: np.ndarray,
-    quad_weights: np.ndarray,
-    values: np.ndarray,
-    first_derivative: np.ndarray | None = None,
-    second_derivative: np.ndarray | None = None,
-    boundary_values: np.ndarray | None = None,
-    gram_tol: float = GRAM_TOL_DEFAULT,
-) -> BasisSystem:
-    """User-supplied orthonormal basis tabulated on a quadrature grid.
-
-    ``values`` has shape (n_quad, p).  Derivative tables are optional and
-    enable differential-operator actions; without them those operators
-    raise CapabilityError.  Orthonormality is verified against ``gram_tol``.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[0] != len(quad_nodes):
-        raise ValueError("values must have shape (n_quad, p)")
-    tables = {"values": values}
-    for name, tab in (
-        ("first_derivative", first_derivative),
-        ("second_derivative", second_derivative),
-        ("boundary_values", boundary_values),
-    ):
-        if tab is not None:
-            tables[name] = np.asarray(tab, dtype=float)
-    basis = BasisSystem(
-        interval=tuple(interval),
-        p=values.shape[1],
-        kind="custom",
-        quad_nodes=np.asarray(quad_nodes, dtype=float),
-        quad_weights=np.asarray(quad_weights, dtype=float),
-        tables=tables,
-    )
-    basis.check_gram(gram_tol)
-    return basis
+    return BasisSystem(interval=tuple(interval), p=p, quad_nodes=nodes, quad_weights=weights)
 
 
 def evaluate(f: FuncVec, x: np.ndarray) -> np.ndarray:

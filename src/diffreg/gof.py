@@ -21,7 +21,7 @@ import numpy as np
 from .basis import BasisSystem, DataSet
 from .errors import DegenerateDesignError
 from .kernels import KernelMatrices, neg_laplacian
-from .regress import RidgeSystem
+from .regress import RidgeSystem, check_lambdas
 
 STRATEGIES = ("parametric", "nonparametric", "mixed")
 
@@ -47,21 +47,15 @@ _STATE_CONST = np.array([_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in r
 class ParamFamily:
     """A one-parameter operator family theta * D0 on coefficient vectors.
 
-    D0 acts either diagonally through ``multipliers`` (spectral table) or
-    through a full p x p coefficient ``matrix``.
+    D0 is diagonal on the cosine basis: it scales coefficient k by its
+    spectral multiplier ``multipliers[k]``.
     """
 
-    kind: str
-    multipliers: np.ndarray | None = None
-    matrix: np.ndarray | None = None
+    multipliers: np.ndarray
 
     def base_action(self, U: np.ndarray) -> np.ndarray:
         """D0 applied rowwise to coefficient rows of U."""
-        if self.multipliers is not None:
-            return U * self.multipliers
-        if self.matrix is not None:
-            return U @ self.matrix.T
-        raise ValueError("ParamFamily needs multipliers or a matrix")
+        return U * self.multipliers
 
     def apply(self, U: np.ndarray, theta: float) -> np.ndarray:
         return theta * self.base_action(U)
@@ -69,13 +63,7 @@ class ParamFamily:
     @staticmethod
     def scaled_neg_laplacian(basis: BasisSystem) -> "ParamFamily":
         """The family theta * (-laplacian), diagonal on the cosine basis."""
-        return ParamFamily(
-            kind="scaled_neg_laplacian", multipliers=neg_laplacian().multipliers(basis)
-        )
-
-    @staticmethod
-    def from_matrix(matrix: np.ndarray, kind: str = "matrix") -> "ParamFamily":
-        return ParamFamily(kind=kind, matrix=np.asarray(matrix, dtype=float))
+        return ParamFamily(multipliers=neg_laplacian().multipliers(basis))
 
 
 @dataclass(frozen=True)
@@ -239,8 +227,7 @@ def bootstrap_test(
         raise ValueError(f"B must be >= 100, got {B}")
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    check_lambdas(lam)
     if system is None:
         system = RidgeSystem(data, km)
     elif system.data is not data or system.km is not km:

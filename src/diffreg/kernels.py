@@ -65,18 +65,15 @@ class LinearOpSpec:
 
     def apply_grid(self, basis: BasisSystem) -> np.ndarray:
         """Values of (op phi_k) on the quadrature grid, shape (n_quad, p)."""
+        nodes = basis.quad_nodes
         return self._combine(
             basis.quad_values,
-            lambda: self._grid_deriv(basis, 1),
-            lambda: -self._grid_deriv(basis, 2),
+            lambda: basis.deriv_values(nodes, order=1),
+            lambda: -basis.deriv_values(nodes, order=2),
         )
 
     def apply_boundary(self, basis: BasisSystem) -> np.ndarray:
         """Values of (op phi_k) at the two endpoints, shape (2, p)."""
-        if self.kind != "identity" and basis.kind != "cosine":
-            raise CapabilityError(
-                f"boundary action of {self.kind!r} needs an analytic basis"
-            )
         ends = np.array(basis.interval)
         return self._combine(
             basis.boundary_values,
@@ -104,11 +101,9 @@ class LinearOpSpec:
     def multipliers(self, basis: BasisSystem) -> np.ndarray:
         """Eigenvalues on the cosine basis for diagonal kinds.
 
-        op phi_k = m_k phi_k with m_k built from (k*pi/L)^2; raises for
-        kinds without a diagonal action.
+        op phi_k = m_k phi_k with m_k built from (k*pi/L)^2; raises
+        CapabilityError for kinds without a diagonal action.
         """
-        if basis.kind != "cosine":
-            raise CapabilityError("spectral multipliers require the cosine basis")
 
         def no_diagonal_action():
             raise CapabilityError(f"{self.kind!r} has no diagonal action on the cosine basis")
@@ -131,15 +126,6 @@ class LinearOpSpec:
         if self.kind == "neg_laplacian_minus_const":
             return neg_second() - self.param * identity()
         return self.param * neg_second()
-
-    def _grid_deriv(self, basis: BasisSystem, order: int) -> np.ndarray:
-        try:
-            return basis.deriv_values(basis.quad_nodes, order=order)
-        except CapabilityError as exc:
-            word = "first" if order == 1 else "second"
-            raise CapabilityError(
-                f"operator {self.kind!r} needs {word} derivatives: {exc}"
-            ) from exc
 
 
 def identity_op() -> LinearOpSpec:

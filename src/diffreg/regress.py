@@ -40,6 +40,19 @@ from .errors import GcvDegenerateError, SingularSystemError
 from .kernels import KernelMatrices
 
 
+def check_lambdas(lams, name: str = "lambda") -> np.ndarray:
+    """``lams`` as a float array, after checking that every entry is finite and > 0.
+
+    Raises ValueError naming ``name`` when an array is empty or an entry
+    is zero, negative, infinite or NaN.
+    """
+    arr = np.asarray(lams, dtype=float)
+    if arr.size == 0 or not np.all(np.isfinite(arr) & (arr > 0)):
+        need = "positive" if arr.ndim == 0 else "nonempty and positive"
+        raise ValueError(f"{name} must be {need}, got {lams}")
+    return arr
+
+
 class RidgeSystem:
     """Factorizations shared by every lambda for one (data, kernels) pair.
 
@@ -159,8 +172,7 @@ def fit(data: DataSet, km: KernelMatrices, lam: float) -> FitResult:
         km: assembled kernel matrices.
         lam: positive tuning parameter.
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    check_lambdas(lam)
     system = RidgeSystem(data, km)
     c_hat = system.solve(lam)
     provenance = {
@@ -238,9 +250,7 @@ def gcv_sweep(data: DataSet, km: KernelMatrices, lambda_grid) -> SweepResult:
     ``best_lambda`` of the result is the GCV minimizer, the smaller lambda
     on a tie.
     """
-    grid = np.sort(np.asarray(lambda_grid, dtype=float))
-    if grid.size == 0 or not np.all(grid > 0):
-        raise ValueError(f"lambda grid must be nonempty and positive, got {list(lambda_grid)}")
+    grid = np.sort(check_lambdas(lambda_grid, "lambda grid"))
     return lambda_path(RidgeSystem(data, km), grid)[0]
 
 

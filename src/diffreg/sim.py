@@ -30,7 +30,7 @@ from .kernels import (
     kernel_provenance,
     neg_laplacian,
 )
-from .regress import RidgeSystem, lambda_path
+from .regress import RidgeSystem, check_lambdas, lambda_path
 
 DEFAULT_LAMBDA_GRID = (1e0, 1e1, 1e2, 1e3, 1e4, 1e5)
 _MC_OPERATORS = {"P": neg_laplacian(), "B": identity_op(), "L": neg_laplacian()}
@@ -72,9 +72,7 @@ class SimConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eigen_sign not in ("minus", "plus"):
             raise ValueError(f"eigen_sign must be 'minus' or 'plus', got {self.eigen_sign!r}")
-        grid = np.sort(np.asarray(self.lambda_grid, dtype=float))
-        if grid.size == 0 or not np.all(grid > 0):
-            raise ValueError(f"lambda_grid must be nonempty and positive, got {self.lambda_grid}")
+        grid = np.sort(check_lambdas(self.lambda_grid, "lambda_grid"))
         # ascending, so the grid's neighbours are the refinement's neighbours
         object.__setattr__(self, "lambda_grid", tuple(grid.tolist()))
 

@@ -12,7 +12,6 @@ from diffreg import (
     evaluate,
     l2_inner,
     make_cosine_basis,
-    make_tabulated_basis,
     project,
 )
 
@@ -163,11 +162,11 @@ def test_make_cosine_basis_rejects_bad_sizes():
 def test_basis_system_validates_rule():
     nodes, weights = composite_gauss_legendre(51, (0.0, 1.0))
     with pytest.raises(ValueError):
-        BasisSystem((0.0, 1.0), 2, "cosine", nodes, 2 * weights)  # bad weight sum
+        BasisSystem((0.0, 1.0), 2, nodes, 2 * weights)  # bad weight sum
     with pytest.raises(ValueError):
-        BasisSystem((0.0, 1.0), 2, "cosine", nodes[::-1].copy(), weights)
+        BasisSystem((0.0, 1.0), 2, nodes[::-1].copy(), weights)
     with pytest.raises(ValueError):
-        BasisSystem((1.0, 0.0), 2, "cosine", nodes, weights)
+        BasisSystem((1.0, 0.0), 2, nodes, weights)
 
 
 def test_funcvec_validation():
@@ -202,44 +201,4 @@ def test_project_coverage_gate():
         project(x, np.sin(x), basis)
 
 
-def test_tabulated_basis_round_trip():
-    reference = make_cosine_basis(p=4, n_quad=101)
-    custom = make_tabulated_basis(
-        interval=(0.0, 1.0),
-        quad_nodes=reference.quad_nodes,
-        quad_weights=reference.quad_weights,
-        values=reference.quad_values(),
-        first_derivative=reference.deriv_values(reference.quad_nodes, order=1),
-        second_derivative=reference.deriv_values(reference.quad_nodes, order=2),
-        boundary_values=reference.boundary_values(),
-    )
-    assert custom.kind == "custom"
-    assert np.max(np.abs(custom.gram() - np.eye(4))) < 1e-10
-    np.testing.assert_allclose(custom.quad_values(), reference.quad_values())
 
-
-def test_tabulated_bases_compare_their_tables():
-    reference = make_cosine_basis(p=3, n_quad=101)
-
-    def tabulated(values):
-        return make_tabulated_basis(
-            interval=(0.0, 1.0),
-            quad_nodes=reference.quad_nodes,
-            quad_weights=reference.quad_weights,
-            values=values,
-        )
-
-    a = tabulated(reference.quad_values())
-    assert a.compatible_with(tabulated(reference.quad_values()))
-    assert not a.compatible_with(tabulated(reference.quad_values()[:, ::-1]))
-
-
-def test_tabulated_basis_rejects_non_orthonormal():
-    reference = make_cosine_basis(p=3, n_quad=101)
-    with pytest.raises(ValueError):
-        make_tabulated_basis(
-            interval=(0.0, 1.0),
-            quad_nodes=reference.quad_nodes,
-            quad_weights=reference.quad_weights,
-            values=2.0 * reference.quad_values(),
-        )

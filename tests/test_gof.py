@@ -16,6 +16,7 @@ from diffreg import (
     assemble,
     bootstrap_multipliers,
     bootstrap_test,
+    fit,
     fit_parametric,
     identity_op,
     make_cosine_basis,
@@ -60,13 +61,17 @@ def test_parametric_fit_degenerate_design(basis_p3):
         fit_parametric(data, laplacian_family(basis_p3))
 
 
-def test_parametric_fit_matrix_action(basis_p3):
-    rng = np.random.default_rng(2)
-    A0 = rng.standard_normal((3, 3))
-    family = ParamFamily.from_matrix(A0)
-    U = rng.uniform(-1, 1, (15, 3))
-    data = DataSet(U=U, F=1.75 * U @ A0.T, basis=basis_p3)
-    assert fit_parametric(data, family).theta == pytest.approx(1.75, rel=1e-12)
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("command", ["fit", "bootstrap_test"])
+def test_fit_and_bootstrap_reject_bad_lambda(basis_p3, km_p3, command, lam):
+    U, F = random_dataset(basis_p3, n=30, seed=8)
+    data = DataSet(U=U, F=F, basis=basis_p3)
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        if command == "fit":
+            fit(data, km_p3, lam)
+        else:
+            bootstrap_test(data, km_p3, lam, laplacian_family(basis_p3), B=100)
 
 
 def test_wild_multiplier_support():

@@ -12,7 +12,6 @@ from diffreg import (
     identity_op,
     load_kernel_matrices,
     make_cosine_basis,
-    make_tabulated_basis,
     neg_laplacian,
     neg_laplacian_minus_const,
     save_kernel_matrices,
@@ -192,6 +191,21 @@ def test_minus_const_and_scaled_operators():
         first_derivative().multipliers(basis)
 
 
+def test_boundary_action_on_cosine_basis():
+    basis = make_cosine_basis(p=5, n_quad=101, interval=(0.5, 2.0))
+    ks = np.arange(1, 6)
+    L = 1.5
+    ends = basis.boundary_values()
+    np.testing.assert_allclose(ends[0], np.full(5, np.sqrt(2 / L)), rtol=1e-14)
+    np.testing.assert_allclose(ends[1], np.sqrt(2 / L) * (-1.0) ** ks, rtol=1e-14)
+    lap = neg_laplacian().apply_boundary(basis)
+    np.testing.assert_allclose(lap, (ks * np.pi / L) ** 2 * ends, rtol=1e-13)
+    # sin(k pi (x - a) / L) vanishes at both ends
+    scale = np.sqrt(2 / L) * 5 * np.pi / L
+    assert np.max(np.abs(first_derivative().apply_boundary(basis))) < 1e-14 * scale
+    np.testing.assert_allclose(scaled_neg_laplacian(0.7).apply_boundary(basis), 0.7 * lap, rtol=1e-15)
+
+
 def test_first_derivative_kernel_action():
     h = 0.3
     rng = np.random.default_rng(2)
@@ -212,33 +226,6 @@ def test_kernel_spec_validation():
         KernelSpec(h=0.0)
 
 
-def test_custom_basis_without_tables_raises():
-    reference = make_cosine_basis(p=3, n_quad=101)
-    custom = make_tabulated_basis(
-        interval=(0.0, 1.0),
-        quad_nodes=reference.quad_nodes,
-        quad_weights=reference.quad_weights,
-        values=reference.quad_values(),
-    )
-    spec = KernelSpec(h=0.2, include_boundary=False)
-    with pytest.raises(CapabilityError):
-        assemble(custom, neg_laplacian(), identity_op(), identity_op(), spec).K
-
-
-def test_custom_basis_with_tables_matches_cosine():
-    reference = make_cosine_basis(p=3, n_quad=101)
-    custom = make_tabulated_basis(
-        interval=(0.0, 1.0),
-        quad_nodes=reference.quad_nodes,
-        quad_weights=reference.quad_weights,
-        values=reference.quad_values(),
-        second_derivative=reference.deriv_values(reference.quad_nodes, order=2),
-        boundary_values=reference.boundary_values(),
-    )
-    spec = KernelSpec(h=0.2)
-    K_ref = assemble(reference, neg_laplacian(), identity_op(), identity_op(), spec).K
-    K_custom = assemble(custom, neg_laplacian(), identity_op(), identity_op(), spec).K
-    np.testing.assert_allclose(K_custom, K_ref, rtol=0, atol=1e-12 * np.max(np.abs(K_ref)))
 
 
 def test_save_load_round_trip(tmp_path):

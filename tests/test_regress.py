@@ -270,6 +270,8 @@ def test_gcv_sweep_validates_grid(basis_p3, km_p3):
         gcv_sweep(data, km_p3, [-1.0, 1.0])
     with pytest.raises(ValueError):
         gcv_sweep(data, km_p3, [1.0, float("nan")])
+    with pytest.raises(ValueError):
+        gcv_sweep(data, km_p3, [1.0, float("inf")])
 
 
 def test_noiseless_rss_nondecreasing_in_lambda(basis_p3, km_p3):

@@ -17,7 +17,8 @@ same study with its lambda grid reversed, and a gcv_min/parametric cell
 with refine_rounds 3); sweep, fit, test and
 spectrum on (p, n) = (10, 200), (20, 2000) and (10, 6) with no kernel
 cache, a cache written and a cache read; sweep at (10, 200) with its grid
-reversed; fit under four L kinds; and
+reversed; fit under four L kinds and under P in {identity,
+first_derivative} crossed with B in {neg_laplacian, first_derivative}; and
 ``ingest --preset era5`` on a small trajectory CSV with repeated
 ordinates, a subject split across the file and a subject that fails the
 end gate.
@@ -43,6 +44,8 @@ FIT_L_KINDS = {
     "minus_const": {"kind": "neg_laplacian_minus_const", "param": 2.0},
     "scaled": {"kind": "scaled_neg_laplacian", "param": 0.5},
 }
+FIT_P_KINDS = ("identity", "first_derivative")
+FIT_B_KINDS = ("neg_laplacian", "first_derivative")
 SIM_SMALL_TABLE4 = {"reps": 8, "keep_bootstrap": 2, "dump_dataset": True}
 # simulate sorts its grid, so this cell's records and bootstrap files match
 # simulate_table4_t1's; only the config embedded in summary.json differs
@@ -166,6 +169,10 @@ def main(argv: list[str]) -> int:
             run("sweep", f"sweep_{label}_reversed", {**base, **reversed_sweep})
             for kind, L in FIT_L_KINDS.items():
                 run("fit", f"fit_{label}_L_{kind}", {**base, "lambda": 10.0, "kernel": {"L": L}})
+            for P in FIT_P_KINDS:
+                for B in FIT_B_KINDS:
+                    kernel = {"P": {"kind": P}, "B": {"kind": B}}
+                    run("fit", f"fit_{label}_P_{P}_B_{B}", {**base, "lambda": 10.0, "kernel": kernel})
 
     tracks = write_trajectories(out, "data_era5", len(DATASETS))
     run("ingest", "ingest_era5", {"input": tracks}, "--preset", "era5")
