@@ -11,6 +11,7 @@ is staged in a temporary directory and renamed into place, so a failing
 command leaves no partial outputs.
 
 Exit codes: 0 success, 1 runtime failure, 2 config error, 3 data error.
+``--threads N`` is accepted and ignored: OPENBLAS_NUM_THREADS controls parallelism.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .ingest import (
     save_ingest_provenance,
 )
 from .kernels import (
+    DEFAULT_OPERATORS,
     OP_KINDS,
     KernelSpec,
     LinearOpSpec,
@@ -324,8 +326,8 @@ def _build_kernels(config: dict, basis):
     kcfg = config.get("kernel", {})
     with _from_config():
         P, B, L = (
-            LinearOpSpec(**kcfg.get(role, {"kind": kind}))
-            for role, kind in (("P", "neg_laplacian"), ("B", "identity"), ("L", "neg_laplacian"))
+            LinearOpSpec(**kcfg[role]) if role in kcfg else DEFAULT_OPERATORS[role]
+            for role in ("P", "B", "L")
         )
         spec = KernelSpec(h=kcfg.get("h", 0.01), **_given(kcfg, "include_boundary"))
     cache = kcfg.get("cache")
@@ -355,7 +357,7 @@ def _load_inputs(config: dict):
     return basis, km, load_dataset(ds["u_csv"], ds["f_csv"], basis)
 
 
-def cmd_simulate(config: dict, out: str, threads: int) -> None:
+def cmd_simulate(config: dict, out: str) -> None:
     base = {f.name: config[f.name] for f in dataclasses.fields(SimConfig) if f.name in config}
     # records columns follow the RepRecord fields; a lambda-indexed array
     # field such as ess_lambda takes one column per grid point, ess_lam_<lambda>
@@ -368,7 +370,7 @@ def cmd_simulate(config: dict, out: str, threads: int) -> None:
     cells = {}
     progress = sys.stderr.isatty()
     for omega, cfg in zip(config["omegas"], cfgs):
-        report = run_mc(cfg, max_workers=threads, progress=progress, kernels=kernels)
+        report = run_mc(cfg, progress=progress, kernels=kernels)
         label = f"omega={omega:g}"
         cells[label] = report.summary()
         header = []
@@ -396,14 +398,14 @@ def cmd_simulate(config: dict, out: str, threads: int) -> None:
         save_dataset(data, os.path.join(out, "U.csv"), os.path.join(out, "F.csv"))
 
 
-def cmd_fit(config: dict, out: str, threads: int) -> None:
+def cmd_fit(config: dict, out: str) -> None:
     _, km, data = _load_inputs(config)
     result = fit(data, km, config["lambda"])
     doc = {**_provenance(config), "fit": result.to_json_dict()}
     _write(out, "fit.json", _json_bytes(doc))
 
 
-def cmd_sweep(config: dict, out: str, threads: int) -> None:
+def cmd_sweep(config: dict, out: str) -> None:
     _, km, data = _load_inputs(config)
     result = gcv_sweep(data, km, config["lambda_grid"])
     columns = (result.lambdas, result.rss, result.gcv, result.trace)
@@ -413,7 +415,7 @@ def cmd_sweep(config: dict, out: str, threads: int) -> None:
     _write(out, "sweep.json", _json_bytes(doc))
 
 
-def cmd_test(config: dict, out: str, threads: int) -> None:
+def cmd_test(config: dict, out: str) -> None:
     basis, km, data = _load_inputs(config)
     family = ParamFamily.scaled_neg_laplacian(basis)
     result = bootstrap_test(
@@ -431,7 +433,7 @@ def cmd_test(config: dict, out: str, threads: int) -> None:
     _write(out, "bootstrap_values.csv", _csv_bytes(["q_n_boot"], rows))
 
 
-def cmd_spectrum(config: dict, out: str, threads: int) -> None:
+def cmd_spectrum(config: dict, out: str) -> None:
     basis, km, data = _load_inputs(config)
     if config["top_m"] > basis.p**2:
         raise ConfigError(f"top_m must be at most p^2 = {basis.p**2}, got {config['top_m']}")
@@ -467,7 +469,7 @@ def _recipe_from_config(rcfg: dict, variables: tuple, p: int) -> RecipeSpec:
     return RecipeSpec(**settings)
 
 
-def cmd_ingest(config: dict, out: str, threads: int) -> None:
+def cmd_ingest(config: dict, out: str) -> None:
     if not config.get("input"):
         raise DataError("ingest needs an 'input' CSV path in the config")
     schema = TableSchema(
@@ -575,7 +577,7 @@ def main(argv=None) -> int:
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--preset", help="named preset (see diffreg.presets)")
         sp.add_argument("--seed", type=int, help="override the config seed")
-        sp.add_argument("--threads", type=int, default=1, help="worker thread cap")
+        sp.add_argument("--threads", type=int, help="accepted, ignored; use OPENBLAS_NUM_THREADS")
         sp.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
 
@@ -594,11 +596,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"config error: --out {out_dir}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    threads = max(1, args.threads)
     try:
         # stage everything, then publish with atomic renames
         with tempfile.TemporaryDirectory(dir=out_dir, prefix=".diffreg-") as tmp:
-            COMMANDS[args.command](config, tmp, threads)
+            COMMANDS[args.command](config, tmp)
             for name in sorted(os.listdir(tmp)):
                 os.replace(os.path.join(tmp, name), os.path.join(out_dir, name))
     except (DataError, OSError) as exc:

@@ -148,6 +148,11 @@ def first_derivative() -> LinearOpSpec:
     return LinearOpSpec("first_derivative")
 
 
+# P = -laplacian, B = identity, L = -laplacian: the simulation design, and
+# the role defaults of a config's kernel section
+DEFAULT_OPERATORS = {"P": neg_laplacian(), "B": identity_op(), "L": neg_laplacian()}
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Gaussian-kernel settings for the separable operator kernel.
@@ -188,13 +193,17 @@ def kernel_gram(
     return lw.T @ kernel_grid @ rw
 
 
+_FACTORS = ("C", "M", "M_L")
+
+
 @dataclass(frozen=True, eq=False)
 class KernelMatrices:
     """The p x p factors of K = C kron M and K_L = C kron M_L, plus provenance.
 
-    The factors are read-only once assembled: ``whitening``, the part of
-    the ridge factorization that depends on the kernel alone, is computed
-    on first use and shared by every dataset fitted with this kernel.
+    The factors are stored as read-only copies, so writing into them
+    raises ValueError: ``whitening``, the part of the ridge factorization
+    that depends on the kernel alone, is computed on first use and shared
+    by every dataset fitted with this kernel, and must not go stale.
     """
 
     C: np.ndarray
@@ -206,6 +215,11 @@ class KernelMatrices:
         shapes = {np.shape(self.C), np.shape(self.M), np.shape(self.M_L)}
         if len(shapes) != 1 or self.C.ndim != 2 or self.C.shape[0] != self.C.shape[1]:
             raise ValueError("C, M and M_L must be square with identical shape")
+        for name in _FACTORS:
+            # a copy, so the caller's array keeps its own flags
+            factor = np.array(getattr(self, name))
+            factor.flags.writeable = False
+            object.__setattr__(self, name, factor)
 
     @property
     def p(self) -> int:
@@ -327,8 +341,6 @@ def assemble(
     C, (M, M_L) = _factor_matrices(basis, P, B, spec, L)
     return KernelMatrices(C=C, M=M, M_L=M_L, provenance=kernel_provenance(basis, P, B, L, spec))
 
-
-_FACTORS = ("C", "M", "M_L")
 
 
 def save_kernel_matrices(km: KernelMatrices, path: str) -> None:

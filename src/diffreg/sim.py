@@ -15,25 +15,16 @@ which is the convention reproduced by the reference tables.
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import BasisSystem, DataSet, make_cosine_basis
 from .gof import GofResult, ParamFamily, bootstrap_test, fit_parametric
-from .kernels import (
-    KernelMatrices,
-    KernelSpec,
-    assemble,
-    identity_op,
-    kernel_provenance,
-    neg_laplacian,
-)
+from .kernels import DEFAULT_OPERATORS, KernelMatrices, KernelSpec, assemble, kernel_provenance
 from .regress import RidgeSystem, check_lambdas, lambda_path
 
 DEFAULT_LAMBDA_GRID = (1e0, 1e1, 1e2, 1e3, 1e4, 1e5)
-_MC_OPERATORS = {"P": neg_laplacian(), "B": identity_op(), "L": neg_laplacian()}
 
 
 @dataclass(frozen=True)
@@ -72,6 +63,12 @@ class SimConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eigen_sign not in ("minus", "plus"):
             raise ValueError(f"eigen_sign must be 'minus' or 'plus', got {self.eigen_sign!r}")
+        named = isinstance(self.test_lambda, str)
+        if not named and np.ndim(self.test_lambda) == 0:
+            check_lambdas(self.test_lambda, "test_lambda")
+        elif not (named and self.test_lambda in ("ess_min", "gcv_min")):
+            want = "'ess_min', 'gcv_min' or a positive number"
+            raise ValueError(f"test_lambda must be {want}, got {self.test_lambda!r}")
         grid = np.sort(check_lambdas(self.lambda_grid, "lambda_grid"))
         # ascending, so the grid's neighbours are the refinement's neighbours
         object.__setattr__(self, "lambda_grid", tuple(grid.tolist()))
@@ -298,7 +295,7 @@ def mc_kernels(config: SimConfig) -> tuple[BasisSystem, KernelMatrices]:
     several cells that share those settings builds them once.
     """
     basis = make_cosine_basis(config.p, config.n_quad)
-    return basis, assemble(basis, **_MC_OPERATORS, spec=KernelSpec(h=config.h))
+    return basis, assemble(basis, **DEFAULT_OPERATORS, spec=KernelSpec(h=config.h))
 
 
 def replication_dataset(
@@ -311,48 +308,36 @@ def replication_dataset(
 
 def run_mc(
     config: SimConfig,
-    max_workers: int = 1,
     progress: bool = False,
     kernels: tuple[BasisSystem, KernelMatrices] | None = None,
 ) -> McReport:
     """Run the Monte Carlo study; deterministic for a given config.
 
-    Replications use independent RNG streams spawned from ``config.seed``
-    and results are merged by replication index, so the report does not
-    depend on ``max_workers``.  A failing replication aborts the study
-    with its index, and cancels the replications not yet started, unless
-    ``config.skip_failures`` is set, in which case it is recorded in
-    ``report.skipped``.  ``kernels``, when given, must be the
-    ``mc_kernels`` of a config with the same ``p``, ``n_quad`` and ``h``.
+    Replications run in order, each on its own RNG streams spawned from
+    ``config.seed``.  A failing replication aborts the study with its
+    index before the next one starts, unless ``config.skip_failures`` is
+    set, in which case it is recorded in ``report.skipped``.  ``kernels``,
+    when given, must be the ``mc_kernels`` of a config with the same
+    ``p``, ``n_quad`` and ``h``.
     """
     basis, km = mc_kernels(config) if kernels is None else kernels
-    want = kernel_provenance(basis, **_MC_OPERATORS, spec=KernelSpec(h=config.h))
+    want = kernel_provenance(basis, **DEFAULT_OPERATORS, spec=KernelSpec(h=config.h))
     if km.provenance != want or (basis.p, len(basis.quad_nodes)) != (config.p, config.n_quad):
         raise ValueError("kernels were built for another p, n_quad or h than the config's")
     family = ParamFamily.scaled_neg_laplacian(basis)
 
-    def job(rep: int):
-        try:
-            return _run_rep(rep, config, basis, km, family, *_rep_streams(config.seed, rep))
-        except Exception as exc:
-            return exc
-
     results, skipped = [], []
-    with ThreadPoolExecutor(max_workers=max(max_workers, 1)) as pool:
-        # one worker runs in the calling thread, so replications run in order
-        # and a failure stops the study before the next one starts
-        reps = range(config.reps)
-        outcomes = pool.map(job, reps) if max_workers > 1 else map(job, reps)
-        for rep, outcome in enumerate(outcomes):
-            if isinstance(outcome, Exception):
-                if not config.skip_failures:
-                    pool.shutdown(cancel_futures=True)
-                    raise RuntimeError(f"replication {rep} failed: {outcome}") from outcome
-                skipped.append((rep, str(outcome)))
-            else:
-                results.append(outcome)
-            if progress:
-                print(f"\rreplication {rep + 1}/{config.reps}", end="", file=sys.stderr)
+    for rep in range(config.reps):
+        try:
+            results.append(
+                _run_rep(rep, config, basis, km, family, *_rep_streams(config.seed, rep))
+            )
+        except Exception as exc:
+            if not config.skip_failures:
+                raise RuntimeError(f"replication {rep} failed: {exc}") from exc
+            skipped.append((rep, str(exc)))
+        if progress:
+            print(f"\rreplication {rep + 1}/{config.reps}", end="", file=sys.stderr)
     if progress:
         print(file=sys.stderr)
 

@@ -152,6 +152,15 @@ def test_fit_command(tmp_path, dataset_dir):
     assert doc["config"]["lambda"] == 1e3
 
 
+def test_threads_flag_changes_no_output(tmp_path, dataset_dir):
+    cfg = write_config(tmp_path, "spectrum.json", {**ds_section(dataset_dir), "top_m": 5})
+    plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+    assert main(["spectrum", "--config", cfg, "--out", str(plain)]) == 0
+    assert main(["spectrum", "--config", cfg, "--threads", "4", "--out", str(flagged)]) == 0
+    for name in ("spectrum.csv", "spectrum.json"):
+        assert (plain / name).read_bytes() == (flagged / name).read_bytes()
+
+
 def test_sweep_command_finds_table_optimum(tmp_path, dataset_dir):
     cfg = write_config(
         tmp_path,
@@ -418,14 +427,15 @@ def test_cli_import_leaves_scipy_unloaded():
     import subprocess
     import sys
 
-    probe = "import sys, diffreg.cli; print('scipy' in sys.modules)"
+    # nor a thread pool: replications run in one loop
+    probe = "import sys, diffreg.cli; print({'scipy', 'concurrent.futures'} & set(sys.modules))"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "set()"
 
 
 def _no_traceback_and_no_outputs(err, out):

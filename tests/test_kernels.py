@@ -239,6 +239,23 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.provenance == km.provenance
 
 
+def test_kernel_factors_are_read_only(tmp_path):
+    basis = make_cosine_basis(p=3, n_quad=101)
+    km = assemble(basis, neg_laplacian(), identity_op(), neg_laplacian(), KernelSpec(h=0.2))
+    path = str(tmp_path / "kernels.npz")
+    save_kernel_matrices(km, path)
+    for kernels in (km, load_kernel_matrices(path)):
+        for name in ("C", "M", "M_L"):
+            factor = getattr(kernels, name)
+            with pytest.raises(ValueError, match="read-only"):
+                factor[:] = 4 * factor
+    # the factors are copies: the caller's arrays stay writeable and apart
+    own = np.eye(2)
+    km = KernelMatrices(C=own, M=own, M_L=own)
+    own[0, 0] = 2.0
+    assert own.flags.writeable and km.C[0, 0] == km.M[0, 0] == 1.0
+
+
 def test_kernel_matrices_shape_check():
     with pytest.raises(ValueError):
         KernelMatrices(C=np.eye(2), M=np.eye(2), M_L=np.eye(3))

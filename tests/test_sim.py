@@ -122,15 +122,6 @@ def test_run_mc_deterministic():
         assert a.theta_hat == b.theta_hat
 
 
-def test_run_mc_thread_count_does_not_change_results():
-    config = SimConfig(n=40, reps=4, seed=9, B=100, refine_rounds=0)
-    serial = run_mc(config, max_workers=1)
-    threaded = run_mc(config, max_workers=3)
-    for a, b in zip(serial.records, threaded.records):
-        np.testing.assert_array_equal(a.gcv_lambda, b.gcv_lambda)
-        assert a.p_value == b.p_value
-
-
 def test_run_mc_single_rep_aggregation_identity():
     config = SimConfig(n=40, reps=1, seed=10, B=100)
     report = run_mc(config)
@@ -158,7 +149,7 @@ def test_run_mc_factors_the_kernel_once(monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
-    run_mc(SimConfig(n=30, p=4, reps=3, B=100, seed=1), max_workers=1)
+    run_mc(SimConfig(n=30, p=4, reps=3, B=100, seed=1))
     # C and M once per study, the p^2 x p^2 Gram once per replication
     assert sorted(shapes) == [(4, 4)] * 2 + [(16, 16)] * 3
 
@@ -193,7 +184,7 @@ def test_run_mc_solves_once_per_round(monkeypatch):
 
     monkeypatch.setattr(RidgeSystem, "solve", counting)
     config = SimConfig(n=30, p=4, reps=3, B=100, seed=1)
-    run_mc(config, max_workers=1)
+    run_mc(config)
     # the grid, one call per refinement round, and the bootstrap's fit
     assert len(lams) <= (2 + config.refine_rounds) * config.reps
     assert sum(np.size(lam) for lam in lams) > len(lams)
@@ -266,8 +257,7 @@ def test_gcv_tie_resolves_to_the_smaller_lambda():
     assert record.gcv_best_lambda == 1e300
 
 
-@pytest.mark.parametrize("max_workers", [1, 3])
-def test_run_mc_fail_fast_and_skip(monkeypatch, max_workers):
+def test_run_mc_fail_fast_and_skip(monkeypatch):
     real = sim._run_rep
     started = []
 
@@ -280,11 +270,10 @@ def test_run_mc_fail_fast_and_skip(monkeypatch, max_workers):
     monkeypatch.setattr(sim, "_run_rep", exploding)
     config = SimConfig(n=30, reps=3, seed=12, run_test=False, refine_rounds=0)
     with pytest.raises(RuntimeError, match="replication 1"):
-        run_mc(config, max_workers=max_workers)
-    if max_workers == 1:
-        assert started == [0, 1]
+        run_mc(config)
+    assert started == [0, 1]
     lenient = SimConfig(n=30, reps=3, seed=12, run_test=False, refine_rounds=0, skip_failures=True)
-    report = run_mc(lenient, max_workers=max_workers)
+    report = run_mc(lenient)
     assert len(report.records) == 2
     assert report.skipped[0][0] == 1
 
@@ -305,6 +294,11 @@ def test_config_validation():
     for grid in ((), (1.0, 0.0), (1.0, -1.0), (1.0, float("nan"))):
         with pytest.raises(ValueError):
             SimConfig(lambda_grid=grid)
+    for test_lambda in (-1.0, 0.0, float("nan"), float("inf"), "ess_mn", [1.0, 2.0]):
+        with pytest.raises(ValueError, match="test_lambda"):
+            SimConfig(test_lambda=test_lambda)
+    assert SimConfig(test_lambda=1e3).test_lambda == 1e3
+    assert SimConfig(test_lambda="gcv_min").test_lambda == "gcv_min"
     grid = SimConfig(lambda_grid=[10, 1, 100]).lambda_grid
     assert grid == (1.0, 10.0, 100.0) and all(type(lam) is float for lam in grid)
 

@@ -14,7 +14,9 @@ that claims no numerical change must leave the printed list unchanged:
 
 The set covers simulate (a small table4 study under --threads 1 and 2, the
 same study with its lambda grid reversed, and a gcv_min/parametric cell
-with refine_rounds 3); sweep, fit, test and
+with refine_rounds 3; --threads is accepted and ignored, so the
+``simulate_table4_t2`` cell checks that the flag changes nothing: its
+digests must equal those of ``simulate_table4_t1``); sweep, fit, test and
 spectrum on (p, n) = (10, 200), (20, 2000) and (10, 6) with no kernel
 cache, a cache written and a cache read; sweep at (10, 200) with its grid
 reversed; fit under four L kinds and under P in {identity,
