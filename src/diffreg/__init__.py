@@ -17,7 +17,6 @@ from .basis import (
     project,
 )
 from .errors import (
-    CapabilityError,
     DataError,
     DegenerateDesignError,
     DiffregError,
@@ -75,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisSystem",
-    "CapabilityError",
     "DataError",
     "DataSet",
     "DegenerateDesignError",

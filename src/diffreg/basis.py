@@ -97,13 +97,14 @@ class BasisSystem:
         a, b = self.interval
         return b - a
 
+    @property
+    def frequencies(self) -> np.ndarray:
+        """k*pi/L for k = 1..p; -laplacian scales phi_k by the square of the k-th."""
+        return np.arange(1, self.p + 1) * np.pi / self.length
+
     def values(self, x: np.ndarray) -> np.ndarray:
         """Matrix of phi_k(x) values, shape (len(x), p)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        a, _ = self.interval
-        L = self.length
-        ks = np.arange(1, self.p + 1)
-        return np.sqrt(2.0 / L) * np.cos(np.outer(x - a, ks) * np.pi / L)
+        return self.deriv_values(x, order=0)
 
     def deriv_values(self, x: np.ndarray, order: int = 1) -> np.ndarray:
         """Matrix of d^order phi_k / dx^order values, shape (len(x), p)."""
@@ -112,7 +113,7 @@ class BasisSystem:
         L = self.length
         ks = np.arange(1, self.p + 1)
         arg = np.outer(x - a, ks) * np.pi / L
-        amp = np.sqrt(2.0 / L) * (ks * np.pi / L) ** order
+        amp = np.sqrt(2.0 / L) * self.frequencies**order
         if order % 2 == 0:
             vals = amp * np.cos(arg)
         else:
@@ -161,7 +162,7 @@ class FuncVec:
 
 @dataclass(frozen=True, eq=False)
 class DataSet:
-    """A sample of paired functions as coefficient matrices U, F (n x p)."""
+    """A sample of paired functions as finite coefficient matrices U, F (n x p)."""
 
     U: np.ndarray
     F: np.ndarray
@@ -180,6 +181,10 @@ class DataSet:
             raise ValueError(
                 f"column count {U.shape[1]} does not match basis p={self.basis.p}"
             )
+        for name, mat in (("U", U), ("F", F)):
+            if not np.isfinite(mat).all():
+                row = np.flatnonzero(~np.isfinite(mat).all(axis=1))[0]
+                raise ValueError(f"{name} holds a non-finite entry in row {row}")
 
     @property
     def n(self) -> int:
@@ -380,19 +385,21 @@ def solve_projection(
     """Quadrature-weighted least squares on the basis quadrature grid.
 
     Minimizes sum_m w_m (values_m - (design @ c)_m)^2, plus
-    ``penalty * sum_k (k*pi/L)^4 c_k^2`` on the last p coefficients when
-    ``penalty > 0``.  The last p columns of ``design`` must be the basis
-    values on the grid; earlier columns (such as a constant) go unpenalized.
-    ``values`` may hold one curve per column.
+    ``penalty * sum_k (k*pi/L)^4 c_k^2`` on the last p coefficients; a
+    penalty of 0 gives the plain fit.  The last p columns of ``design`` must
+    be the basis values on the grid; earlier columns (such as a constant) go
+    unpenalized.  ``values`` may hold one curve per column.
 
     Raises:
+        ValueError: ``penalty`` is negative or not finite.
         SingularSystemError: the normal equations are singular.
     """
+    if not 0 <= penalty < np.inf:
+        raise ValueError(f"penalty must be finite and >= 0, got {penalty}")
     weighted = (design * basis.quad_weights[:, None]).T
     normal = weighted @ design
     if penalty > 0:
-        ks = np.arange(1, basis.p + 1)
-        normal[-basis.p:, -basis.p:] += penalty * np.diag((ks * np.pi / basis.length) ** 4)
+        normal[-basis.p:, -basis.p:] += penalty * np.diag(basis.frequencies**4)
     try:
         return np.linalg.solve(normal, weighted @ values)
     except np.linalg.LinAlgError as exc:

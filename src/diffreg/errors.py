@@ -18,10 +18,6 @@ class SingularSystemError(DiffregError):
         self.cond_estimate = cond_estimate
 
 
-class CapabilityError(DiffregError):
-    """The requested operation is not available for the given inputs."""
-
-
 class DegenerateDesignError(DiffregError):
     """The data carry no usable signal for the requested estimator."""
 

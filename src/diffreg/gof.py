@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import BasisSystem, DataSet
 from .errors import DegenerateDesignError
-from .kernels import KernelMatrices, neg_laplacian
+from .kernels import KernelMatrices
 from .regress import RidgeSystem, check_lambdas
 
 STRATEGIES = ("parametric", "nonparametric", "mixed")
@@ -63,7 +63,7 @@ class ParamFamily:
     @staticmethod
     def scaled_neg_laplacian(basis: BasisSystem) -> "ParamFamily":
         """The family theta * (-laplacian), diagonal on the cosine basis."""
-        return ParamFamily(multipliers=neg_laplacian().multipliers(basis))
+        return ParamFamily(multipliers=basis.frequencies**2)
 
 
 @dataclass(frozen=True)

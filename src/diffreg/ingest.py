@@ -81,8 +81,8 @@ class ThermoResponse:
     p0: float = 1000.0
 
     def __post_init__(self):
-        if self.kappa < 0 or self.p0 <= 0:
-            raise ValueError("ThermoResponse needs kappa >= 0 and p0 > 0")
+        if not (0 <= self.kappa < np.inf and 0 < self.p0 < np.inf):
+            raise ValueError("ThermoResponse needs finite kappa >= 0 and p0 > 0")
 
 
 @dataclass(frozen=True)

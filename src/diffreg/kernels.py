@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSystem
-from .errors import CapabilityError, DataError, SingularSystemError
+from .errors import DataError, SingularSystemError
 
 OP_KINDS = (
     "identity",
@@ -98,19 +98,6 @@ class LinearOpSpec:
             lambda: (h**2 - diff**2) / h**4 * k1,
         )
 
-    def multipliers(self, basis: BasisSystem) -> np.ndarray:
-        """Eigenvalues on the cosine basis for diagonal kinds.
-
-        op phi_k = m_k phi_k with m_k built from (k*pi/L)^2; raises
-        CapabilityError for kinds without a diagonal action.
-        """
-
-        def no_diagonal_action():
-            raise CapabilityError(f"{self.kind!r} has no diagonal action on the cosine basis")
-
-        lap = (np.arange(1, basis.p + 1) * np.pi / basis.length) ** 2
-        return self._combine(lambda: np.ones(basis.p), no_diagonal_action, lambda: lap)
-
     def _combine(self, identity, first, neg_second) -> np.ndarray:
         """This operator's action, built from the parts its kind needs.
 
@@ -166,8 +153,8 @@ class KernelSpec:
     include_boundary: bool = True
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError(f"bandwidth h must be positive, got {self.h}")
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"bandwidth h must be positive and finite, got {self.h}")
 
 
 def gaussian_kernel(diff: np.ndarray, h: float) -> np.ndarray:

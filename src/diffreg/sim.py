@@ -53,12 +53,14 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.snr <= 0:
+        if not self.snr > 0:  # NaN fails too; inf is the noiseless design
             raise ValueError(f"snr must be positive, got {self.snr}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
-        if self.omega < 0:
-            raise ValueError(f"omega must be >= 0, got {self.omega}")
+        if not 0 <= self.omega < np.inf:
+            raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
+        if not 0 < self.alpha < 1:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eigen_sign not in ("minus", "plus"):
@@ -86,7 +88,7 @@ def calibrate_sigma(omega: float, snr: float, p: int = 10, eigen_sign: str = "mi
     With unit-variance scores, E||D(U)||^2 = sum_k k^{-6} mu_k^2 and
     E||eps||^2 = p sigma^2, so sigma = sqrt(sum_k k^{-6} mu_k^2 / (p snr^2)).
     """
-    if snr <= 0:
+    if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr}")
     ks = np.arange(1, p + 1)
     mu = true_multipliers(omega, p, eigen_sign)
@@ -316,7 +318,8 @@ def run_mc(
     Replications run in order, each on its own RNG streams spawned from
     ``config.seed``.  A failing replication aborts the study with its
     index before the next one starts, unless ``config.skip_failures`` is
-    set, in which case it is recorded in ``report.skipped``.  ``kernels``,
+    set, in which case it is recorded in ``report.skipped``; if every
+    replication is skipped, the study raises RuntimeError.  ``kernels``,
     when given, must be the ``mc_kernels`` of a config with the same
     ``p``, ``n_quad`` and ``h``.
     """
@@ -340,6 +343,11 @@ def run_mc(
             print(f"\rreplication {rep + 1}/{config.reps}", end="", file=sys.stderr)
     if progress:
         print(file=sys.stderr)
+    if not results:
+        rep, reason = skipped[0]
+        raise RuntimeError(
+            f"all {config.reps} replications were skipped; replication {rep} failed: {reason}"
+        )
 
     return McReport(
         config=config,

@@ -185,6 +185,28 @@ def test_dataset_validation():
         DataSet(U=np.zeros((0, 2)), F=np.zeros((0, 2)), basis=basis)
     with pytest.raises(ValueError):
         DataSet(U=np.zeros((3, 5)), F=np.zeros((3, 5)), basis=basis)
+    for name, bad in (("U", np.inf), ("F", np.nan), ("F", -np.inf)):
+        mats = {"U": np.zeros((3, 2)), "F": np.zeros((3, 2))}
+        mats[name][2, 1] = bad
+        with pytest.raises(ValueError, match=f"{name} holds a non-finite entry in row 2"):
+            DataSet(**mats, basis=basis)
+
+
+@pytest.mark.parametrize("penalty", [-1.0, -1e-12, np.nan, np.inf])
+def test_project_rejects_a_negative_or_non_finite_penalty(penalty):
+    basis = make_cosine_basis(p=3, n_quad=101)
+    x = np.linspace(0, 1, 50)
+    with pytest.raises(ValueError, match="penalty must be finite and >= 0"):
+        project(x, np.cos(np.pi * x), basis, penalty=penalty)
+
+
+def test_project_penalty_shrinks_by_the_fourth_power_of_frequency():
+    basis = make_cosine_basis(p=3, n_quad=101, interval=(0.5, 2.0))
+    x = np.linspace(0.5, 2.0, 200)
+    plain = project(x, basis.values(x) @ np.ones(3), basis).coeffs
+    penalized = project(x, basis.values(x) @ np.ones(3), basis, penalty=1e-3).coeffs
+    # orthonormal columns: the penalized normal equations are (I + penalty diag(f^4)) c = plain
+    np.testing.assert_allclose(penalized, plain / (1 + 1e-3 * basis.frequencies**4), rtol=1e-10)
 
 
 def test_project_rank_gate():

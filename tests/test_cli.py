@@ -87,6 +87,17 @@ def test_simulate_invalid_snr_names_field(tmp_path, capsys):
     assert "snr" in capsys.readouterr().err
 
 
+def test_simulate_with_every_replication_skipped_is_a_runtime_error(tmp_path, capsys):
+    doc = {"n": 2, "p": 10, "snr": 3.0, "omegas": [0.0], "reps": 2, "run_test": False,
+           "lambda_grid": [1e-300], "skip_failures": True}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, "sim.json", doc),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: all 2 replications were skipped; replication 0 failed: GCV denominator" in err
+    assert os.listdir(out) == []
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, "sim.json", sim_config(mystery=1))
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2

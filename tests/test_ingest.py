@@ -314,6 +314,20 @@ def test_thermo_constant_temperature_closed_form(tmp_path):
     assert np.max(np.abs(got - oracle)) < 1e-8
 
 
+def test_thermo_response_validation():
+    for settings in ({"kappa": -0.1}, {"kappa": np.nan}, {"kappa": np.inf},
+                     {"p0": 0.0}, {"p0": np.nan}, {"p0": np.inf}):
+        with pytest.raises(ValueError, match="ThermoResponse needs finite kappa"):
+            ThermoResponse(variable="T_real", **settings)
+
+
+@pytest.mark.parametrize("penalty", [-1.0, np.nan])
+def test_recipe_penalty_must_be_finite_and_non_negative(three_subject_csv, penalty):
+    table = load_trajectories(three_subject_csv, SCHEMA)
+    with pytest.raises(ValueError, match="penalty must be finite and >= 0"):
+        curves_to_basis(table, default_recipe(penalty=penalty), basis_on_interval(p=4))
+
+
 def test_identity_and_spectral_responses(three_subject_csv):
     basis = basis_on_interval(p=4)
     table = load_trajectories(three_subject_csv, SCHEMA)

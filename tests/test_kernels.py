@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from diffreg import (
-    CapabilityError,
     KernelMatrices,
     KernelSpec,
+    ParamFamily,
     assemble,
     first_derivative,
     identity_op,
     load_kernel_matrices,
     make_cosine_basis,
     neg_laplacian,
-    neg_laplacian_minus_const,
     save_kernel_matrices,
     scaled_neg_laplacian,
 )
@@ -180,15 +179,20 @@ def test_assembled_K_is_psd():
     assert eigs.min() >= -1e-8 * eigs.max()
 
 
-def test_minus_const_and_scaled_operators():
-    basis = make_cosine_basis(p=3, n_quad=101)
-    ks = np.arange(1, 4)
-    lap = (ks * np.pi) ** 2
-    np.testing.assert_allclose(neg_laplacian_minus_const(2.5).multipliers(basis), lap - 2.5)
-    np.testing.assert_allclose(scaled_neg_laplacian(3.0).multipliers(basis), 3.0 * lap)
-    np.testing.assert_allclose(identity_op().multipliers(basis), np.ones(3))
-    with pytest.raises(CapabilityError):
-        first_derivative().multipliers(basis)
+def test_test_family_is_the_kernel_neg_laplacian():
+    basis = make_cosine_basis(p=6, n_quad=101, interval=(0.5, 2.0))
+    ks = np.arange(1, 7)
+    L = 1.5
+    freq = basis.frequencies
+    np.testing.assert_allclose(freq, ks * np.pi / L, rtol=1e-15)
+    np.testing.assert_array_equal(ParamFamily.scaled_neg_laplacian(basis).multipliers, freq**2)
+    # -laplacian phi_k = (k pi / L)^2 phi_k: the family's D0 is the kernel's operator
+    quad = basis.quad_values()
+    scale = np.sqrt(2 / L) * freq[-1] ** 2
+    assert np.max(np.abs(neg_laplacian().apply_grid(basis) - quad * freq**2)) < 1e-13 * scale
+    x = np.linspace(0.5, 2.0, 13)
+    explicit = np.sqrt(2.0 / L) * np.cos(np.outer(x - 0.5, ks) * np.pi / L)
+    np.testing.assert_array_equal(basis.values(x), explicit)
 
 
 def test_boundary_action_on_cosine_basis():
@@ -222,8 +226,9 @@ def test_unknown_operator_kind_rejected():
 
 
 def test_kernel_spec_validation():
-    with pytest.raises(ValueError):
-        KernelSpec(h=0.0)
+    for h in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="bandwidth h"):
+            KernelSpec(h=h)
 
 
 

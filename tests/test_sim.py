@@ -278,6 +278,16 @@ def test_run_mc_fail_fast_and_skip(monkeypatch):
     assert report.skipped[0][0] == 1
 
 
+def test_run_mc_raises_when_every_replication_is_skipped():
+    # n=2 at lambda 1e-300 fits the data exactly, so every GCV denominator is 0
+    config = SimConfig(
+        n=2, reps=2, run_test=False, lambda_grid=(1e-300,), refine_rounds=0, skip_failures=True
+    )
+    with pytest.raises(RuntimeError, match="all 2 replications were skipped") as info:
+        run_mc(config)
+    assert "replication 0 failed: GCV denominator degenerate" in str(info.value)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(n=1)
@@ -287,8 +297,17 @@ def test_config_validation():
         SimConfig(reps=0)
     with pytest.raises(ValueError):
         SimConfig(eigen_sign="negative")
-    with pytest.raises(ValueError):
-        SimConfig(omega=-1.0)
+    for omega in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="omega"):
+            SimConfig(omega=omega)
+    with pytest.raises(ValueError, match="snr"):
+        SimConfig(snr=np.nan)
+    with pytest.raises(ValueError, match="snr"):
+        calibrate_sigma(0.0, np.nan)
+    assert SimConfig(snr=np.inf).snr == np.inf  # the noiseless design
+    for alpha in (0.0, 1.0, 2.0, -0.1, np.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            SimConfig(alpha=alpha)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         SimConfig(seed=-1)
     for grid in ((), (1.0, 0.0), (1.0, -1.0), (1.0, float("nan"))):

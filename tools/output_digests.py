@@ -19,11 +19,13 @@ with refine_rounds 3; --threads is accepted and ignored, so the
 digests must equal those of ``simulate_table4_t1``); sweep, fit, test and
 spectrum on (p, n) = (10, 200), (20, 2000) and (10, 6) with no kernel
 cache, a cache written and a cache read; sweep at (10, 200) with its grid
-reversed; fit under four L kinds and under P in {identity,
-first_derivative} crossed with B in {neg_laplacian, first_derivative}; and
-``ingest --preset era5`` on a small trajectory CSV with repeated
-ordinates, a subject split across the file and a subject that fails the
-end gate.
+reversed; test at (10, 200) on the basis interval [0.5, 2.0], whose test
+family's multipliers are not those of the unit interval; fit under four L
+kinds and under P in {identity, first_derivative} crossed with B in
+{neg_laplacian, first_derivative}; and ``ingest --preset era5`` on a small
+trajectory CSV with repeated ordinates, a subject split across the file
+and a subject that fails the end gate, once as preset and once with a
+roughness penalty of 1e-6 on the projection.
 Kernel caches are not listed: the zip archive stamps its members with the
 time of writing.
 """
@@ -169,6 +171,8 @@ def main(argv: list[str]) -> int:
             # only the config embedded in sweep.json differs
             reversed_sweep = {"lambda_grid": commands["sweep"]["lambda_grid"][::-1], "kernel": {}}
             run("sweep", f"sweep_{label}_reversed", {**base, **reversed_sweep})
+            interval = {"basis": {"p": p, "interval": [0.5, 2.0]}, "kernel": {}}
+            run("test", f"test_{label}_interval", {**base, **commands["test"], **interval})
             for kind, L in FIT_L_KINDS.items():
                 run("fit", f"fit_{label}_L_{kind}", {**base, "lambda": 10.0, "kernel": {"L": L}})
             for P in FIT_P_KINDS:
@@ -178,6 +182,8 @@ def main(argv: list[str]) -> int:
 
     tracks = write_trajectories(out, "data_era5", len(DATASETS))
     run("ingest", "ingest_era5", {"input": tracks}, "--preset", "era5")
+    penalized = {"input": tracks, "recipe": {"penalty": 1e-6}}
+    run("ingest", "ingest_era5_penalty", penalized, "--preset", "era5")
 
     for root, _, files in sorted(os.walk(out)):
         rel = os.path.relpath(root, out)
