@@ -121,10 +121,6 @@ class BasisSystem:
         sign = {0: 1.0, 1: 1.0, 2: -1.0, 3: -1.0}[order % 4]
         return sign * vals
 
-    def boundary_values(self) -> np.ndarray:
-        """phi_k at the two endpoints, shape (2, p); row 0 is a, row 1 is b."""
-        return self.values(np.array(self.interval))
-
     def quad_values(self) -> np.ndarray:
         """phi_k on the quadrature grid, shape (n_quad, p)."""
         return self.values(self.quad_nodes)
@@ -228,7 +224,7 @@ def l2_inner(f: FuncVec, g: FuncVec) -> float:
 def distinct_samples(x: np.ndarray, y: np.ndarray, basis: BasisSystem) -> tuple:
     """One curve's samples sorted by abscissa, with repeated abscissae dropped.
 
-    Of each run of equal abscissae after ``np.argsort`` the first is kept.
+    Of each run of equal abscissae the first in input order is kept.
     ``y`` holds the values along its first axis.  Raises if there are fewer
     distinct abscissae than basis functions or the samples fail to cover the
     basis quadrature span.
@@ -237,7 +233,7 @@ def distinct_samples(x: np.ndarray, y: np.ndarray, basis: BasisSystem) -> tuple:
     y = np.asarray(y, dtype=float)
     if y.ndim == 0 or y.shape[0] != x.size:
         raise ValueError("x and y must have the same length")
-    order = np.argsort(x)
+    order = np.argsort(x, kind="stable")
     x = x[order]
     keep = np.concatenate([[True], np.diff(x) > 0])
     x, y = x[keep], y[order[keep]]

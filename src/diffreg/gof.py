@@ -103,15 +103,23 @@ def wild_multipliers(n: int, rng: np.random.Generator) -> np.ndarray:
     return _WILD_SUPPORT.take(rng.random(n) < GOLDEN_PLUS_PROB)
 
 
-def _spawned_pcg64_states(seed: int, B: int) -> list[tuple[int, int]]:
-    """(state, inc) of PCG64(child) for each child of SeedSequence(seed).spawn(B).
+def bootstrap_multipliers(n: int, B: int, seed: int) -> np.ndarray:
+    """The (B, n) wild multipliers of the bootstrap replicates drawn from ``seed``.
 
-    Child b mixes the spawn key word b into the parent's pool exactly as
-    SeedSequence.mix_entropy would, then runs generate_state(4, uint64) and
-    PCG64's srandom, with all B children in one uint32 array pass.  Child
-    B - 1 is checked against numpy itself, so a change of numpy's seeding
-    raises instead of changing the streams.
+    Row b is ``wild_multipliers(n, default_rng(SeedSequence(seed).spawn(B)[b]))``
+    bit for bit, but no child is spawned.  Child b mixes the spawn key word b
+    into the parent's pool exactly as SeedSequence.mix_entropy would, then
+    runs generate_state(4, uint64) and PCG64's srandom, with all B children
+    in one uint32 array pass; one PCG64 per call is set to each child's
+    state in turn and draws its row, so concurrent calls share nothing.
+    Child B - 1 is checked against numpy itself, so a change of numpy's
+    seeding raises instead of changing the streams.
     """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if B < 1:
+        raise ValueError(f"B must be >= 1, got {B}")
     # the parent's pool has consumed 4 fill and 12 cross hashes, plus 4 per word past the 4th
     words = max(1, -(-seed.bit_length() // 32))
     first = _INIT_A * pow(_MULT_A, 16 + 4 * max(words - 4, 0), 1 << 32)
@@ -123,39 +131,17 @@ def _spawned_pcg64_states(seed: int, B: int) -> list[tuple[int, int]]:
     pool ^= pool >> 16
     state_words = (np.tile(pool, 2) ^ _STATE_CONST[:-1]) * _STATE_CONST[1:]
     state_words ^= state_words >> 16
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in state_words.astype("<u4").view("<u8").tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
-    check = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(B - 1,))).state["state"]
-    if states[-1] != (check["state"], check["inc"]):
-        raise RuntimeError("derived bootstrap streams disagree with numpy's SeedSequence.spawn")
-    return states
-
-
-def bootstrap_multipliers(n: int, B: int, seed: int) -> np.ndarray:
-    """The (B, n) wild multipliers of the bootstrap replicates drawn from ``seed``.
-
-    Row b is ``wild_multipliers(n, default_rng(SeedSequence(seed).spawn(B)[b]))``
-    bit for bit.  The child generator states are derived directly, and one
-    PCG64 per call is re-seeded for each row, so concurrent calls share nothing.
-    """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
-    bitgen = np.random.PCG64(0)  # re-seeded for every row below
+    bitgen = np.random.PCG64(0)  # set to each child's state below
     rng = np.random.Generator(bitgen)
     rows = []
-    for state, inc in _spawned_pcg64_states(seed, B):
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    for s_hi, s_lo, i_hi, i_lo in state_words.astype("<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = {"state": ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, "inc": inc}
+        bitgen.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
         rows.append(wild_multipliers(n, rng))
+    check = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(B - 1,))).state["state"]
+    if state != check:
+        raise RuntimeError("derived bootstrap streams disagree with numpy's SeedSequence.spawn")
     return np.stack(rows)
 
 

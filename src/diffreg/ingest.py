@@ -13,7 +13,8 @@ on raw samples, since finely-sampled differences are noise dominated.
 
 Each subject's samples are one (m, V) block whose columns follow the
 schema's variables.  The gates run subject by subject; they also sort and
-deduplicate each subject's samples.  Subjects that pass are then
+deduplicate each subject's samples, keeping at a repeated ordinate the
+sample that comes first in the file.  Subjects that pass are then
 pre-smoothed in blocks of ``BLOCK_SUBJECTS``: one call resamples a block's
 curves onto the quadrature grid, with one vectorized spline per knot
 count, and one projection solve takes every curve of the block as a
@@ -34,7 +35,7 @@ import csv
 import io
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,7 +58,7 @@ class TableSchema:
 
 @dataclass(frozen=True, eq=False)
 class SubjectTrack:
-    """One subject's samples, sorted by ordinate: ``samples`` is (m, V)."""
+    """One subject's samples, sorted by ordinate with ties in file order: ``samples`` is (m, V)."""
 
     ordinate: np.ndarray
     samples: np.ndarray
@@ -196,13 +197,12 @@ def load_trajectories(path: str, schema: TableSchema, lenient: bool = False) -> 
                 names, inverse, values = parse(io.StringIO("".join(kept), newline=""))
             except ValueError as exc:  # a row csv.reader splits otherwise than np.loadtxt
                 raise DataError(f"{path}: {exc}") from exc
-    # one stable sort keeps each subject's rows in file order, and the
-    # per-subject argsort then orders them as it always has
-    values = values[np.argsort(inverse, kind="stable")]
+    # one stable sort groups the rows by subject and orders each subject by
+    # ordinate; rows at a repeated ordinate stay in file order
+    values = values[np.lexsort((values[:, 0], inverse))]
     ends = np.cumsum(np.bincount(inverse))[:-1]
     subjects = {}
     for subject, rows in zip(names.tolist(), np.split(values, ends)):
-        rows = rows[np.argsort(rows[:, 0])]
         subjects[subject] = SubjectTrack(ordinate=rows[:, 0], samples=rows[:, 1:])
     return TrajectoryTable(variables=schema.variables, subjects=subjects, dropped_rows=dropped)
 
@@ -517,14 +517,8 @@ def save_ingest_provenance(
         **(extra or {}),
         "report": report.to_json_dict(),
         "recipe": {
-            "predictor": recipe.predictor,
+            **asdict(recipe),
             "response": {"type": type(recipe.response).__name__, **vars(recipe.response)},
-            "interval": list(recipe.interval),
-            "start_gate": list(recipe.start_gate) if recipe.start_gate else None,
-            "end_gate": list(recipe.end_gate) if recipe.end_gate else None,
-            "derivative_gate": recipe.derivative_gate,
-            "center": recipe.center,
-            "penalty": recipe.penalty,
         },
         "basis": {
             "p": basis.p,

@@ -63,22 +63,12 @@ class LinearOpSpec:
         if self.kind not in OP_KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}; expected one of {OP_KINDS}")
 
-    def apply_grid(self, basis: BasisSystem) -> np.ndarray:
-        """Values of (op phi_k) on the quadrature grid, shape (n_quad, p)."""
-        nodes = basis.quad_nodes
+    def apply_at(self, basis: BasisSystem, x: np.ndarray) -> np.ndarray:
+        """Values of (op phi_k) at the points x, shape (len(x), p)."""
         return self._combine(
-            basis.quad_values,
-            lambda: basis.deriv_values(nodes, order=1),
-            lambda: -basis.deriv_values(nodes, order=2),
-        )
-
-    def apply_boundary(self, basis: BasisSystem) -> np.ndarray:
-        """Values of (op phi_k) at the two endpoints, shape (2, p)."""
-        ends = np.array(basis.interval)
-        return self._combine(
-            basis.boundary_values,
-            lambda: basis.deriv_values(ends, order=1),
-            lambda: -basis.deriv_values(ends, order=2),
+            lambda: basis.values(x),
+            lambda: basis.deriv_values(x, order=1),
+            lambda: -basis.deriv_values(x, order=2),
         )
 
     def apply_kernel_grid(
@@ -162,22 +152,15 @@ def gaussian_kernel(diff: np.ndarray, h: float) -> np.ndarray:
     return np.exp(-(diff**2) / (2.0 * h * h)) / np.sqrt(2.0 * np.pi * h * h)
 
 
-def kernel_gram(
-    weights: np.ndarray,
-    left_values: np.ndarray,
-    right_values: np.ndarray,
-    kernel_grid: np.ndarray,
-) -> np.ndarray:
-    """2-D quadrature int int k(s, t) f_i(s) g_j(t) ds dt for all (i, j).
+def kernel_gram(weights: np.ndarray, values: np.ndarray, kernel_grid: np.ndarray) -> np.ndarray:
+    """2-D quadrature int int k(s, t) f_i(s) f_j(t) ds dt for all (i, j).
 
     ``kernel_grid`` holds k at all node pairs (rows: s, columns: t);
-    ``left_values``/``right_values`` hold f_i and g_j on the same nodes.
-    The result is independent of node ordering as long as the three pieces
-    are permuted consistently.
+    ``values`` holds the f_i on the same nodes.  The result is independent
+    of node ordering as long as the three pieces are permuted consistently.
     """
-    lw = left_values * weights[:, None]
-    rw = right_values * weights[:, None]
-    return lw.T @ kernel_grid @ rw
+    wv = values * weights[:, None]
+    return wv.T @ kernel_grid @ wv
 
 
 _FACTORS = ("C", "M", "M_L")
@@ -274,20 +257,19 @@ def _factor_matrices(
     diff = nodes[:, None] - nodes[None, :]
     k1 = gaussian_kernel(diff, spec.h)
 
-    p_vals = P.apply_grid(basis)
-    C = kernel_gram(w, p_vals, p_vals, k1)
+    C = kernel_gram(w, P.apply_at(basis, nodes), k1)
     C = (C + C.T) / 2
     if spec.include_boundary:
-        b_vals = B.apply_boundary(basis)
+        b_vals = B.apply_at(basis, np.array(basis.interval))
         bc = b_vals.T @ b_vals
         C = C + (bc + bc.T) / 2
 
     phi = basis.quad_values()
-    M = kernel_gram(w, phi, phi, k1)
+    M = kernel_gram(w, phi, k1)
     M = (M + M.T) / 2
     if L.kind == "identity":
         return C, (M, M)
-    return C, (M, kernel_gram(w, phi, phi, L.apply_kernel_grid(diff, spec.h, k1)))
+    return C, (M, kernel_gram(w, phi, L.apply_kernel_grid(diff, spec.h, k1)))
 
 
 def kernel_provenance(

@@ -19,9 +19,10 @@ V diag(s2) V' of it serves every lambda on a grid: the solve is
 V (V'b / (s2 + n lambda)) with b = d * vec(G' F H), the smoothing matrix
 A V diag(1 / (s2 + n lambda)) V' A' has eigenvalues s2 / (s2 + n lambda) in
 [0, 1), and its trace is a cheap sum.  Eigenvalues at or below roundoff,
-p^2 max(s2) times machine epsilon, count as zero, and nothing divides by
-them.  Factoring costs O(n p^2 + p^6), against O(n p^5) for an SVD of the
-(n p) x p^2 design.  A RidgeSystem is built once per dataset.  Its
+p^2 max(s2) times machine epsilon, count as zero: nothing divides by them,
+and the solve and the smoother drop their components, so the solve is
+minimum-norm.  Factoring costs O(n p^2 + p^6), against O(n p^5) for an SVD
+of the (n p) x p^2 design.  A RidgeSystem is built once per dataset.  Its
 ``solve``, ``trace``, ``operator_matrix`` and ``fitted`` broadcast over a
 leading lambda axis as numpy functions do: a scalar lambda gives one
 result, an array of m lambdas gives m rows from the one eigendecomposition.
@@ -66,6 +67,13 @@ class RidgeSystem:
         p = data.p
         if km.p != p:
             raise ValueError(f"kernel factors are {km.p} x {km.p}, expected p = {p}")
+        basis = data.basis
+        have = {"p": p, "interval": list(basis.interval), "n_quad": len(basis.quad_nodes)}
+        built = {key: km.provenance.get(key) for key in have}
+        if None not in built.values() and built != have:
+            raise ValueError(
+                f"kernel matrices were assembled on basis {built}, the data's is {have}"
+            )
         self.data = data
         self.km = km
         self.n = data.n
@@ -83,9 +91,18 @@ class RidgeSystem:
         """s2 + n * lambda, with one row per entry of a lambda array."""
         return self.s2 + self.n * np.expand_dims(lam, -1)
 
+    def _over_shifted(self, num, lam) -> np.ndarray:
+        """num / (s2 + n * lambda), and 0 where the rank rule set s2 to 0.
+
+        Those components hold only roundoff, so dropping them makes the solve
+        minimum-norm instead of dividing roundoff by n * lambda.
+        """
+        shifted = self._shifted(lam)
+        return np.divide(num, shifted, out=np.zeros(shifted.shape), where=self.s2 > 0)
+
     def solve(self, lam) -> np.ndarray:
-        """Coefficient vector minimizing the penalized objective; (..., p^2)."""
-        z = (self._rhs / self._shifted(lam)) @ self.V.T
+        """Minimum-norm coefficient vector minimizing the penalized objective; (..., p^2)."""
+        z = self._over_shifted(self._rhs, lam) @ self.V.T
         # Y' for Y = Q_C' X' Q_M, indexed [C eigenpair, M eigenpair], un-whitened by d
         Yt = (z * self.d).reshape(*z.shape[:-1], self.p, self.p)
         return (self.Q_M @ Yt @ self.Q_C.T).swapaxes(-1, -2).reshape(z.shape)
@@ -116,7 +133,7 @@ class RidgeSystem:
         E = cols.reshape(self.n, self.p, -1, order="F")
         proj = np.einsum("ik,ijm,jl->lkm", self.G, E, self.H, optimize=True)
         y = self.d[:, None] * proj.reshape(self.d.size, -1)
-        inverse = 1.0 / self._shifted(lam)
+        inverse = self._over_shifted(1.0, lam)
         z = self.d[:, None] * (self.V @ (inverse[:, None] * (self.V.T @ y)))
         out = np.einsum("ik,lkm,jl->ijm", self.G, z.reshape(proj.shape), self.H, optimize=True)
         return out.reshape(cols.shape, order="F")
@@ -133,7 +150,7 @@ class RidgeSystem:
         vector is formed.
         """
         outer = np.einsum("ij,ik->ijk", residuals @ self.H, self.G).reshape(self.n, -1)
-        inverse = 1.0 / self._shifted(lam)
+        inverse = self._over_shifted(1.0, lam)
         core = ((weights @ outer) * self.d) @ self.V * (np.sqrt(self.s2) * inverse)
         return np.einsum("bk,bk->b", core, core)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSystem, DataSet, make_cosine_basis
-from .gof import GofResult, ParamFamily, bootstrap_test, fit_parametric
+from .gof import STRATEGIES, GofResult, ParamFamily, bootstrap_test, fit_parametric
 from .kernels import DEFAULT_OPERATORS, KernelMatrices, KernelSpec, assemble, kernel_provenance
 from .regress import RidgeSystem, check_lambdas, lambda_path
 
@@ -63,6 +63,10 @@ class SimConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.B < 100:
+            raise ValueError(f"B must be >= 100, got {self.B}")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.eigen_sign not in ("minus", "plus"):
             raise ValueError(f"eigen_sign must be 'minus' or 'plus', got {self.eigen_sign!r}")
         named = isinstance(self.test_lambda, str)
@@ -72,6 +76,10 @@ class SimConfig:
             want = "'ess_min', 'gcv_min' or a positive number"
             raise ValueError(f"test_lambda must be {want}, got {self.test_lambda!r}")
         grid = np.sort(check_lambdas(self.lambda_grid, "lambda_grid"))
+        # summary.json and the records CSV key each grid point by this label
+        labels = [f"{lam:g}" for lam in grid]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"lambda_grid values must have distinct %g labels, got {labels}")
         # ascending, so the grid's neighbours are the refinement's neighbours
         object.__setattr__(self, "lambda_grid", tuple(grid.tolist()))
 
@@ -329,33 +337,27 @@ def run_mc(
         raise ValueError("kernels were built for another p, n_quad or h than the config's")
     family = ParamFamily.scaled_neg_laplacian(basis)
 
-    results, skipped = [], []
+    records, skipped, dumps = [], [], []
     for rep in range(config.reps):
         try:
-            results.append(
-                _run_rep(rep, config, basis, km, family, *_rep_streams(config.seed, rep))
-            )
+            record, gof = _run_rep(rep, config, basis, km, family, *_rep_streams(config.seed, rep))
         except Exception as exc:
             if not config.skip_failures:
                 raise RuntimeError(f"replication {rep} failed: {exc}") from exc
             skipped.append((rep, str(exc)))
+        else:
+            records.append(record)
+            if gof is not None and rep < config.keep_bootstrap:
+                dumps.append((rep, gof.bootstrap_values))
         if progress:
             print(f"\rreplication {rep + 1}/{config.reps}", end="", file=sys.stderr)
     if progress:
         print(file=sys.stderr)
-    if not results:
+    if not records:
         rep, reason = skipped[0]
         raise RuntimeError(
             f"all {config.reps} replications were skipped; replication {rep} failed: {reason}"
         )
-
     return McReport(
-        config=config,
-        records=tuple(rec for rec, _ in results),
-        skipped=tuple(skipped),
-        bootstrap_dumps=tuple(
-            (rec.rep, gof.bootstrap_values)
-            for rec, gof in results
-            if gof is not None and rec.rep < config.keep_bootstrap
-        ),
+        config=config, records=tuple(records), skipped=tuple(skipped), bootstrap_dumps=tuple(dumps)
     )

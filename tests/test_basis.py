@@ -64,7 +64,7 @@ def test_quadrature_matches_scipy_roots_legendre(interval):
 def test_boundary_values_exact():
     p = 8
     basis = make_cosine_basis(p=p, n_quad=101)
-    vals = basis.boundary_values()
+    vals = basis.values(np.array(basis.interval))
     ks = np.arange(1, p + 1)
     assert np.array_equal(vals[0], np.full(p, SQRT2))
     assert np.array_equal(vals[1], SQRT2 * (-1.0) ** ks)

@@ -87,6 +87,14 @@ def test_simulate_invalid_snr_names_field(tmp_path, capsys):
     assert "snr" in capsys.readouterr().err
 
 
+def test_simulate_grid_points_sharing_a_label_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "sim.json", sim_config(lambda_grid=[1e2, 1.0000001e2, 1e3]))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: lambda_grid values must have distinct" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_simulate_with_every_replication_skipped_is_a_runtime_error(tmp_path, capsys):
     doc = {"n": 2, "p": 10, "snr": 3.0, "omegas": [0.0], "reps": 2, "run_test": False,
            "lambda_grid": [1e-300], "skip_failures": True}
@@ -334,6 +342,46 @@ def test_ingest_command_end_to_end(tmp_path):
     u_rows = read_csv(out / "U.csv")
     assert len(u_rows) == 1 + report["report"]["subjects_out"]
     assert u_rows[0][0] == "u_1"
+
+
+def test_ingest_output_is_the_same_at_every_cpu_dispatch_level(tmp_path):
+    import subprocess
+    import sys
+
+    # numpy's default sort is unstable and picks its kernel by SIMD level, so
+    # which of two tied samples ingest keeps must not rest on it
+    rng = np.random.default_rng(5)
+    rows = []
+    for i in range(3):
+        samples = synthetic_rows(
+            f"s{i}", rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4), m=40, x_range=(6.295, 6.905)
+        )
+        # every ordinate twice, the second time with other values, rows shuffled
+        samples += [[s, x, f"{float(a) + 0.5:.12g}", f"{float(b) - 0.5:.12g}"]
+                    for s, x, a, b in samples]
+        rows += [samples[j] for j in rng.permutation(len(samples))]
+    tracks = tmp_path / "tracks.csv"
+    write_rows(tracks, rows)
+    cfg = write_config(tmp_path, "ingest.json", {"input": str(tracks)})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    disabled = "AVX512_ICL AVX512_SPR X86_V4 X86_V3"
+    u_bytes = []
+    for features in ({}, {"NPY_DISABLE_CPU_FEATURES": disabled}):
+        env = {**os.environ, "PYTHONPATH": src, **features}
+        probe = subprocess.run(
+            [sys.executable, "-c", "import numpy"], capture_output=True, text=True, env=env
+        )
+        if probe.returncode != 0:
+            pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={disabled!r}: {probe.stderr}")
+        out = tmp_path / f"out{len(u_bytes)}"
+        command = ["ingest", "--preset", "era5", "--config", cfg, "--out", str(out)]
+        result = subprocess.run(
+            [sys.executable, "-m", "diffreg.cli", *command],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        u_bytes.append((out / "U.csv").read_bytes())
+    assert u_bytes[0] == u_bytes[1]
 
 
 _THERMO_DEFAULTS = {"type": "thermo", "variable": "T_real"}

@@ -249,8 +249,8 @@ def test_batched_resample_and_project_match_scipy(data):
             y = np.concatenate([values, values[repeats] + 1.0])
             shuffle = np.random.default_rng(len(xs)).permutation(x.size)
             x, y = x[shuffle], y[shuffle]
-            # the first of each run of equal abscissae after np.argsort is kept
-            order = np.argsort(x)
+            # the first of each run of equal abscissae in input order is kept
+            order = np.argsort(x, kind="stable")
             keep = np.concatenate([[True], np.diff(x[order]) > 0])
             kx, ky = x[order][keep], y[order][keep]
             if kx.size >= 4:
@@ -274,6 +274,27 @@ def test_batched_resample_and_project_match_scipy(data):
         solution = np.linalg.lstsq(design, curve * np.sqrt(w)[:, None], rcond=None)[0]
         assert np.max(np.abs(offsets[s] - solution[0])) <= tol * scale
         assert np.max(np.abs(coeffs[s] - solution[1:].T)) <= tol * scale
+
+
+def test_the_first_sample_in_the_file_is_kept_at_a_repeated_ordinate(tmp_path):
+    rng = np.random.default_rng(3)
+    x = np.repeat(np.linspace(6.29, 6.91, 40), 3)
+    x = x[rng.permutation(x.size)]
+    # each row's values are its position in the file
+    write_rows(tmp_path / "tracks.csv", [["s0", f"{xi:.17g}", i, -i] for i, xi in enumerate(x)])
+    track = load_trajectories(str(tmp_path / "tracks.csv"), SCHEMA).subjects["s0"]
+    first = {}
+    for i, xi in enumerate(x):
+        first.setdefault(xi, i)
+    want = sorted(first)
+    # ties stay in file order, and the first of each run is the one kept
+    order = [i for xi in want for i in np.flatnonzero(x == xi)]
+    np.testing.assert_array_equal(track.samples[:, 0], order)
+    for xs, ys in ((track.ordinate, track.samples), (x, np.arange(x.size))):
+        knots, values = distinct_samples(xs, ys, basis_on_interval())
+        np.testing.assert_array_equal(knots, want)
+        kept = np.reshape(values, (knots.size, -1))[:, 0]
+        np.testing.assert_array_equal(kept, [first[k] for k in want])
 
 
 def test_thermo_kappa_zero_is_derivative_projection(tmp_path):
@@ -453,7 +474,7 @@ def reference_load_trajectories(path, schema, lenient=False):
     subjects = {}
     for subject in sorted(raw):
         rows = np.array(raw[subject])
-        rows = rows[np.argsort(rows[:, 0])]
+        rows = rows[np.argsort(rows[:, 0], kind="stable")]
         subjects[subject] = (rows[:, 0], rows[:, 1:])
     return subjects, dropped
 

@@ -133,10 +133,10 @@ def test_kernel_gram_invariant_under_node_relabeling():
     nodes, w = basis.quad_nodes, basis.quad_weights
     vals = basis.quad_values()
     grid = gaussian_kernel(nodes[:, None] - nodes[None, :], h)
-    M = kernel_gram(w, vals, vals, grid)
+    M = kernel_gram(w, vals, grid)
     perm = np.random.default_rng(1).permutation(len(nodes))
     grid_p = gaussian_kernel(nodes[perm][:, None] - nodes[perm][None, :], h)
-    M_p = kernel_gram(w[perm], vals[perm], vals[perm], grid_p)
+    M_p = kernel_gram(w[perm], vals[perm], grid_p)
     assert np.max(np.abs(M - M_p)) < 1e-13 * np.max(np.abs(M))
 
 
@@ -164,7 +164,6 @@ def test_boundary_contribution_closed_form():
     M = kernel_gram(
         basis.quad_weights,
         basis.quad_values(),
-        basis.quad_values(),
         gaussian_kernel(basis.quad_nodes[:, None] - basis.quad_nodes[None, :], 0.2),
     )
     ks = np.arange(1, 4)
@@ -189,7 +188,8 @@ def test_test_family_is_the_kernel_neg_laplacian():
     # -laplacian phi_k = (k pi / L)^2 phi_k: the family's D0 is the kernel's operator
     quad = basis.quad_values()
     scale = np.sqrt(2 / L) * freq[-1] ** 2
-    assert np.max(np.abs(neg_laplacian().apply_grid(basis) - quad * freq**2)) < 1e-13 * scale
+    lap = neg_laplacian().apply_at(basis, basis.quad_nodes)
+    assert np.max(np.abs(lap - quad * freq**2)) < 1e-13 * scale
     x = np.linspace(0.5, 2.0, 13)
     explicit = np.sqrt(2.0 / L) * np.cos(np.outer(x - 0.5, ks) * np.pi / L)
     np.testing.assert_array_equal(basis.values(x), explicit)
@@ -199,15 +199,16 @@ def test_boundary_action_on_cosine_basis():
     basis = make_cosine_basis(p=5, n_quad=101, interval=(0.5, 2.0))
     ks = np.arange(1, 6)
     L = 1.5
-    ends = basis.boundary_values()
+    ab = np.array(basis.interval)
+    ends = basis.values(ab)
     np.testing.assert_allclose(ends[0], np.full(5, np.sqrt(2 / L)), rtol=1e-14)
     np.testing.assert_allclose(ends[1], np.sqrt(2 / L) * (-1.0) ** ks, rtol=1e-14)
-    lap = neg_laplacian().apply_boundary(basis)
+    lap = neg_laplacian().apply_at(basis, ab)
     np.testing.assert_allclose(lap, (ks * np.pi / L) ** 2 * ends, rtol=1e-13)
     # sin(k pi (x - a) / L) vanishes at both ends
     scale = np.sqrt(2 / L) * 5 * np.pi / L
-    assert np.max(np.abs(first_derivative().apply_boundary(basis))) < 1e-14 * scale
-    np.testing.assert_allclose(scaled_neg_laplacian(0.7).apply_boundary(basis), 0.7 * lap, rtol=1e-15)
+    assert np.max(np.abs(first_derivative().apply_at(basis, ab))) < 1e-14 * scale
+    np.testing.assert_allclose(scaled_neg_laplacian(0.7).apply_at(basis, ab), 0.7 * lap, rtol=1e-15)
 
 
 def test_first_derivative_kernel_action():

@@ -21,8 +21,10 @@ from diffreg import (
     rss,
     spectrum_diag,
 )
-from diffreg.kernels import psd_jitter
+from diffreg.gof import ParamFamily, bootstrap_test
+from diffreg.kernels import load_kernel_matrices, psd_jitter, save_kernel_matrices
 from diffreg.regress import RidgeSystem, gcv_value
+from diffreg.sim import SimConfig, mc_kernels, replication_dataset, run_mc
 
 from conftest import design_by_loops, random_dataset
 
@@ -367,3 +369,50 @@ def test_fit_result_serializes(basis_p3, km_p3):
     assert doc["lambda"] == 1.0
     assert len(doc["c_hat"]) == 9
     assert doc["provenance"]["cond_estimate"] > 0
+
+
+def test_kernels_assembled_on_another_basis_are_rejected(basis_p3, km_p3, tmp_path):
+    U, F = random_dataset(basis_p3, 12, seed=3)
+    save_kernel_matrices(km_p3, str(tmp_path / "k.npz"))
+    cached = load_kernel_matrices(str(tmp_path / "k.npz"))
+    for other in (make_cosine_basis(3, 101, (0.5, 2.0)), make_cosine_basis(3, 61)):
+        data = DataSet(U=U, F=F, basis=other)
+        family = ParamFamily.scaled_neg_laplacian(other)
+        for km in (km_p3, cached):
+            for run in (
+                lambda: fit(data, km, 1.0),
+                lambda: gcv_sweep(data, km, [1.0, 10.0]),
+                lambda: spectrum_diag(data, km, 2),
+                lambda: bootstrap_test(data, km, 1.0, family, B=100),
+            ):
+                with pytest.raises(ValueError, match="assembled on basis .* the data's is"):
+                    run()
+    # a hand-built KernelMatrices records no basis, so only its size is checked
+    bare = KernelMatrices(C=km_p3.C, M=km_p3.M, M_L=km_p3.M_L)
+    fit(DataSet(U=U, F=F, basis=make_cosine_basis(3, 61)), bare, 1.0)
+    U4, F4 = random_dataset(make_cosine_basis(4, 101), 12, seed=3)
+    with pytest.raises(ValueError, match="expected p = 4"):
+        fit(DataSet(U=U4, F=F4, basis=make_cosine_basis(4, 101)), bare, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rank_deficient_solve_is_minimum_norm():
+    # n=2 samples at p=10: 20 equations for 100 coefficients
+    config = SimConfig(n=2, run_test=False, lambda_grid=(1e-300,), refine_rounds=0)
+    basis, km = mc_kernels(config)
+    for rep in range(2):
+        data, _ = replication_dataset(config, rep, basis)
+        system = RidgeSystem(data, km)
+        assert np.count_nonzero(system.s2 == 0) == 80
+        c_hat = system.solve(1e-300)
+        # the zeroed components held roundoff; divided by n lambda they reached 1e287
+        assert np.max(np.abs(c_hat)) < 1e-2
+        assert np.max(np.abs(system.fitted(c_hat) - data.F)) < 1e-10 * np.max(np.abs(data.F))
+        with pytest.raises(GcvDegenerateError):
+            gcv_sweep(data, km, [1e-300])
+    # the study fails on the degenerate GCV denominator, not on an overflow first
+    skip_all = SimConfig(
+        n=2, reps=2, run_test=False, lambda_grid=(1e-300,), refine_rounds=0, skip_failures=True
+    )
+    with pytest.raises(RuntimeError, match="replication 0 failed: GCV denominator degenerate"):
+        run_mc(skip_all, kernels=(basis, km))

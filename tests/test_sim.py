@@ -213,13 +213,14 @@ def reference_refine(system, mu, grid, rounds):
     "grid", [(1e0, 1e1, 1e2, 1e3, 1e4, 1e5), (1e-3, 1e-2), (1e4, 1e5), (30.0,), (5.0, 5.0, 5.0)]
 )
 def test_refine_matches_the_per_candidate_loop(grid, rounds):
-    config = SimConfig(n=40, omega=0.84, eigen_sign="plus", lambda_grid=grid, seed=15)
-    data, mu = replication_dataset(config)
+    # each grid is ascending, as SimConfig hands it over; a config itself
+    # rejects the repeated 5.0, so the grid goes to the refinement directly
+    data, mu = replication_dataset(SimConfig(n=40, omega=0.84, eigen_sign="plus", seed=15))
     km = assemble(data.basis, neg_laplacian(), identity_op(), neg_laplacian(), KernelSpec(h=0.01))
     system = RidgeSystem(data, km)
     ess_grid = ess(system.fitted(system.solve(np.array(grid))), data, mu)
-    lam, value = sim._refine_ess_lambda(system, mu, config.lambda_grid, ess_grid, rounds)
-    want_lam, want_value = reference_refine(system, mu, config.lambda_grid, rounds)
+    lam, value = sim._refine_ess_lambda(system, mu, grid, ess_grid, rounds)
+    want_lam, want_value = reference_refine(system, mu, grid, rounds)
     assert lam == want_lam
     assert value == pytest.approx(want_value, rel=1e-12)
 
@@ -313,6 +314,14 @@ def test_config_validation():
     for grid in ((), (1.0, 0.0), (1.0, -1.0), (1.0, float("nan"))):
         with pytest.raises(ValueError):
             SimConfig(lambda_grid=grid)
+    # a grid point whose %g label repeats would merge into its neighbour's summary key
+    for grid in ((1.0, 1.0), (1.0, 1.0000001), (10.0, 1.0000001, 2.0, 1.0)):
+        with pytest.raises(ValueError, match="distinct"):
+            SimConfig(lambda_grid=grid)
+    with pytest.raises(ValueError, match="B must be >= 100, got 50"):
+        SimConfig(B=50)
+    with pytest.raises(ValueError, match="strategy must be one of"):
+        SimConfig(strategy="foo")
     for test_lambda in (-1.0, 0.0, float("nan"), float("inf"), "ess_mn", [1.0, 2.0]):
         with pytest.raises(ValueError, match="test_lambda"):
             SimConfig(test_lambda=test_lambda)
