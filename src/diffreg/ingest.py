@@ -34,6 +34,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -432,8 +433,11 @@ def build_thermo_dataset(
     elif isinstance(response, SpectralResponse):
         F = np.asarray(response.multipliers) * coeffs
     else:
-        # ordinate is log(p), so the pressure weight is exp(x)/p0 pointwise
-        weight = (np.exp(basis.quad_nodes) / response.p0) ** (-response.kappa)
+        # ordinate is log(p), so the pressure weight (exp(x)/p0)^-kappa is
+        # exp(-kappa (x - log p0)); math.exp per node, as numpy's SIMD exp and
+        # power round differently at each CPU dispatch level
+        log_p0 = math.log(response.p0)
+        weight = np.array([math.exp(-response.kappa * (x - log_p0)) for x in basis.quad_nodes])
         phi = basis.quad_values()
         slopes = basis.deriv_values(basis.quad_nodes, order=1) @ coeffs.T
         values = curves.offsets[order, v] + phi @ coeffs.T

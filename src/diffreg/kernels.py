@@ -206,43 +206,48 @@ class KernelMatrices:
         return np.kron(self.C, self.M_L)
 
     @property
-    def jitter(self) -> float:
-        """psd_jitter(K), from the p^2 products on K's diagonal."""
-        return _trace_jitter(np.outer(np.diag(self.C), np.diag(self.M)).ravel())
+    def jitters(self) -> tuple[float, float]:
+        """(eps_C, eps_M), the jitters added to C and M: 1e-10 * trace / p of each."""
+        eps_C, eps_M = (1e-10 * float(np.trace(factor)) / self.p for factor in (self.C, self.M))
+        return eps_C, eps_M
+
+    @property
+    def K_eps(self) -> np.ndarray:
+        """The dense p^2 x p^2 penalty (C + eps_C I) kron (M + eps_M I) of the ridge solve.
+
+        Built from the symmetrized factors, as ``whitening`` factors them.
+        """
+        C_eps, M_eps = (
+            (factor + factor.T) / 2 + eps * np.eye(self.p)
+            for factor, eps in zip((self.C, self.M), self.jitters)
+        )
+        return np.kron(C_eps, M_eps)
 
     @functools.cached_property
     def whitening(self) -> tuple[np.ndarray, ...]:
-        """Kernel-only factors of the whitened ridge design: (Q_C, l_C, Q_M, d, H, H'H).
+        """Kernel-only factors of the whitened ridge design: (Q_C, l_C, d_C, Q_M, d_M, H, H'H).
 
         C = Q_C diag(l_C) Q_C' and M = Q_M diag(l_M) Q_M' (both symmetrized)
-        diagonalize K + jitter I, whose whitening weights are
-        d = (l_C l_M + jitter)^{-1/2} in vec order k + j*p, k the C
-        eigenpair.  H = M_L Q_M is the output side of the whitened design.
-        Raises SingularSystemError when K + jitter I is not positive
-        definite; a raised error is not cached, so every use raises.
+        diagonalize K_eps = (C + eps_C I) kron (M + eps_M I), whose whitening
+        weights are d_M kron d_C, with d_C = (l_C + eps_C)^{-1/2} and
+        d_M = (l_M + eps_M)^{-1/2}.  H = M_L Q_M is the output side of the
+        whitened design.  Raises SingularSystemError when C or M is not
+        positive definite after its jitter; a raised error is not cached, so
+        every use raises.
         """
-        l_C, Q_C = np.linalg.eigh((self.C + self.C.T) / 2)
-        l_M, Q_M = np.linalg.eigh((self.M + self.M.T) / 2)
-        # eigenvalues of K, indexed [C eigenpair, M eigenpair]
-        eigs = np.outer(l_C, l_M)
-        jitter = self.jitter
-        if eigs.min() + jitter <= 0:
-            cond = float(np.abs(eigs).max() / max(np.abs(eigs).min(), 1e-300))
-            raise SingularSystemError(
-                "kernel matrix K is not positive definite after jitter", cond
-            )
-        d = ((eigs + jitter) ** -0.5).ravel(order="F")
+        spectra = []
+        for name, eps in zip(("C", "M"), self.jitters):
+            factor = getattr(self, name)
+            eigs, vecs = np.linalg.eigh((factor + factor.T) / 2)
+            if eigs.min() + eps <= 0:
+                cond = float(np.abs(eigs).max() / max(np.abs(eigs).min(), 1e-300))
+                raise SingularSystemError(
+                    f"kernel factor {name} is not positive definite after jitter", cond
+                )
+            spectra.append((vecs, eigs, (eigs + eps) ** -0.5))
+        (Q_C, l_C, d_C), (Q_M, _, d_M) = spectra
         H = self.M_L @ Q_M
-        return Q_C, l_C, Q_M, d, H, H.T @ H
-
-
-def psd_jitter(K: np.ndarray) -> float:
-    """Diagonal jitter 1e-10 * trace(K) / dim, making small-h Grams factorable."""
-    return _trace_jitter(np.diagonal(K))
-
-
-def _trace_jitter(diagonal: np.ndarray) -> float:
-    return 1e-10 * float(diagonal.sum()) / diagonal.size
+        return Q_C, l_C, d_C, Q_M, d_M, H, H.T @ H
 
 
 def _factor_matrices(
@@ -291,7 +296,7 @@ def kernel_provenance(
         "B": {"kind": B.kind, "param": B.param},
         "L": {"kind": L.kind, "param": L.param},
         "flattening": "flat index (j, k) -> j + k*p, j fastest",
-        "jitter_policy": "1e-10 * trace(K) / p^2 added before factorization",
+        "jitter_policy": "1e-10 * trace(F) / p added to each factor F of K = C kron M",
     }
 
 

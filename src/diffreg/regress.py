@@ -2,32 +2,38 @@
 
 The estimator minimizes, over coefficient vectors c = vec(X) of length p^2,
 
-    || vec(F) - A c ||^2 + n * lambda * c' (K + eps I) c,
+    || vec(F) - A c ||^2 + n * lambda * c' K_eps c,
 
 where A c = vec(U C X' M_L') is the design built from the predictor
 scores U and K_L = C kron M_L, vec stacks the n x p response matrix
-column-major, and eps = psd_jitter(K).  Nothing p^2-dimensional is formed
-from the data.  The eigenvectors of the factors C = Q_C diag(l_C) Q_C' and
-M = Q_M diag(l_M) Q_M' diagonalize K + eps I exactly, and in its whitened
+column-major, and K_eps = (C + eps_C I) kron (M + eps_M I) is the kernel
+K = C kron M with each factor jittered by 1e-10 times its trace over p
+(``KernelMatrices.jitters``).  Nothing p^2-dimensional is formed from the
+data.  The eigenvectors of the factors C = Q_C diag(l_C) Q_C' and
+M = Q_M diag(l_M) Q_M' diagonalize K_eps exactly, and in its whitened
 coordinates the design is A = (H kron G) diag(d) up to the vec transpose,
-with G = U Q_C diag(l_C), H = M_L Q_M and d = (l_C l_M + eps)^{-1/2}.
-Only G depends on the data: Q_C, l_C, Q_M, d, H and H'H are the kernel's
+with G = U Q_C diag(l_C), H = M_L Q_M and d = d_M kron d_C, where
+d_C = (l_C + eps_C)^{-1/2} and d_M = (l_M + eps_M)^{-1/2}.  Only G depends
+on the data: Q_C, l_C, d_C, Q_M, d_M, H and H'H are the kernel's
 ``KernelMatrices.whitening``, computed once per kernel and shared by every
-dataset fitted with it.  The p^2 x p^2 Gram diag(d) (H'H kron G'G) diag(d)
-forms from two p x p Grams, and one symmetric eigendecomposition
-V diag(s2) V' of it serves every lambda on a grid: the solve is
-V (V'b / (s2 + n lambda)) with b = d * vec(G' F H), the smoothing matrix
-A V diag(1 / (s2 + n lambda)) V' A' has eigenvalues s2 / (s2 + n lambda) in
-[0, 1), and its trace is a cheap sum.  Eigenvalues at or below roundoff,
-p^2 max(s2) times machine epsilon, count as zero: nothing divides by them,
-and the solve and the smoother drop their components, so the solve is
-minimum-norm.  Factoring costs O(n p^2 + p^6), against O(n p^5) for an SVD
-of the (n p) x p^2 design.  A RidgeSystem is built once per dataset.  Its
-``solve``, ``trace``, ``operator_matrix`` and ``fitted`` broadcast over a
-leading lambda axis as numpy functions do: a scalar lambda gives one
-result, an array of m lambdas gives m rows from the one eigendecomposition.
-``smooth``, ``smoothed_sq_norms`` and ``smoother`` apply the smoothing
-matrix at one lambda; ``smoother`` is ``smooth`` of the identity.
+dataset fitted with it.  The whitened Gram diag(d) (H'H kron G'G) diag(d)
+is the Kronecker product (D_M H'H D_M) kron (D_C G'G D_C) of two p x p
+matrices, so two p x p symmetric eigendecompositions, a with V_M and b with
+V_C, give its eigenpairs s2 = a kron b and V = V_M kron V_C.  They serve
+every lambda on a grid: the solve is V (V'b / (s2 + n lambda)) with
+b = d * vec(G' F H), the smoothing matrix A V diag(1 / (s2 + n lambda)) V' A'
+has eigenvalues s2 / (s2 + n lambda) in [0, 1), and its trace is a cheap
+sum.  s2 is left unsorted, so V needs no column gather.  Eigenvalues at or
+below roundoff, p^2 max(s2) times machine epsilon, count as zero: nothing
+divides by them, and the solve and the smoother drop their components, so
+the solve is minimum-norm.  Factoring costs O(n p^2 + p^4), the p^4 for
+forming V, against O(n p^5) for an SVD of the (n p) x p^2 design.  A
+RidgeSystem is built once per dataset.  Its ``solve``, ``trace``,
+``operator_matrix`` and ``fitted`` broadcast over a leading lambda axis as
+numpy functions do: a scalar lambda gives one result, an array of m lambdas
+gives m rows from the one factorization.  ``smooth``, ``smoothed_sq_norms``
+and ``smoother`` apply the smoothing matrix at one lambda; ``smoother`` is
+``smooth`` of the identity.
 """
 
 from __future__ import annotations
@@ -78,12 +84,16 @@ class RidgeSystem:
         self.km = km
         self.n = data.n
         self.p = p
-        self.Q_C, l_C, self.Q_M, self.d, self.H, HtH = km.whitening
+        self.Q_C, l_C, d_C, self.Q_M, d_M, self.H, HtH = km.whitening
         self.G = (data.U @ self.Q_C) * l_C
-        gram = np.kron(HtH, self.G.T @ self.G) * np.outer(self.d, self.d)
-        s2, self.V = np.linalg.eigh(gram)
+        # the whitened Gram (D_M H'H D_M) kron (D_C G'G D_C), one eigh per factor
+        a, V_M = np.linalg.eigh(HtH * np.outer(d_M, d_M))
+        b, V_C = np.linalg.eigh(self.G.T @ self.G * np.outer(d_C, d_C))
+        self.d = np.kron(d_M, d_C)
+        # left unsorted, so that V needs no column gather
+        s2, self.V = np.kron(a, b), np.kron(V_M, V_C)
         # zero at or below roundoff, the rank rule of np.linalg.matrix_rank
-        self.s2 = np.where(s2 > s2[-1] * s2.size * np.finfo(float).eps, s2, 0.0)
+        self.s2 = np.where(s2 > s2.max() * s2.size * np.finfo(float).eps, s2, 0.0)
         # right-hand side V'b of the solve, b = d * vec(G' F H)
         self._rhs = self.V.T @ (self.d * (self.G.T @ data.F @ self.H).ravel(order="F"))
 
@@ -196,7 +206,7 @@ def fit(data: DataSet, km: KernelMatrices, lam: float) -> FitResult:
         "kernel": km.provenance,
         "n": data.n,
         "p": data.p,
-        "jitter": km.jitter,
+        "jitter": dict(zip(("C", "M"), km.jitters)),
         "cond_estimate": system.cond_estimate(lam),
     }
     return FitResult(c_hat=c_hat, lam=lam, basis=data.basis, provenance=provenance, system=system)
@@ -272,13 +282,13 @@ def gcv_sweep(data: DataSet, km: KernelMatrices, lambda_grid) -> SweepResult:
 
 
 def spectrum_diag(data: DataSet, km: KernelMatrices, top_m: int) -> np.ndarray:
-    """Leading generalized eigenvalues of the prediction form against K.
+    """Leading generalized eigenvalues of the prediction form against the penalty K_eps.
 
-    Solves (K_L' (I kron U'U / n) K_L) v = gamma K v and returns the
+    Solves (K_L' (I kron U'U / n) K_L) v = gamma K_eps v and returns the
     largest ``top_m`` values of gamma in descending order.  Their decay
     rate is the empirical counterpart of the regularity exponent that
     governs the attainable convergence rate.
     """
     if top_m < 1 or top_m > data.p**2:
         raise ValueError(f"top_m must be in [1, p^2] = [1, {data.p ** 2}], got {top_m}")
-    return RidgeSystem(data, km).s2[::-1][:top_m] / data.n
+    return np.sort(RidgeSystem(data, km).s2)[::-1][:top_m] / data.n

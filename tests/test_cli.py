@@ -246,6 +246,21 @@ def test_stale_kernel_cache_is_a_data_error(tmp_path, dataset_dir, capsys):
     assert not any(out.iterdir())
 
 
+def test_kernel_cache_of_the_old_jitter_policy_is_stale(tmp_path, dataset_dir, capsys):
+    cache = str(tmp_path / "kernels.npz")
+    doc = {**ds_section(dataset_dir), "lambda": 1e3, "kernel": {"cache": cache}}
+    cfg = write_config(tmp_path, "fit.json", doc)
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "first")]) == 0
+    # a cache written while the jitter sat on K itself
+    km = load_kernel_matrices(cache)
+    old = {**km.provenance, "jitter_policy": "1e-10 * trace(K) / p^2 added before factorization"}
+    np.savez_compressed(cache, C=km.C, M=km.M, M_L=km.M_L, provenance=json.dumps(old))
+    out = tmp_path / "second"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 3
+    assert f"kernel cache {cache} was built with different jitter_policy" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def _old_layout(path, good, data):
     km = load_kernel_matrices(good)
     np.savez_compressed(path, K=km.K, K_L=km.K_L, provenance=json.dumps(km.provenance))
@@ -349,7 +364,8 @@ def test_ingest_output_is_the_same_at_every_cpu_dispatch_level(tmp_path):
     import sys
 
     # numpy's default sort is unstable and picks its kernel by SIMD level, so
-    # which of two tied samples ingest keeps must not rest on it
+    # which of two tied samples ingest keeps must not rest on it; nor may the
+    # pressure weight of F rest on numpy's SIMD exp or power
     rng = np.random.default_rng(5)
     rows = []
     for i in range(3):
@@ -365,7 +381,7 @@ def test_ingest_output_is_the_same_at_every_cpu_dispatch_level(tmp_path):
     cfg = write_config(tmp_path, "ingest.json", {"input": str(tracks)})
     src = str(Path(__file__).resolve().parents[1] / "src")
     disabled = "AVX512_ICL AVX512_SPR X86_V4 X86_V3"
-    u_bytes = []
+    outputs = []
     for features in ({}, {"NPY_DISABLE_CPU_FEATURES": disabled}):
         env = {**os.environ, "PYTHONPATH": src, **features}
         probe = subprocess.run(
@@ -373,15 +389,15 @@ def test_ingest_output_is_the_same_at_every_cpu_dispatch_level(tmp_path):
         )
         if probe.returncode != 0:
             pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={disabled!r}: {probe.stderr}")
-        out = tmp_path / f"out{len(u_bytes)}"
+        out = tmp_path / f"out{len(outputs)}"
         command = ["ingest", "--preset", "era5", "--config", cfg, "--out", str(out)]
         result = subprocess.run(
             [sys.executable, "-m", "diffreg.cli", *command],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        u_bytes.append((out / "U.csv").read_bytes())
-    assert u_bytes[0] == u_bytes[1]
+        outputs.append([(out / name).read_bytes() for name in ("U.csv", "F.csv")])
+    assert outputs[0] == outputs[1]
 
 
 _THERMO_DEFAULTS = {"type": "thermo", "variable": "T_real"}

@@ -1,7 +1,8 @@
 """Property test: the Kronecker-factored ridge core against a dense LU oracle.
 
 The oracle forms the (n*p) x p^2 design index by index and LU-solves the
-normal equations with K + psd_jitter(K) I, as the factored core must match.
+normal equations with the penalty K_eps = (C + eps_C I) kron (M + eps_M I), as
+the factored core must match.
 Each draw checks three lambdas, every row of one batched call against its
 own oracle.  Draws cover n < p and n*p < p^2, every operator kind in the L
 role and both boundary settings.
@@ -24,7 +25,7 @@ from diffreg import (  # noqa: E402
     neg_laplacian,
     spectrum_diag,
 )
-from diffreg.kernels import OP_KINDS, LinearOpSpec, psd_jitter  # noqa: E402
+from diffreg.kernels import OP_KINDS, LinearOpSpec  # noqa: E402
 
 from conftest import design_by_loops  # noqa: E402
 
@@ -57,7 +58,7 @@ def test_kronecker_core_matches_dense_oracle(
     assert system.s2.min() >= 0.0 and np.count_nonzero(system.s2) <= n * p
 
     A = design_by_loops(U, km.K_L)
-    K_eff = (km.K + km.K.T) / 2 + psd_jitter(km.K) * np.eye(p * p)
+    K_eff = km.K_eps
     gram = A.T @ A
     # one call per quantity serves the whole lambda grid, one row per lambda
     c_hats = system.solve(lams)

@@ -22,7 +22,7 @@ from diffreg import (
     spectrum_diag,
 )
 from diffreg.gof import ParamFamily, bootstrap_test
-from diffreg.kernels import load_kernel_matrices, psd_jitter, save_kernel_matrices
+from diffreg.kernels import load_kernel_matrices, save_kernel_matrices
 from diffreg.regress import RidgeSystem, gcv_value
 from diffreg.sim import SimConfig, mc_kernels, replication_dataset, run_mc
 
@@ -66,13 +66,12 @@ def test_fit_matches_generic_dense_solver(basis_p3, km_p3):
     result = fit(data, km_p3, lam)
     A = design_by_loops(U, km_p3.K_L)
     y = F.flatten(order="F")
-    K_eff = (km_p3.K + km_p3.K.T) / 2 + psd_jitter(km_p3.K) * np.eye(9)
-    oracle = np.linalg.solve(A.T @ A + data.n * lam * K_eff, A.T @ y)
+    oracle = np.linalg.solve(A.T @ A + data.n * lam * km_p3.K_eps, A.T @ y)
     assert np.max(np.abs(result.c_hat - oracle)) < 1e-8 * max(1.0, np.max(np.abs(oracle)))
 
 
 def test_gradient_vanishes_at_solution(basis_p3, km_p3):
-    # the solved objective carries the documented PSD jitter on K; the
+    # the solved objective carries the documented jitter on the factors of K; the
     # jitter-free gradient check runs in the acceptance suite at its own
     # tolerance
     U, F = random_dataset(basis_p3, n=3, seed=3)
@@ -81,8 +80,7 @@ def test_gradient_vanishes_at_solution(basis_p3, km_p3):
     result = fit(data, km_p3, lam)
     A = design_by_loops(U, km_p3.K_L)
     y = F.flatten(order="F")
-    K_eff = (km_p3.K + km_p3.K.T) / 2 + psd_jitter(km_p3.K) * np.eye(9)
-    f = lambda c: objective(c, A, y, K_eff, data.n, lam)
+    f = lambda c: objective(c, A, y, km_p3.K_eps, data.n, lam)
     grad = fd_gradient(f, result.c_hat)
     assert np.max(np.abs(grad)) < 1e-8 * f(result.c_hat)
 
@@ -353,6 +351,28 @@ def test_indefinite_kernel_raises_singularity(basis_p3):
             fit(data, bad, lam=1.0)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+def test_indefinite_M_factor_raises_singularity(basis_p3):
+    # C is positive definite; M keeps a negative eigenvalue after its jitter
+    bad = KernelMatrices(C=np.eye(3), M=np.diag([1.0, 1.0, -1.0]), M_L=np.eye(3))
+    U, F = random_dataset(basis_p3, n=4, seed=25)
+    data = DataSet(U=U, F=F, basis=basis_p3)
+    uses = [
+        lambda: fit(data, bad, lam=1.0),
+        lambda: gcv_sweep(data, bad, [1.0, 10.0]),
+        lambda: spectrum_diag(data, bad, top_m=1),
+        lambda: fit(data, bad, lam=1.0),
+    ]
+    for use in uses:
+        with pytest.raises(SingularSystemError, match="kernel factor M is not positive definite"):
+            use()
+
+
+def test_fit_records_both_factor_jitters(basis_p3, km_p3):
+    U, F = random_dataset(basis_p3, n=4, seed=28)
+    jitter = fit(DataSet(U=U, F=F, basis=basis_p3), km_p3, lam=1.0).provenance["jitter"]
+    assert jitter == {"C": 1e-10 * np.trace(km_p3.C) / 3, "M": 1e-10 * np.trace(km_p3.M) / 3}
 
 
 def test_fit_rejects_nonpositive_lambda(basis_p3, km_p3):

@@ -21,14 +21,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
 import sys  # noqa: E402
-import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+from benchkit import best_ms, write_bench  # noqa: E402
 from diffreg.gof import bootstrap_multipliers, wild_multipliers  # noqa: E402
 
 CASES = ((200, 200), (2000, 200))
@@ -38,34 +36,6 @@ SEED = 20250101
 def reference_multipliers(n: int, B: int, seed: int) -> np.ndarray:
     streams = np.random.SeedSequence(seed).spawn(B)
     return np.stack([wild_multipliers(n, np.random.default_rng(s)) for s in streams])
-
-
-def best_ms(fns, repeats: int, number: int) -> list[float]:
-    """Per function, the minimum over ``repeats`` of the mean time of ``number`` calls, in ms.
-
-    The functions take turns within each repeat, so a change in machine load
-    reaches all of them alike.
-    """
-    best = [float("inf")] * len(fns)
-    for _ in range(repeats):
-        for i, fn in enumerate(fns):
-            start = time.perf_counter()
-            for _ in range(number):
-                fn()
-            best[i] = min(best[i], (time.perf_counter() - start) / number)
-    return [seconds * 1e3 for seconds in best]
-
-
-def environment() -> dict:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": f"{blas.get('name')} {blas.get('version')}",
-        "blas_threads": 1,
-        "nproc": os.cpu_count(),
-        "machine": platform.machine(),
-    }
 
 
 def main(argv=None) -> int:
@@ -94,17 +64,12 @@ def main(argv=None) -> int:
         })
         print(f"n={n:5d} B={B}: spawn loop {ref:.3f} ms, derived {new:.3f} ms, x{ref / new:.2f}")
 
-    doc = {
+    write_bench(args.out, {
         "label": "bootstrap_streams",
         "what": "build the (B, n) wild-multiplier block of one bootstrap test",
         "protocol": f"min of {args.repeats} alternating repeats of the mean of {args.number} calls, "
         f"seed {SEED}",
-        "environment": environment(),
-        "cases": cases,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    }, cases)
     return 0
 
 

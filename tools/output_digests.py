@@ -22,7 +22,9 @@ cache, a cache written and a cache read; sweep at (10, 200) with its grid
 reversed; test at (10, 200) on the basis interval [0.5, 2.0], whose test
 family's multipliers are not those of the unit interval; fit under four L
 kinds and under P in {identity, first_derivative} crossed with B in
-{neg_laplacian, first_derivative}; and ``ingest --preset era5`` on a small
+{neg_laplacian, first_derivative}; fit at (20, 2000) with bandwidth
+h = 0.2, where K is singular and the jitter alone fixes c_hat on its null
+space; and ``ingest --preset era5`` on a small
 trajectory CSV with repeated ordinates, a subject split across the file
 and a subject that fails the end gate, once as preset and once with a
 roughness penalty of 1e-6 on the projection.
@@ -179,6 +181,8 @@ def main(argv: list[str]) -> int:
                 for B in FIT_B_KINDS:
                     kernel = {"P": {"kind": P}, "B": {"kind": B}}
                     run("fit", f"fit_{label}_P_{P}_B_{B}", {**base, "lambda": 10.0, "kernel": kernel})
+        if label == "p20_n2000":
+            run("fit", f"fit_{label}_h0.2", {**base, "lambda": 10.0, "kernel": {"h": 0.2}})
 
     tracks = write_trajectories(out, "data_era5", len(DATASETS))
     run("ingest", "ingest_era5", {"input": tracks}, "--preset", "era5")
