@@ -182,14 +182,16 @@ class KernelMatrices:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        shapes = {np.shape(self.C), np.shape(self.M), np.shape(self.M_L)}
-        if len(shapes) != 1 or self.C.ndim != 2 or self.C.shape[0] != self.C.shape[1]:
-            raise ValueError("C, M and M_L must be square with identical shape")
         for name in _FACTORS:
             # a copy, so the caller's array keeps its own flags
-            factor = np.array(getattr(self, name))
+            factor = np.array(getattr(self, name), dtype=float)
+            if not np.isfinite(factor).all():
+                raise ValueError(f"kernel factor {name} has a non-finite entry")
             factor.flags.writeable = False
             object.__setattr__(self, name, factor)
+        shapes = {self.C.shape, self.M.shape, self.M_L.shape}
+        if len(shapes) != 1 or self.C.ndim != 2 or self.C.shape[0] != self.C.shape[1]:
+            raise ValueError("C, M and M_L must be square with identical shape")
 
     @property
     def p(self) -> int:
@@ -225,15 +227,16 @@ class KernelMatrices:
 
     @functools.cached_property
     def whitening(self) -> tuple[np.ndarray, ...]:
-        """Kernel-only factors of the whitened ridge design: (Q_C, l_C, d_C, Q_M, d_M, H, H'H).
+        """Kernel-only factors of the rotated ridge design: (P_C, R_C, a, H, T_M).
 
         C = Q_C diag(l_C) Q_C' and M = Q_M diag(l_M) Q_M' (both symmetrized)
-        diagonalize K_eps = (C + eps_C I) kron (M + eps_M I), whose whitening
-        weights are d_M kron d_C, with d_C = (l_C + eps_C)^{-1/2} and
-        d_M = (l_M + eps_M)^{-1/2}.  H = M_L Q_M is the output side of the
-        whitened design.  Raises SingularSystemError when C or M is not
-        positive definite after its jitter; a raised error is not cached, so
-        every use raises.
+        diagonalize K_eps, with whitening weights D_C = diag(l_C + eps_C)^{-1/2}
+        and D_M = diag(l_M + eps_M)^{-1/2}.  The M-side eigenproblem
+        H_w'H_w = V_M diag(a) V_M' of H_w = M_L Q_M D_M is solved here, once per
+        kernel, and V_M is folded into H = H_w V_M and T_M = Q_M D_M V_M.  A
+        dataset's side is U P_C, with P_C = Q_C diag(l_C) D_C and R_C = Q_C D_C.
+        Raises SingularSystemError when C or M is not positive definite after
+        its jitter; a raised error is not cached, so every use raises.
         """
         spectra = []
         for name, eps in zip(("C", "M"), self.jitters):
@@ -244,10 +247,11 @@ class KernelMatrices:
                 raise SingularSystemError(
                     f"kernel factor {name} is not positive definite after jitter", cond
                 )
-            spectra.append((vecs, eigs, (eigs + eps) ** -0.5))
-        (Q_C, l_C, d_C), (Q_M, _, d_M) = spectra
-        H = self.M_L @ Q_M
-        return Q_C, l_C, d_C, Q_M, d_M, H, H.T @ H
+            spectra.append((eigs, vecs * (eigs + eps) ** -0.5))
+        (l_C, R_C), (_, QD_M) = spectra
+        H_w = self.M_L @ QD_M
+        a, V_M = np.linalg.eigh(H_w.T @ H_w)
+        return R_C * l_C, R_C, a, H_w @ V_M, QD_M @ V_M
 
 
 def _factor_matrices(
@@ -316,7 +320,6 @@ def assemble(
     return KernelMatrices(C=C, M=M, M_L=M_L, provenance=kernel_provenance(basis, P, B, L, spec))
 
 
-
 def save_kernel_matrices(km: KernelMatrices, path: str) -> None:
     """Write C, M, M_L and the provenance header to an .npz file.
 
@@ -344,7 +347,7 @@ def load_kernel_matrices(path: str) -> KernelMatrices:
 
     Raises DataError naming the file when it is not such a cache: not an
     .npz archive, truncated or corrupt, in the older K/K_L layout, or
-    holding factors that are not p x p for the p its provenance records.
+    holding factors that are not finite p x p matrices for the recorded p.
     """
     unreadable = (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, zlib.error)
     with contextlib.ExitStack() as stack:
@@ -377,4 +380,7 @@ def load_kernel_matrices(path: str) -> KernelMatrices:
             f"kernel cache {path} holds factors C, M, M_L of shapes {shapes}, "
             f"expected p x p for the recorded p = {p}"
         )
-    return KernelMatrices(**factors, provenance=provenance)
+    try:
+        return KernelMatrices(**factors, provenance=provenance)
+    except ValueError as exc:
+        raise DataError(f"kernel cache {path} is unusable: {exc}") from exc

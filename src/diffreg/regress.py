@@ -8,26 +8,23 @@ where A c = vec(U C X' M_L') is the design built from the predictor
 scores U and K_L = C kron M_L, vec stacks the n x p response matrix
 column-major, and K_eps = (C + eps_C I) kron (M + eps_M I) is the kernel
 K = C kron M with each factor jittered by 1e-10 times its trace over p
-(``KernelMatrices.jitters``).  Nothing p^2-dimensional is formed from the
-data.  The eigenvectors of the factors C = Q_C diag(l_C) Q_C' and
-M = Q_M diag(l_M) Q_M' diagonalize K_eps exactly, and in its whitened
-coordinates the design is A = (H kron G) diag(d) up to the vec transpose,
-with G = U Q_C diag(l_C), H = M_L Q_M and d = d_M kron d_C, where
-d_C = (l_C + eps_C)^{-1/2} and d_M = (l_M + eps_M)^{-1/2}.  Only G depends
-on the data: Q_C, l_C, d_C, Q_M, d_M, H and H'H are the kernel's
-``KernelMatrices.whitening``, computed once per kernel and shared by every
-dataset fitted with it.  The whitened Gram diag(d) (H'H kron G'G) diag(d)
-is the Kronecker product (D_M H'H D_M) kron (D_C G'G D_C) of two p x p
-matrices, so two p x p symmetric eigendecompositions, a with V_M and b with
-V_C, give its eigenpairs s2 = a kron b and V = V_M kron V_C.  They serve
-every lambda on a grid: the solve is V (V'b / (s2 + n lambda)) with
-b = d * vec(G' F H), the smoothing matrix A V diag(1 / (s2 + n lambda)) V' A'
-has eigenvalues s2 / (s2 + n lambda) in [0, 1), and its trace is a cheap
-sum.  s2 is left unsorted, so V needs no column gather.  Eigenvalues at or
-below roundoff, p^2 max(s2) times machine epsilon, count as zero: nothing
-divides by them, and the solve and the smoother drop their components, so
-the solve is minimum-norm.  Factoring costs O(n p^2 + p^4), the p^4 for
-forming V, against O(n p^5) for an SVD of the (n p) x p^2 design.  A
+(``KernelMatrices.jitters``).  No p^2 x p^2 array exists: every array is
+p x p or n x p.  The eigenvectors Q_C, Q_M of the factors whiten K_eps,
+with weights D_C, D_M, and the whitened design is the Kronecker product
+of W = U Q_C diag(l_C) D_C and H_w = M_L Q_M D_M.  Its Gram H_w'H_w kron
+W'W has eigenvalues s2 = a kron b from H_w'H_w = V_M diag(a) V_M' and
+W'W = V_C diag(b) V_C', and both rotations are folded into the factors:
+G = W V_C and H = H_w V_M have diagonal Grams, so nothing p^2-long is ever
+rotated.  H_w depends on the kernel alone, so ``KernelMatrices.whitening``
+solves the M-side eigenproblem once per kernel; factoring a dataset is one
+p x p symmetric eigendecomposition, of W'W, at O(n p^2 + p^3) against
+O(n p^5) for an SVD of the (n p) x p^2 design.  The factors serve every
+lambda: the solve is T_M [(H' F' G) / (s2 + n lambda)] T_C' with
+T_M = Q_M D_M V_M and T_C = Q_C D_C V_C, the smoothing matrix has
+eigenvalues s2 / (s2 + n lambda) in [0, 1), and its trace is a cheap sum.
+s2 is left unsorted.  Eigenvalues at or below roundoff, p^2 max(s2) times
+machine epsilon, count as zero: nothing divides by them, and the solve and
+the smoother drop their components, so the solve is minimum-norm.  A
 RidgeSystem is built once per dataset.  Its ``solve``, ``trace``,
 ``operator_matrix`` and ``fitted`` broadcast over a leading lambda axis as
 numpy functions do: a scalar lambda gives one result, an array of m lambdas
@@ -63,10 +60,10 @@ def check_lambdas(lams, name: str = "lambda") -> np.ndarray:
 class RidgeSystem:
     """Factorizations shared by every lambda for one (data, kernels) pair.
 
-    The smoother S = A V diag(1 / (s2 + n lambda)) V' A' is read off the
-    same factors; it is zero on the complement of the range of A.  The
-    vector vec(E) of an n x p matrix E reaches the eigenbasis as
-    V' (d * vec(G' E H)), whose entry (k, j) of G' E H sits at k + j*p.
+    G = U P_C V_C and H hold the design rotated into its eigenbasis, with
+    G'G = diag(b) and H'H = diag(a).  An n x p matrix E reaches the
+    eigenbasis as Z = H' E' G, whose entry (j, k) sits at j*p + k beside
+    s2 = a_j b_k; the smoother maps it back as G (Z / (s2 + n lambda))' H'.
     """
 
     def __init__(self, data: DataSet, km: KernelMatrices):
@@ -84,18 +81,17 @@ class RidgeSystem:
         self.km = km
         self.n = data.n
         self.p = p
-        self.Q_C, l_C, d_C, self.Q_M, d_M, self.H, HtH = km.whitening
-        self.G = (data.U @ self.Q_C) * l_C
-        # the whitened Gram (D_M H'H D_M) kron (D_C G'G D_C), one eigh per factor
-        a, V_M = np.linalg.eigh(HtH * np.outer(d_M, d_M))
-        b, V_C = np.linalg.eigh(self.G.T @ self.G * np.outer(d_C, d_C))
-        self.d = np.kron(d_M, d_C)
-        # left unsorted, so that V needs no column gather
-        s2, self.V = np.kron(a, b), np.kron(V_M, V_C)
+        P_C, R_C, a, self.H, self.T_M = km.whitening
+        W = data.U @ P_C
+        # the C side of the whitened Gram diag(a) kron W'W, the one eigh per dataset
+        b, V_C = np.linalg.eigh(W.T @ W)
+        self.G, self.T_C = W @ V_C, R_C @ V_C
+        # left unsorted: entry j*p + k is a_j * b_k
+        s2 = np.outer(a, b).ravel()
         # zero at or below roundoff, the rank rule of np.linalg.matrix_rank
         self.s2 = np.where(s2 > s2.max() * s2.size * np.finfo(float).eps, s2, 0.0)
-        # right-hand side V'b of the solve, b = d * vec(G' F H)
-        self._rhs = self.V.T @ (self.d * (self.G.T @ data.F @ self.H).ravel(order="F"))
+        # right-hand side of the solve, the response in the eigenbasis
+        self._rhs = (self.H.T @ data.F.T @ self.G).ravel()
 
     def _shifted(self, lam) -> np.ndarray:
         """s2 + n * lambda, with one row per entry of a lambda array."""
@@ -112,10 +108,10 @@ class RidgeSystem:
 
     def solve(self, lam) -> np.ndarray:
         """Minimum-norm coefficient vector minimizing the penalized objective; (..., p^2)."""
-        z = self._over_shifted(self._rhs, lam) @ self.V.T
-        # Y' for Y = Q_C' X' Q_M, indexed [C eigenpair, M eigenpair], un-whitened by d
-        Yt = (z * self.d).reshape(*z.shape[:-1], self.p, self.p)
-        return (self.Q_M @ Yt @ self.Q_C.T).swapaxes(-1, -2).reshape(z.shape)
+        z = self._over_shifted(self._rhs, lam)
+        # X' for c = vec(X), mapped back from the eigenbasis [M eigenpair, C eigenpair]
+        Xt = self.T_M @ z.reshape(*z.shape[:-1], self.p, self.p) @ self.T_C.T
+        return Xt.swapaxes(-1, -2).reshape(z.shape)
 
     def operator_matrix(self, c_hat: np.ndarray) -> np.ndarray:
         """p x p matrix mapping predictor coefficients to output coefficients.
@@ -142,10 +138,8 @@ class RidgeSystem:
         """S @ cols for a stacked (n*p,) vector or (n*p, m) matrix."""
         E = cols.reshape(self.n, self.p, -1, order="F")
         proj = np.einsum("ik,ijm,jl->lkm", self.G, E, self.H, optimize=True)
-        y = self.d[:, None] * proj.reshape(self.d.size, -1)
-        inverse = self._over_shifted(1.0, lam)
-        z = self.d[:, None] * (self.V @ (inverse[:, None] * (self.V.T @ y)))
-        out = np.einsum("ik,lkm,jl->ijm", self.G, z.reshape(proj.shape), self.H, optimize=True)
+        inverse = self._over_shifted(1.0, lam).reshape(self.p, self.p, 1)
+        out = np.einsum("ik,lkm,jl->ijm", self.G, proj * inverse, self.H, optimize=True)
         return out.reshape(cols.shape, order="F")
 
     def smoothed_sq_norms(
@@ -153,15 +147,14 @@ class RidgeSystem:
     ) -> np.ndarray:
         """||S vec(diag(w) residuals)||^2 for every row w of ``weights``.
 
-        Row i of ``outer`` is vec(G[i]' (residuals H)[i]), so one product
-        ``weights @ outer`` projects every row-weighted copy of the n x p
-        residuals.  Since V' A' A V = diag(s2), each norm is that of
-        V' (d * projection) * sqrt(s2) / (s2 + n lambda); no (n*p)-long
-        vector is formed.
+        Row i of ``outer`` is vec((residuals H)[i]' G[i]), so one product
+        ``weights @ outer`` takes every row-weighted copy of the n x p
+        residuals to the eigenbasis.  Since G'G and H'H are diagonal, each
+        norm is that of the projection times sqrt(s2) / (s2 + n lambda); no
+        (n*p)-long vector is formed.
         """
         outer = np.einsum("ij,ik->ijk", residuals @ self.H, self.G).reshape(self.n, -1)
-        inverse = self._over_shifted(1.0, lam)
-        core = ((weights @ outer) * self.d) @ self.V * (np.sqrt(self.s2) * inverse)
+        core = (weights @ outer) * (np.sqrt(self.s2) * self._over_shifted(1.0, lam))
         return np.einsum("bk,bk->b", core, core)
 
     def smoother(self, lam: float) -> np.ndarray:

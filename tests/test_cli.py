@@ -282,6 +282,13 @@ def _wrong_shape(path, good, data):
     np.savez_compressed(path, C=small, M=small, M_L=small, provenance=json.dumps(km.provenance))
 
 
+def _non_finite(path, good, data):
+    km = load_kernel_matrices(good)
+    M_L = km.M_L.copy()
+    M_L[2, 3] = np.inf
+    np.savez_compressed(path, C=km.C, M=km.M, M_L=M_L, provenance=json.dumps(km.provenance))
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -289,8 +296,9 @@ def _wrong_shape(path, good, data):
         (_truncated, "is not a readable .npz archive"),
         (_not_npz, "is not a readable .npz archive"),
         (_wrong_shape, "expected p x p for the recorded p = 10"),
+        (_non_finite, "kernel factor M_L has a non-finite entry"),
     ],
-    ids=["old_layout", "truncated", "not_npz", "wrong_shape"],
+    ids=["old_layout", "truncated", "not_npz", "wrong_shape", "non_finite"],
 )
 # an unreadable cache must not leave its file open on any path
 @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")

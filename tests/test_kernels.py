@@ -265,3 +265,13 @@ def test_kernel_factors_are_read_only(tmp_path):
 def test_kernel_matrices_shape_check():
     with pytest.raises(ValueError):
         KernelMatrices(C=np.eye(2), M=np.eye(2), M_L=np.eye(3))
+
+
+def test_kernel_factors_are_float_and_finite():
+    km = KernelMatrices(C=[[2.0]], M=[[1]], M_L=[[3.0]])
+    assert km.p == 1 and km.M.dtype == float
+    for name in ("C", "M", "M_L"):
+        factors = {"C": np.eye(2), "M": np.eye(2), "M_L": np.eye(2)}
+        factors[name] = np.array([[1.0, np.nan], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=f"kernel factor {name} has a non-finite entry"):
+            KernelMatrices(**factors)

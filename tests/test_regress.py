@@ -415,6 +415,18 @@ def test_kernels_assembled_on_another_basis_are_rejected(basis_p3, km_p3, tmp_pa
         fit(DataSet(U=U4, F=F4, basis=make_cosine_basis(4, 101)), bare, 1.0)
 
 
+def test_ridge_system_holds_nothing_larger_than_the_data():
+    # p = 10, n = 200: a p^2 x p^2 array would hold 10 000 entries, U holds n p = 2000
+    basis = make_cosine_basis(10, 201)
+    km = assemble(basis, neg_laplacian(), identity_op(), neg_laplacian(), KernelSpec(h=0.01))
+    U, F = random_dataset(basis, n=200, seed=4)
+    system = RidgeSystem(DataSet(U=U, F=F, basis=basis), km)
+    arrays = {k: v for k, v in vars(system).items() if isinstance(v, np.ndarray)}
+    assert arrays and max(a.size for a in arrays.values()) <= 200 * 10, {
+        k: a.shape for k, a in arrays.items()
+    }
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rank_deficient_solve_is_minimum_norm():
     # n=2 samples at p=10: 20 equations for 100 coefficients

@@ -150,8 +150,8 @@ def test_run_mc_factors_the_kernel_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
     run_mc(SimConfig(n=30, p=4, reps=3, B=100, seed=1))
-    # C and M once per study, the two factors of the whitened Gram once per replication
-    assert shapes == [(4, 4)] * (2 + 2 * 3)
+    # C, M and the M side of the whitened Gram once per study, its C side once per replication
+    assert shapes == [(4, 4)] * (3 + 3)
 
 
 def test_run_mc_reuses_given_kernels(monkeypatch):

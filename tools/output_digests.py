@@ -124,6 +124,21 @@ def write_trajectories(out: str, folder: str, seed: int) -> str:
     return path
 
 
+def output_files(out: str) -> list[str]:
+    """Paths relative to ``out`` of the outputs the digest list covers, in its order.
+
+    Every file below a command folder; not the configs at the top, nor the
+    ``data_*`` inputs.
+    """
+    found = []
+    for root, _, files in sorted(os.walk(out)):
+        rel = os.path.relpath(root, out)
+        if rel == "." or rel.startswith("data_"):
+            continue
+        found += [os.path.join(rel, name) for name in sorted(files)]
+    return found
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -189,13 +204,9 @@ def main(argv: list[str]) -> int:
     penalized = {"input": tracks, "recipe": {"penalty": 1e-6}}
     run("ingest", "ingest_era5_penalty", penalized, "--preset", "era5")
 
-    for root, _, files in sorted(os.walk(out)):
-        rel = os.path.relpath(root, out)
-        if rel == "." or rel.startswith("data_"):
-            continue
-        for name in sorted(files):
-            with open(os.path.join(root, name), "rb") as fh:
-                print(f"{hashlib.sha256(fh.read()).hexdigest()}  {rel}/{name}")
+    for rel in output_files(out):
+        with open(os.path.join(out, rel), "rb") as fh:
+            print(f"{hashlib.sha256(fh.read()).hexdigest()}  {rel}")
     return 0
 
 
