@@ -26,22 +26,32 @@ and the kept curves come out as (S, V) offsets and (S, V, p) coefficients.
 CSV files are read and written in bulk, one :func:`numpy.loadtxt` or
 :func:`numpy.savetxt` per file.  A row-wise scan runs only when a parse
 rejects a file, to say which row is malformed.
+
+A dataset's U.csv and F.csv stay its only source of truth.  Beside each
+one, :func:`save_dataset` writes a binary sidecar ``<csv>.npz`` holding the
+matrix and the sha256 of the CSV bytes, and :func:`load_dataset` takes the
+matrix from it, skipping the parse, only while that digest matches the CSV
+it has just read.  Any other sidecar is ignored.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
 import warnings
+import zipfile
+import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .basis import BasisSystem, DataSet, distinct_samples, resample_to_quad_grid, solve_projection
 from .errors import DataError, SingularSystemError
+from .fileio import write_atomic
 
 #: subjects resampled and projected together; bounds the (block, n_quad,
 #: variables) arrays of one pass, and with them the peak memory of ingest
@@ -128,11 +138,18 @@ class RecipeSpec:
     penalty: float = 0.0
 
 
+#: the suffix :func:`save_dataset` appends to a CSV path to name its sidecar
+SIDECAR_SUFFIX = ".npz"
+
+
 @contextlib.contextmanager
-def _open_csv(path: str):
-    """Open a CSV as UTF-8 text; bytes that do not decode are a DataError naming the file."""
+def _csv_text(path: str, stream):
+    """The binary ``stream`` of CSV ``path`` read as UTF-8 text, as :func:`open` reads a file.
+
+    Bytes that do not decode are a DataError naming the file.
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with io.TextIOWrapper(stream, encoding="utf-8", newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:  # a ValueError: a parse's handler may re-read first
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
@@ -152,7 +169,7 @@ def load_trajectories(path: str, schema: TableSchema, lenient: bool = False) -> 
     the rest again.
     """
     columns = (schema.subject, schema.ordinate, *schema.variables)
-    with _open_csv(path) as fh:
+    with _csv_text(path, open(path, "rb")) as fh:
         header = next(csv.reader(fh), [])
         # a repeated name refers to its last column, as with csv.DictReader
         index = {name: i for i, name in enumerate(header)}
@@ -450,27 +467,50 @@ def build_thermo_dataset(
 
 
 def save_dataset(data: DataSet, u_path: str, f_path: str) -> None:
-    """Write the coefficient matrices as two headed CSV files, CRLF line ends."""
+    """Write the coefficient matrices as two headed CSV files, CRLF line ends, with sidecars.
+
+    Each CSV is formatted once in memory and written, then its sidecar
+    ``<csv>.npz``: an uncompressed :func:`numpy.savez` archive holding the
+    matrix as ``values`` and the sha256 of the CSV bytes as ``sha256``.  Both
+    are written with :func:`~diffreg.fileio.write_atomic`.  ``%.17g``
+    round-trips every double, so the sidecar holds the matrix the CSV parses
+    to, bit for bit.
+    """
     for path, mat, prefix in ((u_path, data.U, "u"), (f_path, data.F, "f")):
         header = ",".join(f"{prefix}_{k}" for k in range(1, data.p + 1))
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            np.savetxt(
-                fh, mat, fmt="%.17g", delimiter=",", newline="\r\n", header=header, comments=""
-            )
+        text = io.StringIO(newline="")
+        np.savetxt(
+            text, mat, fmt="%.17g", delimiter=",", newline="\r\n", header=header, comments=""
+        )
+        payload = text.getvalue().encode("utf-8")
+        write_atomic(path, payload)
+        sidecar = io.BytesIO()
+        np.savez(sidecar, values=mat, sha256=np.array(hashlib.sha256(payload).hexdigest()))
+        write_atomic(path + SIDECAR_SUFFIX, sidecar.getvalue())
 
 
 def load_dataset(u_path: str, f_path: str, basis: BasisSystem) -> DataSet:
-    """Read a dataset written by :func:`save_dataset`.
+    """Read a dataset written by :func:`save_dataset`, or any pair of headed numeric CSVs.
 
-    Each file is parsed by one :func:`numpy.loadtxt`; only when that parse
-    rejects it does a row-wise scan run, to name the first bad data row.
+    Each CSV is read once, as bytes.  Its matrix comes from the sidecar
+    ``<csv>.npz`` when that holds the sha256 of exactly these bytes and a
+    finite 2-D float64 matrix with at least one row and as many columns as
+    the CSV header.  Any other sidecar, stale, foreign, truncated or
+    unreadable, is ignored, and so is a missing one: the bytes are then
+    parsed by one :func:`numpy.loadtxt`, and only when that parse rejects
+    them does a row-wise scan run, to name the first bad data row.
     """
 
     def read_matrix(path: str) -> np.ndarray:
-        with _open_csv(path) as fh:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        with _csv_text(path, io.BytesIO(raw)) as fh:
             header = next(csv.reader(fh), None)
             if header is None:
                 raise DataError(f"{path}: empty file")
+            mat = _sidecar_matrix(path, raw, len(header))
+            if mat is not None:
+                return mat
             try:
                 mat = _loadtxt(fh, ndmin=2)
                 # np.loadtxt only checks that the rows agree with each other
@@ -492,6 +532,35 @@ def load_dataset(u_path: str, f_path: str, basis: BasisSystem) -> DataSet:
     if U.shape[1] != basis.p:
         raise DataError(f"dataset has {U.shape[1]} columns but basis p = {basis.p}")
     return DataSet(U=U, F=F, basis=basis)
+
+
+def _sidecar_matrix(path: str, raw: bytes, width: int) -> np.ndarray | None:
+    """The matrix of CSV ``path``'s sidecar if it was written for the bytes ``raw``, else None.
+
+    It must also be a finite 2-D float64 matrix with at least one row and
+    ``width`` columns.  A sidecar that cannot be read is None too: an archive
+    header may claim any shape, so a failed allocation counts as unreadable.
+    """
+    unreadable = (
+        OSError, ValueError, EOFError, KeyError, MemoryError, zipfile.BadZipFile, zlib.error
+    )
+    with contextlib.ExitStack() as stack:
+        try:
+            # np.load leaves a file it opened itself open when the zip is truncated
+            fh = stack.enter_context(open(path + SIDECAR_SUFFIX, "rb"))
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                return None
+            stack.enter_context(archive)
+            if str(archive["sha256"]) != hashlib.sha256(raw).hexdigest():
+                return None
+            mat = archive["values"]
+        except unreadable:
+            return None
+    usable = mat.dtype == np.float64 and mat.ndim == 2 and mat.shape[0] >= 1
+    if not (usable and mat.shape[1] == width and np.isfinite(mat).all()):
+        return None
+    return mat
 
 
 def _bad_data_row(path: str, width: int, fh, exc: ValueError) -> DataError:

@@ -24,8 +24,6 @@ import contextlib
 import functools
 import io
 import json
-import os
-import tempfile
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -34,6 +32,7 @@ import numpy as np
 
 from .basis import BasisSystem
 from .errors import DataError, SingularSystemError
+from .fileio import write_atomic
 
 OP_KINDS = (
     "identity",
@@ -323,8 +322,8 @@ def assemble(
 def save_kernel_matrices(km: KernelMatrices, path: str) -> None:
     """Write C, M, M_L and the provenance header to an .npz file.
 
-    The file is written under a temporary name in the same directory and
-    renamed into place, so a reader never sees a partial cache.
+    The file is written with :func:`~diffreg.fileio.write_atomic`, so a
+    reader never sees a partial cache.
     """
     buf = io.BytesIO()
     np.savez_compressed(
@@ -332,14 +331,7 @@ def save_kernel_matrices(km: KernelMatrices, path: str) -> None:
         **{name: getattr(km, name) for name in _FACTORS},
         provenance=json.dumps(km.provenance, sort_keys=True),
     )
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(buf.getvalue())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    write_atomic(path, buf.getvalue())
 
 
 def load_kernel_matrices(path: str) -> KernelMatrices:

@@ -180,6 +180,17 @@ def test_threads_flag_changes_no_output(tmp_path, dataset_dir):
         assert (plain / name).read_bytes() == (flagged / name).read_bytes()
 
 
+def test_dataset_sidecars_change_no_output(tmp_path, dataset_dir):
+    assert sorted(p.name for p in dataset_dir.glob("*.csv.npz")) == ["F.csv.npz", "U.csv.npz"]
+    cfg = write_config(tmp_path, "fit.json", {**ds_section(dataset_dir), "lambda": 1e3})
+    fast, parsed = tmp_path / "fast", tmp_path / "parsed"
+    assert main(["fit", "--config", cfg, "--out", str(fast)]) == 0
+    for sidecar in dataset_dir.glob("*.csv.npz"):
+        sidecar.unlink()
+    assert main(["fit", "--config", cfg, "--out", str(parsed)]) == 0
+    assert (fast / "fit.json").read_bytes() == (parsed / "fit.json").read_bytes()
+
+
 def test_sweep_command_finds_table_optimum(tmp_path, dataset_dir):
     cfg = write_config(
         tmp_path,

@@ -2,10 +2,15 @@
 
 import csv
 import dataclasses
+import gc
+import hashlib
 import io
 import os
+import shutil
 import tempfile
 import warnings
+import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from diffreg import DataError, make_cosine_basis
+from diffreg import ingest
 from diffreg.basis import DataSet, distinct_samples, resample_to_quad_grid
 from diffreg.ingest import (
     IdentityResponse,
@@ -27,6 +33,7 @@ from diffreg.ingest import (
     project_with_offset,
     save_dataset,
 )
+from diffreg.kernels import save_kernel_matrices
 
 SCHEMA = TableSchema(subject="subject", ordinate="log_p", variables=("T_real", "T_pot"))
 INTERVAL = (6.3, 6.9)
@@ -651,3 +658,192 @@ def test_save_dataset_bytes_match_the_csv_writer(tmp_path):
         for row in mat:
             writer.writerow([f"{v:.17g}" for v in row])
         assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+
+# -- the dataset sidecar -------------------------------------------------------
+
+
+def small_dataset(p=3, n=4, seed=1):
+    rng = np.random.default_rng(seed)
+    return DataSet(
+        U=rng.standard_normal((n, p)), F=rng.standard_normal((n, p)),
+        basis=make_cosine_basis(p=p, n_quad=21),
+    )
+
+
+def parse_count(monkeypatch):
+    """Patch the bulk parse to count its calls; returns the one-entry counter."""
+    calls = [0]
+    parse = ingest._loadtxt
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "_loadtxt", counted)
+    return calls
+
+
+def test_save_dataset_writes_sidecars_that_load_dataset_uses(tmp_path, monkeypatch):
+    data = small_dataset()
+    u_path, f_path = str(tmp_path / "U.csv"), str(tmp_path / "F.csv")
+    save_dataset(data, u_path, f_path)
+    assert sorted(os.listdir(tmp_path)) == ["F.csv", "F.csv.npz", "U.csv", "U.csv.npz"]
+    with np.load(u_path + ".npz", allow_pickle=False) as archive:
+        assert sorted(archive.files) == ["sha256", "values"]
+        with open(u_path, "rb") as fh:
+            assert str(archive["sha256"]) == hashlib.sha256(fh.read()).hexdigest()
+        assert archive["values"].tobytes() == data.U.tobytes()
+    calls = parse_count(monkeypatch)
+    loaded = load_dataset(u_path, f_path, data.basis)
+    assert calls[0] == 0
+    assert loaded.U.tobytes() == data.U.tobytes() and loaded.F.tobytes() == data.F.tobytes()
+
+
+def forge_sidecar(path, values, digest_of=None):
+    """A sidecar at ``path`` + .npz holding ``values`` and the sha256 of file ``digest_of``."""
+    with open(digest_of or path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    np.savez(path + ".npz", values=values, sha256=np.array(digest))
+
+
+def huge_header_sidecar(path, width):
+    """A sidecar whose digest matches but whose values header claims 2^36 rows."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": (2**36, width)}
+    )
+    digest = io.BytesIO()
+    with open(path, "rb") as fh:
+        np.save(digest, np.array(hashlib.sha256(fh.read()).hexdigest()))
+    with zipfile.ZipFile(path + ".npz", "w") as archive:
+        archive.writestr("sha256.npy", digest.getvalue())
+        archive.writestr("values.npy", header.getvalue() + b"\0" * 64)
+
+
+def rewrite_u_csv(path, U):
+    """U.csv rewritten with other values and the same header, as an editor would."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"u_{k}" for k in range(1, U.shape[1] + 1)])
+        writer.writerows([[repr(float(v)) for v in row] for row in U])
+
+
+def truncate_sidecar(path):
+    with open(path + ".npz", "r+b") as fh:
+        fh.truncate(100)
+
+
+def plain_npy_sidecar(path, values):
+    """An .npy file, which np.load returns as an array, under the sidecar's name."""
+    with open(path + ".npz", "wb") as fh:
+        np.save(fh, values)
+
+
+SIDECAR_FAULTS = {
+    "stale": lambda path, data: rewrite_u_csv(path, 2 * data.U),
+    "truncated": lambda path, data: truncate_sidecar(path),
+    "another_csvs": lambda path, data: shutil.copyfile(
+        path.replace("U.csv", "F.csv.npz"), path + ".npz"
+    ),
+    "missing": lambda path, data: os.remove(path + ".npz"),
+    "wrong_width": lambda path, data: forge_sidecar(path, data.U[:, :-1]),
+    "nan_under_a_matching_digest": lambda path, data: forge_sidecar(
+        path, np.where(np.arange(data.U.size).reshape(data.U.shape) == 4, np.nan, data.U)
+    ),
+    "no_rows": lambda path, data: forge_sidecar(path, data.U[:0]),
+    "float32": lambda path, data: forge_sidecar(path, data.U.astype(np.float32)),
+    "a_plain_npy": lambda path, data: plain_npy_sidecar(path, data.U),
+    "pickled": lambda path, data: np.savez(path + ".npz", values=np.array([None]),
+                                           sha256=np.array([None])),
+    "huge_header": lambda path, data: huge_header_sidecar(path, data.p),
+    "a_directory": lambda path, data: (os.remove(path + ".npz"), os.mkdir(path + ".npz")),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SIDECAR_FAULTS))
+def test_a_sidecar_not_written_for_the_csv_falls_back_to_the_parse(tmp_path, monkeypatch, fault):
+    data = small_dataset()
+    u_path, f_path = str(tmp_path / "U.csv"), str(tmp_path / "F.csv")
+    save_dataset(data, u_path, f_path)
+    SIDECAR_FAULTS[fault](u_path, data)
+    calls = parse_count(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        loaded = load_dataset(u_path, f_path, data.basis)
+        gc.collect()
+    assert [w.category for w in caught] == []  # no ResourceWarning: every handle was closed
+    assert calls[0] == 1  # U.csv parsed, F.csv from its sidecar
+    want = 2 * data.U if fault == "stale" else data.U
+    assert loaded.U.tobytes() == want.tobytes() and loaded.F.tobytes() == data.F.tobytes()
+
+
+def test_a_stale_sidecar_keeps_the_parse_errors(tmp_path):
+    data = small_dataset()
+    u_path, f_path = str(tmp_path / "U.csv"), str(tmp_path / "F.csv")
+    save_dataset(data, u_path, f_path)
+    U = data.U.copy()
+    U[2, 1] = np.inf
+    rewrite_u_csv(u_path, U)
+    with pytest.raises(DataError, match="U.csv: non-finite entry in data row 3"):
+        load_dataset(u_path, f_path, data.basis)
+    with open(u_path, "a", newline="") as fh:
+        fh.write("1,2\n")
+    with pytest.raises(DataError, match="U.csv: ragged rows: data row 5 has 2 fields"):
+        load_dataset(u_path, f_path, data.basis)
+
+
+_exact_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_sidecar_and_the_parse_give_the_same_bits(data):
+    n = data.draw(st.integers(1, 5), label="n")
+    p = data.draw(st.integers(1, 4), label="p")
+    U, F = (
+        np.array(data.draw(st.lists(_exact_floats, min_size=n * p, max_size=n * p), label=name))
+        .reshape(n, p)
+        for name in ("U", "F")
+    )
+    basis = make_cosine_basis(p=p, n_quad=2 * p + 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        u_path, f_path = os.path.join(tmp, "U.csv"), os.path.join(tmp, "F.csv")
+        save_dataset(DataSet(U=U, F=F, basis=basis), u_path, f_path)
+        with mock.patch.object(ingest, "_loadtxt", side_effect=AssertionError("parsed")):
+            fast = load_dataset(u_path, f_path, basis)
+        for path in (u_path, f_path):
+            os.remove(path + ".npz")
+        parsed = load_dataset(u_path, f_path, basis)
+    for got, want in ((fast.U, parsed.U), (fast.F, parsed.F), (parsed.U, U), (parsed.F, F)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_archives_date_every_member_1980(tmp_path, km_p3):
+    # the digests of kernel caches and sidecars stay fixed only while no
+    # member carries the time it was written
+    save_kernel_matrices(km_p3, str(tmp_path / "kernels.npz"))
+    save_dataset(small_dataset(), str(tmp_path / "U.csv"), str(tmp_path / "F.csv"))
+    for name in ("kernels.npz", "U.csv.npz", "F.csv.npz"):
+        with zipfile.ZipFile(tmp_path / name) as archive:
+            assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+
+
+def test_save_dataset_writes_atomically_with_the_default_mode(tmp_path):
+    data = small_dataset()
+    out = tmp_path / "out"
+    out.mkdir()
+    save_dataset(data, str(out / "U.csv"), str(out / "F.csv"))
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    for name in os.listdir(out):
+        assert os.stat(out / name).st_mode == os.stat(plain).st_mode
+    # a failed rename leaves no temporary file behind
+    os.remove(out / "F.csv.npz")
+    os.mkdir(out / "F.csv.npz")
+    with pytest.raises(OSError):
+        save_dataset(data, str(out / "U.csv"), str(out / "F.csv"))
+    assert sorted(os.listdir(out)) == ["F.csv", "F.csv.npz", "U.csv", "U.csv.npz"]

@@ -34,16 +34,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import importlib.util  # noqa: E402
-import math  # noqa: E402
 import sys  # noqa: E402
-import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 import diffreg  # noqa: E402
-from benchkit import best_ms, write_bench  # noqa: E402
+from benchkit import best_ms, calls_per_block, load_package, write_bench  # noqa: E402
 
 CASES = tuple((p, n) for p in (10, 20, 30) for n in (200, 2000))
 N_QUAD = 201
@@ -53,19 +50,6 @@ ORACLE_TOL = 1e-9
 NORMS_LAMBDA = 10.0
 NORMS_ROWS = 200
 SEED = 20250101
-BLOCK_SECONDS = 0.05
-
-
-def load_package(root: str, name: str):
-    """The diffreg package under ``root``/src, imported as module ``name``."""
-    folder = os.path.join(os.path.abspath(root), "src", "diffreg")
-    spec = importlib.util.spec_from_file_location(
-        name, os.path.join(folder, "__init__.py"), submodule_search_locations=[folder]
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def problem(pkg, p: int, n: int):
@@ -117,12 +101,6 @@ def oracle_gaps(data, km) -> tuple[float, float, float]:
     norms = np.einsum("cb,cd,db->b", c_w, gram, c_w)
     got = system.smoothed_sq_norms(NORMS_LAMBDA, F, W)
     return fitted_gap, trace_gap, float(np.abs(got - norms).max() / norms.max())
-
-
-def calls_per_block(factor) -> int:
-    start = time.perf_counter()
-    factor()
-    return max(1, math.ceil(BLOCK_SECONDS / (time.perf_counter() - start)))
 
 
 def main(argv=None) -> int:

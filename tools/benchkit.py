@@ -2,14 +2,19 @@
 
 Each harness pins the BLAS thread variables to 1 before it imports numpy,
 times its routes with :func:`best_ms` and writes a ``BENCH_<label>.json``
-with :func:`write_bench`, which adds :func:`environment`.
+with :func:`write_bench`, which adds :func:`environment`.  A harness that
+times a baseline checkout beside this tree imports it with
+:func:`load_package`.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import math
 import os
 import platform
+import sys
 import time
 
 import numpy as np
@@ -31,6 +36,25 @@ def best_ms(fns, repeats: int, number) -> list[float]:
                 fn()
             best[i] = min(best[i], (time.perf_counter() - start) / count)
     return [seconds * 1e3 for seconds in best]
+
+
+def calls_per_block(fn, seconds: float = 0.05) -> int:
+    """How many calls of ``fn`` fill about ``seconds``, from the time of one call."""
+    start = time.perf_counter()
+    fn()
+    return max(1, math.ceil(seconds / (time.perf_counter() - start)))
+
+
+def load_package(root: str, name: str):
+    """The diffreg package under ``root``/src, imported as module ``name``."""
+    folder = os.path.join(os.path.abspath(root), "src", "diffreg")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(folder, "__init__.py"), submodule_search_locations=[folder]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def environment() -> dict:

@@ -6,15 +6,15 @@ OUT_A and OUT_B are work directories written by ``tools/output_digests.py``,
 for example from a parent tree and from a change; the files compared are
 those its digest list covers.  For each file whose bytes differ it prints the
 largest difference of a numeric entry relative to the file's largest entry
-(over both trees), and where that difference sits: a JSON path, or a CSV
-row and column.  Beside it stands the largest difference relative to the
-largest entry of the same key (a JSON key or a CSV column, such as
-``c_hat``), and that key, since a file's largest entry may be a setting
-such as n.  Each group of files, the command and the file name with its
-omega and replication stripped, then gets its count and both largest
-relative differences.  Last come the changed decision fields, every entry
-whose key is one of DECISIONS or starts with one of them and "_", old value
-then new.
+(over both trees), and where that difference sits: a JSON path, a CSV row
+and column, or an .npz array and index.  Beside it stands the largest
+difference relative to the largest entry of the same key (a JSON key, a CSV
+column such as ``c_hat``, or an .npz array name), and that key, since a
+file's largest entry may be a setting such as n.  Each group of files, the
+command and the file name with its omega and replication stripped, then
+gets its count and both largest relative differences.  Last come the
+changed decision fields, every entry whose key is one of DECISIONS or
+starts with one of them and "_", old value then new.
 
 Exit status: 0 when no decision field changed and both trees hold the same
 files, 1 otherwise, 2 on a usage error.
@@ -29,6 +29,7 @@ import os
 import re
 import sys
 
+import numpy as np
 from output_digests import output_files
 
 DECISIONS = (
@@ -52,12 +53,33 @@ def _flatten(node, path: str, key: str, entries: list) -> None:
         entries.append((path, key, node))
 
 
+def npz_entries(path: str) -> list[tuple[str, str, object]]:
+    """(location, key, value) for every entry of every array in an .npz archive.
+
+    An entry's key is its array's name and its location the name and index,
+    such as ``values[3, 1]``.  Entries of numeric arrays are floats; those
+    of other arrays, such as a sidecar's ``sha256``, are strings.
+    """
+    found = []
+    with np.load(path, allow_pickle=False) as archive:
+        for name in archive.files:
+            array = archive[name]
+            numeric = array.dtype.kind in "biuf"
+            for index, value in np.ndenumerate(array):
+                location = f"{name}[{', '.join(map(str, index))}]" if index else name
+                found.append((location, name, float(value) if numeric else str(value)))
+    return found
+
+
 def entries(path: str) -> list[tuple[str, str, object]]:
-    """(location, key, value) for every leaf of a JSON file or cell of a headed CSV.
+    """(location, key, value) for every leaf of a JSON file, cell of a headed CSV or .npz entry.
 
     A CSV cell's key is its column name.  Values that parse as numbers are
-    floats, booleans included; anything else stays a string.
+    floats, booleans included; anything else stays a string.  An .npz
+    archive is read by :func:`npz_entries`.
     """
+    if path.endswith(".npz"):
+        return npz_entries(path)
     with open(path, encoding="utf-8") as fh:
         if path.endswith(".json"):
             found = []

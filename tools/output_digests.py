@@ -16,7 +16,11 @@ The set covers simulate (a small table4 study under --threads 1 and 2, the
 same study with its lambda grid reversed, and a gcv_min/parametric cell
 with refine_rounds 3; --threads is accepted and ignored, so the
 ``simulate_table4_t2`` cell checks that the flag changes nothing: its
-digests must equal those of ``simulate_table4_t1``); sweep, fit, test and
+digests must equal those of ``simulate_table4_t1``); fit and test on the
+dataset ``simulate_table4_t1`` dumps, which diffreg wrote with its .npz
+sidecars, so these cells read the sidecars, while every other dataset here
+is written with numpy alone and parsed (a tree that writes no sidecars
+parses this one too, to the same digests); sweep, fit, test and
 spectrum on (p, n) = (10, 200), (20, 2000) and (10, 6) with no kernel
 cache, a cache written and a cache read; sweep at (10, 200) with its grid
 reversed; test at (10, 200) on the basis interval [0.5, 2.0], whose test
@@ -28,8 +32,10 @@ space; and ``ingest --preset era5`` on a small
 trajectory CSV with repeated ordinates, a subject split across the file
 and a subject that fails the end gate, once as preset and once with a
 roughness penalty of 1e-6 on the projection.
-Kernel caches are not listed: the zip archive stamps its members with the
-time of writing.
+The dataset sidecars U.csv.npz and F.csv.npz are listed with the CSVs.
+Kernel caches are not listed, because they sit at the top of OUT, beside
+the configs, and not below a command folder; their bytes are as
+deterministic as the sidecars', since every zip member is dated 1980-01-01.
 """
 
 from __future__ import annotations
@@ -166,6 +172,14 @@ def main(argv: list[str]) -> int:
             "--preset", "table4", "--threads", threads)
     run("simulate", "simulate_table4_reversed_grid", SIM_REVERSED_GRID, "--preset", "table4")
     run("simulate", "simulate_gcv_parametric", SIM_GCV_CELL)
+    # a dataset diffreg wrote, so it loads from its sidecars where the tree writes them
+    dumped = {
+        "dataset": {"u_csv": "simulate_table4_t1/U.csv", "f_csv": "simulate_table4_t1/F.csv"},
+        "basis": {"p": 10, "n_quad": 201},
+        "kernel": {},
+    }
+    run("fit", "fit_table4_dataset", {**dumped, "lambda": 10.0})
+    run("test", "test_table4_dataset", {**dumped, "lambda": 10.0, "B": 200, "seed": 7})
 
     for seed, (label, (p, n)) in enumerate(DATASETS.items()):
         base = {
