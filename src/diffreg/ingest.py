@@ -12,16 +12,16 @@ whose derivative is taken term-by-term on the basis expansion rather than
 on raw samples, since finely-sampled differences are noise dominated.
 
 Each subject's samples are one (m, V) block whose columns follow the
-schema's variables.  The gates run subject by subject; they also sort and
-deduplicate each subject's samples, keeping at a repeated ordinate the
-sample that comes first in the file.  Subjects that pass are then
-pre-smoothed in blocks of ``BLOCK_SUBJECTS``: one call resamples a block's
-curves onto the quadrature grid, with one vectorized spline per knot
-count, and one projection solve takes every curve of the block as a
-column of its right-hand side.  The
-derivative gate and the thermo response are one matrix product each over
-the stacked coefficients.  Blocks bound the size of the stacked arrays,
-and the kept curves come out as (S, V) offsets and (S, V, p) coefficients.
+schema's variables, sorted by ordinate.  The gates run once over the
+concatenated samples of all subjects, one boolean mask per gate; at a
+repeated ordinate the sample that comes first in the file is kept.
+Subjects that pass are pre-smoothed in blocks of ``BLOCK_SUBJECTS``: one
+call resamples a block's curves onto the quadrature grid, with one
+vectorized spline per knot count, and one projection solve takes every
+curve of the block as a column of its right-hand side.  The
+finite-coefficient and derivative gates and the thermo response are one
+pass each over the stacked coefficients.  Blocks bound the size of the
+stacked arrays; the kept curves are (S, V) offsets and (S, V, p) coefficients.
 
 CSV files are read and written in bulk, one :func:`numpy.loadtxt` or
 :func:`numpy.savetxt` per file.  A row-wise scan runs only when a parse
@@ -40,18 +40,17 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import warnings
-import zipfile
-import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .basis import BasisSystem, DataSet, distinct_samples, resample_to_quad_grid, solve_projection
-from .errors import DataError, SingularSystemError
-from .fileio import write_atomic
+from .basis import BasisSystem, DataSet, resample_to_quad_grid, solve_projection
+from .errors import DataError
+from .fileio import UNREADABLE, open_npz, write_atomic
 
 #: subjects resampled and projected together; bounds the (block, n_quad,
 #: variables) arrays of one pass, and with them the peak memory of ingest
@@ -336,95 +335,86 @@ class IngestReport:
         }
 
 
-def _screen(track: SubjectTrack, variables: tuple, recipe: RecipeSpec, basis: BasisSystem):
-    """One subject's distinct knots and (m, V) values, or why it fails a gate."""
-    x = track.ordinate
-    lo, hi = float(x.min()), float(x.max())
-    a, b = recipe.interval
-    if recipe.start_gate is not None and not (recipe.start_gate[0] < lo < recipe.start_gate[1]):
-        return f"smallest ordinate {lo:.6g} outside start gate"
-    if recipe.end_gate is not None and not (recipe.end_gate[0] < hi < recipe.end_gate[1]):
-        return f"largest ordinate {hi:.6g} outside end gate"
-    if lo > a or hi < b:
-        return f"samples cover [{lo:.6g}, {hi:.6g}], not [{a}, {b}]"
-    distinct = np.unique(x).size
-    if distinct < basis.p:
-        return f"{distinct} distinct ordinates < p = {basis.p}"
-    try:
-        knots, values = distinct_samples(x, track.samples, basis)
-    except (SingularSystemError, ValueError) as exc:
-        return str(exc)
-    if not np.isfinite(knots).all():
-        return "non-finite ordinate sample"
-    finite = np.isfinite(values).all(axis=0)
-    if not finite.all():
-        return f"non-finite {variables[int(np.argmin(finite))]} sample"
-    return knots, values
-
-
 def curves_to_basis(
     table: TrajectoryTable, recipe: RecipeSpec, basis: BasisSystem
 ) -> tuple[ProjectedCurves, IngestReport]:
     """Pre-smooth every gated subject's traced variables onto the basis.
 
-    Subjects failing a gate are skipped with a reason; projection is the
-    pre-smoothing step, so the derivative-magnitude gate is evaluated on
-    the projected predictor.  Skips are reported in input order.
+    A subject is skipped with the reason of the first gate it fails, in
+    this order: a non-finite ordinate; the start gate on its smallest and
+    the end gate on its largest ordinate; samples that do not cover
+    ``recipe.interval``; fewer than p distinct ordinates; samples that do
+    not cover the basis quadrature span; a non-finite value.  At a
+    repeated ordinate only the first sample counts.  Projection is the
+    pre-smoothing step, so the last two gates, finite coefficients and the
+    predictor's derivative magnitude, run on the projected curves.  Skips
+    are reported in input order.
     """
     variables = table.variables
-    kept = []  # (position, subject, knots, values)
-    skipped = []  # (position, subject, reason)
-    for position, (subject, track) in enumerate(table.subjects.items()):
-        screened = _screen(track, variables, recipe, basis)
-        if isinstance(screened, str):
-            skipped.append((position, subject, screened))
-        else:
-            kept.append((position, subject, *screened))
+    names = list(table.subjects)
+    tracks = table.subjects.values()
+    sizes = np.array([track.ordinate.size for track in tracks])
+    starts = np.cumsum(sizes) - sizes
+    x = np.concatenate([track.ordinate for track in tracks])
+    y = np.concatenate([track.samples for track in tracks])
+    # tracks are sorted, so each subject's ends are its extremes and the
+    # first sample of each run of equal ordinates is the one kept
+    lo, hi = x[starts], x[starts + sizes - 1]
+    first = np.append(True, x[1:] != x[:-1])
+    first[starts] = True
+    distinct = np.add.reduceat(first, starts)
+    finite = np.logical_and.reduceat(np.isfinite(y) | ~first[:, None], starts)
+    alive = np.ones(len(names), dtype=bool)
+    reasons = {}
 
-    kept_subjects, offsets, coeffs = [], [], []
-    for start in range(0, len(kept), BLOCK_SUBJECTS):
-        block = kept[start : start + BLOCK_SUBJECTS]
-        try:
-            block_offsets, block_coeffs = project_with_offset(
-                [k[2] for k in block], [k[3] for k in block], basis, penalty=recipe.penalty
-            )
-        except SingularSystemError as exc:
-            skipped += [(position, subject, str(exc)) for position, subject, _, _ in block]
-            continue
-        finite = np.isfinite(block_coeffs).all(axis=(1, 2))
-        steep = np.zeros(len(block), dtype=bool)
-        if recipe.derivative_gate is not None:
-            predictor = block_coeffs[:, variables.index(recipe.predictor)]
-            slopes = basis.deriv_values(basis.quad_nodes, order=1) @ predictor.T
-            peaks = np.max(np.abs(slopes), axis=0)
-            steep = peaks > recipe.derivative_gate
-        keep = []
-        for j, (position, subject, _, _) in enumerate(block):
-            if not finite[j]:
-                skipped.append((position, subject, "coefficients must be finite"))
-            elif steep[j]:
-                reason = f"|d {recipe.predictor}/dx| peak {float(peaks[j]):.6g} above gate"
-                skipped.append((position, subject, reason))
-            else:
-                keep.append(j)
-                kept_subjects.append(subject)
-        offsets.append(block_offsets[keep])
-        coeffs.append(block_coeffs[keep])
-    skipped.sort(key=lambda entry: entry[0])
-    V = len(variables)
-    curves = ProjectedCurves(
-        subjects=tuple(kept_subjects),
-        variables=variables,
-        offsets=np.concatenate(offsets) if offsets else np.empty((0, V)),
-        coeffs=np.concatenate(coeffs) if coeffs else np.empty((0, V, basis.p)),
+    def skip(mask: np.ndarray, reason) -> None:
+        """Skip each subject still alive in ``mask``, for the text ``reason(position)``."""
+        for position in np.flatnonzero(mask & alive).tolist():
+            reasons[position] = reason(position)
+        alive[mask] = False
+
+    a, b = recipe.interval
+    span, slack = basis.quad_nodes[[0, -1]], 1e-9 * basis.length
+    skip(~np.logical_and.reduceat(np.isfinite(x), starts), lambda i: "non-finite ordinate sample")
+    gates = ((recipe.start_gate, lo, "smallest", "start"), (recipe.end_gate, hi, "largest", "end"))
+    for gate, edge, extreme, side in gates:
+        if gate is not None:
+            skip(~((gate[0] < edge) & (edge < gate[1])),
+                 lambda i: f"{extreme} ordinate {edge[i]:.6g} outside {side} gate")
+    skip((lo > a) | (hi < b), lambda i: f"samples cover [{lo[i]:.6g}, {hi[i]:.6g}], not [{a}, {b}]")
+    skip(distinct < basis.p, lambda i: f"{distinct[i]} distinct ordinates < p = {basis.p}")
+    # values are only ever needed at the quadrature nodes, so coverage of
+    # their span guarantees the interpolant never extrapolates
+    skip((lo > span[0] + slack) | (hi < span[1] - slack),
+         lambda i: f"samples cover [{lo[i]:.6g}, {hi[i]:.6g}], short of the quadrature span "
+         f"[{span[0]:.6g}, {span[1]:.6g}]")
+    skip(~finite.all(axis=1), lambda i: f"non-finite {variables[np.argmin(finite[i])]} sample")
+    kept = np.flatnonzero(alive)
+    rows = first & np.repeat(alive, sizes)
+    ends = np.cumsum(distinct[kept])[:-1]
+    knots, values = np.split(x[rows], ends), np.split(y[rows], ends)
+    blocks = [(np.empty((0, len(variables))), np.empty((0, len(variables), basis.p)))]
+    for start in range(0, kept.size, BLOCK_SUBJECTS):
+        block = slice(start, start + BLOCK_SUBJECTS)
+        blocks.append(project_with_offset(knots[block], values[block], basis, recipe.penalty))
+    offsets, coeffs = (np.concatenate(parts) for parts in zip(*blocks))
+    broken = np.zeros(len(names), dtype=bool)
+    broken[kept] = ~np.isfinite(coeffs).all(axis=(1, 2))
+    skip(broken, lambda i: "coefficients must be finite")
+    if recipe.derivative_gate is not None:
+        predictor = coeffs[:, variables.index(recipe.predictor)]
+        slopes = basis.deriv_values(basis.quad_nodes, order=1) @ predictor.T
+        peaks = np.zeros(len(names))
+        peaks[kept] = np.max(np.abs(slopes), axis=0)
+        skip(peaks > recipe.derivative_gate,
+             lambda i: f"|d {recipe.predictor}/dx| peak {peaks[i]:.6g} above gate")
+    keep = alive[kept]
+    subjects = tuple(itertools.compress(names, alive.tolist()))
+    skipped = tuple((names[i], reasons[i]) for i in sorted(reasons))
+    return (
+        ProjectedCurves(subjects, variables, offsets[keep], coeffs[keep]),
+        IngestReport(len(names), len(subjects), skipped, table.dropped_rows),
     )
-    report = IngestReport(
-        n_in=len(table.subjects),
-        n_out=len(kept_subjects),
-        skipped=tuple((subject, reason) for _, subject, reason in skipped),
-        dropped_rows=table.dropped_rows,
-    )
-    return curves, report
 
 
 def build_thermo_dataset(
@@ -538,29 +528,17 @@ def _sidecar_matrix(path: str, raw: bytes, width: int) -> np.ndarray | None:
     """The matrix of CSV ``path``'s sidecar if it was written for the bytes ``raw``, else None.
 
     It must also be a finite 2-D float64 matrix with at least one row and
-    ``width`` columns.  A sidecar that cannot be read is None too: an archive
-    header may claim any shape, so a failed allocation counts as unreadable.
+    ``width`` columns.  A sidecar that cannot be read is None too.
     """
-    unreadable = (
-        OSError, ValueError, EOFError, KeyError, MemoryError, zipfile.BadZipFile, zlib.error
-    )
-    with contextlib.ExitStack() as stack:
-        try:
-            # np.load leaves a file it opened itself open when the zip is truncated
-            fh = stack.enter_context(open(path + SIDECAR_SUFFIX, "rb"))
-            archive = np.load(fh, allow_pickle=False)
-            if not isinstance(archive, np.lib.npyio.NpzFile):
-                return None
-            stack.enter_context(archive)
-            if str(archive["sha256"]) != hashlib.sha256(raw).hexdigest():
+    try:
+        with open_npz(path + SIDECAR_SUFFIX) as archive:
+            if archive is None or str(archive["sha256"]) != hashlib.sha256(raw).hexdigest():
                 return None
             mat = archive["values"]
-        except unreadable:
-            return None
-    usable = mat.dtype == np.float64 and mat.ndim == 2 and mat.shape[0] >= 1
-    if not (usable and mat.shape[1] == width and np.isfinite(mat).all()):
+    except UNREADABLE:
         return None
-    return mat
+    usable = mat.dtype == np.float64 and mat.ndim == 2 and mat.shape[0] >= 1
+    return mat if usable and mat.shape[1] == width and np.isfinite(mat).all() else None
 
 
 def _bad_data_row(path: str, width: int, fh, exc: ValueError) -> DataError:

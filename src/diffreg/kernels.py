@@ -24,15 +24,13 @@ import contextlib
 import functools
 import io
 import json
-import zipfile
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import BasisSystem
 from .errors import DataError, SingularSystemError
-from .fileio import write_atomic
+from .fileio import UNREADABLE, open_npz, write_atomic
 
 OP_KINDS = (
     "identity",
@@ -341,16 +339,13 @@ def load_kernel_matrices(path: str) -> KernelMatrices:
     .npz archive, truncated or corrupt, in the older K/K_L layout, or
     holding factors that are not finite p x p matrices for the recorded p.
     """
-    unreadable = (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, zlib.error)
     with contextlib.ExitStack() as stack:
         try:
-            # np.load leaves a file it opened itself open when the zip is truncated
-            archive = np.load(stack.enter_context(open(path, "rb")), allow_pickle=False)
-        except unreadable as exc:
+            archive = stack.enter_context(open_npz(path))
+        except UNREADABLE as exc:
             raise DataError(f"kernel cache {path} is not a readable .npz archive: {exc}") from exc
-        if not isinstance(archive, np.lib.npyio.NpzFile):
+        if archive is None:
             raise DataError(f"kernel cache {path} is not an .npz archive")
-        stack.enter_context(archive)
         names = set(archive.files)
         if {"K", "K_L"} <= names:
             raise DataError(
@@ -363,7 +358,7 @@ def load_kernel_matrices(path: str) -> KernelMatrices:
         try:
             factors = {name: archive[name] for name in _FACTORS}
             provenance = json.loads(str(archive["provenance"]))
-        except unreadable as exc:
+        except UNREADABLE as exc:
             raise DataError(f"kernel cache {path} is corrupt: {exc}") from exc
     p = provenance.get("p") if isinstance(provenance, dict) else None
     shapes = [factors[name].shape for name in _FACTORS]

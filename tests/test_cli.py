@@ -6,6 +6,7 @@ import io
 import json
 import os
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,20 @@ def _non_finite(path, good, data):
     np.savez_compressed(path, C=km.C, M=km.M, M_L=M_L, provenance=json.dumps(km.provenance))
 
 
+def _huge_header(path, good, data):
+    """The good cache with C's array header claiming 2^36 rows."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": (2**36, 10)}
+    )
+    with zipfile.ZipFile(good) as source, zipfile.ZipFile(path, "w") as archive:
+        for member in source.infolist():
+            payload = source.read(member)
+            if member.filename == "C.npy":
+                payload = header.getvalue() + b"\0" * 64
+            archive.writestr(member, payload)
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -308,8 +323,9 @@ def _non_finite(path, good, data):
         (_not_npz, "is not a readable .npz archive"),
         (_wrong_shape, "expected p x p for the recorded p = 10"),
         (_non_finite, "kernel factor M_L has a non-finite entry"),
+        (_huge_header, "is corrupt"),
     ],
-    ids=["old_layout", "truncated", "not_npz", "wrong_shape", "non_finite"],
+    ids=["old_layout", "truncated", "not_npz", "wrong_shape", "non_finite", "huge_header"],
 )
 # an unreadable cache must not leave its file open on any path
 @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")

@@ -20,6 +20,7 @@ from scipy.interpolate import CubicSpline
 from diffreg import DataError, make_cosine_basis
 from diffreg import ingest
 from diffreg.basis import DataSet, distinct_samples, resample_to_quad_grid
+from diffreg.errors import SingularSystemError
 from diffreg.ingest import (
     IdentityResponse,
     RecipeSpec,
@@ -225,6 +226,209 @@ def test_non_finite_samples_skip_naming_the_variable(tmp_path):
         "inf_x": "non-finite ordinate sample",
         "nan_real": "non-finite T_real sample",
     }
+
+
+@pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+@pytest.mark.parametrize("ordinate", ["nan", "inf", "-inf"])
+def test_a_non_finite_ordinate_skips_its_subject_with_or_without_gates(tmp_path, ordinate, gated):
+    rows = synthetic_rows("ok", [0.5, 0.2], [0.1, 0.3])
+    bad = synthetic_rows("bad", [0.5, 0.2], [0.1, 0.3])
+    bad[60][1] = ordinate
+    write_rows(tmp_path / "tracks.csv", rows + bad)
+    recipe = default_recipe() if gated else default_recipe(start_gate=None, end_gate=None)
+    table = load_trajectories(str(tmp_path / "tracks.csv"), SCHEMA)
+    curves, report = curves_to_basis(table, recipe, basis_on_interval(p=2))
+    assert curves.subjects == ("ok",)
+    assert report.skipped == (("bad", "non-finite ordinate sample"),)
+
+
+def test_samples_short_of_the_quadrature_span_skip_their_subject(tmp_path):
+    # the basis is wider than the recipe interval: [6.29, 6.91] covers (6.3, 6.9)
+    # but not the quadrature nodes near 6.2 and 7.0
+    write_rows(tmp_path / "tracks.csv", synthetic_rows("narrow", [0.5, 0.2], [0.1, 0.3]))
+    basis = make_cosine_basis(p=2, n_quad=151, interval=(6.2, 7.0))
+    recipe = default_recipe(start_gate=None, end_gate=None)
+    curves, report = curves_to_basis(load_trajectories(str(tmp_path / "tracks.csv"), SCHEMA), recipe, basis)
+    lo, hi = basis.quad_nodes[[0, -1]]
+    assert curves.subjects == ()
+    assert report.skipped == (
+        ("narrow", f"samples cover [6.29, 6.91], short of the quadrature span [{lo:.6g}, {hi:.6g}]"),
+    )
+
+
+def test_coefficients_that_overflow_skip_their_subject(tmp_path):
+    rows = synthetic_rows("ok", [0.5, 0.2], [0.1, 0.3])
+    huge = synthetic_rows("huge", [0.5, 0.2], [0.1, 0.3])
+    for k, row in enumerate(huge):  # finite samples whose spline and projection overflow
+        row[3] = repr((-1) ** k * 1.7e308)
+    write_rows(tmp_path / "tracks.csv", rows + huge)
+    table = load_trajectories(str(tmp_path / "tracks.csv"), SCHEMA)
+    with np.errstate(over="ignore", invalid="ignore"):
+        curves, report = curves_to_basis(table, default_recipe(), basis_on_interval(p=2))
+    assert curves.subjects == ("ok",)
+    assert report.skipped == (("huge", "coefficients must be finite"),)
+
+
+def test_projection_blocks_change_no_curve_and_no_skip(tmp_path, monkeypatch):
+    rows = []
+    for i, slope in enumerate([0.01, 50.0, 0.02, 0.03, 40.0]):
+        rows += synthetic_rows(f"s{i}", [0.01, 0.0], [slope, 0.1])
+    rows += synthetic_rows("s5", [0.01, 0.0], [0.01, 0.0], m=3)  # too few ordinates
+    write_rows(tmp_path / "tracks.csv", rows)
+    table = load_trajectories(str(tmp_path / "tracks.csv"), SCHEMA)
+    recipe = default_recipe(derivative_gate=100.0)
+    basis = basis_on_interval(p=4)
+    one_block, one_report = curves_to_basis(table, recipe, basis)
+    monkeypatch.setattr(ingest, "BLOCK_SUBJECTS", 2)
+    projections = mock.patch.object(ingest, "project_with_offset", wraps=project_with_offset)
+    with projections as projected:
+        blocks, report = curves_to_basis(table, recipe, basis)
+    assert [len(call.args[0]) for call in projected.call_args_list] == [2, 2, 1]
+    assert blocks.subjects == one_block.subjects == ("s0", "s2", "s3")
+    assert report.skipped == one_report.skipped
+    assert [s for s, _ in report.skipped] == ["s1", "s4", "s5"]
+    # a solve may round a column differently with another number of columns
+    scale = np.max(np.abs(one_block.coeffs))
+    np.testing.assert_allclose(blocks.coeffs, one_block.coeffs, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(blocks.offsets, one_block.offsets, rtol=0, atol=1e-13 * scale)
+
+
+def reference_screen(track, variables, recipe, basis):
+    """One subject's distinct knots and (m, V) values, or why it fails a gate.
+
+    The subject-by-subject gates that the one-pass gates of
+    :func:`~diffreg.ingest.curves_to_basis` replaced, kept as their oracle.
+    """
+    x = track.ordinate
+    lo, hi = float(x.min()), float(x.max())
+    a, b = recipe.interval
+    if recipe.start_gate is not None and not (recipe.start_gate[0] < lo < recipe.start_gate[1]):
+        return f"smallest ordinate {lo:.6g} outside start gate"
+    if recipe.end_gate is not None and not (recipe.end_gate[0] < hi < recipe.end_gate[1]):
+        return f"largest ordinate {hi:.6g} outside end gate"
+    if lo > a or hi < b:
+        return f"samples cover [{lo:.6g}, {hi:.6g}], not [{a}, {b}]"
+    distinct = np.unique(x).size
+    if distinct < basis.p:
+        return f"{distinct} distinct ordinates < p = {basis.p}"
+    try:
+        knots, values = distinct_samples(x, track.samples, basis)
+    except (SingularSystemError, ValueError) as exc:
+        return str(exc)
+    if not np.isfinite(knots).all():
+        return "non-finite ordinate sample"
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        return f"non-finite {variables[int(np.argmin(finite))]} sample"
+    return knots, values
+
+
+def reference_curves_to_basis(table, recipe, basis):
+    """Screen subject by subject, project the survivors together, then gate the coefficients.
+
+    Returns the screened subjects' (subject, knots, values), the kept
+    subjects with their offsets and coefficients, and the skips in input
+    order.
+    """
+    screened, skipped = [], []
+    for subject, track in table.subjects.items():
+        outcome = reference_screen(track, table.variables, recipe, basis)
+        if isinstance(outcome, str):
+            skipped.append((subject, outcome))
+        else:
+            screened.append((subject, *outcome))
+    if not screened:
+        return screened, [], np.empty((0, 2)), np.empty((0, 2, basis.p)), skipped
+    subjects, knots, values = (list(column) for column in zip(*screened))
+    offsets, coeffs = project_with_offset(knots, values, basis, penalty=recipe.penalty)
+    finite = np.isfinite(coeffs).all(axis=(1, 2))
+    if recipe.derivative_gate is not None:
+        predictor = coeffs[:, table.variables.index(recipe.predictor)]
+        peaks = np.max(np.abs(basis.deriv_values(basis.quad_nodes, order=1) @ predictor.T), axis=0)
+    reasons = {}
+    for j, subject in enumerate(subjects):
+        if not finite[j]:
+            reasons[subject] = "coefficients must be finite"
+        elif recipe.derivative_gate is not None and peaks[j] > recipe.derivative_gate:
+            reasons[subject] = f"|d {recipe.predictor}/dx| peak {float(peaks[j]):.6g} above gate"
+    order = list(table.subjects)
+    skipped = sorted(skipped + list(reasons.items()), key=lambda entry: order.index(entry[0]))
+    keep = [j for j, subject in enumerate(subjects) if subject not in reasons]
+    return screened, [subjects[j] for j in keep], offsets[keep], coeffs[keep], skipped
+
+
+_GRID_ORDINATES = np.round(np.linspace(6.15, 7.05, 37), 4).tolist()
+
+
+@st.composite
+def trajectory_tables(draw):
+    """A small table: subjects with repeated ordinates, few samples, non-finite entries."""
+    variables = ("T_real", "T_pot")
+    subjects = {}
+    for s in range(draw(st.integers(1, 7), label="subjects")):
+        if draw(st.sampled_from([True, False, False]), label="on a grid"):
+            x = draw(st.lists(st.sampled_from(_GRID_ORDINATES), min_size=1, max_size=30))
+        else:
+            lo = draw(st.sampled_from([6.15, 6.195, 6.2975, 6.305]), label="lo")
+            hi = draw(st.sampled_from([6.85, 6.895, 6.905, 7.0, 7.05]), label="hi")
+            m = draw(st.integers(2, 6) | st.integers(1, 30), label="m")
+            x = np.linspace(lo, hi, m).tolist()
+            x += [x[i] for i in draw(st.lists(st.integers(0, len(x) - 1), max_size=5))]
+        x = np.array(x)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+        scale = draw(st.sampled_from([1.0, 1.0, 100.0, 1.7e308]), label="scale")
+        y = scale * np.clip(rng.standard_normal((x.size, len(variables))), -1, 1)
+        for array, shape in ((x, x.shape), (y, y.shape)):
+            for _ in range(draw(st.sampled_from([0, 0, 0, 1]), label="non-finite entries")):
+                at = np.unravel_index(draw(st.integers(0, array.size - 1)), shape)
+                array[at] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        # as load_trajectories orders a subject's rows: by ordinate, ties in file order
+        order = np.argsort(x, kind="stable")
+        subjects[f"s{s}"] = ingest.SubjectTrack(ordinate=x[order], samples=y[order])
+    return ingest.TrajectoryTable(variables=variables, subjects=subjects, dropped_rows=0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    table=trajectory_tables(),
+    p=st.integers(1, 6),
+    gated=st.booleans(),
+    derivative_gate=st.sampled_from([None, 5.0, 500.0]),
+    basis_interval=st.sampled_from([INTERVAL, (6.2, 7.0)]),
+)
+def test_one_pass_gates_match_the_subject_by_subject_gates(
+    table, p, gated, derivative_gate, basis_interval
+):
+    basis = make_cosine_basis(p=p, n_quad=4 * p + 1, interval=basis_interval)
+    recipe = default_recipe(derivative_gate=derivative_gate)
+    if not gated:
+        recipe = dataclasses.replace(recipe, start_gate=None, end_gate=None)
+    # a non-finite ordinate now skips its subject before any other gate runs
+    broken = [s for s, track in table.subjects.items() if not np.isfinite(track.ordinate).all()]
+    rest = {s: track for s, track in table.subjects.items() if s not in broken}
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference_curves_to_basis(dataclasses.replace(table, subjects=rest), recipe, basis)
+        with mock.patch.object(ingest, "project_with_offset", wraps=project_with_offset) as spy:
+            curves, report = curves_to_basis(table, recipe, basis)
+    screened, subjects, offsets, coeffs, skipped = want
+    order = list(table.subjects)
+    skipped = sorted(
+        skipped + [(s, "non-finite ordinate sample") for s in broken],
+        key=lambda entry: order.index(entry[0]),
+    )
+    assert not any("rank deficient" in reason for _, reason in skipped)
+    assert list(report.skipped) == skipped
+    assert list(curves.subjects) == subjects
+    assert report.n_in == len(order) and report.n_out == len(subjects)
+    # every subject that reaches the projection, with the same knots and values
+    got_knots = [k for call in spy.call_args_list for k in call.args[0]]
+    got_values = [v for call in spy.call_args_list for v in call.args[1]]
+    assert len(got_knots) == len(got_values) == len(screened)
+    for (_, knots, values), got_k, got_v in zip(screened, got_knots, got_values):
+        assert got_k.tobytes() == knots.tobytes()
+        assert got_v.shape == values.shape and got_v.tobytes() == values.tobytes()
+    assert curves.offsets.tobytes() == offsets.tobytes()
+    assert curves.coeffs.tobytes() == coeffs.tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
