@@ -253,23 +253,26 @@ def distinct_samples(x: np.ndarray, y: np.ndarray, basis: BasisSystem) -> tuple:
     return x, y
 
 
-def resample_to_quad_grid(xs, ys, basis: BasisSystem) -> np.ndarray:
+def resample_to_quad_grid(x, y, starts, sizes, basis: BasisSystem) -> np.ndarray:
     """Curves interpolated onto the basis quadrature grid, shape (S, n_quad, V).
 
-    ``xs`` holds S knot vectors and ``ys`` the values at them, each of shape
-    (m_s, V), as :func:`distinct_samples` returns them.  Curves are stacked
-    by knot count; each stack of four or more knots gets one not-a-knot cubic
-    spline, a smaller one linear interpolation.
+    ``x`` is (N,) and ``y`` is (N, V): the knots and values of every curve,
+    laid end to end.  Curve s is the ``sizes[s]`` rows from ``starts[s]``,
+    with strictly increasing knots, as :func:`distinct_samples` returns one
+    curve.  Curves are gathered by knot count, one fancy index per count,
+    into an (S_m, m) knot block and an (S_m, m, V) value block; each block
+    of four or more knots gets one not-a-knot cubic spline, a smaller one
+    linear interpolation.
     """
     nodes = basis.quad_nodes
-    sizes = np.array([x.size for x in xs])
-    out = np.empty((len(xs), nodes.size, ys[0].shape[1]))
+    starts, sizes = np.asarray(starts), np.asarray(sizes)
+    out = np.empty((sizes.size, nodes.size, y.shape[1]))
     for m in np.unique(sizes):
         rows = np.flatnonzero(sizes == m)
-        x = np.stack([xs[i] for i in rows])
-        y = np.stack([ys[i] for i in rows])
-        pieces = _cubic_pieces(x, y) if m >= 4 else _linear_pieces(x, y)
-        out[rows] = _evaluate_pieces(x, pieces, nodes)
+        at = starts[rows, None] + np.arange(m)
+        knots, values = x[at], y[at]
+        pieces = _cubic_pieces(knots, values) if m >= 4 else _linear_pieces(knots, values)
+        out[rows] = _evaluate_pieces(knots, pieces, nodes)
     return out
 
 
@@ -370,7 +373,7 @@ def project(
         ValueError: samples fail to cover the basis interval.
     """
     knots, values = distinct_samples(x, y, basis)
-    grid = resample_to_quad_grid([knots], [values.reshape(-1, 1)], basis)
+    grid = resample_to_quad_grid(knots, values.reshape(-1, 1), [0], [knots.size], basis)
     coeffs = solve_projection(basis.quad_values(), grid[0, :, 0], basis, penalty)
     return FuncVec(coeffs=coeffs, basis=basis)
 

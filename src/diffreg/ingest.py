@@ -12,20 +12,25 @@ whose derivative is taken term-by-term on the basis expansion rather than
 on raw samples, since finely-sampled differences are noise dominated.
 
 Each subject's samples are one (m, V) block whose columns follow the
-schema's variables, sorted by ordinate.  The gates run once over the
-concatenated samples of all subjects, one boolean mask per gate; at a
-repeated ordinate the sample that comes first in the file is kept.
-Subjects that pass are pre-smoothed in blocks of ``BLOCK_SUBJECTS``: one
-call resamples a block's curves onto the quadrature grid, with one
-vectorized spline per knot count, and one projection solve takes every
-curve of the block as a column of its right-hand side.  The
-finite-coefficient and derivative gates and the thermo response are one
-pass each over the stacked coefficients.  Blocks bound the size of the
-stacked arrays; the kept curves are (S, V) offsets and (S, V, p) coefficients.
+schema's variables, sorted by ordinate.  A file whose rows already come in
+that order, by subject name and then by ordinate, is not sorted again.
+The gates run once over the concatenated samples of all subjects, one
+boolean mask per gate; at a repeated ordinate the sample that comes first
+in the file is kept.  The kept samples stay laid end to end, and subjects
+that pass are pre-smoothed in blocks of ``BLOCK_SUBJECTS``: one call
+resamples a block's curves onto the quadrature grid, gathering one block
+of knots and values per knot count for one vectorized spline, and one
+projection solve takes every curve of the block as a column of its
+right-hand side.  The finite-coefficient and derivative gates and the
+thermo response are one pass each over the stacked coefficients.  Blocks
+bound the size of the stacked arrays; the kept curves are (S, V) offsets
+and (S, V, p) coefficients.
 
-CSV files are read and written in bulk, one :func:`numpy.loadtxt` or
-:func:`numpy.savetxt` per file.  A row-wise scan runs only when a parse
-rejects a file, to say which row is malformed.
+CSV files are read in bulk, one :func:`numpy.loadtxt` per file, and a
+row-wise scan runs only when a parse rejects a file, to say which row is
+malformed.  Each dataset CSV is written from one ``%``-format of its whole
+matrix, which gives the bytes :func:`numpy.savetxt` would.  A leading
+UTF-8 byte-order mark is dropped on reading.
 
 A dataset's U.csv and F.csv stay its only source of truth.  Beside each
 one, :func:`save_dataset` writes a binary sidecar ``<csv>.npz`` holding the
@@ -145,10 +150,11 @@ SIDECAR_SUFFIX = ".npz"
 def _csv_text(path: str, stream):
     """The binary ``stream`` of CSV ``path`` read as UTF-8 text, as :func:`open` reads a file.
 
-    Bytes that do not decode are a DataError naming the file.
+    A leading byte-order mark, as spreadsheet "CSV UTF-8" exports write, is
+    dropped.  Bytes that do not decode are a DataError naming the file.
     """
     try:
-        with io.TextIOWrapper(stream, encoding="utf-8", newline="") as fh:
+        with io.TextIOWrapper(stream, encoding="utf-8-sig", newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:  # a ValueError: a parse's handler may re-read first
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
@@ -215,8 +221,14 @@ def load_trajectories(path: str, schema: TableSchema, lenient: bool = False) -> 
             except ValueError as exc:  # a row csv.reader splits otherwise than np.loadtxt
                 raise DataError(f"{path}: {exc}") from exc
     # one stable sort groups the rows by subject and orders each subject by
-    # ordinate; rows at a repeated ordinate stay in file order
-    values = values[np.lexsort((values[:, 0], inverse))]
+    # ordinate; rows at a repeated ordinate stay in file order.  Rows already
+    # in that order skip it (a NaN ordinate fails the check); either way the
+    # values are copied out of the parse's record array, which can then go
+    step, x = np.diff(inverse), values[:, 0]
+    if np.all((step > 0) | ((step == 0) & (x[1:] >= x[:-1]))):
+        values = values.copy()
+    else:
+        values = values[np.lexsort((x, inverse))]
     ends = np.cumsum(np.bincount(inverse))[:-1]
     subjects = {}
     for subject, rows in zip(names.tolist(), np.split(values, ends)):
@@ -284,15 +296,16 @@ def _group(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return names, np.repeat(inverse, np.diff(np.append(heads, labels.size)))
 
 
-def project_with_offset(xs, ys, basis: BasisSystem, penalty: float = 0.0):
+def project_with_offset(x, y, starts, sizes, basis: BasisSystem, penalty: float = 0.0):
     """Least squares over span{1, phi_1..phi_p} on the quadrature grid.
 
-    ``xs`` holds S knot vectors and ``ys`` the values at them, each of shape
-    (m_s, V), as :func:`~diffreg.basis.distinct_samples` returns them.
-    Returns the offsets (S, V) and the span coefficients (S, V, p) of every
-    curve, from one resampling call and one solve.
+    ``x`` (N,) and ``y`` (N, V) hold the knots and values of every curve
+    laid end to end; curve s is the ``sizes[s]`` rows from ``starts[s]``,
+    as :func:`~diffreg.basis.resample_to_quad_grid` takes them.  Returns the
+    offsets (S, V) and the span coefficients (S, V, p) of the S curves, from
+    one resampling call and one solve.
     """
-    grid = resample_to_quad_grid(xs, ys, basis)
+    grid = resample_to_quad_grid(x, y, starts, sizes, basis)
     S, n_quad, V = grid.shape
     design = np.column_stack([np.ones(n_quad), basis.quad_values()])
     rhs = grid.transpose(1, 0, 2).reshape(n_quad, S * V)
@@ -391,12 +404,14 @@ def curves_to_basis(
     skip(~finite.all(axis=1), lambda i: f"non-finite {variables[np.argmin(finite[i])]} sample")
     kept = np.flatnonzero(alive)
     rows = first & np.repeat(alive, sizes)
-    ends = np.cumsum(distinct[kept])[:-1]
-    knots, values = np.split(x[rows], ends), np.split(y[rows], ends)
+    knots, values, counts = x[rows], y[rows], distinct[kept]
+    heads = np.cumsum(counts) - counts
     blocks = [(np.empty((0, len(variables))), np.empty((0, len(variables), basis.p)))]
     for start in range(0, kept.size, BLOCK_SUBJECTS):
         block = slice(start, start + BLOCK_SUBJECTS)
-        blocks.append(project_with_offset(knots[block], values[block], basis, recipe.penalty))
+        blocks.append(project_with_offset(
+            knots, values, heads[block], counts[block], basis, recipe.penalty
+        ))
     offsets, coeffs = (np.concatenate(parts) for parts in zip(*blocks))
     broken = np.zeros(len(names), dtype=bool)
     broken[kept] = ~np.isfinite(coeffs).all(axis=(1, 2))
@@ -466,13 +481,12 @@ def save_dataset(data: DataSet, u_path: str, f_path: str) -> None:
     round-trips every double, so the sidecar holds the matrix the CSV parses
     to, bit for bit.
     """
+    row = ",".join(["%.17g"] * data.p) + "\r\n"
     for path, mat, prefix in ((u_path, data.U, "u"), (f_path, data.F, "f")):
         header = ",".join(f"{prefix}_{k}" for k in range(1, data.p + 1))
-        text = io.StringIO(newline="")
-        np.savetxt(
-            text, mat, fmt="%.17g", delimiter=",", newline="\r\n", header=header, comments=""
-        )
-        payload = text.getvalue().encode("utf-8")
+        # one %-format of the whole matrix: numpy.savetxt's bytes, without its row loop
+        text = header + "\r\n" + (row * data.n) % tuple(mat.ravel().tolist())
+        payload = text.encode("utf-8")
         write_atomic(path, payload)
         sidecar = io.BytesIO()
         np.savez(sidecar, values=mat, sha256=np.array(hashlib.sha256(payload).hexdigest()))

@@ -394,6 +394,28 @@ def test_ingest_command_end_to_end(tmp_path):
     assert u_rows[0][0] == "u_1"
 
 
+def test_ingest_reads_a_csv_that_starts_with_a_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with one; the header then still
+    # names the subject column
+    rng = np.random.default_rng(7)
+    rows = []
+    for i in range(3):
+        rows += synthetic_rows(
+            f"s{i}", rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4), m=61, x_range=(6.295, 6.905)
+        )
+    write_rows(tmp_path / "plain.csv", rows)
+    (tmp_path / "marked.csv").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
+    outputs = {}
+    for name in ("plain", "marked"):
+        cfg = write_config(tmp_path, f"{name}.json", {"input": str(tmp_path / f"{name}.csv")})
+        out = tmp_path / f"out_{name}"
+        assert main(["ingest", "--preset", "era5", "--config", cfg, "--out", str(out)]) == 0
+        outputs[name] = {f: (out / f).read_bytes() for f in ("U.csv", "F.csv", "U.csv.npz")}
+        report = json.loads((out / "ingest.json").read_text())["report"]
+        assert report["subjects_out"] == 3
+    assert outputs["marked"] == outputs["plain"]
+
+
 def test_ingest_output_is_the_same_at_every_cpu_dispatch_level(tmp_path):
     import subprocess
     import sys

@@ -71,10 +71,24 @@ def span_coeffs(curves, subject, variable):
     return curves.coeffs[curves.subjects.index(subject), curves.variables.index(variable)]
 
 
+def end_to_end(xs, ys):
+    """Per-curve knots and values laid end to end: (x, y, starts, sizes)."""
+    sizes = np.array([knots.size for knots in xs], dtype=int)
+    return np.concatenate(xs), np.concatenate(ys), np.cumsum(sizes) - sizes, sizes
+
+
+def curves_of(x, y, starts, sizes):
+    """The per-curve knots and values of the end-to-end layout."""
+    return (
+        [x[i : i + m] for i, m in zip(starts, sizes)],
+        [y[i : i + m] for i, m in zip(starts, sizes)],
+    )
+
+
 def project_one(x, y, basis):
     """Offset and span coefficients of one curve, through the block API."""
     knots, values = distinct_samples(x, y.reshape(-1, 1), basis)
-    offsets, coeffs = project_with_offset([knots], [values], basis)
+    offsets, coeffs = project_with_offset(*end_to_end([knots], [values]), basis)
     return offsets[0, 0], coeffs[0, 0]
 
 
@@ -283,7 +297,7 @@ def test_projection_blocks_change_no_curve_and_no_skip(tmp_path, monkeypatch):
     projections = mock.patch.object(ingest, "project_with_offset", wraps=project_with_offset)
     with projections as projected:
         blocks, report = curves_to_basis(table, recipe, basis)
-    assert [len(call.args[0]) for call in projected.call_args_list] == [2, 2, 1]
+    assert [len(call.args[2]) for call in projected.call_args_list] == [2, 2, 1]
     assert blocks.subjects == one_block.subjects == ("s0", "s2", "s3")
     assert report.skipped == one_report.skipped
     assert [s for s, _ in report.skipped] == ["s1", "s4", "s5"]
@@ -340,7 +354,7 @@ def reference_curves_to_basis(table, recipe, basis):
     if not screened:
         return screened, [], np.empty((0, 2)), np.empty((0, 2, basis.p)), skipped
     subjects, knots, values = (list(column) for column in zip(*screened))
-    offsets, coeffs = project_with_offset(knots, values, basis, penalty=recipe.penalty)
+    offsets, coeffs = project_with_offset(*end_to_end(knots, values), basis, penalty=recipe.penalty)
     finite = np.isfinite(coeffs).all(axis=(1, 2))
     if recipe.derivative_gate is not None:
         predictor = coeffs[:, table.variables.index(recipe.predictor)]
@@ -421,8 +435,11 @@ def test_one_pass_gates_match_the_subject_by_subject_gates(
     assert list(curves.subjects) == subjects
     assert report.n_in == len(order) and report.n_out == len(subjects)
     # every subject that reaches the projection, with the same knots and values
-    got_knots = [k for call in spy.call_args_list for k in call.args[0]]
-    got_values = [v for call in spy.call_args_list for v in call.args[1]]
+    got_knots, got_values = [], []
+    for call in spy.call_args_list:
+        knots, values = curves_of(*call.args[:4])
+        got_knots += knots
+        got_values += values
     assert len(got_knots) == len(got_values) == len(screened)
     for (_, knots, values), got_k, got_v in zip(screened, got_knots, got_values):
         assert got_k.tobytes() == knots.tobytes()
@@ -476,11 +493,11 @@ def test_batched_resample_and_project_match_scipy(data):
             ys.append(got_y)
     reference = np.stack(reference)
     scale = np.max(np.abs(reference))
-    grid = resample_to_quad_grid(xs, ys, basis)
+    grid = resample_to_quad_grid(*end_to_end(xs, ys), basis)
     assert np.max(np.abs(grid - reference)) <= tol * scale
 
     design = np.column_stack([np.ones(nodes.size), basis.quad_values()]) * np.sqrt(w)[:, None]
-    offsets, coeffs = project_with_offset(xs, ys, basis)
+    offsets, coeffs = project_with_offset(*end_to_end(xs, ys), basis)
     for s, curve in enumerate(reference):
         solution = np.linalg.lstsq(design, curve * np.sqrt(w)[:, None], rcond=None)[0]
         assert np.max(np.abs(offsets[s] - solution[0])) <= tol * scale
@@ -862,6 +879,171 @@ def test_save_dataset_bytes_match_the_csv_writer(tmp_path):
         for row in mat:
             writer.writerow([f"{v:.17g}" for v in row])
         assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+
+_EDGE_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e308, -1e308, 1.7976931348623157e308,
+                 3.0, -7.0, 1e16, 2.0**53 + 2, 0.1, 1 / 3]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_save_dataset_writes_the_bytes_of_savetxt(data):
+    n = data.draw(st.sampled_from([1, 1, 2, 3, 7]), label="rows")
+    p = data.draw(st.sampled_from([1, 1, 2, 4]), label="columns")
+    entry = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(_EDGE_ENTRIES),
+        st.integers(-(10**9), 10**9).map(float),
+    )
+    U = np.reshape(data.draw(st.lists(entry, min_size=n * p, max_size=n * p)), (n, p))
+    # F transposed, so that a matrix that is not C-contiguous is formatted too
+    F = np.reshape(data.draw(st.lists(entry, min_size=n * p, max_size=n * p)), (p, n)).T
+    dataset = DataSet(U=U, F=F, basis=make_cosine_basis(p=p, n_quad=2 * p + 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        u_path, f_path = os.path.join(tmp, "U.csv"), os.path.join(tmp, "F.csv")
+        save_dataset(dataset, u_path, f_path)
+        for path, mat, prefix in ((u_path, dataset.U, "u"), (f_path, dataset.F, "f")):
+            want = io.StringIO(newline="")
+            header = ",".join(f"{prefix}_{k}" for k in range(1, p + 1))
+            np.savetxt(want, mat, fmt="%.17g", delimiter=",", newline="\r\n", header=header,
+                       comments="")
+            with open(path, "rb") as fh:
+                assert fh.read() == want.getvalue().encode("utf-8")
+
+
+def reference_grouped_tracks(path, schema, lenient):
+    """Rows read by csv.reader and float(), then grouped by one stable np.lexsort.
+
+    The sort of the subject-major, ordinate-minor order that
+    :func:`~diffreg.ingest.load_trajectories` skips when the file is in it
+    already.  Returns ({subject: (ordinate, samples)}, dropped rows).
+    """
+    labels, rows, dropped = [], [], 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        cols = [header.index(c) for c in (schema.ordinate, *schema.variables)]
+        for row in reader:
+            try:
+                rows.append([float(row[i]) for i in cols])
+            except ValueError:
+                assert lenient
+                dropped += 1
+                continue
+            labels.append(row[header.index(schema.subject)])
+    names, inverse = np.unique(np.array(labels, dtype=object), return_inverse=True)
+    values = np.array(rows)
+    values = values[np.lexsort((values[:, 0], inverse))]
+    ends = np.cumsum(np.bincount(inverse))[:-1]
+    tracks = {name: (block[:, 0], block[:, 1:]) for name, block in zip(names, np.split(values, ends))}
+    return tracks, dropped
+
+
+def _array_chain(array):
+    while isinstance(array, np.ndarray):
+        yield array
+        array = array.base
+
+
+# ties, signed zeros and non-finite ordinates; names out of their sorted order
+_TIE_ORDINATES = [6.3, 6.3, 6.5, 0.0, -0.0, -2.5, 1e-300, np.inf, -np.inf, np.nan]
+_TRACK_NAMES = ["s9", "s10", "b", "a", "s1"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_skipping_the_sort_of_a_sorted_file_changes_nothing(data):
+    n_rows = data.draw(st.integers(1, 40), label="rows")
+    names = data.draw(st.lists(st.sampled_from(_TRACK_NAMES), min_size=n_rows, max_size=n_rows))
+    ordinates = data.draw(
+        st.lists(st.sampled_from(_TIE_ORDINATES) | st.floats(-10, 10), min_size=n_rows,
+                 max_size=n_rows),
+        label="ordinates",
+    )
+    lenient = data.draw(st.booleans(), label="lenient")
+    bad = set(data.draw(st.lists(st.integers(0, n_rows - 1), max_size=3))) if lenient else set()
+    # T_real is the row's position in the drawn rows, so a tie's order shows
+    rows = [
+        [name, repr(x), "x" if i in bad else repr(float(i)), repr(-0.0 if i % 2 else 0.5 * i)]
+        for i, (name, x) in enumerate(zip(names, ordinates))
+    ]
+    # the order the sort gives: by subject name, then by ordinate (NaN last), ties kept
+    _, inverse = np.unique(np.array(names, dtype=object), return_inverse=True)
+    presorted = [rows[i] for i in np.lexsort((np.array(ordinates), inverse))]
+    # a subject whose rows include a NaN ordinate and another row is sorted again
+    x = np.array([float(row[1]) for i, row in enumerate(rows) if i not in bad])
+    kept_names = np.array([row[0] for i, row in enumerate(rows) if i not in bad], dtype=object)
+    needs_sort = any(
+        np.isnan(x[kept_names == name]).any() and np.sum(kept_names == name) > 1
+        for name in set(kept_names.tolist())
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        for layout, table_rows in (("presorted", presorted), ("shuffled", rows)):
+            path = os.path.join(tmp, f"{layout}.csv")
+            write_rows(path, table_rows)
+            if len(bad) == n_rows:
+                with pytest.raises(DataError, match="no usable rows"):
+                    load_trajectories(path, SCHEMA, lenient)
+                continue
+            want, dropped = reference_grouped_tracks(path, SCHEMA, lenient)
+            with mock.patch.object(np, "lexsort", wraps=np.lexsort) as sort:
+                got = load_trajectories(path, SCHEMA, lenient)
+            if layout == "presorted":
+                assert sort.called == needs_sort
+            assert got.dropped_rows == dropped
+            assert list(got.subjects) == list(want)
+            for name, (ordinate, samples) in want.items():
+                track = got.subjects[name]
+                assert track.ordinate.shape == ordinate.shape
+                assert track.samples.shape == samples.shape
+                assert track.ordinate.tobytes() == ordinate.tobytes()
+                assert track.samples.tobytes() == samples.tobytes()
+                # copied out of the parse's record array, which is then freed
+                for array in (track.ordinate, track.samples):
+                    assert all(a.dtype.names is None for a in _array_chain(array))
+
+
+def test_a_utf8_byte_order_mark_is_dropped(tmp_path, three_subject_csv, monkeypatch):
+    plain = load_trajectories(three_subject_csv, SCHEMA)
+    marked = tmp_path / "marked.csv"
+    with open(three_subject_csv, "rb") as fh:
+        marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    table = load_trajectories(str(marked), SCHEMA)
+    assert list(table.subjects) == list(plain.subjects)
+    for name, track in plain.subjects.items():
+        assert table.subjects[name].ordinate.tobytes() == track.ordinate.tobytes()
+        assert table.subjects[name].samples.tobytes() == track.samples.tobytes()
+    # the row-wise scan reads the file again from its start, mark and all
+    rows = synthetic_rows("s0", [1.0, 0.5], [0.3, -0.2])
+    rows[3][2] = "x"
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows([("subject", "log_p", "T_real", "T_pot"), *rows])
+    marked.write_bytes(b"\xef\xbb\xbf" + buffer.getvalue().encode("utf-8"))
+    with pytest.raises(DataError, match="malformed row at line 5: could not convert"):
+        load_trajectories(str(marked), SCHEMA)
+    assert load_trajectories(str(marked), SCHEMA, lenient=True).dropped_rows == 1
+    # a dataset CSV with a mark parses to the matrix written; its sidecar's
+    # digest is of the bytes without it, so the CSV is parsed
+    data = small_dataset()
+    u_path, f_path = str(tmp_path / "U.csv"), str(tmp_path / "F.csv")
+    save_dataset(data, u_path, f_path)
+    for path in (u_path, f_path):
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(b"\xef\xbb\xbf" + raw)
+    calls = parse_count(monkeypatch)
+    loaded = load_dataset(u_path, f_path, data.basis)
+    assert calls[0] == 2
+    assert loaded.U.tobytes() == data.U.tobytes() and loaded.F.tobytes() == data.F.tobytes()
+
+
+def test_not_utf8_names_the_byte_offset_of_a_file_without_a_mark(tmp_path):
+    path = tmp_path / "tracks.csv"
+    payload = b"subject,log_p,T_real,T_pot\ns0,6.3,1,2\n"
+    path.write_bytes(payload + b"\xff" + b"s0,6.4,1,2\n")
+    with pytest.raises(DataError, match=f"tracks.csv: not UTF-8 text: .* in position {len(payload)}:"):
+        load_trajectories(str(path), SCHEMA)
 
 
 # -- the dataset sidecar -------------------------------------------------------
