@@ -1003,6 +1003,18 @@ def test_skipping_the_sort_of_a_sorted_file_changes_nothing(data):
                     assert all(a.dtype.names is None for a in _array_chain(array))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(labels=st.lists(st.sampled_from(["", "s1", "s10", "é", "Ω", "s1 "]) | st.text(max_size=3),
+                       min_size=1, max_size=40))
+def test_group_matches_np_unique(labels):
+    labels = np.array(labels, dtype=object)
+    names, inverse = ingest._group(labels)
+    want_names, want_inverse = np.unique(labels, return_inverse=True)
+    assert names.dtype == want_names.dtype
+    assert names.tolist() == want_names.tolist()
+    assert inverse.tolist() == want_inverse.tolist()
+
+
 def test_a_utf8_byte_order_mark_is_dropped(tmp_path, three_subject_csv, monkeypatch):
     plain = load_trajectories(three_subject_csv, SCHEMA)
     marked = tmp_path / "marked.csv"

@@ -1,17 +1,21 @@
-"""Tests for the output comparison tool in ``tools/``."""
+"""Tests for the output comparison tool and the layer harness in ``tools/``."""
 
+import dataclasses
 import hashlib
+import json
 import os
-import sys
 
 import numpy as np
+import pytest
 
+import bench_layers
+import compare_outputs
+import diffreg
 from diffreg import make_cosine_basis
 from diffreg.basis import DataSet
 from diffreg.ingest import save_dataset
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools"))
-import compare_outputs  # noqa: E402
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
 def write_tree(out, U):
@@ -45,6 +49,21 @@ def test_compare_outputs_reads_sidecars_array_by_array(tmp_path, capsys):
     assert "simulate/U.csv.npz  1/1  0.0001  0.0001" in lines
 
 
+def test_compare_outputs_reads_a_rewritten_sidecar_by_its_values(tmp_path, capsys):
+    U = np.arange(1.0, 13.0).reshape(4, 3)
+    write_tree(tmp_path / "a", U)
+    moved = U.copy()
+    moved[1, 2] += 1.2e-3
+    write_tree(tmp_path / "b", moved)  # the CSVs, and so the sidecars' digests, differ too
+
+    assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("U.csv.npz", "F.csv.npz"):
+        assert f"simulate/{name}  1/1  0.0001  0.0001" in lines
+        (line,) = [line for line in lines if f"simulate_cell/{name}" in line]
+        assert line.split()[:4] == ["0.0001", "0.0001", "values", f"simulate_cell/{name}"]
+
+
 def test_npz_entries_keep_the_digest_a_string(tmp_path):
     folder = write_tree(tmp_path, np.array([[1e5, 2.0]]))
     found = compare_outputs.entries(str(folder / "U.csv.npz"))
@@ -54,3 +73,74 @@ def test_npz_entries_keep_the_digest_a_string(tmp_path):
     assert [(loc, value) for loc, key, value in found if key == "values"] == [
         ("values[0, 0]", 1e5), ("values[0, 1]", 2.0)
     ]
+
+
+SMALL_CASES = {"streams": {"n": 30, "B": 8}, "ridge": {"p": 4, "n": 30},
+               "dataset_io": {"p": 4, "n": 30}}
+
+
+def check_layer(layer, case, work):
+    """Run each route of this tree once on ``case``, then the layer's check."""
+    routes_of, check, _ = bench_layers.LAYERS[layer]
+    os.makedirs(work, exist_ok=True)
+    routes = routes_of(diffreg, case, str(work))
+    for route in routes.values():
+        route()
+    return check(case, str(work), routes)
+
+
+def bools(result):
+    return {key: value for key, value in result.items() if isinstance(value, bool)}
+
+
+@pytest.mark.parametrize("layer", sorted(SMALL_CASES))
+def test_each_layer_check_passes_on_this_tree(layer, tmp_path):
+    result = check_layer(layer, SMALL_CASES[layer], tmp_path)
+    assert bools(result) and all(bools(result).values())
+
+
+def test_the_ingest_checks_pass_on_this_tree(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_layers, "SUBJECTS", 60)
+    for layout in ("presorted", "shuffled"):
+        result = check_layer("ingest", {"layout": layout}, tmp_path / layout)
+    assert result == {"identical": True, "layouts_agree": True}
+
+
+def test_scaled_norms_fail_the_oracle(tmp_path, monkeypatch):
+    norms = diffreg.RidgeSystem.smoothed_sq_norms
+    monkeypatch.setattr(diffreg.RidgeSystem, "smoothed_sq_norms",
+                        lambda self, *args: norms(self, *args) * (1 + 1e-6))
+    assert check_layer("ridge", SMALL_CASES["ridge"], tmp_path)["agrees"] is False
+
+
+def test_swapped_multiplier_rows_fail_the_stream_check(tmp_path, monkeypatch):
+    derive = diffreg.gof.bootstrap_multipliers
+    monkeypatch.setattr(diffreg.gof, "bootstrap_multipliers",
+                        lambda n, B, seed: derive(n, B, seed)[[1, 0, *range(2, B)]])
+    assert check_layer("streams", SMALL_CASES["streams"], tmp_path)["blocks_equal"] is False
+
+
+def test_a_perturbed_load_fails_the_dataset_check(tmp_path, monkeypatch):
+    load = diffreg.ingest.load_dataset
+
+    def perturbed(*args):
+        data = load(*args)
+        U = data.U.copy()
+        U[0, 0] = np.nextafter(U[0, 0], np.inf)
+        return dataclasses.replace(data, U=U)
+
+    monkeypatch.setattr(diffreg.ingest, "load_dataset", perturbed)
+    assert check_layer("dataset_io", SMALL_CASES["dataset_io"], tmp_path)["identical"] is False
+
+
+def test_bench_layers_times_a_layer_against_a_baseline(tmp_path):
+    out = tmp_path / "BENCH_layers.json"
+    argv = ["--layer", "streams", "--repeats", "1", "--baseline", REPO, "--out", str(out)]
+    assert bench_layers.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert [case["layer"] for case in doc["cases"]] == ["streams", "streams"]
+    for case in doc["cases"]:
+        assert case["blocks_equal"] is True
+        for route in ("spawn_loop", "derived"):
+            assert case[f"baseline_{route}_ms"] > 0
+            assert case[f"{route}_speedup"] > 0

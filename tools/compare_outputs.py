@@ -10,11 +10,13 @@ largest difference of a numeric entry relative to the file's largest entry
 and column, or an .npz array and index.  Beside it stands the largest
 difference relative to the largest entry of the same key (a JSON key, a CSV
 column such as ``c_hat``, or an .npz array name), and that key, since a
-file's largest entry may be a setting such as n.  Each group of files, the
-command and the file name with its omega and replication stripped, then
-gets its count and both largest relative differences.  Last come the
-changed decision fields, every entry whose key is one of DECISIONS or
-starts with one of them and "_", old value then new.
+file's largest entry may be a setting such as n.  A dataset sidecar is
+compared by its ``values``: its ``sha256`` follows from the CSV, which has
+its own line.  Each group of files, the command and the file name with its
+omega and replication stripped, then gets its count and both largest
+relative differences.  Last come the changed decision fields, every entry
+whose key is one of DECISIONS or starts with one of them and "_", old value
+then new.
 
 Exit status: 0 when no decision field changed and both trees hold the same
 files, 1 otherwise, 2 on a usage error.
@@ -112,7 +114,9 @@ def compare(path_a: str, path_b: str) -> tuple[float, str, float, str, list]:
     it sits, the largest over the largest entry of the same key and that
     key, and the changed decision fields.
     """
-    a, b = entries(path_a), entries(path_b)
+    # a sidecar's sha256 follows from its CSV, which is compared on its own line
+    a, b = ([e for e in entries(path) if not (path.endswith(".npz") and e[1] == "sha256")]
+            for path in (path_a, path_b))
     if [loc for loc, _, _ in a] != [loc for loc, _, _ in b]:
         return math.inf, "the layout differs", math.inf, "", []
     scales, gaps, worst, where, decisions = {}, {}, 0.0, "", []
