@@ -66,6 +66,7 @@ from .sim import (
     mc_kernels,
     replication_dataset,
     run_mc,
+    run_mc_cells,
     true_multipliers,
     tss,
 )
@@ -118,6 +119,7 @@ __all__ = [
     "replication_dataset",
     "rss",
     "run_mc",
+    "run_mc_cells",
     "save_kernel_matrices",
     "scaled_neg_laplacian",
     "spectrum_diag",

@@ -60,7 +60,8 @@ from .kernels import (
 )
 from .presets import get_preset
 from .regress import fit, gcv_sweep, spectrum_diag
-from .sim import RepRecord, SimConfig, mc_kernels, replication_dataset, run_mc
+from .sim import RepRecord, SimConfig, mc_kernels, replication_dataset, run_mc_cells
+from .sim import run_mc  # noqa: F401  perfbench/tracer.py wraps cli.run_mc by name
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG, EXIT_DATA = 0, 1, 2, 3
 
@@ -365,13 +366,16 @@ def cmd_simulate(config: dict, out: str) -> None:
     arrays = {name for name, t in typing.get_type_hints(RepRecord).items() if t is np.ndarray}
     with _from_config():
         cfgs = [SimConfig(omega=float(omega), **base) for omega in config["omegas"]]
+        # summary.json and the records and bootstrap file names key each cell by this label
+        labels = [f"{cfg.omega:g}" for cfg in cfgs]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"omegas values must have distinct %g labels, got {labels}")
     # the cells differ in omega only, so they share one basis and kernel
     kernels = mc_kernels(cfgs[0])
+    reports = run_mc_cells(cfgs, progress=sys.stderr.isatty(), kernels=kernels)
     cells = {}
-    progress = sys.stderr.isatty()
-    for omega, cfg in zip(config["omegas"], cfgs):
-        report = run_mc(cfg, progress=progress, kernels=kernels)
-        label = f"omega={omega:g}"
+    for omega, cfg, report in zip(labels, cfgs, reports):
+        label = f"omega={omega}"
         cells[label] = report.summary()
         header = []
         for name in names:

@@ -190,6 +190,7 @@ def bootstrap_test(
     strategy: str = "mixed",
     seed: int = 0,
     system: RidgeSystem | None = None,
+    multipliers: np.ndarray | None = None,
 ) -> GofResult:
     """Wild-bootstrap test of the parametric family against the smooth fit.
 
@@ -207,18 +208,22 @@ def bootstrap_test(
     ``bootstrap_multipliers``).  ``seed`` must be a non-negative integer.
     ``system``, when given, must be the RidgeSystem
     already built for these very ``data`` and ``km`` objects; the test then
-    factors nothing.
+    factors nothing.  ``multipliers``, when given, must be the block
+    ``bootstrap_multipliers(n, B, seed)`` returns; the test then draws
+    nothing, so callers testing several datasets on one seed draw it once.
     """
     if B < 100:
         raise ValueError(f"B must be >= 100, got {B}")
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     check_lambdas(lam)
+    n = data.n
+    if multipliers is not None and np.shape(multipliers) != (B, n):
+        raise ValueError(f"multipliers are {np.shape(multipliers)}, expected ({B}, {n})")
     if system is None:
         system = RidgeSystem(data, km)
     elif system.data is not data or system.km is not km:
         raise ValueError("system was built for another dataset or other kernel matrices")
-    n = data.n
 
     theta = fit_parametric(data, family)
     eps_null = data.F - family.apply(data.U, theta.theta)
@@ -231,10 +236,11 @@ def bootstrap_test(
     if strategy == "mixed":
         n_para = int(round(B / 3))
 
-    deltas = bootstrap_multipliers(n, B, seed)
+    if multipliers is None:  # drawn last, so the block is still in cache when it is used
+        multipliers = bootstrap_multipliers(n, B, seed)
     q_boot = np.concatenate([
-        system.smoothed_sq_norms(lam, eps_null, deltas[:n_para]),
-        system.smoothed_sq_norms(lam, eps_fit, deltas[n_para:]),
+        system.smoothed_sq_norms(lam, eps_null, multipliers[:n_para]),
+        system.smoothed_sq_norms(lam, eps_fit, multipliers[n_para:]),
     ]) / n
     p_value = 1.0 - float(np.count_nonzero(q_n >= q_boot)) / B
 

@@ -15,12 +15,20 @@ which is the convention reproduced by the reference tables.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .basis import BasisSystem, DataSet, make_cosine_basis
-from .gof import STRATEGIES, GofResult, ParamFamily, bootstrap_test, fit_parametric
+from .gof import (
+    STRATEGIES,
+    GofResult,
+    ParamFamily,
+    bootstrap_multipliers,
+    bootstrap_test,
+    fit_parametric,
+)
 from .kernels import DEFAULT_OPERATORS, KernelMatrices, KernelSpec, assemble, kernel_provenance
 from .regress import RidgeSystem, check_lambdas, lambda_path
 
@@ -232,6 +240,7 @@ def _run_rep(
     family: ParamFamily,
     data_seed: np.random.SeedSequence,
     boot_seed: int,
+    multipliers: np.ndarray | None,
 ) -> tuple[RepRecord, GofResult | None]:
     data, mu = gen_dataset(config, np.random.default_rng(data_seed), basis)
     system = RidgeSystem(data, km)
@@ -263,6 +272,7 @@ def _run_rep(
             strategy=config.strategy,
             seed=boot_seed,
             system=system,
+            multipliers=multipliers,
         )
         q_n, p_value = gof.q_n, gof.p_value
         reject = bool(p_value < config.alpha)
@@ -321,43 +331,81 @@ def run_mc(
     progress: bool = False,
     kernels: tuple[BasisSystem, KernelMatrices] | None = None,
 ) -> McReport:
-    """Run the Monte Carlo study; deterministic for a given config.
+    """Run the Monte Carlo study of one cell; ``run_mc_cells([config], ...)[0]``."""
+    return run_mc_cells([config], progress, kernels)[0]
 
-    Replications run in order, each on its own RNG streams spawned from
-    ``config.seed``.  A failing replication aborts the study with its
-    index before the next one starts, unless ``config.skip_failures`` is
-    set, in which case it is recorded in ``report.skipped``; if every
-    replication is skipped, the study raises RuntimeError.  ``kernels``,
-    when given, must be the ``mc_kernels`` of a config with the same
-    ``p``, ``n_quad`` and ``h``.
+
+def run_mc_cells(
+    configs: Sequence[SimConfig],
+    progress: bool = False,
+    kernels: tuple[BasisSystem, KernelMatrices] | None = None,
+) -> tuple[McReport, ...]:
+    """Run the Monte Carlo study of cells that differ in ``omega`` only; one report per cell.
+
+    Deterministic for given configs.  Replication r of every cell draws its
+    data and its bootstrap multipliers from child r of ``SeedSequence(seed)``,
+    which omega does not enter, so the cells share those streams (common
+    random numbers).  Replications run in order, and each one draws its
+    (B, n) bootstrap block once and runs every cell on it; each cell's report
+    equals ``run_mc`` of that cell alone.
+
+    A failing replication aborts the study before the next cell or
+    replication starts, naming the replication (and, among several cells,
+    the cell's omega), unless ``skip_failures`` is set, in which case it is
+    recorded in that cell's ``report.skipped``; if every replication of a
+    cell is skipped, the study raises RuntimeError for the first such cell.
+    ``kernels``, when given, must be the ``mc_kernels`` of a config with the
+    same ``p``, ``n_quad`` and ``h``.  Configs that differ in anything but
+    ``omega`` raise ValueError.
     """
-    basis, km = mc_kernels(config) if kernels is None else kernels
-    want = kernel_provenance(basis, **DEFAULT_OPERATORS, spec=KernelSpec(h=config.h))
-    if km.provenance != want or (basis.p, len(basis.quad_nodes)) != (config.p, config.n_quad):
+    configs = tuple(configs)
+    if not configs:
+        raise ValueError("a study needs at least one cell")
+    first = configs[0]
+    for config in configs[1:]:
+        differ = [
+            f.name
+            for f in fields(SimConfig)
+            if f.name != "omega" and getattr(config, f.name) != getattr(first, f.name)
+        ]
+        if differ:
+            raise ValueError(f"cells must differ in omega only, not in {', '.join(differ)}")
+    basis, km = mc_kernels(first) if kernels is None else kernels
+    want = kernel_provenance(basis, **DEFAULT_OPERATORS, spec=KernelSpec(h=first.h))
+    if km.provenance != want or (basis.p, len(basis.quad_nodes)) != (first.p, first.n_quad):
         raise ValueError("kernels were built for another p, n_quad or h than the config's")
     family = ParamFamily.scaled_neg_laplacian(basis)
 
-    records, skipped, dumps = [], [], []
-    for rep in range(config.reps):
-        try:
-            record, gof = _run_rep(rep, config, basis, km, family, *_rep_streams(config.seed, rep))
-        except Exception as exc:
-            if not config.skip_failures:
-                raise RuntimeError(f"replication {rep} failed: {exc}") from exc
-            skipped.append((rep, str(exc)))
-        else:
-            records.append(record)
-            if gof is not None and rep < config.keep_bootstrap:
-                dumps.append((rep, gof.bootstrap_values))
+    def where(config):
+        return f"omega={config.omega:g}: " if len(configs) > 1 else ""
+
+    cells = [([], [], []) for _ in configs]  # records, skipped and dumps of each cell
+    for rep in range(first.reps):
+        data_seed, boot_seed = _rep_streams(first.seed, rep)
+        block = bootstrap_multipliers(first.n, first.B, boot_seed) if first.run_test else None
+        for config, (records, skipped, dumps) in zip(configs, cells):
+            try:
+                record, gof = _run_rep(rep, config, basis, km, family, data_seed, boot_seed, block)
+            except Exception as exc:
+                if not config.skip_failures:
+                    raise RuntimeError(f"{where(config)}replication {rep} failed: {exc}") from exc
+                skipped.append((rep, str(exc)))
+            else:
+                records.append(record)
+                if gof is not None and rep < config.keep_bootstrap:
+                    dumps.append((rep, gof.bootstrap_values))
         if progress:
-            print(f"\rreplication {rep + 1}/{config.reps}", end="", file=sys.stderr)
+            print(f"\rreplication {rep + 1}/{first.reps}", end="", file=sys.stderr)
     if progress:
         print(file=sys.stderr)
-    if not records:
-        rep, reason = skipped[0]
-        raise RuntimeError(
-            f"all {config.reps} replications were skipped; replication {rep} failed: {reason}"
-        )
-    return McReport(
-        config=config, records=tuple(records), skipped=tuple(skipped), bootstrap_dumps=tuple(dumps)
+    for config, (records, skipped, _) in zip(configs, cells):
+        if not records:
+            rep, reason = skipped[0]
+            raise RuntimeError(
+                f"{where(config)}all {config.reps} replications were skipped; "
+                f"replication {rep} failed: {reason}"
+            )
+    return tuple(
+        McReport(config=config, records=tuple(r), skipped=tuple(s), bootstrap_dumps=tuple(d))
+        for config, (r, s, d) in zip(configs, cells)
     )

@@ -96,6 +96,17 @@ def test_simulate_grid_points_sharing_a_label_is_a_config_error(tmp_path, capsys
     assert not any(out.iterdir())
 
 
+def test_simulate_omegas_sharing_a_label_is_a_config_error(tmp_path, capsys):
+    # two cells would write one records_omega0.84.csv and one summary.json key
+    cfg = write_config(tmp_path, "sim.json", sim_config(omegas=[0.0, 0.84, 0.8400001]))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: omegas values must have distinct %g labels" in err
+    assert "['0', '0.84', '0.84']" in err
+    assert not any(out.iterdir())
+
+
 def test_simulate_with_every_replication_skipped_is_a_runtime_error(tmp_path, capsys):
     doc = {"n": 2, "p": 10, "snr": 3.0, "omegas": [0.0], "reps": 2, "run_test": False,
            "lambda_grid": [1e-300], "skip_failures": True}

@@ -215,6 +215,21 @@ def test_bootstrap_system_must_be_built_from_the_same_objects(basis_p3, km_p3):
             bootstrap_test(data, km_p3, 1.0, family, B=100, system=system)
 
 
+def test_bootstrap_on_given_multipliers(basis_p3, km_p3, monkeypatch):
+    U, F = random_dataset(basis_p3, n=10, seed=13)
+    data = DataSet(U=U, F=F, basis=basis_p3)
+    family = laplacian_family(basis_p3)
+    drawn = bootstrap_test(data, km_p3, 1.0, family, B=100, seed=5)
+    block = bootstrap_multipliers(10, 100, 5)
+    monkeypatch.setattr(gof, "bootstrap_multipliers", None)  # a draw would fail
+    given = bootstrap_test(data, km_p3, 1.0, family, B=100, seed=5, multipliers=block)
+    assert given.q_n == drawn.q_n and given.p_value == drawn.p_value
+    assert np.array_equal(given.bootstrap_values, drawn.bootstrap_values)
+    for shape in ((99, 10), (100, 9), (10, 100), (100 * 10,)):
+        with pytest.raises(ValueError, match=r"multipliers are .*, expected \(100, 10\)"):
+            bootstrap_test(data, km_p3, 1.0, family, B=100, seed=5, multipliers=np.ones(shape))
+
+
 def test_bootstrap_seed_changes_replicates(basis_p3, km_p3):
     U, F = random_dataset(basis_p3, n=10, seed=11)
     data = DataSet(U=U, F=F, basis=basis_p3)

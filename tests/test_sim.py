@@ -1,10 +1,11 @@
 """Tests for data generation, calibration, ESS/TSS, and the MC harness."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import diffreg.gof as gof
 import diffreg.sim as sim
 from diffreg import (
     KernelSpec,
@@ -21,9 +22,11 @@ from diffreg import (
     neg_laplacian,
     replication_dataset,
     run_mc,
+    run_mc_cells,
     true_multipliers,
     tss,
 )
+from diffreg.sim import RepRecord
 
 
 def test_calibrate_sigma_closed_form_single_term():
@@ -346,3 +349,115 @@ def test_keep_bootstrap_dumps():
     rep, values = report.bootstrap_dumps[0]
     assert rep == 0
     assert values.shape == (100,)
+
+
+OMEGAS = (0.0, 0.84, 1.68)
+
+
+def study(**settings):
+    base = dict(n=30, p=4, reps=3, B=100, seed=14, refine_rounds=0, keep_bootstrap=2)
+    return [SimConfig(omega=omega, **{**base, **settings}) for omega in OMEGAS]
+
+
+def assert_same_report(got, want):
+    assert got.config == want.config
+    assert got.skipped == want.skipped
+    assert [rec.rep for rec in got.records] == [rec.rep for rec in want.records]
+    for a, b in zip(got.records, want.records):
+        for f in fields(RepRecord):
+            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), err_msg=f.name)
+    assert [rep for rep, _ in got.bootstrap_dumps] == [rep for rep, _ in want.bootstrap_dumps]
+    for (_, a), (_, b) in zip(got.bootstrap_dumps, want.bootstrap_dumps):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_a_study_draws_each_replications_bootstrap_block_once(monkeypatch):
+    real = sim.bootstrap_multipliers
+    seeds = []
+
+    def counting(n, B, seed):
+        seeds.append(seed)
+        return real(n, B, seed)
+
+    monkeypatch.setattr(sim, "bootstrap_multipliers", counting)
+    monkeypatch.setattr(gof, "bootstrap_multipliers", None)  # the test draws nothing itself
+    reports = run_mc_cells(study())
+    assert seeds == [sim._rep_streams(14, rep)[1] for rep in range(3)]
+    assert all(len(report.records) == 3 for report in reports)
+    # without a test there is no block to draw
+    seeds.clear()
+    run_mc_cells(study(run_test=False))
+    assert seeds == []
+
+
+def test_each_cell_of_a_study_equals_run_mc_of_that_cell(monkeypatch):
+    configs = study()
+    basis, km = kernels = mc_kernels(configs[0])
+    family = gof.ParamFamily.scaled_neg_laplacian(basis)
+    for got, config in zip(run_mc_cells(configs, kernels=kernels), configs, strict=True):
+        assert_same_report(got, run_mc(config))
+        # each test drew the block of its replication's seed, as a test of its own would
+        for rec in got.records:
+            data, _ = replication_dataset(config, rec.rep, basis)
+            seed = sim._rep_streams(config.seed, rec.rep)[1]
+            alone = gof.bootstrap_test(data, km, rec.test_lambda, family, B=config.B, seed=seed)
+            assert (alone.q_n, alone.p_value) == (rec.q_n, rec.p_value)
+    real = sim._run_rep
+
+    def failing(rep, config, *args):
+        if (rep, config.omega) == (1, 0.84):
+            raise ValueError("synthetic failure")
+        return real(rep, config, *args)
+
+    monkeypatch.setattr(sim, "_run_rep", failing)
+    configs = study(skip_failures=True)
+    reports = run_mc_cells(configs)
+    for got, config in zip(reports, configs, strict=True):
+        assert_same_report(got, run_mc(config))
+    assert [report.skipped for report in reports] == [(), ((1, "synthetic failure"),), ()]
+    assert [len(report.records) for report in reports] == [3, 2, 3]
+
+
+def test_a_study_fails_fast_in_replication_order(monkeypatch):
+    real = sim._run_rep
+    started = []
+
+    def failing(rep, config, *args):
+        started.append((rep, config.omega))
+        if (rep, config.omega) in ((0, 1.68), (1, 0.0)):
+            raise ValueError("synthetic failure")
+        return real(rep, config, *args)
+
+    monkeypatch.setattr(sim, "_run_rep", failing)
+    with pytest.raises(RuntimeError, match="^omega=1.68: replication 0 failed: synthetic"):
+        run_mc_cells(study(run_test=False))
+    assert started == [(0, 0.0), (0, 0.84), (0, 1.68)]
+    started.clear()
+    with pytest.raises(RuntimeError, match="^replication 1 failed: synthetic"):
+        run_mc(study(run_test=False)[0])
+    assert started == [(0, 0.0), (1, 0.0)]
+
+
+def test_a_study_raises_for_its_first_cell_with_every_replication_skipped(monkeypatch):
+    real = sim._run_rep
+
+    def failing(rep, config, *args):
+        if config.omega > 0:
+            raise ValueError(f"synthetic failure at {config.omega}")
+        return real(rep, config, *args)
+
+    monkeypatch.setattr(sim, "_run_rep", failing)
+    with pytest.raises(RuntimeError, match="^omega=0.84: all 3 replications were skipped; "
+                       "replication 0 failed: synthetic failure at 0.84"):
+        run_mc_cells(study(skip_failures=True, run_test=False))
+
+
+def test_a_study_takes_cells_that_differ_in_omega_only():
+    configs = study()
+    with pytest.raises(ValueError, match="at least one cell"):
+        run_mc_cells([])
+    for change in ({"seed": 15}, {"n": 31, "B": 200}, {"lambda_grid": (1.0, 10.0)}):
+        with pytest.raises(ValueError, match="differ in omega only, not in " + ", ".join(change)):
+            run_mc_cells([configs[0], replace(configs[1], **change)])
+    with pytest.raises(ValueError, match="another p, n_quad or h"):
+        run_mc_cells(configs, kernels=mc_kernels(replace(configs[0], h=0.02)))

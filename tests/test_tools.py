@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ def test_npz_entries_keep_the_digest_a_string(tmp_path):
 
 
 SMALL_CASES = {"streams": {"n": 30, "B": 8}, "ridge": {"p": 4, "n": 30},
-               "dataset_io": {"p": 4, "n": 30}}
+               "dataset_io": {"p": 4, "n": 30}, "simulate": {"n": 30, "p": 4, "B": 100, "reps": 2}}
 
 
 def check_layer(layer, case, work):
@@ -133,6 +134,16 @@ def test_a_perturbed_load_fails_the_dataset_check(tmp_path, monkeypatch):
     assert check_layer("dataset_io", SMALL_CASES["dataset_io"], tmp_path)["identical"] is False
 
 
+def test_a_tree_writing_other_bytes_fails_the_simulate_check(tmp_path):
+    assert check_layer("simulate", SMALL_CASES["simulate"], tmp_path)["identical"] is True
+    ours, other = tmp_path / diffreg.__name__ / "command", tmp_path / "other" / "command"
+    shutil.copytree(ours, other)
+    summary = other / "summary.json"
+    summary.write_bytes(summary.read_bytes().replace(b"0", b"1", 1))
+    _, check, _ = bench_layers.LAYERS["simulate"]
+    assert check(SMALL_CASES["simulate"], str(tmp_path), {})["identical"] is False
+
+
 def test_bench_layers_times_a_layer_against_a_baseline(tmp_path):
     out = tmp_path / "BENCH_layers.json"
     argv = ["--layer", "streams", "--repeats", "1", "--baseline", REPO, "--out", str(out)]
@@ -144,3 +155,5 @@ def test_bench_layers_times_a_layer_against_a_baseline(tmp_path):
         for route in ("spawn_loop", "derived"):
             assert case[f"baseline_{route}_ms"] > 0
             assert case[f"{route}_speedup"] > 0
+            # one repeat: the median is the minimum
+            assert case[f"{route}_spread"] == case[f"baseline_{route}_spread"] == 0

@@ -24,15 +24,21 @@ of this tree on that case, and its cases:
   era5`` command in process (``command``).  ``identical``: both trees'
   commands write the same bytes; ``layouts_agree``: U.csv, F.csv and their
   sidecars equal the presorted layout's.
+- ``simulate`` (n = 200, p = 10, B = 200, 4 replications): one ``simulate
+  --preset table4`` command in process, the five omega cells of the preset
+  (``command``).  ``identical``: both trees' commands write the same bytes.
 
 ROOT, when given, is another diffreg checkout (the directory holding
 ``src/``, such as ``git archive`` of the parent commit), timed beside this
 tree under its directory's name.  A route's figure is the minimum over K
 repeats of the mean of a ~BLOCK_S s block of calls, the routes taking turns
 within each repeat, with BLAS pinned to one thread.  Each case gets
-``<route>_ms``, ``baseline_<route>_ms``, ``<route>_speedup`` (baseline over
-this tree) and its checks, and goes to FILE (default BENCH_layers.json)
-with the environment.  Exit status 1 when any boolean check is false.
+``<route>_ms``, ``<route>_spread`` (the median over the K repeats over the
+minimum, minus 1), ``<route>_speedup`` (baseline over this tree, by the
+minimum) and its checks, and goes to FILE (default BENCH_layers.json) with
+the environment; baseline routes are ``baseline_<route>``.  A speed-up
+smaller than its routes' spreads is within the noise.  Exit status 1 when
+any boolean check is false.
 """
 
 import argparse
@@ -44,6 +50,7 @@ import math
 import os
 import platform
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -65,7 +72,6 @@ N_QUAD, H = 201, 0.01
 ORACLE_LAMBDAS, ORACLE_TOL = (1e-1, 1e1, 1e3), 1e-9
 NORMS_LAMBDA, NORMS_ROWS = 10.0, 200
 SUBJECTS, LEVELS = 2000, 40
-INGEST_OUTPUTS = ("U.csv", "F.csv", "U.csv.npz", "F.csv.npz", "ingest.json")
 
 
 def module(pkg, name: str):
@@ -224,34 +230,59 @@ def ingest_routes(pkg, case: dict, work: str) -> dict:
     config = os.path.join(out, "ingest_config.json")
     with open(config, "w", encoding="utf-8") as fh:
         json.dump({"input": csv_path}, fh)
-
-    def command():
-        with contextlib.redirect_stderr(io.StringIO()) as err:
-            code = cli.main(["ingest", "--preset", "era5", "--config", config,
-                             "--out", os.path.join(out, "command")])
-        if code != 0:
-            raise RuntimeError(f"ingest exited {code}: {err.getvalue()}")
-
     return {
         "load": lambda: ingest.load_trajectories(csv_path, schema),
         "gate": lambda: ingest.curves_to_basis(table, recipe, basis),
         "build": lambda: ingest.build_thermo_dataset(curves, recipe, basis),
         "save": lambda: ingest.save_dataset(data, *dataset_pair(out, "layers")),
-        "command": command,
+        "command": command(cli, ["ingest", "--preset", "era5", "--config", config], out),
     }
 
 
-def command_outputs(work: str, tree: str) -> list[bytes]:
-    return [Path(work, tree, "command", name).read_bytes() for name in INGEST_OUTPUTS]
+def command(cli, argv: list, out: str):
+    """A route running one CLI command in process into ``out``/command; raises unless it exits 0."""
+
+    def route():
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main([*argv, "--out", os.path.join(out, "command")])
+        if code != 0:
+            raise RuntimeError(f"{argv[0]} exited {code}: {err.getvalue()}")
+
+    return route
+
+
+def command_outputs(work: str, tree: str) -> dict:
+    """Name to bytes of every file the ``command`` route of ``tree`` wrote."""
+    folder = Path(work, tree, "command")
+    return {path.name: path.read_bytes() for path in sorted(folder.iterdir())}
+
+
+def trees_identical(work: str) -> bool:
+    """Whether every tree's ``command`` route wrote what this tree's did."""
+    ours = command_outputs(work, diffreg.__name__)
+    trees = [name for name in os.listdir(work) if os.path.isdir(os.path.join(work, name))]
+    return all(command_outputs(work, tree) == ours for tree in trees)
 
 
 def ingest_check(case: dict, work: str, routes: dict) -> dict:
     """Compares what the trees' ``command`` routes wrote; ingest.json names its input CSV."""
-    ours = command_outputs(work, diffreg.__name__)
-    trees = [name for name in os.listdir(work) if os.path.isdir(os.path.join(work, name))]
-    presorted = command_outputs(os.path.join(work, os.pardir, "presorted"), diffreg.__name__)
-    return {"identical": all(command_outputs(work, tree) == ours for tree in trees),
-            "layouts_agree": ours[:4] == presorted[:4]}
+    folders = (work, os.path.join(work, os.pardir, "presorted"))
+    ours, presorted = (command_outputs(folder, diffreg.__name__) for folder in folders)
+    del ours["ingest.json"], presorted["ingest.json"]
+    return {"identical": trees_identical(work), "layouts_agree": ours == presorted}
+
+
+def simulate_routes(pkg, case: dict, work: str) -> dict:
+    config = os.path.join(work, "simulate_config.json")
+    if not os.path.exists(config):
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump({**case, "seed": SEED, "keep_bootstrap": 1}, fh)
+    argv = ["simulate", "--preset", "table4", "--config", config]
+    return {"command": command(module(pkg, "cli"), argv, os.path.join(work, pkg.__name__))}
+
+
+def simulate_check(case: dict, work: str, routes: dict) -> dict:
+    return {"identical": trees_identical(work)}
 
 
 LAYERS = {
@@ -259,11 +290,13 @@ LAYERS = {
     "ridge": (ridge_routes, ridge_check, SWEEP),
     "dataset_io": (dataset_io_routes, dataset_io_check, SWEEP),
     "ingest": (ingest_routes, ingest_check, ({"layout": "presorted"}, {"layout": "shuffled"})),
+    "simulate": (simulate_routes, simulate_check, ({"n": 200, "p": 10, "B": 200, "reps": 4},)),
 }
 
 
 def best_ms(routes: dict, repeats: int) -> dict:
-    """Per route, the minimum over ``repeats`` of the mean time of a ~BLOCK_S block of calls, in ms.
+    """Per route, the minimum and the median over ``repeats`` of the mean time of a
+    ~BLOCK_S block of calls, in ms.
 
     A first call of each route sizes its block and is not counted.  The
     routes take turns within each repeat, so a change in machine load
@@ -274,14 +307,14 @@ def best_ms(routes: dict, repeats: int) -> dict:
         start = time.perf_counter()
         fn()
         number[name] = max(1, math.ceil(BLOCK_S / (time.perf_counter() - start)))
-    best = dict.fromkeys(routes, math.inf)
+    seconds = {name: [] for name in routes}
     for _ in range(repeats):
         for name, fn in routes.items():
             start = time.perf_counter()
             for _ in range(number[name]):
                 fn()
-            best[name] = min(best[name], (time.perf_counter() - start) / number[name])
-    return {name: seconds * 1e3 for name, seconds in best.items()}
+            seconds[name].append((time.perf_counter() - start) / number[name])
+    return {name: (min(s) * 1e3, statistics.median(s) * 1e3) for name, s in seconds.items()}
 
 
 def run_case(layer: str, case: dict, trees: list, repeats: int, work: str) -> dict:
@@ -292,9 +325,11 @@ def run_case(layer: str, case: dict, trees: list, repeats: int, work: str) -> di
         prefix = "" if pkg is diffreg else "baseline_"
         routes.update({prefix + name: fn for name, fn in routes_of(pkg, case, work).items()})
     ms = best_ms(routes, repeats)
-    result = {"layer": layer, **case, **{f"{name}_ms": round(t, 4) for name, t in ms.items()}}
-    result.update({f"{name}_speedup": round(ms[f"baseline_{name}"] / t, 3)
-                   for name, t in ms.items() if f"baseline_{name}" in ms})
+    result = {"layer": layer, **case}
+    for name, (best, median) in ms.items():
+        result.update({f"{name}_ms": round(best, 4), f"{name}_spread": round(median / best - 1, 3)})
+    result.update({f"{name}_speedup": round(ms[f"baseline_{name}"][0] / best, 3)
+                   for name, (best, _) in ms.items() if f"baseline_{name}" in ms})
     return {**result, **check(case, work, routes)}
 
 
@@ -343,7 +378,8 @@ def main(argv=None) -> int:
     doc = {
         "label": "layers",
         "protocol": f"min of {args.repeats} alternating repeats of the mean of a ~{BLOCK_S:g} s "
-        f"block of calls; seed {SEED}; ingest {SUBJECTS} subjects x {LEVELS} levels",
+        f"block of calls, spread = median / min - 1; seed {SEED}; "
+        f"ingest {SUBJECTS} subjects x {LEVELS} levels",
         "baseline": os.path.basename(os.path.abspath(args.baseline)) if args.baseline else None,
         "environment": environment(),
         "cases": cases,
