@@ -74,21 +74,34 @@ class ParametricFit:
     theta_raw: float
     clipped: bool
 
+    @staticmethod
+    def clip(theta_raw: float) -> "ParametricFit":
+        """The fit of a least-squares theta, clipped at the boundary of (0, inf)."""
+        theta = max(theta_raw, 0.0)
+        return ParametricFit(theta=theta, theta_raw=theta_raw, clipped=theta_raw <= 0.0)
+
+
+def raw_thetas(U: np.ndarray, F: np.ndarray, family: ParamFamily) -> np.ndarray:
+    """Unclipped least-squares theta of F = theta * D0(U) + error, one per (n, p) response.
+
+    theta_raw = sum_i <F_i, D0 U_i> / sum_i ||D0 U_i||^2 for every response
+    of an (..., n, p) stack F to the predictors U.
+    """
+    base = family.base_action(U)
+    denom = float(np.sum(base**2))
+    if denom == 0.0:
+        raise DegenerateDesignError("predictors carry no energy under the base operator")
+    return np.sum(F * base, axis=(-2, -1)) / denom
+
 
 def fit_parametric(data: DataSet, family: ParamFamily) -> ParametricFit:
     """Closed-form least squares for theta in F = theta * D0(U) + error.
 
-    theta_raw = sum_i <F_i, D0 U_i> / sum_i ||D0 U_i||^2, clipped at the
-    boundary of (0, inf) with ``clipped`` flagged so degenerate samples do
-    not abort larger studies.
+    theta_raw (see ``raw_thetas``) is clipped at the boundary of (0, inf)
+    with ``clipped`` flagged so degenerate samples do not abort larger
+    studies.
     """
-    base = family.base_action(data.U)
-    denom = float(np.sum(base**2))
-    if denom == 0.0:
-        raise DegenerateDesignError("predictors carry no energy under the base operator")
-    theta_raw = float(np.sum(data.F * base)) / denom
-    theta = max(theta_raw, 0.0)
-    return ParametricFit(theta=theta, theta_raw=theta_raw, clipped=theta_raw <= 0.0)
+    return ParametricFit.clip(float(raw_thetas(data.U, data.F, family)))
 
 
 def wild_multipliers(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -222,14 +235,33 @@ def bootstrap_test(
         raise ValueError(f"multipliers are {np.shape(multipliers)}, expected ({B}, {n})")
     if system is None:
         system = RidgeSystem(data, km)
-    elif system.data is not data or system.km is not km:
+    elif system.data is not data or system.km is not km or system.F is not data.F:
         raise ValueError("system was built for another dataset or other kernel matrices")
 
     theta = fit_parametric(data, family)
     eps_null = data.F - family.apply(data.U, theta.theta)
-    c_hat = system.solve(lam)
-    eps_fit = data.F - system.fitted(c_hat)
+    eps_fit = data.F - system.fitted(system.solve(lam))
+    return residual_test(system, lam, theta, eps_null, eps_fit, B, strategy, seed, multipliers)
 
+
+def residual_test(
+    system: RidgeSystem,
+    lam: float,
+    theta: ParametricFit,
+    eps_null: np.ndarray,
+    eps_fit: np.ndarray,
+    B: int,
+    strategy: str,
+    seed: int,
+    multipliers: np.ndarray | None = None,
+) -> GofResult:
+    """The test of ``bootstrap_test`` on its null and fit residuals, already computed.
+
+    Takes checked arguments: ``theta`` is the fit behind ``eps_null``, both
+    residual sets are (n, p), and ``multipliers``, when given, is the
+    (B, n) block of ``seed``.
+    """
+    n = system.n
     q_n = qn_statistic(system, lam, eps_null)
 
     n_para = B if strategy == "parametric" else 0

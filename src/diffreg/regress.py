@@ -28,9 +28,11 @@ the smoother drop their components, so the solve is minimum-norm.  A
 RidgeSystem is built once per dataset.  Its ``solve``, ``trace``,
 ``operator_matrix`` and ``fitted`` broadcast over a leading lambda axis as
 numpy functions do: a scalar lambda gives one result, an array of m lambdas
-gives m rows from the one factorization.  ``smooth``, ``smoothed_sq_norms``
-and ``smoother`` apply the smoothing matrix at one lambda; ``smoother`` is
-``smooth`` of the identity.
+gives m rows from the one factorization.  The factorization depends on the
+predictors alone, so one system also serves a (C, n, p) stack of responses
+to them; ``solve`` and ``lambda_path`` then add a leading response axis.
+``smooth``, ``smoothed_sq_norms`` and ``smoother`` apply the smoothing
+matrix at one lambda; ``smoother`` is ``smooth`` of the identity.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class RidgeSystem:
     s2 = a_j b_k; the smoother maps it back as G (Z / (s2 + n lambda))' H'.
     """
 
-    def __init__(self, data: DataSet, km: KernelMatrices):
+    def __init__(self, data: DataSet, km: KernelMatrices, responses: np.ndarray | None = None):
         p = data.p
         if km.p != p:
             raise ValueError(f"kernel factors are {km.p} x {km.p}, expected p = {p}")
@@ -90,8 +92,17 @@ class RidgeSystem:
         s2 = np.outer(a, b).ravel()
         # zero at or below roundoff, the rank rule of np.linalg.matrix_rank
         self.s2 = np.where(s2 > s2.max() * s2.size * np.finfo(float).eps, s2, 0.0)
+        # the response side: data.F, or a (C, n, p) stack held as (C, 1, n, p), so that
+        # an (m,) grid or a (C, k) array of lambdas broadcasts to (C, m) or (C, k) rows
+        if responses is None:
+            self.F = data.F
+        elif np.ndim(responses) != 3 or np.shape(responses)[1:] != (self.n, p):
+            raise ValueError(f"responses are {np.shape(responses)}, expected (C, {self.n}, {p})")
+        else:
+            self.F = np.asarray(responses, dtype=float)[:, None]
         # right-hand side of the solve, the response in the eigenbasis
-        self._rhs = (self.H.T @ data.F.T @ self.G).ravel()
+        Z = self.H.T @ self.F.swapaxes(-1, -2) @ self.G
+        self._rhs = Z.reshape(*Z.shape[:-2], -1)
 
     def _shifted(self, lam) -> np.ndarray:
         """s2 + n * lambda, with one row per entry of a lambda array."""
@@ -104,10 +115,15 @@ class RidgeSystem:
         minimum-norm instead of dividing roundoff by n * lambda.
         """
         shifted = self._shifted(lam)
-        return np.divide(num, shifted, out=np.zeros(shifted.shape), where=self.s2 > 0)
+        out = np.zeros(np.broadcast(num, shifted).shape)
+        return np.divide(num, shifted, out=out, where=self.s2 > 0)
 
     def solve(self, lam) -> np.ndarray:
-        """Minimum-norm coefficient vector minimizing the penalized objective; (..., p^2)."""
+        """Minimum-norm coefficient vector minimizing the penalized objective; (..., p^2).
+
+        For a response stack the leading axes are (C, k) for a scalar, an (k,)
+        grid or a (C, k) array of lambdas, row c of which goes to response c.
+        """
         z = self._over_shifted(self._rhs, lam)
         # X' for c = vec(X), mapped back from the eigenbasis [M eigenpair, C eigenpair]
         Xt = self.T_M @ z.reshape(*z.shape[:-1], self.p, self.p) @ self.T_C.T
@@ -219,6 +235,16 @@ def rss(fit_result: FitResult, data: DataSet) -> float:
     return float(np.sum((data.F - data.U @ dmat.T) ** 2))
 
 
+def sum_sq_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sum of (a - b)^2 over the last two axes, one per leading index.
+
+    Squares in place, so a stack of fits needs one temporary, not two.
+    """
+    diff = np.subtract(a, b)
+    diff *= diff
+    return diff.sum(axis=(-2, -1))
+
+
 def gcv_value(rss_val, n: int, p: int, trace):
     """GCV = n^{-1} RSS / (1 - tr(S)/(n p))^2; the operator trace is tr(S)/p.
 
@@ -240,7 +266,11 @@ def gcv(fit_result: FitResult, data: DataSet) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """RSS, GCV and trace tr(S) at each lambda of a grid, as (m,) arrays in grid order."""
+    """RSS, GCV and trace tr(S) at each lambda of a grid, as (m,) arrays in grid order.
+
+    The sweep of a system of C responses holds (C, m) RSS and GCV, one row
+    per response, beside the shared (m,) trace.
+    """
 
     lambdas: np.ndarray
     rss: np.ndarray
@@ -250,17 +280,19 @@ class SweepResult:
     @property
     def best_lambda(self) -> float:
         """The GCV minimizer; a tie goes to the first, the smaller lambda on an ascending grid."""
-        return float(self.lambdas[np.argmin(self.gcv)])
+        return float(self.lambdas[np.argmin(self.gcv, axis=-1)])
 
 
 def lambda_path(system: RidgeSystem, grid) -> tuple[SweepResult, np.ndarray]:
-    """The sweep and the (m, n, p) fitted responses for a grid of m lambdas, in its order."""
+    """The sweep and the (m, n, p) fitted responses for a grid of m lambdas, in its order.
+
+    A system of C responses gives a sweep of (C, m) rows and (C, m, n, p) fits.
+    """
     lams = np.asarray(grid, dtype=float)
-    data = system.data
     fitted = system.fitted(system.solve(lams))
-    rss_vals = np.sum((data.F - fitted) ** 2, axis=(-2, -1))
+    rss_vals = sum_sq_diff(system.F, fitted)
     traces = system.trace(lams)
-    gcv_vals = gcv_value(rss_vals, data.n, data.p, traces)
+    gcv_vals = gcv_value(rss_vals, system.n, system.p, traces)
     return SweepResult(lambdas=lams, rss=rss_vals, gcv=gcv_vals, trace=traces), fitted
 
 

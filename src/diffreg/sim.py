@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,12 +26,14 @@ from .gof import (
     STRATEGIES,
     GofResult,
     ParamFamily,
+    ParametricFit,
     bootstrap_multipliers,
-    bootstrap_test,
-    fit_parametric,
+    raw_thetas,
+    residual_test,
 )
+from .gof import bootstrap_test  # noqa: F401  perfbench/tracer.py wraps sim.bootstrap_test by name
 from .kernels import DEFAULT_OPERATORS, KernelMatrices, KernelSpec, assemble, kernel_provenance
-from .regress import RidgeSystem, check_lambdas, lambda_path
+from .regress import RidgeSystem, check_lambdas, lambda_path, sum_sq_diff
 
 DEFAULT_LAMBDA_GRID = (1e0, 1e1, 1e2, 1e3, 1e4, 1e5)
 
@@ -61,12 +64,22 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
+        if self.p < 1:
+            raise ValueError(f"p must be >= 1, got {self.p}")
         if not self.snr > 0:  # NaN fails too; inf is the noiseless design
             raise ValueError(f"snr must be positive, got {self.snr}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if not 0 <= self.omega < np.inf:
             raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
+        # a finite noise scale keeps every response finite, which a study stacking its
+        # cells' responses needs: a non-finite cell would not fail on its own
+        with np.errstate(all="ignore"):
+            sigma = calibrate_sigma(np.float64(self.omega), self.snr, self.p, self.eigen_sign)
+        if not np.isfinite(sigma):
+            raise ValueError(
+                f"omega={self.omega:g} is too large for snr={self.snr:g}: the noise scale overflows"
+            )
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.seed < 0:
@@ -111,19 +124,29 @@ def calibrate_sigma(omega: float, snr: float, p: int = 10, eigen_sign: str = "mi
     return float(np.sqrt(np.sum(ks**-6.0 * mu**2) / (p * snr**2)))
 
 
+def _draw(config: SimConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The predictor scores U and the standard normal noise of one sample, both (n, p)."""
+    ks = np.arange(1, config.p + 1)
+    Z = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(config.n, config.p))
+    return Z * ks**-3.0, rng.standard_normal((config.n, config.p))
+
+
+def _responses(configs, U: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (C, p) true eigenvalues and (C, n, p) responses of C configs on one draw."""
+    mus = np.array([true_multipliers(c.omega, c.p, c.eigen_sign) for c in configs])
+    sigmas = np.array([calibrate_sigma(c.omega, c.snr, c.p, c.eigen_sign) for c in configs])
+    return mus, U * mus[:, None] + sigmas[:, None, None] * noise
+
+
 def gen_dataset(
     config: SimConfig, rng: np.random.Generator, basis: BasisSystem | None = None
 ) -> tuple[DataSet, np.ndarray]:
     """Draw one (U, F) sample; returns the dataset and the true eigenvalues."""
     if basis is None:
         basis = make_cosine_basis(config.p, config.n_quad)
-    ks = np.arange(1, config.p + 1)
-    mu = true_multipliers(config.omega, config.p, config.eigen_sign)
-    sigma = calibrate_sigma(config.omega, config.snr, config.p, config.eigen_sign)
-    Z = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(config.n, config.p))
-    U = Z * ks**-3.0
-    F = U * mu + sigma * rng.standard_normal((config.n, config.p))
-    return DataSet(U=U, F=F, basis=basis), mu
+    U, noise = _draw(config, rng)
+    mus, F = _responses([config], U, noise)
+    return DataSet(U=U, F=F[0], basis=basis), mus[0]
 
 
 def ess(fitted: np.ndarray, data: DataSet, true_multipliers: np.ndarray):
@@ -131,14 +154,18 @@ def ess(fitted: np.ndarray, data: DataSet, true_multipliers: np.ndarray):
 
     ``fitted`` is the (n, p) matrix of fitted response coefficients
     D_hat(U_i) for the predictors of ``data``, or a stack (..., n, p) of
-    them, which gives one sum per matrix.
+    them, which gives one sum per matrix; ``true_multipliers`` broadcasts
+    against the stack as (..., 1, p).
     """
-    return np.sum((fitted - data.U * true_multipliers) ** 2, axis=(-2, -1))
+    return sum_sq_diff(fitted, data.U * true_multipliers)
 
 
-def tss(data: DataSet, true_multipliers: np.ndarray) -> float:
-    """Total sum of squares sum_i ||D(U_i)||^2 of the true signal."""
-    return float(np.sum((data.U * true_multipliers) ** 2))
+def tss(data: DataSet, true_multipliers: np.ndarray):
+    """Total sum of squares sum_i ||D(U_i)||^2 of the true signal.
+
+    A (C, 1, p) stack of eigenvalues gives one sum per row.
+    """
+    return np.sum((data.U * true_multipliers) ** 2, axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -173,14 +200,15 @@ class McReport:
 
     def summary(self) -> dict:
         """Aggregate means with standard errors, recomputed from records."""
-
-        def mean_se(values):
-            arr = np.asarray(values, dtype=float)
-            se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-            # table convention: mean with the sd of the mean in parentheses
-            return {"mean": float(arr.mean()), "se": se, "display": f"{arr.mean():.4g} ({se:.2g})"}
-
         recs = self.records
+        grid = self.config.lambda_grid
+        # one row per field, C-contiguous, so each row reduces as a 1-D array of its own
+        rows = np.concatenate([
+            [[r.ess_theta, r.theta_hat, r.tss, r.ess_min_value] for r in recs],
+            [np.concatenate([r.ess_lambda, r.gcv_lambda, r.rss_lambda, r.trace_lambda])
+             for r in recs],
+        ], axis=1).T
+        stats = _mean_se(rows)
         out = {
             "n": self.config.n,
             "snr": self.config.snr,
@@ -189,106 +217,156 @@ class McReport:
             "reps": len(recs),
             "skipped": len(self.skipped),
             "per_lambda": {},
-            "ess_theta": mean_se([r.ess_theta for r in recs]),
-            "theta_hat": mean_se([r.theta_hat for r in recs]),
-            "tss": mean_se([r.tss for r in recs]),
-            "ess_min": mean_se([r.ess_min_value for r in recs]),
+            **dict(zip(("ess_theta", "theta_hat", "tss", "ess_min"), stats)),
         }
-        for idx, lam in enumerate(self.config.lambda_grid):
-            out["per_lambda"][f"{lam:g}"] = {
-                "ess": mean_se([r.ess_lambda[idx] for r in recs]),
-                "gcv": mean_se([r.gcv_lambda[idx] for r in recs]),
-                "rss": mean_se([r.rss_lambda[idx] for r in recs]),
-                "trace": mean_se([r.trace_lambda[idx] for r in recs]),
-            }
-        best = [r.gcv_best_lambda for r in recs]
-        out["gcv_best_lambda_mode"] = float(max(set(best), key=best.count))
-        if any(r.p_value is not None for r in recs):
-            tested = [r for r in recs if r.p_value is not None]
+        m = len(grid)
+        for idx, lam in enumerate(grid):
+            per = stats[4 + idx :: m]
+            out["per_lambda"][f"{lam:g}"] = dict(zip(("ess", "gcv", "rss", "trace"), per))
+        # the most frequent GCV choice; a tie goes to the smallest lambda, as in SweepResult
+        best, counts = np.unique([r.gcv_best_lambda for r in recs], return_counts=True)
+        out["gcv_best_lambda_mode"] = float(best[np.argmax(counts)])
+        tested = [r for r in recs if r.p_value is not None]
+        if tested:
             out["rejection_rate"] = float(np.mean([r.reject for r in tested]))
-            out["q_n"] = mean_se([r.q_n for r in tested])
+            out["q_n"] = _mean_se([[r.q_n for r in tested]])[0]
         return out
 
 
-def _refine_ess_lambda(system, mu, grid, ess_grid, rounds):
-    """Log-space refinement of the ESS-minimizing lambda around the grid min.
+def _mean_se(rows) -> list[dict]:
+    """Mean and standard error of each row of a (fields, reps) table.
 
-    Each round solves, in one call, 5 log-spaced candidates between the
-    neighbours of the minimum (a decade out past an end of the ascending
-    grid) that lie more than 1e-12 in log from every lambda already tried.
+    The table convention: the mean with the sd of the mean in parentheses.
     """
-    lams, vals = np.asarray(grid, dtype=float), np.asarray(ess_grid, dtype=float)
+    arr = np.ascontiguousarray(rows, dtype=float)
+    means = arr.mean(axis=-1)
+    reps = arr.shape[-1]
+    ses = arr.std(axis=-1, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros(len(arr))
+    return [
+        {"mean": float(mean), "se": float(se), "display": f"{mean:.4g} ({float(se):.2g})"}
+        for mean, se in zip(means, ses)
+    ]
+
+
+def _refine_ess_lambda(system, mus, grid, ess_grid, rounds):
+    """Log-space refinement of each response's ESS-minimizing lambda around its grid min.
+
+    ``system`` holds C responses (or one dataset, read as C = 1) with true
+    eigenvalues ``mus`` (C, p), and ``ess_grid`` is their (C, m) ESS on the
+    ascending ``grid``.  Each round takes, per response, 5 log-spaced
+    candidates between the neighbours of its minimum (a decade out past an
+    end of the grid) and solves all (C, 5) in one call; a response keeps the
+    candidates that lie more than 1e-12 in log from every lambda it already
+    tried.  Returns the (lambda, ESS) minimizer of each response.
+    """
+    lams = [np.asarray(grid, dtype=float)] * len(mus)
+    vals = list(np.asarray(ess_grid, dtype=float))
     for _ in range(rounds):
-        i = int(np.argmin(vals))
-        lo = lams[i - 1] if i > 0 else lams[i] / 10
-        hi = lams[i + 1] if i < lams.size - 1 else lams[i] * 10
-        candidates = np.exp(np.linspace(np.log(lo), np.log(hi), 7))[1:-1]
-        tried = np.any(np.abs(np.log(candidates[:, None] / lams)) < 1e-12, axis=1)
-        candidates = candidates[~tried]
-        j = np.searchsorted(lams, candidates)
-        lams = np.insert(lams, j, candidates)
-        vals = np.insert(vals, j, ess(system.fitted(system.solve(candidates)), system.data, mu))
-    i = int(np.argmin(vals))
-    return float(lams[i]), float(vals[i])
+        candidates = []
+        for lam, val in zip(lams, vals):
+            i = int(np.argmin(val))
+            lo = lam[i - 1] if i > 0 else lam[i] / 10
+            hi = lam[i + 1] if i < lam.size - 1 else lam[i] * 10
+            candidates.append(np.exp(np.linspace(np.log(lo), np.log(hi), 7))[1:-1])
+        candidates = np.array(candidates)
+        found = ess(system.fitted(system.solve(candidates)), system.data, mus[:, None, None])
+        for c, (cand, value) in enumerate(zip(candidates, found)):
+            new = ~np.any(np.abs(np.log(cand[:, None] / lams[c])) < 1e-12, axis=1)
+            j = np.searchsorted(lams[c], cand[new])
+            lams[c] = np.insert(lams[c], j, cand[new])
+            vals[c] = np.insert(vals[c], j, value[new])
+    best = [int(np.argmin(val)) for val in vals]
+    return [(float(lam[i]), float(val[i])) for lam, val, i in zip(lams, vals, best)]
 
 
-def _run_rep(
-    rep: int,
-    config: SimConfig,
+def _stack_rep(
+    configs: tuple[SimConfig, ...],
     basis: BasisSystem,
     km: KernelMatrices,
     family: ParamFamily,
     data_seed: np.random.SeedSequence,
+) -> SimpleNamespace:
+    """The shared step of a replication: one draw, one factorization, stacked responses.
+
+    Cell c's response is F_c = U mu_c + sigma_c eps on the one draw (U, eps).
+    The sweep, the ESS refinement, the parametric fit and, when the cells
+    test, both residual sets of every cell come from one RidgeSystem of U.
+    Returns the ``system``; per cell, its ``sweeps``, ``ess_min`` (lambda,
+    ESS) pairs, ``fits`` and ``test_lambdas`` (None without a test); and, with
+    a leading cell axis, ``ess_lambda``, ``ess_theta``, ``tss``, ``eps_null``
+    and ``eps_fit`` (None without a test).
+    """
+    first = configs[0]
+    U, noise = _draw(first, np.random.default_rng(data_seed))
+    mus, F = _responses(configs, U, noise)
+    system = RidgeSystem(DataSet(U=U, F=F[0], basis=basis), km, responses=F)
+    data, grid = system.data, first.lambda_grid
+
+    path, fitted = lambda_path(system, grid)
+    sweeps = tuple(replace(path, rss=rss, gcv=gcv) for rss, gcv in zip(path.rss, path.gcv))
+    ess_l = ess(fitted, data, mus[:, None, None])
+    ess_min = _refine_ess_lambda(system, mus, grid, ess_l, first.refine_rounds)
+
+    fits = tuple(ParametricFit.clip(float(theta)) for theta in raw_thetas(U, F, family))
+    null_fit = family.apply(U, np.array([fit.theta for fit in fits])[:, None, None])
+    test_lambdas = eps_null = eps_fit = None
+    if first.run_test:
+        if first.test_lambda == "ess_min":
+            test_lambdas = [lam for lam, _ in ess_min]
+        elif first.test_lambda == "gcv_min":
+            test_lambdas = [sweep.best_lambda for sweep in sweeps]
+        else:
+            test_lambdas = [float(first.test_lambda)] * len(configs)
+        eps_null = F - null_fit
+        fit_at_test = system.fitted(system.solve(np.array(test_lambdas)[:, None]))
+        eps_fit = (system.F - fit_at_test)[:, 0]
+    return SimpleNamespace(
+        system=system,
+        sweeps=sweeps,
+        ess_lambda=ess_l,
+        ess_min=ess_min,
+        fits=fits,
+        ess_theta=ess(null_fit, data, mus[:, None]),
+        tss=tss(data, mus[:, None]),
+        test_lambdas=test_lambdas,
+        eps_null=eps_null,
+        eps_fit=eps_fit,
+    )
+
+
+def _run_cell(
+    rep: int,
+    config: SimConfig,
+    stack: SimpleNamespace,
+    cell: int,
     boot_seed: int,
     multipliers: np.ndarray | None,
 ) -> tuple[RepRecord, GofResult | None]:
-    data, mu = gen_dataset(config, np.random.default_rng(data_seed), basis)
-    system = RidgeSystem(data, km)
-    grid = config.lambda_grid
-
-    path, fitted = lambda_path(system, grid)
-    ess_l = ess(fitted, data, mu)
-    ess_min_lam, ess_min_val = _refine_ess_lambda(system, mu, grid, ess_l, config.refine_rounds)
-
-    theta = fit_parametric(data, family)
-    ess_theta = ess(family.apply(data.U, theta.theta), data, mu)
-    tss_val = tss(data, mu)
-
+    """Replication ``rep`` of one cell: its row of the stack, and its bootstrap test."""
+    sweep = stack.sweeps[cell]
+    ess_min_lam, ess_min_val = stack.ess_min[cell]
     gof = None
     test_lambda = q_n = p_value = reject = None
     if config.run_test:
-        if config.test_lambda == "ess_min":
-            test_lambda = ess_min_lam
-        elif config.test_lambda == "gcv_min":
-            test_lambda = path.best_lambda
-        else:
-            test_lambda = float(config.test_lambda)
-        gof = bootstrap_test(
-            data,
-            km,
-            test_lambda,
-            family,
-            B=config.B,
-            strategy=config.strategy,
-            seed=boot_seed,
-            system=system,
-            multipliers=multipliers,
-        )
+        test_lambda = stack.test_lambdas[cell]
+        residuals = stack.fits[cell], stack.eps_null[cell], stack.eps_fit[cell]
+        gof = residual_test(stack.system, test_lambda, *residuals, config.B, config.strategy,
+                            boot_seed, multipliers)
         q_n, p_value = gof.q_n, gof.p_value
         reject = bool(p_value < config.alpha)
 
     record = RepRecord(
         rep=rep,
-        ess_lambda=ess_l,
-        rss_lambda=path.rss,
-        gcv_lambda=path.gcv,
-        trace_lambda=path.trace,
-        gcv_best_lambda=path.best_lambda,
+        ess_lambda=stack.ess_lambda[cell],
+        rss_lambda=sweep.rss,
+        gcv_lambda=sweep.gcv,
+        trace_lambda=sweep.trace,
+        gcv_best_lambda=sweep.best_lambda,
         ess_min_lambda=ess_min_lam,
         ess_min_value=ess_min_val,
-        theta_hat=theta.theta,
-        ess_theta=ess_theta,
-        tss=tss_val,
+        theta_hat=stack.fits[cell].theta,
+        ess_theta=stack.ess_theta[cell],
+        tss=float(stack.tss[cell]),
         test_lambda=test_lambda,
         q_n=q_n,
         p_value=p_value,
@@ -345,15 +423,23 @@ def run_mc_cells(
     Deterministic for given configs.  Replication r of every cell draws its
     data and its bootstrap multipliers from child r of ``SeedSequence(seed)``,
     which omega does not enter, so the cells share those streams (common
-    random numbers).  Replications run in order, and each one draws its
-    (B, n) bootstrap block once and runs every cell on it; each cell's report
-    equals ``run_mc`` of that cell alone.
+    random numbers).  Replications run in order.  Each one draws its data
+    once, stacks the cells' responses on it and factors one RidgeSystem of
+    the shared predictors; the sweep, the ESS refinement, the parametric fit
+    and both residual sets then run over a leading cell axis.  Its (B, n)
+    bootstrap block is drawn once, and each cell, in order, runs its test's
+    products on it and makes its record.  Each cell's report equals
+    ``run_mc`` of that cell alone, bit for bit.
 
     A failing replication aborts the study before the next cell or
     replication starts, naming the replication (and, among several cells,
     the cell's omega), unless ``skip_failures`` is set, in which case it is
     recorded in that cell's ``report.skipped``; if every replication of a
     cell is skipped, the study raises RuntimeError for the first such cell.
+    A failure of the shared step is every cell's failure, with one message,
+    and names the first cell; the failures it can meet (a degenerate GCV
+    denominator on the shared trace, predictors without energy) hit every
+    cell of the replication alike.
     ``kernels``, when given, must be the ``mc_kernels`` of a config with the
     same ``p``, ``n_quad`` and ``h``.  Configs that differ in anything but
     ``omega`` raise ValueError.
@@ -382,10 +468,18 @@ def run_mc_cells(
     cells = [([], [], []) for _ in configs]  # records, skipped and dumps of each cell
     for rep in range(first.reps):
         data_seed, boot_seed = _rep_streams(first.seed, rep)
-        block = bootstrap_multipliers(first.n, first.B, boot_seed) if first.run_test else None
-        for config, (records, skipped, dumps) in zip(configs, cells):
+        try:
+            stack, failure = _stack_rep(configs, basis, km, family, data_seed), None
+        except Exception as exc:
+            stack, failure = None, exc
+        block = None
+        if first.run_test and failure is None:
+            block = bootstrap_multipliers(first.n, first.B, boot_seed)
+        for cell, (config, (records, skipped, dumps)) in enumerate(zip(configs, cells)):
             try:
-                record, gof = _run_rep(rep, config, basis, km, family, data_seed, boot_seed, block)
+                if failure is not None:
+                    raise failure
+                record, gof = _run_cell(rep, config, stack, cell, boot_seed, block)
             except Exception as exc:
                 if not config.skip_failures:
                     raise RuntimeError(f"{where(config)}replication {rep} failed: {exc}") from exc

@@ -23,7 +23,7 @@ from diffreg import (
 )
 from diffreg.gof import ParamFamily, bootstrap_test
 from diffreg.kernels import load_kernel_matrices, save_kernel_matrices
-from diffreg.regress import RidgeSystem, gcv_value
+from diffreg.regress import RidgeSystem, gcv_value, lambda_path
 from diffreg.sim import SimConfig, mc_kernels, replication_dataset, run_mc
 
 from conftest import design_by_loops, random_dataset
@@ -448,3 +448,30 @@ def test_rank_deficient_solve_is_minimum_norm():
     )
     with pytest.raises(RuntimeError, match="replication 0 failed: GCV denominator degenerate"):
         run_mc(skip_all, kernels=(basis, km))
+
+
+def test_a_response_stack_matches_one_system_per_response(basis_p3, km_p3):
+    U, _ = random_dataset(basis_p3, n=7, seed=23)
+    F = np.random.default_rng(23).standard_normal((3, 7, 3))
+    stacked = RidgeSystem(DataSet(U=U, F=F[0], basis=basis_p3), km_p3, responses=F)
+    grid = np.array([0.1, 1.0, 10.0])
+    path, fitted = lambda_path(stacked, grid)
+    assert fitted.shape == (3, 3, 7, 3) and path.rss.shape == path.gcv.shape == (3, 3)
+    lams = np.array([[0.5], [2.0], [8.0]]) * np.array([1.0, 3.0])  # a row of lambdas per response
+    coefs = stacked.solve(lams)
+    assert coefs.shape == (3, 2, 9) and stacked.solve(1.0).shape == (3, 1, 9)
+    for c in range(3):
+        alone = RidgeSystem(DataSet(U=U, F=F[c], basis=basis_p3), km_p3)
+        want, want_fitted = lambda_path(alone, grid)
+        np.testing.assert_array_equal(fitted[c], want_fitted)
+        np.testing.assert_array_equal(path.rss[c], want.rss)
+        np.testing.assert_array_equal(path.gcv[c], want.gcv)
+        np.testing.assert_array_equal(path.trace, want.trace)
+        np.testing.assert_array_equal(coefs[c], alone.solve(lams[c]))
+    # the test of one dataset needs that dataset's own system
+    family = ParamFamily.scaled_neg_laplacian(basis_p3)
+    with pytest.raises(ValueError, match="another dataset"):
+        bootstrap_test(stacked.data, km_p3, 1.0, family, B=100, system=stacked)
+    for bad in (F[0], F[:, :6]):
+        with pytest.raises(ValueError, match=r"responses are \(.*\), expected \(C, 7, 3\)"):
+            RidgeSystem(DataSet(U=U, F=F[0], basis=basis_p3), km_p3, responses=bad)

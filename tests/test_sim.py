@@ -26,6 +26,7 @@ from diffreg import (
     true_multipliers,
     tss,
 )
+from diffreg.regress import lambda_path
 from diffreg.sim import RepRecord
 
 
@@ -222,7 +223,7 @@ def test_refine_matches_the_per_candidate_loop(grid, rounds):
     km = assemble(data.basis, neg_laplacian(), identity_op(), neg_laplacian(), KernelSpec(h=0.01))
     system = RidgeSystem(data, km)
     ess_grid = ess(system.fitted(system.solve(np.array(grid))), data, mu)
-    lam, value = sim._refine_ess_lambda(system, mu, grid, ess_grid, rounds)
+    [(lam, value)] = sim._refine_ess_lambda(system, mu[None], grid, ess_grid[None], rounds)
     want_lam, want_value = reference_refine(system, mu, grid, rounds)
     assert lam == want_lam
     assert value == pytest.approx(want_value, rel=1e-12)
@@ -262,7 +263,7 @@ def test_gcv_tie_resolves_to_the_smaller_lambda():
 
 
 def test_run_mc_fail_fast_and_skip(monkeypatch):
-    real = sim._run_rep
+    real = sim._run_cell
     started = []
 
     def exploding(rep, *args, **kwargs):
@@ -271,7 +272,7 @@ def test_run_mc_fail_fast_and_skip(monkeypatch):
             raise ValueError("synthetic failure")
         return real(rep, *args, **kwargs)
 
-    monkeypatch.setattr(sim, "_run_rep", exploding)
+    monkeypatch.setattr(sim, "_run_cell", exploding)
     config = SimConfig(n=30, reps=3, seed=12, run_test=False, refine_rounds=0)
     with pytest.raises(RuntimeError, match="replication 1"):
         run_mc(config)
@@ -280,6 +281,34 @@ def test_run_mc_fail_fast_and_skip(monkeypatch):
     report = run_mc(lenient)
     assert len(report.records) == 2
     assert report.skipped[0][0] == 1
+
+
+def test_gcv_mode_tie_goes_to_the_smallest_lambda():
+    report = run_mc(SimConfig(n=30, p=4, reps=4, B=100, seed=3, run_test=False, refine_rounds=0))
+    for best, mode in (
+        ((1.0, 1000.0, 1000.0, 1.0), 1.0),  # a set of the two iterates 1000.0 first
+        ((1e5, 1e2, 1e2, 1e5), 1e2),
+        ((1e5, 1e0, 1e5, 1e2), 1e5),  # a strict majority still wins over a smaller lambda
+    ):
+        records = tuple(replace(r, gcv_best_lambda=lam) for r, lam in zip(report.records, best))
+        assert replace(report, records=records).summary()["gcv_best_lambda_mode"] == mode
+
+
+def test_summary_means_and_errors_equal_the_one_dimensional_ones():
+    report = run_mc(SimConfig(n=30, p=4, reps=5, B=100, seed=9, refine_rounds=1))
+    summary = report.summary()
+    for name, values in (
+        ("ess_theta", [r.ess_theta for r in report.records]),
+        ("tss", [r.tss for r in report.records]),
+        ("q_n", [r.q_n for r in report.records]),
+    ):
+        arr = np.asarray(values, dtype=float)
+        se = float(arr.std(ddof=1) / np.sqrt(arr.size))
+        assert summary[name] == {
+            "mean": float(arr.mean()), "se": se, "display": f"{arr.mean():.4g} ({se:.2g})"
+        }
+    trace = np.array([r.trace_lambda[2] for r in report.records])
+    assert summary["per_lambda"]["100"]["trace"]["mean"] == float(trace.mean())
 
 
 def test_run_mc_raises_when_every_replication_is_skipped():
@@ -332,6 +361,23 @@ def test_config_validation():
     assert SimConfig(test_lambda="gcv_min").test_lambda == "gcv_min"
     grid = SimConfig(lambda_grid=[10, 1, 100]).lambda_grid
     assert grid == (1.0, 10.0, 100.0) and all(type(lam) is float for lam in grid)
+
+
+def test_config_rejects_a_design_whose_responses_would_overflow():
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        SimConfig(p=0)
+    # omega^2 overflows the eigenvalues at 1e200 and their squares, in sigma, at 1e100
+    for omega in (1e200, 1e100):
+        with pytest.raises(ValueError, match="too large"):
+            SimConfig(omega=omega)
+        with pytest.raises(ValueError, match="too large"):
+            SimConfig(omega=omega, snr=np.inf)
+    # a vanishing snr overflows the noise scale at any omega
+    with pytest.raises(ValueError, match="too large for snr=1e-300"):
+        SimConfig(omega=0.0, snr=1e-300)
+    for config in (SimConfig(n=5, omega=1e70), SimConfig(n=5, snr=1e-150)):
+        data, _ = replication_dataset(config)
+        assert np.isfinite(data.F).all()
 
 
 def test_true_multipliers_signs():
@@ -402,14 +448,14 @@ def test_each_cell_of_a_study_equals_run_mc_of_that_cell(monkeypatch):
             seed = sim._rep_streams(config.seed, rec.rep)[1]
             alone = gof.bootstrap_test(data, km, rec.test_lambda, family, B=config.B, seed=seed)
             assert (alone.q_n, alone.p_value) == (rec.q_n, rec.p_value)
-    real = sim._run_rep
+    real = sim._run_cell
 
     def failing(rep, config, *args):
         if (rep, config.omega) == (1, 0.84):
             raise ValueError("synthetic failure")
         return real(rep, config, *args)
 
-    monkeypatch.setattr(sim, "_run_rep", failing)
+    monkeypatch.setattr(sim, "_run_cell", failing)
     configs = study(skip_failures=True)
     reports = run_mc_cells(configs)
     for got, config in zip(reports, configs, strict=True):
@@ -419,7 +465,7 @@ def test_each_cell_of_a_study_equals_run_mc_of_that_cell(monkeypatch):
 
 
 def test_a_study_fails_fast_in_replication_order(monkeypatch):
-    real = sim._run_rep
+    real = sim._run_cell
     started = []
 
     def failing(rep, config, *args):
@@ -428,7 +474,7 @@ def test_a_study_fails_fast_in_replication_order(monkeypatch):
             raise ValueError("synthetic failure")
         return real(rep, config, *args)
 
-    monkeypatch.setattr(sim, "_run_rep", failing)
+    monkeypatch.setattr(sim, "_run_cell", failing)
     with pytest.raises(RuntimeError, match="^omega=1.68: replication 0 failed: synthetic"):
         run_mc_cells(study(run_test=False))
     assert started == [(0, 0.0), (0, 0.84), (0, 1.68)]
@@ -439,14 +485,14 @@ def test_a_study_fails_fast_in_replication_order(monkeypatch):
 
 
 def test_a_study_raises_for_its_first_cell_with_every_replication_skipped(monkeypatch):
-    real = sim._run_rep
+    real = sim._run_cell
 
     def failing(rep, config, *args):
         if config.omega > 0:
             raise ValueError(f"synthetic failure at {config.omega}")
         return real(rep, config, *args)
 
-    monkeypatch.setattr(sim, "_run_rep", failing)
+    monkeypatch.setattr(sim, "_run_cell", failing)
     with pytest.raises(RuntimeError, match="^omega=0.84: all 3 replications were skipped; "
                        "replication 0 failed: synthetic failure at 0.84"):
         run_mc_cells(study(skip_failures=True, run_test=False))
@@ -461,3 +507,70 @@ def test_a_study_takes_cells_that_differ_in_omega_only():
             run_mc_cells([configs[0], replace(configs[1], **change)])
     with pytest.raises(ValueError, match="another p, n_quad or h"):
         run_mc_cells(configs, kernels=mc_kernels(replace(configs[0], h=0.02)))
+
+
+def test_a_shared_failure_skips_every_cell_with_the_message_of_the_cell_alone():
+    # n=2 at lambda 1e-300 fits the data exactly, so the shared trace fails GCV in every cell
+    configs = [
+        SimConfig(n=2, reps=2, omega=omega, run_test=False, lambda_grid=(1e-300,),
+                  refine_rounds=0, skip_failures=True)
+        for omega in (0.0, 0.84)
+    ]
+    alone = {}
+    for config in configs:
+        with pytest.raises(RuntimeError, match="GCV denominator degenerate") as info:
+            run_mc(config)
+        alone[config.omega] = str(info.value)
+    # the error names the first cell whose replications were all skipped, so each
+    # order of the cells shows what one of them recorded
+    for cells in (configs, configs[::-1]):
+        with pytest.raises(RuntimeError) as info:
+            run_mc_cells(cells)
+        assert str(info.value) == f"omega={cells[0].omega:g}: {alone[cells[0].omega]}"
+
+
+@pytest.mark.parametrize("settings", [
+    {"refine_rounds": 0},
+    {"refine_rounds": 3, "test_lambda": "gcv_min", "strategy": "parametric"},
+    {"refine_rounds": 2, "test_lambda": 30.0, "strategy": "nonparametric"},
+    {"refine_rounds": 3, "run_test": False},
+])
+def test_each_record_equals_the_public_per_cell_functions(settings):
+    configs = study(**settings)
+    basis, km = kernels = mc_kernels(configs[0])
+    family = gof.ParamFamily.scaled_neg_laplacian(basis)
+    for report, config in zip(run_mc_cells(configs, kernels=kernels), configs, strict=True):
+        assert [rec.rep for rec in report.records] == list(range(config.reps))
+        for rec in report.records:
+            data, mu = replication_dataset(config, rec.rep, basis)
+            system = RidgeSystem(data, km)
+            path, fitted = lambda_path(system, config.lambda_grid)
+            np.testing.assert_array_equal(rec.ess_lambda, ess(fitted, data, mu))
+            np.testing.assert_array_equal(rec.rss_lambda, path.rss)
+            np.testing.assert_array_equal(rec.gcv_lambda, path.gcv)
+            np.testing.assert_array_equal(rec.trace_lambda, path.trace)
+            assert rec.gcv_best_lambda == path.best_lambda
+            lam, value = reference_refine(system, mu, config.lambda_grid, config.refine_rounds)
+            assert (rec.ess_min_lambda, rec.ess_min_value) == (lam, value)
+            theta = gof.fit_parametric(data, family)
+            assert rec.theta_hat == theta.theta
+            assert rec.ess_theta == ess(family.apply(data.U, theta.theta), data, mu)
+            assert rec.tss == tss(data, mu)
+            if not config.run_test:
+                assert rec.test_lambda is rec.q_n is rec.p_value is rec.reject is None
+                continue
+            want_lambda = {"ess_min": lam, "gcv_min": path.best_lambda}
+            assert rec.test_lambda == want_lambda.get(config.test_lambda, config.test_lambda)
+            seed = sim._rep_streams(config.seed, rec.rep)[1]
+            block = gof.bootstrap_multipliers(config.n, config.B, seed)
+            want = gof.bootstrap_test(
+                data, km, rec.test_lambda, family, B=config.B, strategy=config.strategy,
+                seed=seed, system=system, multipliers=block,
+            )
+            assert (rec.q_n, rec.p_value, rec.reject) == (
+                want.q_n, want.p_value, want.p_value < config.alpha
+            )
+            kept = dict(report.bootstrap_dumps)
+            if rec.rep < config.keep_bootstrap:
+                np.testing.assert_array_equal(kept[rec.rep], want.bootstrap_values)
+        assert len(report.bootstrap_dumps) == (config.keep_bootstrap if config.run_test else 0)

@@ -24,9 +24,11 @@ of this tree on that case, and its cases:
   era5`` command in process (``command``).  ``identical``: both trees'
   commands write the same bytes; ``layouts_agree``: U.csv, F.csv and their
   sidecars equal the presorted layout's.
-- ``simulate`` (n = 200, p = 10, B = 200, 4 replications): one ``simulate
-  --preset table4`` command in process, the five omega cells of the preset
-  (``command``).  ``identical``: both trees' commands write the same bytes.
+- ``simulate`` (n = 200, p = 10, B = 200, 4 replications, as ``mc_power``
+  runs it; and n = 2000, p = 20, B = 200, 1 replication, where the products
+  of the bootstrap dominate): one ``simulate --preset table4`` command in
+  process, the five omega cells of the preset (``command``).  ``identical``:
+  both trees' commands write the same bytes.
 
 ROOT, when given, is another diffreg checkout (the directory holding
 ``src/``, such as ``git archive`` of the parent commit), timed beside this
@@ -290,7 +292,8 @@ LAYERS = {
     "ridge": (ridge_routes, ridge_check, SWEEP),
     "dataset_io": (dataset_io_routes, dataset_io_check, SWEEP),
     "ingest": (ingest_routes, ingest_check, ({"layout": "presorted"}, {"layout": "shuffled"})),
-    "simulate": (simulate_routes, simulate_check, ({"n": 200, "p": 10, "B": 200, "reps": 4},)),
+    "simulate": (simulate_routes, simulate_check, ({"n": 200, "p": 10, "B": 200, "reps": 4},
+                                                   {"n": 2000, "p": 20, "B": 200, "reps": 1})),
 }
 
 
