@@ -262,18 +262,19 @@ def residual_test(
     (B, n) block of ``seed``.
     """
     n = system.n
-    q_n = qn_statistic(system, lam, eps_null)
-
     n_para = B if strategy == "parametric" else 0
     if strategy == "mixed":
         n_para = int(round(B / 3))
-
-    if multipliers is None:  # drawn last, so the block is still in cache when it is used
+    if multipliers is None:
         multipliers = bootstrap_multipliers(n, B, seed)
-    q_boot = np.concatenate([
-        system.smoothed_sq_norms(lam, eps_null, multipliers[:n_para]),
-        system.smoothed_sq_norms(lam, eps_fit, multipliers[n_para:]),
-    ]) / n
+
+    # the null residuals' outer product serves q_n and the null block of the bootstrap
+    outer = system.residual_outer(eps_null)
+    q_n = float(system.projected_sq_norms(lam, np.ones((1, n)) @ outer)[0]) / n
+    q_null = system.projected_sq_norms(lam, multipliers[:n_para] @ outer)
+    del outer  # freed before the fit residuals' (n, p^2) product is built
+    q_fit = system.smoothed_sq_norms(lam, eps_fit, multipliers[n_para:])
+    q_boot = np.concatenate([q_null, q_fit]) / n
     p_value = 1.0 - float(np.count_nonzero(q_n >= q_boot)) / B
 
     return GofResult(

@@ -31,13 +31,17 @@ numpy functions do: a scalar lambda gives one result, an array of m lambdas
 gives m rows from the one factorization.  The factorization depends on the
 predictors alone, so one system also serves a (C, n, p) stack of responses
 to them; ``solve`` and ``lambda_path`` then add a leading response axis.
-``smooth``, ``smoothed_sq_norms`` and ``smoother`` apply the smoothing
-matrix at one lambda; ``smoother`` is ``smooth`` of the identity.
+Sums over the n rows are taken on p x p factors of U = QR: the RSS of
+operator matrices D is ||F - Q Q'F||^2 + ||Q'F - R D'||^2, and the ESS is
+||U E'||^2 = ||R E'||^2 for E = D - diag(mu); neither subtracts large
+terms, and no n x p fit is formed (with n <= p, Q = I).  ``smooth``, ``smoothed_sq_norms`` and ``smoother`` apply the
+smoothing matrix at one lambda; ``smoother`` is ``smooth`` of the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -142,6 +146,29 @@ class RidgeSystem:
         """Fitted responses U D', (..., n, p) for (..., p^2) coefficients."""
         return self.data.U @ self.operator_matrix(c_hat).swapaxes(-1, -2)
 
+    @cached_property
+    def _qr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """R of the reduced QR U = QR, Q'F and ||F - Q Q'F||^2, computed on first use.
+
+        With n <= p, U is no larger than R, so Q = I spares the rotation's roundoff.
+        """
+        if self.n <= self.p:
+            return self.data.U, self.F, 0.0
+        Q, R = np.linalg.qr(self.data.U)
+        QtF = Q.T @ self.F
+        return R, QtF, sum_sq_diff(self.F, Q @ QtF)
+
+    def fitted_sq_norms(self, operators: np.ndarray) -> np.ndarray:
+        """||U E'||^2 = ||R E'||^2 for each of the (..., p, p) matrices E, from U = QR."""
+        RE = self._qr[0] @ operators.swapaxes(-1, -2)
+        RE *= RE
+        return RE.sum(axis=(-2, -1))
+
+    def residual_sq_norms(self, operators: np.ndarray) -> np.ndarray:
+        """||F - U D'||^2 = ||F - Q Q'F||^2 + ||Q'F - R D'||^2 for (..., p, p) matrices D."""
+        R, QtF, off_span = self._qr
+        return off_span + sum_sq_diff(QtF, R @ operators.swapaxes(-1, -2))
+
     def trace(self, lam):
         """tr(S) = sum of the shrinkage factors s2 / (s2 + n lambda) in [0, 1)."""
         return (self.s2 / self._shifted(lam)).sum(axis=-1)
@@ -163,14 +190,21 @@ class RidgeSystem:
     ) -> np.ndarray:
         """||S vec(diag(w) residuals)||^2 for every row w of ``weights``.
 
-        Row i of ``outer`` is vec((residuals H)[i]' G[i]), so one product
-        ``weights @ outer`` takes every row-weighted copy of the n x p
+        Row i of ``outer = residual_outer(residuals)`` is vec((residuals H)[i]' G[i]),
+        so one product ``weights @ outer`` takes every row-weighted copy of the n x p
         residuals to the eigenbasis.  Since G'G and H'H are diagonal, each
         norm is that of the projection times sqrt(s2) / (s2 + n lambda); no
         (n*p)-long vector is formed.
         """
-        outer = np.einsum("ij,ik->ijk", residuals @ self.H, self.G).reshape(self.n, -1)
-        core = (weights @ outer) * (np.sqrt(self.s2) * self._over_shifted(1.0, lam))
+        return self.projected_sq_norms(lam, weights @ self.residual_outer(residuals))
+
+    def residual_outer(self, residuals: np.ndarray) -> np.ndarray:
+        """The (n, p^2) array whose row i is vec((residuals H)[i]' G[i])."""
+        return np.einsum("ij,ik->ijk", residuals @ self.H, self.G).reshape(self.n, -1)
+
+    def projected_sq_norms(self, lam: float, projections: np.ndarray) -> np.ndarray:
+        """``smoothed_sq_norms`` of rows already taken to the eigenbasis, ``weights @ outer``."""
+        core = projections * (np.sqrt(self.s2) * self._over_shifted(1.0, lam))
         return np.einsum("bk,bk->b", core, core)
 
     def smoother(self, lam: float) -> np.ndarray:
@@ -284,16 +318,17 @@ class SweepResult:
 
 
 def lambda_path(system: RidgeSystem, grid) -> tuple[SweepResult, np.ndarray]:
-    """The sweep and the (m, n, p) fitted responses for a grid of m lambdas, in its order.
+    """The sweep and the (m, p, p) operator matrices for a grid of m lambdas, in its order.
 
-    A system of C responses gives a sweep of (C, m) rows and (C, m, n, p) fits.
+    A system of C responses gives a sweep of (C, m) rows and (C, m, p, p)
+    operators.  RSS comes from ``residual_sq_norms``: no n x p fit is formed.
     """
     lams = np.asarray(grid, dtype=float)
-    fitted = system.fitted(system.solve(lams))
-    rss_vals = sum_sq_diff(system.F, fitted)
+    operators = system.operator_matrix(system.solve(lams))
+    rss_vals = system.residual_sq_norms(operators)
     traces = system.trace(lams)
     gcv_vals = gcv_value(rss_vals, system.n, system.p, traces)
-    return SweepResult(lambdas=lams, rss=rss_vals, gcv=gcv_vals, trace=traces), fitted
+    return SweepResult(lambdas=lams, rss=rss_vals, gcv=gcv_vals, trace=traces), operators
 
 
 def gcv_sweep(data: DataSet, km: KernelMatrices, lambda_grid) -> SweepResult:

@@ -84,6 +84,9 @@ class SimConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("refine_rounds", "keep_bootstrap"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.B < 100:
             raise ValueError(f"B must be >= 100, got {self.B}")
         if self.strategy not in STRATEGIES:
@@ -158,6 +161,15 @@ def ess(fitted: np.ndarray, data: DataSet, true_multipliers: np.ndarray):
     against the stack as (..., 1, p).
     """
     return sum_sq_diff(fitted, data.U * true_multipliers)
+
+
+def operator_ess(system: RidgeSystem, operators: np.ndarray, true_multipliers: np.ndarray):
+    """``ess`` of the fits U D_hat' of (..., p, p) operators, ||R (D_hat - diag mu)'||^2.
+
+    ``true_multipliers`` broadcasts against the stack as (..., p).
+    """
+    mu = np.asarray(true_multipliers)
+    return system.fitted_sq_norms(operators - mu[..., None, :] * np.eye(mu.shape[-1]))
 
 
 def tss(data: DataSet, true_multipliers: np.ndarray):
@@ -248,35 +260,44 @@ def _mean_se(rows) -> list[dict]:
     ]
 
 
-def _refine_ess_lambda(system, mus, grid, ess_grid, rounds):
-    """Log-space refinement of each response's ESS-minimizing lambda around its grid min.
+def _masked_argmin(vals: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Per row, ``np.argmin`` among the kept entries: the first NaN, else the first minimum."""
+    masked = np.where(kept, vals, np.inf)
+    low = masked.min(axis=-1, keepdims=True)
+    return np.argmax(kept & ((masked == low) | np.isnan(masked)), axis=-1)
 
-    ``system`` holds C responses (or one dataset, read as C = 1) with true
-    eigenvalues ``mus`` (C, p), and ``ess_grid`` is their (C, m) ESS on the
-    ascending ``grid``.  Each round takes, per response, 5 log-spaced
-    candidates between the neighbours of its minimum (a decade out past an
-    end of the grid) and solves all (C, 5) in one call; a response keeps the
-    candidates that lie more than 1e-12 in log from every lambda it already
-    tried.  Returns the (lambda, ESS) minimizer of each response.
+
+def _refine_ess_lambda(ess_of, grid, ess_grid, rounds):
+    """Log-space refinement of each row's ESS-minimizing lambda around its grid min.
+
+    ``ess_grid`` is the (C, m) ESS of C responses on the ascending ``grid``,
+    and ``ess_of`` maps (C, 5) lambdas to their ESS.  Each round evaluates,
+    per row, 5 log-spaced candidates between the neighbours of its minimum (a
+    decade out past an end) and keeps those more than 1e-12 in log from every
+    lambda the row tried.  A mask marks the kept lambdas of the (C, L) array,
+    which one stable sort per round puts first and ascending, so neighbours
+    skip dropped candidates.  Returns the (C,) lambdas and ESS of the minima.
     """
-    lams = [np.asarray(grid, dtype=float)] * len(mus)
-    vals = list(np.asarray(ess_grid, dtype=float))
+    vals = np.array(ess_grid, dtype=float)
+    lams = np.broadcast_to(np.asarray(grid, dtype=float), vals.shape).copy()
+    kept = np.ones(vals.shape, dtype=bool)
+    rows = np.arange(len(vals))
     for _ in range(rounds):
-        candidates = []
-        for lam, val in zip(lams, vals):
-            i = int(np.argmin(val))
-            lo = lam[i - 1] if i > 0 else lam[i] / 10
-            hi = lam[i + 1] if i < lam.size - 1 else lam[i] * 10
-            candidates.append(np.exp(np.linspace(np.log(lo), np.log(hi), 7))[1:-1])
-        candidates = np.array(candidates)
-        found = ess(system.fitted(system.solve(candidates)), system.data, mus[:, None, None])
-        for c, (cand, value) in enumerate(zip(candidates, found)):
-            new = ~np.any(np.abs(np.log(cand[:, None] / lams[c])) < 1e-12, axis=1)
-            j = np.searchsorted(lams[c], cand[new])
-            lams[c] = np.insert(lams[c], j, cand[new])
-            vals[c] = np.insert(vals[c], j, value[new])
-    best = [int(np.argmin(val)) for val in vals]
-    return [(float(lam[i]), float(val[i])) for lam, val, i in zip(lams, vals, best)]
+        i = _masked_argmin(vals, kept)
+        lam, last = lams[rows, i], kept.sum(axis=1) - 1
+        lo = np.where(i > 0, lams[rows, i - 1], lam / 10)
+        hi = np.where(i < last, lams[rows, np.minimum(i + 1, last)], lam * 10)
+        # the interior of np.linspace(log lo, log hi, 7), row by row
+        log_lo = np.log(lo)[:, None]
+        cand = np.exp(np.arange(1.0, 6.0) * ((np.log(hi)[:, None] - log_lo) / 6) + log_lo)
+        near = np.abs(np.log(cand[:, :, None] / lams[:, None])) < 1e-12
+        lams = np.concatenate([lams, cand], axis=1)
+        vals = np.concatenate([vals, ess_of(cand)], axis=1)
+        kept = np.concatenate([kept, ~np.any(near & kept[:, None], axis=2)], axis=1)
+        order = np.argsort(np.where(kept, lams, np.inf), axis=1, kind="stable")
+        lams, vals, kept = (a[rows[:, None], order] for a in (lams, vals, kept))
+    i = _masked_argmin(vals, kept)
+    return lams[rows, i], vals[rows, i]
 
 
 def _stack_rep(
@@ -291,10 +312,11 @@ def _stack_rep(
     Cell c's response is F_c = U mu_c + sigma_c eps on the one draw (U, eps).
     The sweep, the ESS refinement, the parametric fit and, when the cells
     test, both residual sets of every cell come from one RidgeSystem of U.
-    Returns the ``system``; per cell, its ``sweeps``, ``ess_min`` (lambda,
-    ESS) pairs, ``fits`` and ``test_lambdas`` (None without a test); and, with
-    a leading cell axis, ``ess_lambda``, ``ess_theta``, ``tss``, ``eps_null``
-    and ``eps_fit`` (None without a test).
+    Returns the ``system``; per cell, its ``sweeps``, ``fits`` and
+    ``test_lambdas`` (None without a test); ``ess_min``, the (C,) lambdas and
+    ESS values of the refined minima; and, with a leading cell axis,
+    ``ess_lambda``, ``ess_theta``, ``tss``, ``eps_null`` and ``eps_fit``
+    (None without a test).
     """
     first = configs[0]
     U, noise = _draw(first, np.random.default_rng(data_seed))
@@ -302,17 +324,20 @@ def _stack_rep(
     system = RidgeSystem(DataSet(U=U, F=F[0], basis=basis), km, responses=F)
     data, grid = system.data, first.lambda_grid
 
-    path, fitted = lambda_path(system, grid)
+    path, operators = lambda_path(system, grid)
     sweeps = tuple(replace(path, rss=rss, gcv=gcv) for rss, gcv in zip(path.rss, path.gcv))
-    ess_l = ess(fitted, data, mus[:, None, None])
-    ess_min = _refine_ess_lambda(system, mus, grid, ess_l, first.refine_rounds)
+    ess_l = operator_ess(system, operators, mus[:, None])
+    ess_min = _refine_ess_lambda(
+        lambda lams: operator_ess(system, system.operator_matrix(system.solve(lams)), mus[:, None]),
+        grid, ess_l, first.refine_rounds,
+    )
 
     fits = tuple(ParametricFit.clip(float(theta)) for theta in raw_thetas(U, F, family))
     null_fit = family.apply(U, np.array([fit.theta for fit in fits])[:, None, None])
     test_lambdas = eps_null = eps_fit = None
     if first.run_test:
         if first.test_lambda == "ess_min":
-            test_lambdas = [lam for lam, _ in ess_min]
+            test_lambdas = ess_min[0].tolist()
         elif first.test_lambda == "gcv_min":
             test_lambdas = [sweep.best_lambda for sweep in sweeps]
         else:
@@ -344,7 +369,6 @@ def _run_cell(
 ) -> tuple[RepRecord, GofResult | None]:
     """Replication ``rep`` of one cell: its row of the stack, and its bootstrap test."""
     sweep = stack.sweeps[cell]
-    ess_min_lam, ess_min_val = stack.ess_min[cell]
     gof = None
     test_lambda = q_n = p_value = reject = None
     if config.run_test:
@@ -362,8 +386,8 @@ def _run_cell(
         gcv_lambda=sweep.gcv,
         trace_lambda=sweep.trace,
         gcv_best_lambda=sweep.best_lambda,
-        ess_min_lambda=ess_min_lam,
-        ess_min_value=ess_min_val,
+        ess_min_lambda=float(stack.ess_min[0][cell]),
+        ess_min_value=float(stack.ess_min[1][cell]),
         theta_hat=stack.fits[cell].theta,
         ess_theta=stack.ess_theta[cell],
         tss=float(stack.tss[cell]),

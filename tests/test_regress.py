@@ -455,15 +455,15 @@ def test_a_response_stack_matches_one_system_per_response(basis_p3, km_p3):
     F = np.random.default_rng(23).standard_normal((3, 7, 3))
     stacked = RidgeSystem(DataSet(U=U, F=F[0], basis=basis_p3), km_p3, responses=F)
     grid = np.array([0.1, 1.0, 10.0])
-    path, fitted = lambda_path(stacked, grid)
-    assert fitted.shape == (3, 3, 7, 3) and path.rss.shape == path.gcv.shape == (3, 3)
+    path, operators = lambda_path(stacked, grid)
+    assert operators.shape == (3, 3, 3, 3) and path.rss.shape == path.gcv.shape == (3, 3)
     lams = np.array([[0.5], [2.0], [8.0]]) * np.array([1.0, 3.0])  # a row of lambdas per response
     coefs = stacked.solve(lams)
     assert coefs.shape == (3, 2, 9) and stacked.solve(1.0).shape == (3, 1, 9)
     for c in range(3):
         alone = RidgeSystem(DataSet(U=U, F=F[c], basis=basis_p3), km_p3)
-        want, want_fitted = lambda_path(alone, grid)
-        np.testing.assert_array_equal(fitted[c], want_fitted)
+        want, want_operators = lambda_path(alone, grid)
+        np.testing.assert_array_equal(operators[c], want_operators)
         np.testing.assert_array_equal(path.rss[c], want.rss)
         np.testing.assert_array_equal(path.gcv[c], want.gcv)
         np.testing.assert_array_equal(path.trace, want.trace)
@@ -475,3 +475,30 @@ def test_a_response_stack_matches_one_system_per_response(basis_p3, km_p3):
     for bad in (F[0], F[:, :6]):
         with pytest.raises(ValueError, match=r"responses are \(.*\), expected \(C, 7, 3\)"):
             RidgeSystem(DataSet(U=U, F=F[0], basis=basis_p3), km_p3, responses=bad)
+
+
+@pytest.mark.parametrize("case", ["zero_column", "n_below_p", "noiseless", "stack"])
+def test_the_p_by_p_route_matches_explicit_n_by_p_sums(case):
+    # RSS and ESS from U = QR against the sums over the n x p fits they replace
+    n, p = (2, 10) if case == "n_below_p" else (40, 6)
+    config = SimConfig(n=n, p=p, omega=0.84, snr=np.inf if case == "noiseless" else 3.0, seed=31)
+    basis, km = mc_kernels(config)
+    data, mu = replication_dataset(config, 0, basis)
+    U = data.U.copy()
+    if case == "zero_column":
+        U[:, 2] = 0.0
+    stack = np.stack([data.F, 2.0 * data.F + 1.0, -data.F]) if case == "stack" else None
+    system = RidgeSystem(DataSet(U=U, F=data.F, basis=basis), km, responses=stack)
+    operators = system.operator_matrix(system.solve(np.array([1e-6, 1e-2, 1.0, 1e2])))
+    assert "_qr" not in vars(system)  # factored on first use only
+    fits = U @ operators.swapaxes(-1, -2)
+    rss = ((system.F - fits) ** 2).sum(axis=(-2, -1))
+    scale = float(np.sum(system.F**2))
+    np.testing.assert_allclose(system.residual_sq_norms(operators), rss, rtol=1e-12,
+                               atol=1e-12 * scale)
+    errors = operators - np.diag(mu)
+    ess = ((U @ errors.swapaxes(-1, -2)) ** 2).sum(axis=(-2, -1))
+    np.testing.assert_allclose(system.fitted_sq_norms(errors), ess, rtol=1e-12,
+                               atol=1e-12 * float(np.sum((U * mu) ** 2)))
+    if case == "noiseless":
+        assert rss.min() < 1e-6 * scale

@@ -1,9 +1,11 @@
 """Tests for data generation, calibration, ESS/TSS, and the MC harness."""
 
+import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import diffreg.gof as gof
 import diffreg.sim as sim
@@ -194,10 +196,10 @@ def test_run_mc_solves_once_per_round(monkeypatch):
     assert sum(np.size(lam) for lam in lams) > len(lams)
 
 
-def reference_refine(system, mu, grid, rounds):
-    """The ESS refinement as one solve per candidate, kept as the reference."""
+def reference_refine(ess_at, grid, rounds):
+    """The ESS refinement as one evaluation ``ess_at(lam)`` per candidate, kept as the reference."""
     lams = list(grid)
-    vals = [float(ess(system.fitted(system.solve(lam)), system.data, mu)) for lam in lams]
+    vals = [ess_at(lam) for lam in lams]
     for _ in range(rounds):
         i = int(np.argmin(vals))
         lo = lams[i - 1] if i > 0 else lams[i] / 10
@@ -207,9 +209,14 @@ def reference_refine(system, mu, grid, rounds):
                 continue
             j = int(np.searchsorted(lams, lam))
             lams.insert(j, float(lam))
-            vals.insert(j, float(ess(system.fitted(system.solve(lam)), system.data, mu)))
+            vals.insert(j, ess_at(lam))
     i = int(np.argmin(vals))
     return lams[i], vals[i]
+
+
+def system_ess(system, mu):
+    """ESS of the fit of ``system`` at lambda, on the p x p route; broadcasts over lambdas."""
+    return lambda lam: sim.operator_ess(system, system.operator_matrix(system.solve(lam)), mu)
 
 
 @pytest.mark.parametrize("rounds", [0, 1, 3])
@@ -221,12 +228,51 @@ def test_refine_matches_the_per_candidate_loop(grid, rounds):
     # rejects the repeated 5.0, so the grid goes to the refinement directly
     data, mu = replication_dataset(SimConfig(n=40, omega=0.84, eigen_sign="plus", seed=15))
     km = assemble(data.basis, neg_laplacian(), identity_op(), neg_laplacian(), KernelSpec(h=0.01))
-    system = RidgeSystem(data, km)
-    ess_grid = ess(system.fitted(system.solve(np.array(grid))), data, mu)
-    [(lam, value)] = sim._refine_ess_lambda(system, mu[None], grid, ess_grid[None], rounds)
-    want_lam, want_value = reference_refine(system, mu, grid, rounds)
+    ess_at = system_ess(RidgeSystem(data, km), mu)
+    [lam], [value] = sim._refine_ess_lambda(ess_at, grid, ess_at(np.array(grid))[None], rounds)
+    want_lam, want_value = reference_refine(lambda lam: float(ess_at(lam)), grid, rounds)
     assert lam == want_lam
     assert value == pytest.approx(want_value, rel=1e-12)
+
+
+def synthetic_ess(lam, centre, width, bad):
+    """A bowl in log lambda; NaN or inf (``bad``) on the decade (centre, centre + 1]."""
+    x = math.log10(lam)  # per scalar, so an array of lambdas gives the same bits
+    return bad if bad and centre < x <= centre + 1 else 1.0 + ((x - centre) / width) ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(-4, 6), st.floats(0.05, 3), st.sampled_from([0.0, np.inf, np.nan])
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    grid=st.lists(st.integers(-3, 5), min_size=1, max_size=6, unique=True).map(sorted),
+    near=st.booleans(),
+    rounds=st.integers(0, 4),
+)
+def test_masked_refinement_equals_the_per_candidate_loop(rows, grid, near, rounds):
+    grid = [10.0**k for k in grid]
+    if near and len(grid) > 1:
+        # a point within 1e-12 in log of the first round's middle candidate
+        # between the first two grid points, so that candidate is dropped
+        grid.insert(1, np.sqrt(grid[0] * grid[1]) * (1 + 1e-13))
+    rows = [(c, w, b if k == 0 else 0.0) for k, (c, w, b) in enumerate(rows)]
+
+    def ess_of(lams):  # (C, k) lambdas, row c on the function of row c
+        return np.array([[synthetic_ess(lam, *row) for lam in lam_row]
+                         for lam_row, row in zip(lams, rows)])
+
+    lams, vals = sim._refine_ess_lambda(
+        ess_of, grid, ess_of(np.tile(grid, (len(rows), 1))), rounds
+    )
+    for c, row in enumerate(rows):
+        want = reference_refine(lambda lam: synthetic_ess(lam, *row), grid, rounds)
+        assert lams[c] == want[0]
+        np.testing.assert_array_equal(vals[c], want[1])
 
 
 def test_permuted_lambda_grid_gives_identical_records():
@@ -361,6 +407,14 @@ def test_config_validation():
     assert SimConfig(test_lambda="gcv_min").test_lambda == "gcv_min"
     grid = SimConfig(lambda_grid=[10, 1, 100]).lambda_grid
     assert grid == (1.0, 10.0, 100.0) and all(type(lam) is float for lam in grid)
+
+
+def test_config_rejects_negative_refine_rounds_and_keep_bootstrap():
+    # range(-1) is empty, so a negative count would have run as 0 without a word
+    for name in ("refine_rounds", "keep_bootstrap"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0, got -1"):
+            SimConfig(**{name: -1})
+        assert getattr(SimConfig(**{name: 0}), name) == 0
 
 
 def test_config_rejects_a_design_whose_responses_would_overflow():
@@ -544,13 +598,16 @@ def test_each_record_equals_the_public_per_cell_functions(settings):
         for rec in report.records:
             data, mu = replication_dataset(config, rec.rep, basis)
             system = RidgeSystem(data, km)
-            path, fitted = lambda_path(system, config.lambda_grid)
-            np.testing.assert_array_equal(rec.ess_lambda, ess(fitted, data, mu))
+            path, operators = lambda_path(system, config.lambda_grid)
+            np.testing.assert_array_equal(rec.ess_lambda, sim.operator_ess(system, operators, mu))
             np.testing.assert_array_equal(rec.rss_lambda, path.rss)
             np.testing.assert_array_equal(rec.gcv_lambda, path.gcv)
             np.testing.assert_array_equal(rec.trace_lambda, path.trace)
             assert rec.gcv_best_lambda == path.best_lambda
-            lam, value = reference_refine(system, mu, config.lambda_grid, config.refine_rounds)
+            ess_at = system_ess(system, mu)
+            lam, value = reference_refine(
+                lambda lam: float(ess_at(lam)), config.lambda_grid, config.refine_rounds
+            )
             assert (rec.ess_min_lambda, rec.ess_min_value) == (lam, value)
             theta = gof.fit_parametric(data, family)
             assert rec.theta_hat == theta.theta

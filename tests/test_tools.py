@@ -77,7 +77,8 @@ def test_npz_entries_keep_the_digest_a_string(tmp_path):
 
 
 SMALL_CASES = {"streams": {"n": 30, "B": 8}, "ridge": {"p": 4, "n": 30},
-               "dataset_io": {"p": 4, "n": 30}, "simulate": {"n": 30, "p": 4, "B": 100, "reps": 2}}
+               "dataset_io": {"p": 4, "n": 30}, "simulate": {"n": 30, "p": 4, "B": 100, "reps": 2},
+               "path": {"n": 30, "p": 4}}
 
 
 def check_layer(layer, case, work):
@@ -135,13 +136,30 @@ def test_a_perturbed_load_fails_the_dataset_check(tmp_path, monkeypatch):
 
 
 def test_a_tree_writing_other_bytes_fails_the_simulate_check(tmp_path):
-    assert check_layer("simulate", SMALL_CASES["simulate"], tmp_path)["identical"] is True
+    result = check_layer("simulate", SMALL_CASES["simulate"], tmp_path)
+    assert result == {"moved": {}, "moves_small": True, "decisions_identical": True}
     ours, other = tmp_path / diffreg.__name__ / "command", tmp_path / "other" / "command"
     shutil.copytree(ours, other)
-    summary = other / "summary.json"
-    summary.write_bytes(summary.read_bytes().replace(b"0", b"1", 1))
+    records = other / "records_omega0.csv"
+    header, row, *rest = records.read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
     _, check, _ = bench_layers.LAYERS["simulate"]
-    assert check(SMALL_CASES["simulate"], str(tmp_path), {})["identical"] is False
+    # a last-digit move of an ESS is reported and passes; a moved p-value fails both checks
+    for column, value, small in (("ess_lam_1", float(cells["ess_lam_1"]) * (1 + 1e-14), True),
+                                 ("p_value", float(cells["p_value"]) + 0.5, False)):
+        edited = {**cells, column: repr(value)}
+        records.write_text("\n".join([header, ",".join(edited.values()), *rest]) + "\n")
+        result = check(SMALL_CASES["simulate"], str(tmp_path), {})
+        assert result["moved"].keys() == {"records_omega0.csv"}
+        assert result["moves_small"] is result["decisions_identical"] is small
+
+
+def test_a_perturbed_rss_fails_the_path_check(tmp_path, monkeypatch):
+    norms = diffreg.RidgeSystem.residual_sq_norms
+    monkeypatch.setattr(diffreg.RidgeSystem, "residual_sq_norms",
+                        lambda self, operators: norms(self, operators) * (1 + 1e-9))
+    result = check_layer("path", SMALL_CASES["path"], tmp_path)
+    assert result["agrees"] is False and result["rss_gap"] > 1e-10
 
 
 def test_bench_layers_times_a_layer_against_a_baseline(tmp_path):

@@ -24,11 +24,21 @@ of this tree on that case, and its cases:
   era5`` command in process (``command``).  ``identical``: both trees'
   commands write the same bytes; ``layouts_agree``: U.csv, F.csv and their
   sidecars equal the presorted layout's.
+- ``path`` (n = 200, p = 10, as ``mc_power`` runs it; and n = 2000, p = 20):
+  the shared step of one replication of the five omega cells of ``table4``
+  without their test (``replication``: the draw, the factorization, the
+  lambda sweep, its ESS and 2 rounds of ESS refinement, the parametric fit),
+  and ``gcv_sweep`` of one dataset on the preset's grid (``sweep``).
+  ``agrees``: RSS and ESS on the grid, the refined minima's ESS and the
+  sweep's RSS lie within PATH_TOL of sums over the explicit n x p fits.
 - ``simulate`` (n = 200, p = 10, B = 200, 4 replications, as ``mc_power``
   runs it; and n = 2000, p = 20, B = 200, 1 replication, where the products
   of the bootstrap dominate): one ``simulate --preset table4`` command in
-  process, the five omega cells of the preset (``command``).  ``identical``:
-  both trees' commands write the same bytes.
+  process, the five omega cells of the preset (``command``).  ``moved``:
+  per file that differs between the trees' commands, its largest move as a
+  share of the file's largest entry (``compare_outputs.compare``);
+  ``moves_small``: every move is within PATH_TOL; ``decisions_identical``:
+  no decision field (``compare_outputs.DECISIONS``) changed.
 
 ROOT, when given, is another diffreg checkout (the directory holding
 ``src/``, such as ``git archive`` of the parent commit), timed beside this
@@ -45,6 +55,7 @@ any boolean check is false.
 
 import argparse
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -65,6 +76,7 @@ if __name__ == "__main__":  # pin BLAS before numpy loads it, and import this tr
 
 import numpy as np  # noqa: E402
 
+import compare_outputs  # noqa: E402
 import diffreg  # noqa: E402
 
 SEED = 20250101
@@ -73,6 +85,7 @@ BLOCK_S = 0.05
 N_QUAD, H = 201, 0.01
 ORACLE_LAMBDAS, ORACLE_TOL = (1e-1, 1e1, 1e3), 1e-9
 NORMS_LAMBDA, NORMS_ROWS = 10.0, 200
+PATH_TOL = 1e-12
 SUBJECTS, LEVELS = 2000, 40
 
 
@@ -274,6 +287,57 @@ def ingest_check(case: dict, work: str, routes: dict) -> dict:
     return {"identical": trees_identical(work), "layouts_agree": ours == presorted}
 
 
+def path_configs(pkg, case: dict) -> tuple:
+    """The SimConfigs of the ``table4`` cells at the case's n and p, without the test."""
+    preset = module(pkg, "presets").get_preset("table4")
+    sim = module(pkg, "sim")
+    names = {f.name for f in dataclasses.fields(sim.SimConfig)} - {"omega"}
+    base = {key: value for key, value in preset.items() if key in names}
+    base.update(n=case["n"], p=case["p"], seed=SEED, run_test=False)
+    return tuple(sim.SimConfig(omega=omega, **base) for omega in preset["omegas"])
+
+
+def path_routes(pkg, case: dict, work: str) -> dict:
+    sim, gof, regress = (module(pkg, name) for name in ("sim", "gof", "regress"))
+    configs = path_configs(pkg, case)
+    basis, km = sim.mc_kernels(configs[0])
+    family = gof.ParamFamily.scaled_neg_laplacian(basis)
+    data_seed, data = sim._rep_streams(SEED, 0)[0], draw(pkg, case["p"], case["n"])
+    return {
+        "replication": lambda: sim._stack_rep(configs, basis, km, family, data_seed),
+        "sweep": lambda: regress.gcv_sweep(data, km, configs[0].lambda_grid),
+    }
+
+
+def path_check(case: dict, work: str, routes: dict) -> dict:
+    """The largest relative gaps of the replication's and the sweep's sums from those
+    over the explicit n x p fits, and whether all are within PATH_TOL."""
+    stack, sweep = routes["replication"](), routes["sweep"]()
+    system, grid = stack.system, sweep.lambdas
+    mus = np.array([diffreg.true_multipliers(c.omega, c.p, c.eigen_sign)
+                    for c in path_configs(diffreg, case)])
+    truth = system.data.U * mus[:, None, None]
+
+    def sum_sq(diff):
+        return (diff**2).sum(axis=(-2, -1))
+
+    def gap(got, want):
+        return float(np.max(np.abs(np.asarray(got) - want) / np.abs(want)))
+
+    fits = system.fitted(system.solve(grid))
+    lams, values = stack.ess_min
+    at_min = system.fitted(system.solve(lams[:, None]))
+    alone = diffreg.RidgeSystem(draw(diffreg, case["p"], case["n"]), system.km)
+    gaps = {
+        "rss_gap": gap([s.rss for s in stack.sweeps], sum_sq(system.F - fits)),
+        "ess_gap": gap(stack.ess_lambda, sum_sq(fits - truth)),
+        "ess_min_gap": gap(values, sum_sq(at_min - truth)[:, 0]),
+        "sweep_rss_gap": gap(sweep.rss, sum_sq(alone.F - alone.fitted(alone.solve(grid)))),
+    }
+    return {**{k: float(f"{v:.3g}") for k, v in gaps.items()},
+            "agrees": max(gaps.values()) <= PATH_TOL}
+
+
 def simulate_routes(pkg, case: dict, work: str) -> dict:
     config = os.path.join(work, "simulate_config.json")
     if not os.path.exists(config):
@@ -284,7 +348,24 @@ def simulate_routes(pkg, case: dict, work: str) -> dict:
 
 
 def simulate_check(case: dict, work: str, routes: dict) -> dict:
-    return {"identical": trees_identical(work)}
+    """How far each other tree's ``command`` files moved from this tree's, and whether
+    a decision field moved."""
+    ours = Path(work, diffreg.__name__, "command")
+    moved, decisions = {}, []
+    for tree in os.listdir(work):
+        other = Path(work, tree, "command")
+        if tree == diffreg.__name__ or not other.is_dir():
+            continue
+        for name in sorted(set(os.listdir(ours)) | set(os.listdir(other))):
+            a, b = other / name, ours / name
+            if not (a.exists() and b.exists()):
+                moved[name] = math.inf
+            elif a.read_bytes() != b.read_bytes():
+                share, _, _, _, changed = compare_outputs.compare(str(a), str(b))
+                moved[name] = max(moved.get(name, 0.0), float(f"{share:.3g}"))
+                decisions += changed
+    return {"moved": moved, "moves_small": max(moved.values(), default=0.0) <= PATH_TOL,
+            "decisions_identical": not decisions}
 
 
 LAYERS = {
@@ -292,6 +373,7 @@ LAYERS = {
     "ridge": (ridge_routes, ridge_check, SWEEP),
     "dataset_io": (dataset_io_routes, dataset_io_check, SWEEP),
     "ingest": (ingest_routes, ingest_check, ({"layout": "presorted"}, {"layout": "shuffled"})),
+    "path": (path_routes, path_check, ({"n": 200, "p": 10}, {"n": 2000, "p": 20})),
     "simulate": (simulate_routes, simulate_check, ({"n": 200, "p": 10, "B": 200, "reps": 4},
                                                    {"n": 2000, "p": 20, "B": 200, "reps": 1})),
 }
