@@ -344,7 +344,8 @@ def _build_kernels(config: dict, basis):
         if stale:
             raise DataError(f"kernel cache {cache} was built with different {', '.join(stale)}")
         return km
-    km = assemble(basis, P, B, L, spec)
+    with _from_config():
+        km = assemble(basis, P, B, L, spec)
     if cache:
         save_kernel_matrices(km, cache)
     return km
@@ -370,8 +371,8 @@ def cmd_simulate(config: dict, out: str) -> None:
         labels = [f"{cfg.omega:g}" for cfg in cfgs]
         if len(set(labels)) < len(labels):
             raise ValueError(f"omegas values must have distinct %g labels, got {labels}")
-    # the cells differ in omega only, so they share one basis and kernel
-    kernels = mc_kernels(cfgs[0])
+        # the cells differ in omega only, so they share one basis and kernel
+        kernels = mc_kernels(cfgs[0])
     reports = run_mc_cells(cfgs, progress=sys.stderr.isatty(), kernels=kernels)
     cells = {}
     for omega, cfg, report in zip(labels, cfgs, reports):

@@ -14,6 +14,7 @@ golden-ratio multipliers whose first three moments are 0, 1, 1.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,8 +203,6 @@ def bootstrap_test(
     B: int = 200,
     strategy: str = "mixed",
     seed: int = 0,
-    system: RidgeSystem | None = None,
-    multipliers: np.ndarray | None = None,
 ) -> GofResult:
     """Wild-bootstrap test of the parametric family against the smooth fit.
 
@@ -219,71 +218,68 @@ def bootstrap_test(
     reproducible and independent of any execution order; the child states
     are derived exactly in one vectorized pass rather than spawned (see
     ``bootstrap_multipliers``).  ``seed`` must be a non-negative integer.
-    ``system``, when given, must be the RidgeSystem
-    already built for these very ``data`` and ``km`` objects; the test then
-    factors nothing.  ``multipliers``, when given, must be the block
-    ``bootstrap_multipliers(n, B, seed)`` returns; the test then draws
-    nothing, so callers testing several datasets on one seed draw it once.
+    This is ``residual_test`` of one cell.
     """
     if B < 100:
         raise ValueError(f"B must be >= 100, got {B}")
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     check_lambdas(lam)
-    n = data.n
-    if multipliers is not None and np.shape(multipliers) != (B, n):
-        raise ValueError(f"multipliers are {np.shape(multipliers)}, expected ({B}, {n})")
-    if system is None:
-        system = RidgeSystem(data, km)
-    elif system.data is not data or system.km is not km or system.F is not data.F:
-        raise ValueError("system was built for another dataset or other kernel matrices")
-
+    system = RidgeSystem(data, km)
     theta = fit_parametric(data, family)
     eps_null = data.F - family.apply(data.U, theta.theta)
     eps_fit = data.F - system.fitted(system.solve(lam))
-    return residual_test(system, lam, theta, eps_null, eps_fit, B, strategy, seed, multipliers)
+    (result,) = residual_test(
+        system, [lam], [theta], eps_null[None], eps_fit[None], B, strategy, seed
+    )
+    return result
 
 
 def residual_test(
     system: RidgeSystem,
-    lam: float,
-    theta: ParametricFit,
+    lams: Sequence[float],
+    thetas: Sequence[ParametricFit],
     eps_null: np.ndarray,
     eps_fit: np.ndarray,
     B: int,
     strategy: str,
     seed: int,
-    multipliers: np.ndarray | None = None,
-) -> GofResult:
-    """The test of ``bootstrap_test`` on its null and fit residuals, already computed.
+) -> tuple[GofResult, ...]:
+    """The test of ``bootstrap_test`` for C cells on one system; one result per cell.
 
-    Takes checked arguments: ``theta`` is the fit behind ``eps_null``, both
-    residual sets are (n, p), and ``multipliers``, when given, is the
-    (B, n) block of ``seed``.
+    Cell c is tested at ``lams[c]`` on its (n, p) residuals ``eps_null[c]``,
+    those of the parametric fit ``thetas[c]``, and ``eps_fit[c]``; both
+    residual arrays are (C, n, p) and the arguments are checked.  The (B, n)
+    block of ``seed`` is drawn once and every cell's products run on it, so
+    each result equals that cell's test alone, bit for bit.  The products
+    run one cell at a time and hold (n, p^2) numbers at their peak: stacked
+    over the cells they held C times that, which freshly allocated memory
+    made slower at the simulation sizes.
     """
     n = system.n
     n_para = B if strategy == "parametric" else 0
     if strategy == "mixed":
         n_para = int(round(B / 3))
-    if multipliers is None:
-        multipliers = bootstrap_multipliers(n, B, seed)
+    multipliers = bootstrap_multipliers(n, B, seed)
 
-    # the null residuals' outer product serves q_n and the null block of the bootstrap
-    outer = system.residual_outer(eps_null)
-    q_n = float(system.projected_sq_norms(lam, np.ones((1, n)) @ outer)[0]) / n
-    q_null = system.projected_sq_norms(lam, multipliers[:n_para] @ outer)
-    del outer  # freed before the fit residuals' (n, p^2) product is built
-    q_fit = system.smoothed_sq_norms(lam, eps_fit, multipliers[n_para:])
-    q_boot = np.concatenate([q_null, q_fit]) / n
-    p_value = 1.0 - float(np.count_nonzero(q_n >= q_boot)) / B
-
-    return GofResult(
-        theta=theta,
-        q_n=q_n,
-        bootstrap_values=q_boot,
-        p_value=p_value,
-        strategy=strategy,
-        lam=lam,
-        seed=seed,
-        n_parametric_replicates=n_para,
-    )
+    results = []
+    for lam, theta, null, fit in zip(lams, thetas, eps_null, eps_fit):
+        # the null residuals' outer product serves q_n and the null block of the bootstrap
+        outer = system.residual_outer(null)
+        q_n = float(system.projected_sq_norms(lam, np.ones((1, n)) @ outer)[0]) / n
+        q_null = system.projected_sq_norms(lam, multipliers[:n_para] @ outer)
+        del outer  # freed before the fit residuals' (n, p^2) product is built
+        q_fit = system.smoothed_sq_norms(lam, fit, multipliers[n_para:])
+        q_boot = np.concatenate([q_null, q_fit]) / n
+        p_value = 1.0 - float(np.count_nonzero(q_n >= q_boot)) / B
+        results.append(GofResult(
+            theta=theta,
+            q_n=q_n,
+            bootstrap_values=q_boot,
+            p_value=p_value,
+            strategy=strategy,
+            lam=lam,
+            seed=seed,
+            n_parametric_replicates=n_para,
+        ))
+    return tuple(results)

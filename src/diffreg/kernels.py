@@ -140,8 +140,12 @@ class KernelSpec:
     include_boundary: bool = True
 
     def __post_init__(self):
-        if not 0 < self.h < np.inf:
-            raise ValueError(f"bandwidth h must be positive and finite, got {self.h}")
+        # the kernel's second derivative divides by h^4, which must not overflow or vanish
+        h = float(self.h)
+        if not (h > 0 and 0 < h * h * h * h < np.inf):
+            raise ValueError(
+                f"bandwidth h must be positive with h^4 finite and nonzero, got {self.h}"
+            )
 
 
 def gaussian_kernel(diff: np.ndarray, h: float) -> np.ndarray:
@@ -313,8 +317,14 @@ def assemble(
     K uses the identity as output operator and is symmetric PSD by
     construction; K_L applies L to the (y, eta) kernel factor.
     """
-    C, (M, M_L) = _factor_matrices(basis, P, B, spec, L)
-    return KernelMatrices(C=C, M=M, M_L=M_L, provenance=kernel_provenance(basis, P, B, L, spec))
+    # a factor that overflows fails KernelMatrices' finiteness check, without a warning
+    with np.errstate(all="ignore"):
+        C, (M, M_L) = _factor_matrices(basis, P, B, spec, L)
+    try:
+        return KernelMatrices(C=C, M=M, M_L=M_L, provenance=kernel_provenance(basis, P, B, L, spec))
+    except ValueError as exc:
+        where = f"basis interval {list(basis.interval)} with bandwidth h = {spec.h:g}"
+        raise ValueError(f"{exc} on the {where}") from exc
 
 
 def save_kernel_matrices(km: KernelMatrices, path: str) -> None:

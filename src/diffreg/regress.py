@@ -34,8 +34,9 @@ to them; ``solve`` and ``lambda_path`` then add a leading response axis.
 Sums over the n rows are taken on p x p factors of U = QR: the RSS of
 operator matrices D is ||F - Q Q'F||^2 + ||Q'F - R D'||^2, and the ESS is
 ||U E'||^2 = ||R E'||^2 for E = D - diag(mu); neither subtracts large
-terms, and no n x p fit is formed (with n <= p, Q = I).  ``smooth``, ``smoothed_sq_norms`` and ``smoother`` apply the
-smoothing matrix at one lambda; ``smoother`` is ``smooth`` of the identity.
+terms, and no n x p fit is formed (with n <= p, Q = I).  ``smooth``,
+``smoothed_sq_norms`` and ``smoother`` apply the smoothing matrix at one
+lambda; ``smoother`` is ``smooth`` of the identity.
 """
 
 from __future__ import annotations

@@ -22,15 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .basis import BasisSystem, DataSet, make_cosine_basis
-from .gof import (
-    STRATEGIES,
-    GofResult,
-    ParamFamily,
-    ParametricFit,
-    bootstrap_multipliers,
-    raw_thetas,
-    residual_test,
-)
+from .gof import STRATEGIES, ParamFamily, ParametricFit, raw_thetas, residual_test
 from .gof import bootstrap_test  # noqa: F401  perfbench/tracer.py wraps sim.bootstrap_test by name
 from .kernels import DEFAULT_OPERATORS, KernelMatrices, KernelSpec, assemble, kernel_provenance
 from .regress import RidgeSystem, check_lambdas, lambda_path, sum_sq_diff
@@ -66,6 +58,9 @@ class SimConfig:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.p < 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
+        if self.n_quad < 2 * self.p + 1:
+            raise ValueError(f"n_quad must be >= 2p+1 = {2 * self.p + 1}, got {self.n_quad}")
+        KernelSpec(h=self.h)  # raises, naming h, for a bandwidth the kernel cannot use
         if not self.snr > 0:  # NaN fails too; inf is the noiseless design
             raise ValueError(f"snr must be positive, got {self.snr}")
         if self.reps < 1:
@@ -359,46 +354,6 @@ def _stack_rep(
     )
 
 
-def _run_cell(
-    rep: int,
-    config: SimConfig,
-    stack: SimpleNamespace,
-    cell: int,
-    boot_seed: int,
-    multipliers: np.ndarray | None,
-) -> tuple[RepRecord, GofResult | None]:
-    """Replication ``rep`` of one cell: its row of the stack, and its bootstrap test."""
-    sweep = stack.sweeps[cell]
-    gof = None
-    test_lambda = q_n = p_value = reject = None
-    if config.run_test:
-        test_lambda = stack.test_lambdas[cell]
-        residuals = stack.fits[cell], stack.eps_null[cell], stack.eps_fit[cell]
-        gof = residual_test(stack.system, test_lambda, *residuals, config.B, config.strategy,
-                            boot_seed, multipliers)
-        q_n, p_value = gof.q_n, gof.p_value
-        reject = bool(p_value < config.alpha)
-
-    record = RepRecord(
-        rep=rep,
-        ess_lambda=stack.ess_lambda[cell],
-        rss_lambda=sweep.rss,
-        gcv_lambda=sweep.gcv,
-        trace_lambda=sweep.trace,
-        gcv_best_lambda=sweep.best_lambda,
-        ess_min_lambda=float(stack.ess_min[0][cell]),
-        ess_min_value=float(stack.ess_min[1][cell]),
-        theta_hat=stack.fits[cell].theta,
-        ess_theta=stack.ess_theta[cell],
-        tss=float(stack.tss[cell]),
-        test_lambda=test_lambda,
-        q_n=q_n,
-        p_value=p_value,
-        reject=reject,
-    )
-    return record, gof
-
-
 def _rep_streams(seed: int, rep: int) -> tuple[np.random.SeedSequence, int]:
     """Data stream and bootstrap seed for one replication of a study.
 
@@ -450,20 +405,19 @@ def run_mc_cells(
     random numbers).  Replications run in order.  Each one draws its data
     once, stacks the cells' responses on it and factors one RidgeSystem of
     the shared predictors; the sweep, the ESS refinement, the parametric fit
-    and both residual sets then run over a leading cell axis.  Its (B, n)
-    bootstrap block is drawn once, and each cell, in order, runs its test's
-    products on it and makes its record.  Each cell's report equals
+    and both residual sets then run over a leading cell axis.  The bootstrap
+    test of every cell is one ``residual_test`` call on one (B, n) block, and
+    the cells' records are made from the results.  Each cell's report equals
     ``run_mc`` of that cell alone, bit for bit.
 
-    A failing replication aborts the study before the next cell or
-    replication starts, naming the replication (and, among several cells,
-    the cell's omega), unless ``skip_failures`` is set, in which case it is
-    recorded in that cell's ``report.skipped``; if every replication of a
-    cell is skipped, the study raises RuntimeError for the first such cell.
-    A failure of the shared step is every cell's failure, with one message,
-    and names the first cell; the failures it can meet (a degenerate GCV
-    denominator on the shared trace, predictors without energy) hit every
-    cell of the replication alike.
+    A failing replication aborts the study before the next replication
+    starts, naming the replication (and, among several cells, the first
+    cell's omega), unless ``skip_failures`` is set, in which case every
+    cell's ``report.skipped`` records it with the same reason; if every
+    replication is skipped, the study raises RuntimeError naming the first
+    cell.  A failure is always the whole replication's: the failures it can
+    meet (a degenerate GCV denominator on the shared trace, predictors
+    without energy) hit every cell alike.
     ``kernels``, when given, must be the ``mc_kernels`` of a config with the
     same ``p``, ``n_quad`` and ``h``.  Configs that differ in anything but
     ``omega`` raise ValueError.
@@ -485,45 +439,59 @@ def run_mc_cells(
     if km.provenance != want or (basis.p, len(basis.quad_nodes)) != (first.p, first.n_quad):
         raise ValueError("kernels were built for another p, n_quad or h than the config's")
     family = ParamFamily.scaled_neg_laplacian(basis)
+    where = f"omega={first.omega:g}: " if len(configs) > 1 else ""
 
-    def where(config):
-        return f"omega={config.omega:g}: " if len(configs) > 1 else ""
-
-    cells = [([], [], []) for _ in configs]  # records, skipped and dumps of each cell
+    records = [[] for _ in configs]
+    dumps = [[] for _ in configs]
+    skipped = []  # every cell's: a failure is its replication's
     for rep in range(first.reps):
         data_seed, boot_seed = _rep_streams(first.seed, rep)
         try:
-            stack, failure = _stack_rep(configs, basis, km, family, data_seed), None
+            stack = _stack_rep(configs, basis, km, family, data_seed)
+            tests = (None,) * len(configs)
+            if first.run_test:
+                tests = residual_test(stack.system, stack.test_lambdas, stack.fits, stack.eps_null,
+                                      stack.eps_fit, first.B, first.strategy, boot_seed)
         except Exception as exc:
-            stack, failure = None, exc
-        block = None
-        if first.run_test and failure is None:
-            block = bootstrap_multipliers(first.n, first.B, boot_seed)
-        for cell, (config, (records, skipped, dumps)) in enumerate(zip(configs, cells)):
-            try:
-                if failure is not None:
-                    raise failure
-                record, gof = _run_cell(rep, config, stack, cell, boot_seed, block)
-            except Exception as exc:
-                if not config.skip_failures:
-                    raise RuntimeError(f"{where(config)}replication {rep} failed: {exc}") from exc
-                skipped.append((rep, str(exc)))
-            else:
-                records.append(record)
-                if gof is not None and rep < config.keep_bootstrap:
-                    dumps.append((rep, gof.bootstrap_values))
+            if not first.skip_failures:
+                raise RuntimeError(f"{where}replication {rep} failed: {exc}") from exc
+            skipped.append((rep, str(exc)))
+        else:
+            for cell, gof in enumerate(tests):
+                test_lambda = q_n = p_value = reject = None
+                if gof is not None:
+                    test_lambda, q_n, p_value = gof.lam, gof.q_n, gof.p_value
+                    reject = bool(p_value < first.alpha)
+                    if rep < first.keep_bootstrap:
+                        dumps[cell].append((rep, gof.bootstrap_values))
+                sweep = stack.sweeps[cell]
+                records[cell].append(RepRecord(
+                    rep=rep,
+                    ess_lambda=stack.ess_lambda[cell],
+                    rss_lambda=sweep.rss,
+                    gcv_lambda=sweep.gcv,
+                    trace_lambda=sweep.trace,
+                    gcv_best_lambda=sweep.best_lambda,
+                    ess_min_lambda=float(stack.ess_min[0][cell]),
+                    ess_min_value=float(stack.ess_min[1][cell]),
+                    theta_hat=stack.fits[cell].theta,
+                    ess_theta=stack.ess_theta[cell],
+                    tss=float(stack.tss[cell]),
+                    test_lambda=test_lambda,
+                    q_n=q_n,
+                    p_value=p_value,
+                    reject=reject,
+                ))
         if progress:
             print(f"\rreplication {rep + 1}/{first.reps}", end="", file=sys.stderr)
     if progress:
         print(file=sys.stderr)
-    for config, (records, skipped, _) in zip(configs, cells):
-        if not records:
-            rep, reason = skipped[0]
-            raise RuntimeError(
-                f"{where(config)}all {config.reps} replications were skipped; "
-                f"replication {rep} failed: {reason}"
-            )
+    if not records[0]:
+        rep, reason = skipped[0]
+        raise RuntimeError(
+            f"{where}all {first.reps} replications were skipped; replication {rep} failed: {reason}"
+        )
     return tuple(
-        McReport(config=config, records=tuple(r), skipped=tuple(s), bootstrap_dumps=tuple(d))
-        for config, (r, s, d) in zip(configs, cells)
+        McReport(config=config, records=tuple(r), skipped=tuple(skipped), bootstrap_dumps=tuple(d))
+        for config, r, d in zip(configs, records, dumps)
     )

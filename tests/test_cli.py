@@ -622,6 +622,40 @@ def test_non_finite_config_number_is_a_config_error(tmp_path, capsys, command, s
     _no_traceback_and_no_outputs(err, out)
 
 
+_BAD_H = "bandwidth h must be positive with h^4 finite and nonzero, got "
+
+
+@pytest.mark.parametrize(
+    "command, section, message",
+    [
+        ("fit", {"kernel": {"h": 1e300}}, _BAD_H + "1e+300"),
+        ("fit", {"kernel": {"h": 1e-300}}, _BAD_H + "1e-300"),
+        ("fit", {"kernel": {"h": 1e-170}}, _BAD_H + "1e-170"),
+        ("fit", {"basis": {"p": 10, "interval": [0, 1e-320]}},
+         "kernel factor C has a non-finite entry on the basis interval [0, 1e-320] "
+         "with bandwidth h = 0.01"),
+        ("simulate", {"h": 1e300}, _BAD_H + "1e+300"),
+        ("simulate", {"h": 1e-300}, _BAD_H + "1e-300"),
+        ("simulate", {"p": 10, "n_quad": 15}, "n_quad must be >= 2p+1 = 21, got 15"),
+    ],
+    ids=["fit_h_huge", "fit_h_tiny", "fit_h4_underflows", "fit_interval_tiny",
+         "simulate_h_huge", "simulate_h_tiny", "simulate_n_quad"],
+)
+def test_a_kernel_the_config_cannot_build_is_a_config_error(
+    tmp_path, capsys, command, section, message
+):
+    if command == "fit":
+        doc = {"dataset": {"u_csv": "U.csv", "f_csv": "F.csv"}, "basis": {"p": 10}, "lambda": 1.0}
+    else:
+        doc = sim_config()
+    cfg = write_config(tmp_path, "cfg.json", {**doc, **section})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+    _no_traceback_and_no_outputs(err, out)
+
+
 _HUGE = "1" + "0" * 400  # a JSON integer past the float range
 
 

@@ -11,16 +11,12 @@ from diffreg import (
     DataSet,
     DegenerateDesignError,
     KernelMatrices,
-    KernelSpec,
     ParamFamily,
-    assemble,
     bootstrap_multipliers,
     bootstrap_test,
     fit,
     fit_parametric,
-    identity_op,
     make_cosine_basis,
-    neg_laplacian,
     qn_statistic,
     wild_multipliers,
 )
@@ -198,36 +194,35 @@ def test_bootstrap_reproducible_bitwise(basis_p3, km_p3):
     assert r1.p_value == r2.p_value
 
 
-def test_bootstrap_system_must_be_built_from_the_same_objects(basis_p3, km_p3):
-    U, F = random_dataset(basis_p3, n=10, seed=12)
-    data = DataSet(U=U, F=F, basis=basis_p3)
-    other = DataSet(U=U, F=F[::-1].copy(), basis=basis_p3)
+@pytest.mark.parametrize("cells", [1, 3])
+@pytest.mark.parametrize("strategy", gof.STRATEGIES)
+def test_residual_test_of_c_cells_equals_one_bootstrap_test_per_cell(
+    basis_p3, km_p3, cells, strategy
+):
+    U, F = random_dataset(basis_p3, n=10, seed=17)
+    mults = laplacian_family(basis_p3).multipliers
+    # cell 1 responds to -U: its least-squares theta is negative and clipped to 0
+    F = np.stack([F, F - 4.0 * U * mults, 3.0 * F])[:cells]
+    lams = [1.0, 0.3, 30.0][:cells]
     family = laplacian_family(basis_p3)
-    own = bootstrap_test(data, km_p3, 1.0, family, B=100, system=RidgeSystem(data, km_p3))
-    fresh = bootstrap_test(data, km_p3, 1.0, family, B=100)
-    assert own.q_n == fresh.q_n
-    assert np.array_equal(own.bootstrap_values, fresh.bootstrap_values)
-    other_km = assemble(
-        basis_p3, neg_laplacian(), identity_op(), neg_laplacian(), KernelSpec(h=0.3)
-    )
-    for system in (RidgeSystem(other, km_p3), RidgeSystem(data, other_km)):
-        with pytest.raises(ValueError, match="another dataset or other kernel matrices"):
-            bootstrap_test(data, km_p3, 1.0, family, B=100, system=system)
-
-
-def test_bootstrap_on_given_multipliers(basis_p3, km_p3, monkeypatch):
-    U, F = random_dataset(basis_p3, n=10, seed=13)
-    data = DataSet(U=U, F=F, basis=basis_p3)
-    family = laplacian_family(basis_p3)
-    drawn = bootstrap_test(data, km_p3, 1.0, family, B=100, seed=5)
-    block = bootstrap_multipliers(10, 100, 5)
-    monkeypatch.setattr(gof, "bootstrap_multipliers", None)  # a draw would fail
-    given = bootstrap_test(data, km_p3, 1.0, family, B=100, seed=5, multipliers=block)
-    assert given.q_n == drawn.q_n and given.p_value == drawn.p_value
-    assert np.array_equal(given.bootstrap_values, drawn.bootstrap_values)
-    for shape in ((99, 10), (100, 9), (10, 100), (100 * 10,)):
-        with pytest.raises(ValueError, match=r"multipliers are .*, expected \(100, 10\)"):
-            bootstrap_test(data, km_p3, 1.0, family, B=100, seed=5, multipliers=np.ones(shape))
+    datasets = [DataSet(U=U, F=f, basis=basis_p3) for f in F]
+    thetas, eps_null, eps_fit = [], [], []
+    for data, lam in zip(datasets, lams):
+        system = RidgeSystem(data, km_p3)
+        thetas.append(fit_parametric(data, family))
+        eps_null.append(data.F - family.apply(U, thetas[-1].theta))
+        eps_fit.append(data.F - system.fitted(system.solve(lam)))
+    stacked = RidgeSystem(datasets[0], km_p3, responses=F)
+    got = gof.residual_test(stacked, lams, thetas, np.stack(eps_null), np.stack(eps_fit),
+                            100, strategy, 6)
+    assert len(got) == cells
+    for result, data, lam in zip(got, datasets, lams, strict=True):
+        alone = bootstrap_test(data, km_p3, lam, family, B=100, strategy=strategy, seed=6)
+        assert result.theta == alone.theta
+        assert (result.q_n, result.p_value, result.lam) == (alone.q_n, alone.p_value, alone.lam)
+        np.testing.assert_array_equal(result.bootstrap_values, alone.bootstrap_values)
+        assert result.to_json_dict() == alone.to_json_dict()
+    assert cells == 1 or got[1].theta.clipped
 
 
 def test_bootstrap_seed_changes_replicates(basis_p3, km_p3):

@@ -227,9 +227,18 @@ def test_unknown_operator_kind_rejected():
 
 
 def test_kernel_spec_validation():
-    for h in (0.0, -1.0, np.nan, np.inf):
+    # h^4 overflows at 1e300 and vanishes at 1e-170; a numpy scalar must not warn either
+    for h in (0.0, -1.0, np.nan, np.inf, 1e300, 1e-170, 1e-300, np.float64(1e300)):
         with pytest.raises(ValueError, match="bandwidth h"):
             KernelSpec(h=h)
+    assert KernelSpec(h=1e-70).h == 1e-70
+
+
+def test_a_kernel_that_overflows_on_its_basis_is_rejected_without_warnings():
+    basis = make_cosine_basis(4, 41, (0.0, 1e-320))
+    with pytest.raises(ValueError, match=r"factor C has a non-finite entry on the basis "
+                       r"interval \[0.0, 1e-320\] with bandwidth h = 0.01"):
+        assemble(basis, neg_laplacian(), identity_op(), neg_laplacian(), KernelSpec(h=0.01))
 
 
 

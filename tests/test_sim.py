@@ -308,17 +308,24 @@ def test_gcv_tie_resolves_to_the_smaller_lambda():
     assert record.gcv_best_lambda == 1e300
 
 
-def test_run_mc_fail_fast_and_skip(monkeypatch):
-    real = sim._run_cell
+def fail_replications(monkeypatch, failing):
+    """Make the replication step raise for each rep in ``failing``; returns the reps started."""
+    real = sim._stack_rep
     started = []
 
-    def exploding(rep, *args, **kwargs):
+    def step(configs, basis, km, family, data_seed):
+        rep = data_seed.spawn_key[0]  # replication rep's data stream is child (rep, 0)
         started.append(rep)
-        if rep == 1:
-            raise ValueError("synthetic failure")
-        return real(rep, *args, **kwargs)
+        if rep in failing:
+            raise ValueError(f"synthetic failure at {rep}")
+        return real(configs, basis, km, family, data_seed)
 
-    monkeypatch.setattr(sim, "_run_cell", exploding)
+    monkeypatch.setattr(sim, "_stack_rep", step)
+    return started
+
+
+def test_run_mc_fail_fast_and_skip(monkeypatch):
+    started = fail_replications(monkeypatch, {1})
     config = SimConfig(n=30, reps=3, seed=12, run_test=False, refine_rounds=0)
     with pytest.raises(RuntimeError, match="replication 1"):
         run_mc(config)
@@ -398,6 +405,11 @@ def test_config_validation():
             SimConfig(lambda_grid=grid)
     with pytest.raises(ValueError, match="B must be >= 100, got 50"):
         SimConfig(B=50)
+    with pytest.raises(ValueError, match="n_quad must be >= 2p\\+1 = 21, got 20"):
+        SimConfig(p=10, n_quad=20)
+    for h in (1e300, 1e-300):
+        with pytest.raises(ValueError, match="bandwidth h"):
+            SimConfig(h=h)
     with pytest.raises(ValueError, match="strategy must be one of"):
         SimConfig(strategy="foo")
     for test_lambda in (-1.0, 0.0, float("nan"), float("inf"), "ess_mn", [1.0, 2.0]):
@@ -472,22 +484,29 @@ def assert_same_report(got, want):
 
 
 def test_a_study_draws_each_replications_bootstrap_block_once(monkeypatch):
-    real = sim.bootstrap_multipliers
-    seeds = []
+    draw, test = gof.bootstrap_multipliers, sim.residual_test
+    seeds, tested = [], []
 
     def counting(n, B, seed):
         seeds.append(seed)
-        return real(n, B, seed)
+        return draw(n, B, seed)
 
-    monkeypatch.setattr(sim, "bootstrap_multipliers", counting)
-    monkeypatch.setattr(gof, "bootstrap_multipliers", None)  # the test draws nothing itself
+    def testing(system, lams, *args):
+        tested.append(len(lams))
+        return test(system, lams, *args)
+
+    monkeypatch.setattr(gof, "bootstrap_multipliers", counting)
+    monkeypatch.setattr(sim, "residual_test", testing)
     reports = run_mc_cells(study())
     assert seeds == [sim._rep_streams(14, rep)[1] for rep in range(3)]
+    # one test call per replication, over all three cells
+    assert tested == [3, 3, 3]
     assert all(len(report.records) == 3 for report in reports)
     # without a test there is no block to draw
     seeds.clear()
+    tested.clear()
     run_mc_cells(study(run_test=False))
-    assert seeds == []
+    assert seeds == tested == []
 
 
 def test_each_cell_of_a_study_equals_run_mc_of_that_cell(monkeypatch):
@@ -502,54 +521,44 @@ def test_each_cell_of_a_study_equals_run_mc_of_that_cell(monkeypatch):
             seed = sim._rep_streams(config.seed, rec.rep)[1]
             alone = gof.bootstrap_test(data, km, rec.test_lambda, family, B=config.B, seed=seed)
             assert (alone.q_n, alone.p_value) == (rec.q_n, rec.p_value)
-    real = sim._run_cell
-
-    def failing(rep, config, *args):
-        if (rep, config.omega) == (1, 0.84):
-            raise ValueError("synthetic failure")
-        return real(rep, config, *args)
-
-    monkeypatch.setattr(sim, "_run_cell", failing)
+    # a failing replication is skipped in every cell, as in each cell alone
+    fail_replications(monkeypatch, {1})
     configs = study(skip_failures=True)
     reports = run_mc_cells(configs)
     for got, config in zip(reports, configs, strict=True):
         assert_same_report(got, run_mc(config))
-    assert [report.skipped for report in reports] == [(), ((1, "synthetic failure"),), ()]
-    assert [len(report.records) for report in reports] == [3, 2, 3]
+    assert [report.skipped for report in reports] == [((1, "synthetic failure at 1"),)] * 3
+    assert [len(report.records) for report in reports] == [2, 2, 2]
 
 
 def test_a_study_fails_fast_in_replication_order(monkeypatch):
-    real = sim._run_cell
-    started = []
-
-    def failing(rep, config, *args):
-        started.append((rep, config.omega))
-        if (rep, config.omega) in ((0, 1.68), (1, 0.0)):
-            raise ValueError("synthetic failure")
-        return real(rep, config, *args)
-
-    monkeypatch.setattr(sim, "_run_cell", failing)
-    with pytest.raises(RuntimeError, match="^omega=1.68: replication 0 failed: synthetic"):
+    started = fail_replications(monkeypatch, {1, 2})
+    message = "^omega=0: replication 1 failed: synthetic failure at 1$"
+    with pytest.raises(RuntimeError, match=message):
         run_mc_cells(study(run_test=False))
-    assert started == [(0, 0.0), (0, 0.84), (0, 1.68)]
+    assert started == [0, 1]
     started.clear()
-    with pytest.raises(RuntimeError, match="^replication 1 failed: synthetic"):
-        run_mc(study(run_test=False)[0])
-    assert started == [(0, 0.0), (1, 0.0)]
+    with pytest.raises(RuntimeError, match="^replication 1 failed: synthetic failure at 1$"):
+        run_mc(study(run_test=False)[1])
+    assert started == [0, 1]
+
+    # the test runs inside the same step: its failure is the replication's too
+    def failing_test(*args):
+        raise ValueError("synthetic test failure")
+
+    monkeypatch.setattr(sim, "residual_test", failing_test)
+    started.clear()
+    with pytest.raises(RuntimeError, match="^omega=0: replication 0 failed: synthetic test"):
+        run_mc_cells(study())
+    assert started == [0]
 
 
 def test_a_study_raises_for_its_first_cell_with_every_replication_skipped(monkeypatch):
-    real = sim._run_cell
-
-    def failing(rep, config, *args):
-        if config.omega > 0:
-            raise ValueError(f"synthetic failure at {config.omega}")
-        return real(rep, config, *args)
-
-    monkeypatch.setattr(sim, "_run_cell", failing)
-    with pytest.raises(RuntimeError, match="^omega=0.84: all 3 replications were skipped; "
-                       "replication 0 failed: synthetic failure at 0.84"):
+    started = fail_replications(monkeypatch, {0, 1, 2})
+    with pytest.raises(RuntimeError, match="^omega=0: all 3 replications were skipped; "
+                       "replication 0 failed: synthetic failure at 0$"):
         run_mc_cells(study(skip_failures=True, run_test=False))
+    assert started == [0, 1, 2]
 
 
 def test_a_study_takes_cells_that_differ_in_omega_only():
@@ -588,6 +597,7 @@ def test_a_shared_failure_skips_every_cell_with_the_message_of_the_cell_alone():
     {"refine_rounds": 3, "test_lambda": "gcv_min", "strategy": "parametric"},
     {"refine_rounds": 2, "test_lambda": 30.0, "strategy": "nonparametric"},
     {"refine_rounds": 3, "run_test": False},
+    {"refine_rounds": 3},  # the cells' ESS minima, so their test lambdas, differ
 ])
 def test_each_record_equals_the_public_per_cell_functions(settings):
     configs = study(**settings)
@@ -619,10 +629,8 @@ def test_each_record_equals_the_public_per_cell_functions(settings):
             want_lambda = {"ess_min": lam, "gcv_min": path.best_lambda}
             assert rec.test_lambda == want_lambda.get(config.test_lambda, config.test_lambda)
             seed = sim._rep_streams(config.seed, rec.rep)[1]
-            block = gof.bootstrap_multipliers(config.n, config.B, seed)
             want = gof.bootstrap_test(
-                data, km, rec.test_lambda, family, B=config.B, strategy=config.strategy,
-                seed=seed, system=system, multipliers=block,
+                data, km, rec.test_lambda, family, B=config.B, strategy=config.strategy, seed=seed
             )
             assert (rec.q_n, rec.p_value, rec.reject) == (
                 want.q_n, want.p_value, want.p_value < config.alpha
