@@ -20,7 +20,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import functools
 import io
 import json
 import os
@@ -28,7 +27,6 @@ import sys
 import tempfile
 import typing
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -59,7 +57,7 @@ from .kernels import (
     save_kernel_matrices,
 )
 from .presets import get_preset
-from .regress import fit, gcv_sweep, spectrum_diag
+from .regress import check_lambdas, fit, gcv_sweep, spectrum_diag
 from .sim import RepRecord, SimConfig, mc_kernels, replication_dataset, run_mc_cells
 from .sim import run_mc  # noqa: F401  perfbench/tracer.py wraps cli.run_mc by name
 
@@ -271,6 +269,103 @@ SCHEMAS = {
 }
 
 
+class SchemaError(DiffregError):
+    """A config that its command's schema rejects, with the JSON path of the value at fault."""
+
+    def __init__(self, json_path: str, message: str):
+        super().__init__(f"{json_path}: {message}")
+        self.json_path, self.message = json_path, message
+
+
+#: the least int that float() cannot round to a finite float: the largest float plus half an ulp
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "boolean": lambda value: isinstance(value, bool),
+    "null": lambda value: value is None,
+    "number": _is_number,
+    # as in JSON Schema, an integral float such as 2.0 is an integer
+    "integer": lambda value: _is_number(value) and (isinstance(value, int) or value.is_integer()),
+}
+
+
+def check_schema(schema: dict, value, path: str = "$") -> None:
+    """Raise SchemaError at the first value, depth first, that ``schema`` rejects.
+
+    Implements the JSON Schema (draft 2020-12) keywords SCHEMAS use, and no
+    other: an unknown keyword raises NotImplementedError when first reached.
+    One rule is added: JSON integers parse as Python ints of any size, so an
+    int where a "number" is allowed must also fit in a float; one past the
+    float range would otherwise reach the numerics as an OverflowError.
+    The bounds compare a huge int exactly.
+    """
+    is_dict, is_list, is_number = isinstance(value, dict), isinstance(value, list), _is_number(value)
+    for key, rule in schema.items():
+        message = None
+        if key == "type":
+            types = [rule] if isinstance(rule, str) else rule
+            if not any(_TYPES[name](value) for name in types):
+                message = f"{value!r} is not of type {', '.join(map(repr, types))}"
+            elif "number" in types and isinstance(value, int) and abs(value) >= _FLOAT_OVERFLOW:
+                message = f"an integer of {len(str(abs(value)))} digits does not fit in a float"
+        elif key == "properties":
+            for name, sub in rule.items():
+                if is_dict and name in value:
+                    check_schema(sub, value[name], f"{path}.{name}")
+        elif key == "required":
+            missing = [name for name in rule if is_dict and name not in value]
+            if missing:
+                message = f"{missing[0]!r} is a required property"
+        elif key == "additionalProperties" and rule is False:
+            extra = [name for name in value if name not in schema["properties"]] if is_dict else []
+            if extra:
+                message = f"additional properties are not allowed: {extra}"
+        elif key in ("enum", "const"):
+            allowed = rule if key == "enum" else [rule]
+            if value not in allowed:  # strings only in SCHEMAS, so True cannot pass for 1
+                message = f"{value!r} is not one of {allowed!r}"
+        elif key == "items":
+            for i, item in enumerate(value if is_list else ()):
+                check_schema(rule, item, f"{path}[{i}]")
+        elif key in ("minItems", "maxItems"):
+            if is_list and (len(value) < rule if key == "minItems" else len(value) > rule):
+                bound = "least" if key == "minItems" else "most"
+                message = f"{value!r} should have at {bound} {rule} items"
+        elif key == "minimum":
+            if is_number and value < rule:
+                message = f"{value!r} is less than the minimum of {rule!r}"
+        elif key == "exclusiveMinimum":
+            if is_number and value <= rule:
+                message = f"{value!r} is less than or equal to the minimum of {rule!r}"
+        elif key == "exclusiveMaximum":
+            if is_number and value >= rule:
+                message = f"{value!r} is greater than or equal to the maximum of {rule!r}"
+        elif key == "oneOf":
+            matches = sum(_passes(sub, value, path) for sub in rule)
+            if matches != 1:
+                message = f"{value!r} matches {matches} of the {len(rule)} oneOf schemas, not 1"
+        else:
+            raise NotImplementedError(f"schema keyword {key!r} at {path} is not supported")
+        if message is not None:
+            raise SchemaError(path, message)
+
+
+def _passes(schema: dict, value, path: str) -> bool:
+    try:
+        check_schema(schema, value, path)
+    except SchemaError:
+        return False
+    return True
+
+
 def _deep_merge(base: dict, override: dict) -> dict:
     merged = dict(base)
     for key, value in override.items():
@@ -292,7 +387,8 @@ def _fmt(value) -> str:
 
 
 def _json_bytes(doc: dict) -> bytes:
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    # strict JSON: a NaN or an infinity raises ValueError, so it never reaches a file
+    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 def _csv_bytes(header: list[str], rows) -> bytes:
@@ -332,7 +428,8 @@ def _build_kernels(config: dict, basis):
         )
         spec = KernelSpec(h=kcfg.get("h", 0.01), **_given(kcfg, "include_boundary"))
     cache = kcfg.get("cache")
-    if cache and os.path.exists(cache):
+    cached = bool(cache) and os.path.exists(cache)
+    if cached:
         km = load_kernel_matrices(cache)
         # compare as stored: the cache holds the provenance as JSON
         expect = json.loads(json.dumps(kernel_provenance(basis, P, B, L, spec)))
@@ -343,10 +440,14 @@ def _build_kernels(config: dict, basis):
         )
         if stale:
             raise DataError(f"kernel cache {cache} was built with different {', '.join(stale)}")
-        return km
-    with _from_config():
-        km = assemble(basis, P, B, L, spec)
-    if cache:
+    else:
+        with _from_config():
+            km = assemble(basis, P, B, L, spec)
+    try:
+        km.whitening  # every dataset command factors with it: computed here once, then cached
+    except ValueError as exc:
+        raise ConfigError(f"kernel L ({L.kind}, param {L.param:g}) cannot be used: {exc}") from exc
+    if cache and not cached:
         save_kernel_matrices(km, cache)
     return km
 
@@ -356,7 +457,12 @@ def _load_inputs(config: dict):
     basis = _build_basis(config)
     km = _build_kernels(config, basis)
     ds = config["dataset"]
-    return basis, km, load_dataset(ds["u_csv"], ds["f_csv"], basis)
+    data = load_dataset(ds["u_csv"], ds["f_csv"], basis)
+    with _from_config():
+        for key in ("lambda", "lambda_grid"):
+            if key in config:
+                check_lambdas(config[key], key, data.n)
+    return basis, km, data
 
 
 def cmd_simulate(config: dict, out: str) -> None:
@@ -504,35 +610,14 @@ COMMANDS = {
 }
 
 
-def _float_sized_type(validator, types, instance, schema):
-    """The ``type`` keyword, under which a "number" must also fit in a float.
-
-    JSON integers parse as Python ints of any size; one past the float range
-    would otherwise reach the numerics as an OverflowError.  The "number"
-    type itself is left alone, so ``minimum`` still checks a huge integer.
-    """
-    base_type = jsonschema.Draft202012Validator.VALIDATORS["type"]
-    yield from base_type(validator, types, instance, schema)
-    if types == "number" and isinstance(instance, int) and not isinstance(instance, bool):
-        try:
-            float(instance)
-        except OverflowError:
-            digits = len(str(abs(instance)))
-            message = f"an integer of {digits} digits does not fit in a float"
-            yield jsonschema.ValidationError(message)
-
-
-@functools.cache
-def _validator(command: str):
-    """The validator of one command's schema, built on first use."""
-    validator = jsonschema.validators.extend(
-        jsonschema.Draft202012Validator, {"type": _float_sized_type}
-    )
-    return validator(SCHEMAS[command])
-
-
 def resolve_config(command: str, preset: str | None, config_path: str | None, seed: int | None) -> dict:
-    """Merge preset and config file, apply CLI overrides, and validate."""
+    """Merge preset and config file, apply CLI overrides, and check the command's schema.
+
+    Raises SchemaError, naming the JSON path, for the first value the
+    schema rejects in a depth-first walk (``check_schema``); ValueError for
+    a missing config, an unknown or mismatched preset, a malformed or
+    non-finite JSON document; OSError for an unreadable file.
+    """
     if preset is None and config_path is None:
         raise ValueError("provide --config and/or --preset")
     merged: dict = {}
@@ -556,10 +641,7 @@ def resolve_config(command: str, preset: str | None, config_path: str | None, se
         merged = _deep_merge(merged, doc)
     if seed is not None:
         merged["seed"] = seed
-    # the error jsonschema.validate would raise, without its metaschema check per call
-    error = jsonschema.exceptions.best_match(_validator(command).iter_errors(merged))
-    if error is not None:
-        raise error
+    check_schema(SCHEMAS[command], merged)
     return merged
 
 
@@ -588,7 +670,7 @@ def main(argv=None) -> int:
 
     try:
         config = resolve_config(args.command, args.preset, args.config, args.seed)
-    except jsonschema.ValidationError as exc:
+    except SchemaError as exc:
         print(f"config error at {exc.json_path}: {exc.message}", file=sys.stderr)
         return EXIT_CONFIG
     except (KeyError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError

@@ -237,7 +237,8 @@ class KernelMatrices:
         kernel, and V_M is folded into H = H_w V_M and T_M = Q_M D_M V_M.  A
         dataset's side is U P_C, with P_C = Q_C diag(l_C) D_C and R_C = Q_C D_C.
         Raises SingularSystemError when C or M is not positive definite after
-        its jitter; a raised error is not cached, so every use raises.
+        its jitter, and ValueError when H_w'H_w overflows; a raised error is
+        not cached, so every use raises.
         """
         spectra = []
         for name, eps in zip(("C", "M"), self.jitters):
@@ -251,7 +252,12 @@ class KernelMatrices:
             spectra.append((eigs, vecs * (eigs + eps) ** -0.5))
         (l_C, R_C), (_, QD_M) = spectra
         H_w = self.M_L @ QD_M
-        a, V_M = np.linalg.eigh(H_w.T @ H_w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = H_w.T @ H_w
+        # eigh of a non-finite Gram raises LinAlgError at small p and returns NaN at larger p
+        if not np.isfinite(gram).all():
+            raise ValueError("kernel factor M_L is too large: the whitened Gram H_w'H_w overflows")
+        a, V_M = np.linalg.eigh(gram)
         return R_C * l_C, R_C, a, H_w @ V_M, QD_M @ V_M
 
 

@@ -41,6 +41,7 @@ lambda; ``smoother`` is ``smooth`` of the identity.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -51,16 +52,23 @@ from .errors import GcvDegenerateError, SingularSystemError
 from .kernels import KernelMatrices
 
 
-def check_lambdas(lams, name: str = "lambda") -> np.ndarray:
+def check_lambdas(lams, name: str = "lambda", n: int | None = None) -> np.ndarray:
     """``lams`` as a float array, after checking that every entry is finite and > 0.
 
     Raises ValueError naming ``name`` when an array is empty or an entry
-    is zero, negative, infinite or NaN.
+    is zero, negative, infinite or NaN; given the sample size ``n``, also
+    when n * lambda, the shift of every solve, overflows.
     """
     arr = np.asarray(lams, dtype=float)
     if arr.size == 0 or not np.all(np.isfinite(arr) & (arr > 0)):
         need = "positive" if arr.ndim == 0 else "nonempty and positive"
         raise ValueError(f"{name} must be {need}, got {lams}")
+    if n is not None:
+        with np.errstate(over="ignore"):
+            # the first test keeps an int n past the float range from raising OverflowError
+            finite = n <= sys.float_info.max and np.all(np.isfinite(n * arr))
+        if not finite:
+            raise ValueError(f"{name} must keep n * lambda finite for n = {n}, got {lams}")
     return arr
 
 

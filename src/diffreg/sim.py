@@ -90,11 +90,11 @@ class SimConfig:
             raise ValueError(f"eigen_sign must be 'minus' or 'plus', got {self.eigen_sign!r}")
         named = isinstance(self.test_lambda, str)
         if not named and np.ndim(self.test_lambda) == 0:
-            check_lambdas(self.test_lambda, "test_lambda")
+            check_lambdas(self.test_lambda, "test_lambda", self.n)
         elif not (named and self.test_lambda in ("ess_min", "gcv_min")):
             want = "'ess_min', 'gcv_min' or a positive number"
             raise ValueError(f"test_lambda must be {want}, got {self.test_lambda!r}")
-        grid = np.sort(check_lambdas(self.lambda_grid, "lambda_grid"))
+        grid = np.sort(check_lambdas(self.lambda_grid, "lambda_grid", self.n))
         # summary.json and the records CSV key each grid point by this label
         labels = [f"{lam:g}" for lam in grid]
         if len(set(labels)) < len(labels):
@@ -119,7 +119,9 @@ def calibrate_sigma(omega: float, snr: float, p: int = 10, eigen_sign: str = "mi
         raise ValueError(f"snr must be positive, got {snr}")
     ks = np.arange(1, p + 1)
     mu = true_multipliers(omega, p, eigen_sign)
-    return float(np.sqrt(np.sum(ks**-6.0 * mu**2) / (p * snr**2)))
+    # snr * snr, not snr**2: a float's ** raises OverflowError where * gives inf, so a
+    # huge snr gives sigma = 0, the noiseless design that snr = inf gives
+    return float(np.sqrt(np.sum(ks**-6.0 * mu**2) / (p * snr * snr)))
 
 
 def _draw(config: SimConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

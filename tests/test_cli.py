@@ -679,6 +679,89 @@ def test_number_too_large_for_a_float_is_a_config_error(tmp_path, capsys, comman
     _no_traceback_and_no_outputs(err, out)
 
 
+def test_number_too_large_for_a_float_is_a_config_error_where_null_is_allowed_too(
+    tmp_path, capsys
+):
+    # derivative_gate is {"type": ["number", "null"]}; the schema rejects it before any input is read
+    cfg = tmp_path / "ingest.json"
+    cfg.write_text('{"input": "tracks.csv", "recipe": {"derivative_gate": ' + _HUGE + "}}")
+    out = tmp_path / "out"
+    assert main(["ingest", "--preset", "era5", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "config error at $.recipe.derivative_gate: an integer of 401 digits does not fit in a float\n"
+    )
+    _no_traceback_and_no_outputs(err, out)
+
+
+def test_huge_snr_is_the_noiseless_design(tmp_path, capsys):
+    # snr**2 of a float raised OverflowError past about 1.3e154; the noise scale is now 0
+    cfg = write_config(tmp_path, "sim.json", sim_config(snr=1e300, reps=1))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+    def strict(literal):
+        raise ValueError(f"summary.json holds {literal}")
+
+    json.loads((out / "summary.json").read_text(), parse_constant=strict)
+
+
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [("fit", {"lambda": 1.7e308}, "lambda must keep n * lambda finite for n = 200, got 1.7e+308"),
+     ("test", {"lambda": 1.7e308, "B": 100},
+      "lambda must keep n * lambda finite for n = 200, got 1.7e+308"),
+     ("sweep", {"lambda_grid": [1.0, 1.7e308]},
+      "lambda_grid must keep n * lambda finite for n = 200, got [1.0, 1.7e+308]")],
+    ids=["fit", "test", "sweep"],
+)
+def test_lambda_whose_n_lambda_overflows_is_a_config_error(
+    tmp_path, capsys, dataset_dir, command, setting, message
+):
+    # before, fit exited 0 with two RuntimeWarnings and "cond_estimate": NaN in fit.json
+    cfg = write_config(tmp_path, "cfg.json", {**ds_section(dataset_dir), **setting})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+    _no_traceback_and_no_outputs(err, out)
+
+
+@pytest.mark.parametrize("setting", [{"lambda_grid": [1.0, 1.7e308]}, {"test_lambda": 1.7e308}])
+def test_simulate_lambda_whose_n_lambda_overflows_is_a_config_error(tmp_path, capsys, setting):
+    cfg = write_config(tmp_path, "sim.json", sim_config(**setting))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {next(iter(setting))} must keep n * lambda finite")
+    _no_traceback_and_no_outputs(err, out)
+
+
+@pytest.mark.parametrize("p", [4, 30])
+def test_an_output_operator_the_ridge_cannot_whiten_is_a_config_error(tmp_path, capsys, p):
+    # H_w'H_w overflows: eigh raised "Eigenvalues did not converge" at p = 4 and returned NaN at 30
+    rng = np.random.default_rng(p)
+    for name in ("U.csv", "F.csv"):
+        rows = [",".join(f"{v!r}" for v in row) for row in rng.standard_normal((8, p)).tolist()]
+        header = ",".join(f"{name[0].lower()}_{k + 1}" for k in range(p))
+        (tmp_path / name).write_text("\n".join([header, *rows]) + "\n")
+    cache = tmp_path / "kernels.npz"
+    doc = {
+        "dataset": {"u_csv": str(tmp_path / "U.csv"), "f_csv": str(tmp_path / "F.csv")},
+        "basis": {"p": p},
+        "kernel": {"L": {"kind": "neg_laplacian_minus_const", "param": 1e200}, "cache": str(cache)},
+        "lambda": 1.0,
+    }
+    out = tmp_path / "out"
+    assert main(["fit", "--config", write_config(tmp_path, "fit.json", doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: kernel L (neg_laplacian_minus_const, param 1e+200) ")
+    assert "H_w'H_w overflows" in err
+    _no_traceback_and_no_outputs(err, out)
+    assert not cache.exists()
+
+
 def test_integer_fields_keep_big_values_and_their_minimum(tmp_path, capsys):
     ok = write_config(tmp_path, "ok.json", sim_config(reps=1, seed=10**400))
     assert main(["simulate", "--config", ok, "--out", str(tmp_path / "ok")]) == 0

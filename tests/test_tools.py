@@ -78,7 +78,7 @@ def test_npz_entries_keep_the_digest_a_string(tmp_path):
 
 SMALL_CASES = {"streams": {"n": 30, "B": 8}, "ridge": {"p": 4, "n": 30},
                "dataset_io": {"p": 4, "n": 30}, "simulate": {"n": 30, "p": 4, "B": 100, "reps": 2},
-               "path": {"n": 30, "p": 4}}
+               "path": {"n": 30, "p": 4}, "setup": {"p": 4, "n_quad": 41}}
 
 
 def check_layer(layer, case, work):
@@ -160,6 +160,11 @@ def test_a_perturbed_rss_fails_the_path_check(tmp_path, monkeypatch):
                         lambda self, operators: norms(self, operators) * (1 + 1e-9))
     result = check_layer("path", SMALL_CASES["path"], tmp_path)
     assert result["agrees"] is False and result["rss_gap"] > 1e-10
+
+
+def test_a_tree_loading_jsonschema_fails_the_setup_check(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_layers, "SETUP_PROBE", "import jsonschema\n" + bench_layers.SETUP_PROBE)
+    assert check_layer("setup", SMALL_CASES["setup"], tmp_path) == {"no_jsonschema": False}
 
 
 def test_bench_layers_times_a_layer_against_a_baseline(tmp_path):

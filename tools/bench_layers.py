@@ -31,6 +31,12 @@ of this tree on that case, and its cases:
   and ``gcv_sweep`` of one dataset on the preset's grid (``sweep``).
   ``agrees``: RSS and ESS on the grid, the refined minima's ESS and the
   sweep's RSS lie within PATH_TOL of sums over the explicit n x p fits.
+- ``setup`` (p = 10, n_quad = 201, as ``mc_power`` sets up; and p = 20,
+  n_quad = 401, as ``analysis_large`` does): one fresh interpreter, started
+  with the tree's ``src`` alone on PYTHONPATH, that imports ``diffreg.cli``
+  and builds the basis and the default kernels, as ``perfbench/worker.py
+  setup`` does (``fresh``, interpreter start-up included).
+  ``no_jsonschema``: that interpreter never loaded jsonschema.
 - ``simulate`` (n = 200, p = 10, B = 200, 4 replications, as ``mc_power``
   runs it; and n = 2000, p = 20, B = 200, 1 replication, where the products
   of the bootstrap dominate): one ``simulate --preset table4`` command in
@@ -64,6 +70,7 @@ import os
 import platform
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -338,6 +345,27 @@ def path_check(case: dict, work: str, routes: dict) -> dict:
             "agrees": max(gaps.values()) <= PATH_TOL}
 
 
+SETUP_PROBE = """
+import sys
+import diffreg.cli
+from diffreg import KernelSpec, assemble, identity_op, make_cosine_basis, neg_laplacian
+basis = make_cosine_basis({p}, {n_quad})
+assemble(basis, neg_laplacian(), identity_op(), neg_laplacian(), KernelSpec(h=0.01))
+print("jsonschema" in sys.modules)
+"""
+
+
+def setup_routes(pkg, case: dict, work: str) -> dict:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pkg.__file__)))
+    argv, env = [sys.executable, "-c", SETUP_PROBE.format(**case)], {**os.environ, "PYTHONPATH": src}
+    return {"fresh": lambda: subprocess.run(argv, env=env, capture_output=True, text=True,
+                                            check=True).stdout}
+
+
+def setup_check(case: dict, work: str, routes: dict) -> dict:
+    return {"no_jsonschema": routes["fresh"]() == "False\n"}
+
+
 def simulate_routes(pkg, case: dict, work: str) -> dict:
     config = os.path.join(work, "simulate_config.json")
     if not os.path.exists(config):
@@ -374,6 +402,7 @@ LAYERS = {
     "dataset_io": (dataset_io_routes, dataset_io_check, SWEEP),
     "ingest": (ingest_routes, ingest_check, ({"layout": "presorted"}, {"layout": "shuffled"})),
     "path": (path_routes, path_check, ({"n": 200, "p": 10}, {"n": 2000, "p": 20})),
+    "setup": (setup_routes, setup_check, ({"p": 10, "n_quad": 201}, {"p": 20, "n_quad": 401})),
     "simulate": (simulate_routes, simulate_check, ({"n": 200, "p": 10, "B": 200, "reps": 4},
                                                    {"n": 2000, "p": 20, "B": 200, "reps": 1})),
 }
