@@ -18,20 +18,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
-import io
 import json
 import os
 import sys
 import tempfile
-import typing
 
 import numpy as np
 
 from . import __version__
 from .basis import make_cosine_basis
 from .errors import DataError, DiffregError
+from .fileio import csv_bytes, json_bytes
 from .gof import STRATEGIES, ParamFamily, bootstrap_test
 from .ingest import (
     IdentityResponse,
@@ -58,7 +56,7 @@ from .kernels import (
 )
 from .presets import get_preset
 from .regress import check_lambdas, fit, gcv_sweep, spectrum_diag
-from .sim import RepRecord, SimConfig, mc_kernels, replication_dataset, run_mc_cells
+from .sim import SimConfig, mc_kernels, replication_dataset, run_mc_cells
 from .sim import run_mc  # noqa: F401  perfbench/tracer.py wraps cli.run_mc by name
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG, EXIT_DATA = 0, 1, 2, 3
@@ -376,30 +374,6 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
-def _json_bytes(doc: dict) -> bytes:
-    # strict JSON: a NaN or an infinity raises ValueError, so it never reaches a file
-    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
-
-
-def _csv_bytes(header: list[str], rows) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue().encode("utf-8")
-
-
 def _provenance(config: dict) -> dict:
     return {"config": config, "version": __version__}
 
@@ -467,10 +441,6 @@ def _load_inputs(config: dict):
 
 def cmd_simulate(config: dict, out: str) -> None:
     base = {f.name: config[f.name] for f in dataclasses.fields(SimConfig) if f.name in config}
-    # records columns follow the RepRecord fields; a lambda-indexed array
-    # field such as ess_lambda takes one column per grid point, ess_lam_<lambda>
-    names = [f.name for f in dataclasses.fields(RepRecord)]
-    arrays = {name for name, t in typing.get_type_hints(RepRecord).items() if t is np.ndarray}
     with _from_config():
         cfgs = [SimConfig(omega=float(omega), **base) for omega in config["omegas"]]
         # summary.json and the records and bootstrap file names key each cell by this label
@@ -481,29 +451,14 @@ def cmd_simulate(config: dict, out: str) -> None:
         kernels = mc_kernels(cfgs[0])
     reports = run_mc_cells(cfgs, progress=sys.stderr.isatty(), kernels=kernels)
     cells = {}
-    for omega, cfg, report in zip(labels, cfgs, reports):
-        label = f"omega={omega}"
-        cells[label] = report.summary()
-        header = []
-        for name in names:
-            lam_columns = [f"{name.removesuffix('lambda')}lam_{lam:g}" for lam in cfg.lambda_grid]
-            header += lam_columns if name in arrays else [name]
-        rows = [
-            [
-                value
-                for name in names
-                for value in (getattr(rec, name) if name in arrays else [getattr(rec, name)])
-            ]
-            for rec in report.records
-        ]
-        _write(out, f"records_{label.replace('=', '')}.csv", _csv_bytes(header, rows))
+    for omega, report in zip(labels, reports):
+        cells[f"omega={omega}"] = report.summary()
+        records = csv_bytes(report.header(), report.columns.values(), "%.12g", "\n")
+        _write(out, f"records_omega{omega}.csv", records)
         for rep, values in report.bootstrap_dumps:
-            _write(
-                out,
-                f"bootstrap_{label.replace('=', '')}_rep{rep}.csv",
-                _csv_bytes(["q_n_boot"], [[v] for v in values]),
-            )
-    _write(out, "summary.json", _json_bytes({**_provenance(config), "cells": cells}))
+            dump = csv_bytes(["q_n_boot"], [values], "%.12g", "\n")
+            _write(out, f"bootstrap_omega{omega}_rep{rep}.csv", dump)
+    _write(out, "summary.json", json_bytes({**_provenance(config), "cells": cells}))
     if config.get("dump_dataset"):
         data, _ = replication_dataset(cfgs[0], rep=0, basis=kernels[0])
         save_dataset(data, os.path.join(out, "U.csv"), os.path.join(out, "F.csv"))
@@ -513,17 +468,16 @@ def cmd_fit(config: dict, out: str) -> None:
     _, km, data = _load_inputs(config)
     result = fit(data, km, config["lambda"])
     doc = {**_provenance(config), "fit": result.to_json_dict()}
-    _write(out, "fit.json", _json_bytes(doc))
+    _write(out, "fit.json", json_bytes(doc))
 
 
 def cmd_sweep(config: dict, out: str) -> None:
     _, km, data = _load_inputs(config)
     result = gcv_sweep(data, km, config["lambda_grid"])
     columns = (result.lambdas, result.rss, result.gcv, result.trace)
-    rows = zip(*(column.tolist() for column in columns))
-    _write(out, "sweep.csv", _csv_bytes(["lambda", "rss", "gcv", "trace"], rows))
+    _write(out, "sweep.csv", csv_bytes(["lambda", "rss", "gcv", "trace"], columns, "%.12g", "\n"))
     doc = {**_provenance(config), "best_lambda": result.best_lambda}
-    _write(out, "sweep.json", _json_bytes(doc))
+    _write(out, "sweep.json", json_bytes(doc))
 
 
 def cmd_test(config: dict, out: str) -> None:
@@ -539,9 +493,9 @@ def cmd_test(config: dict, out: str) -> None:
         "alpha": alpha,
         "reject": bool(result.p_value < alpha),
     }
-    _write(out, "gof.json", _json_bytes(doc))
-    rows = [[v] for v in result.bootstrap_values]
-    _write(out, "bootstrap_values.csv", _csv_bytes(["q_n_boot"], rows))
+    _write(out, "gof.json", json_bytes(doc))
+    dump = csv_bytes(["q_n_boot"], [result.bootstrap_values], "%.12g", "\n")
+    _write(out, "bootstrap_values.csv", dump)
 
 
 def cmd_spectrum(config: dict, out: str) -> None:
@@ -549,10 +503,10 @@ def cmd_spectrum(config: dict, out: str) -> None:
     if config["top_m"] > basis.p**2:
         raise ConfigError(f"top_m must be at most p^2 = {basis.p**2}, got {config['top_m']}")
     gammas = spectrum_diag(data, km, config["top_m"])
-    rows = [[k + 1, g] for k, g in enumerate(gammas)]
-    _write(out, "spectrum.csv", _csv_bytes(["k", "gamma"], rows))
+    columns = (np.arange(1, len(gammas) + 1), gammas)
+    _write(out, "spectrum.csv", csv_bytes(["k", "gamma"], columns, "%.12g", "\n"))
     doc = {**_provenance(config), "gammas": [float(g) for g in gammas]}
-    _write(out, "spectrum.json", _json_bytes(doc))
+    _write(out, "spectrum.json", json_bytes(doc))
 
 
 _RESPONSES = {"thermo": ThermoResponse, "identity": IdentityResponse, "spectral": SpectralResponse}

@@ -1,8 +1,9 @@
-"""File access shared by the kernel cache and the dataset files: atomic writes, archive reads."""
+"""File access: the one CSV writer and JSON encoder, atomic writes, archive reads."""
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import zipfile
 import zlib
@@ -12,6 +13,36 @@ import numpy as np
 #: what opening or reading a damaged or foreign .npz archive may raise; a
 #: member's header may claim any shape, so a failed allocation counts too
 UNREADABLE = (OSError, ValueError, EOFError, KeyError, MemoryError, zipfile.BadZipFile, zlib.error)
+
+
+def csv_bytes(header, columns, float_format: str, newline: str) -> bytes:
+    """A headed CSV of ``columns``, formatted with one ``%`` over a row template.
+
+    A column is a (rows,) or (rows, k) array, filling 1 or k fields of each
+    row, or None, filling one empty field; at least one is an array.  Int and
+    bool columns take ``%d``, so a bool reads 1 or 0, the others
+    ``float_format``.  ``newline`` ends each line.  The bytes are those of
+    :func:`csv.writer`, which would quote a row of one empty field.
+    """
+    blocks, fields = [], []
+    rows = len(next(col for col in columns if col is not None))
+    for col in columns:
+        if col is None:
+            fields.append("")
+            continue
+        block = np.asarray(col).reshape(rows, -1)
+        fields += ["%d" if block.dtype.kind in "biu" else float_format] * block.shape[1]
+        blocks.append(block)
+    # an object table holds Python ints, bools and floats, interleaved row by row
+    table = blocks[0] if len(blocks) == 1 else np.hstack([b.astype(object) for b in blocks])
+    row = ",".join(fields) + newline
+    text = ",".join(header) + newline + (row * rows) % tuple(table.ravel().tolist())
+    return text.encode("utf-8")
+
+
+def json_bytes(doc: dict) -> bytes:
+    """``doc`` as indented JSON with sorted keys; a NaN or an infinity raises ValueError."""
+    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 def write_atomic(path: str, payload: bytes) -> None:

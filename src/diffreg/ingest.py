@@ -46,7 +46,6 @@ import csv
 import hashlib
 import io
 import itertools
-import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -55,7 +54,7 @@ import numpy as np
 
 from .basis import BasisSystem, DataSet, resample_to_quad_grid, solve_projection
 from .errors import DataError
-from .fileio import UNREADABLE, open_npz, write_atomic
+from .fileio import UNREADABLE, csv_bytes, json_bytes, open_npz, write_atomic
 
 #: subjects resampled and projected together; bounds the (block, n_quad,
 #: variables) arrays of one pass, and with them the peak memory of ingest
@@ -486,12 +485,9 @@ def save_dataset(data: DataSet, u_path: str, f_path: str) -> None:
     round-trips every double, so the sidecar holds the matrix the CSV parses
     to, bit for bit.
     """
-    row = ",".join(["%.17g"] * data.p) + "\r\n"
     for path, mat, prefix in ((u_path, data.U, "u"), (f_path, data.F, "f")):
-        header = ",".join(f"{prefix}_{k}" for k in range(1, data.p + 1))
-        # one %-format of the whole matrix: numpy.savetxt's bytes, without its row loop
-        text = header + "\r\n" + (row * data.n) % tuple(mat.ravel().tolist())
-        payload = text.encode("utf-8")
+        header = [f"{prefix}_{k}" for k in range(1, data.p + 1)]
+        payload = csv_bytes(header, [mat], "%.17g", "\r\n")
         write_atomic(path, payload)
         sidecar = io.BytesIO()
         np.savez(sidecar, values=mat, sha256=np.array(hashlib.sha256(payload).hexdigest()))
@@ -582,7 +578,7 @@ def save_ingest_provenance(
     basis: BasisSystem,
     extra: dict | None = None,
 ) -> None:
-    """JSON provenance for an ingested dataset."""
+    """JSON provenance for an ingested dataset, as strict JSON: a non-finite value raises."""
     doc = {
         **(extra or {}),
         "report": report.to_json_dict(),
@@ -597,6 +593,6 @@ def save_ingest_provenance(
             "n_quad": int(len(basis.quad_nodes)),
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    payload = json_bytes(doc)  # raises on a NaN or an infinity before the file is opened
+    with open(path, "wb") as fh:
+        fh.write(payload)

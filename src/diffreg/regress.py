@@ -101,10 +101,15 @@ class RidgeSystem:
         # the C side of the whitened Gram diag(a) kron W'W, the one eigh per dataset
         b, V_C = np.linalg.eigh(W.T @ W)
         self.G, self.T_C = W @ V_C, R_C @ V_C
-        # left unsorted: entry j*p + k is a_j * b_k
-        s2 = np.outer(a, b).ravel()
-        # zero at or below roundoff, the rank rule of np.linalg.matrix_rank
-        self.s2 = np.where(s2 > s2.max() * s2.size * np.finfo(float).eps, s2, 0.0)
+        with np.errstate(over="ignore"):
+            # left unsorted: entry j*p + k is a_j * b_k
+            s2 = np.outer(a, b).ravel()
+            # zero at or below roundoff, the rank rule of np.linalg.matrix_rank
+            floor = s2.max() * s2.size * np.finfo(float).eps
+        # an infinite floor would zero every eigenvalue, and so the fit, without a word
+        if not (np.isfinite(s2).all() and np.isfinite(floor)):
+            raise ValueError("the whitened design's Gram eigenvalues overflow")
+        self.s2 = np.where(s2 > floor, s2, 0.0)
         # the response side: data.F, or a (C, n, p) stack held as (C, 1, n, p), so that
         # an (m,) grid or a (C, k) array of lambdas broadcasts to (C, m) or (C, k) rows
         if responses is None:
@@ -321,9 +326,13 @@ class SweepResult:
     trace: np.ndarray
 
     @property
-    def best_lambda(self) -> float:
-        """The GCV minimizer; a tie goes to the first, the smaller lambda on an ascending grid."""
-        return float(self.lambdas[np.argmin(self.gcv, axis=-1)])
+    def best_lambda(self) -> float | np.ndarray:
+        """The GCV minimizer: a float, or a (C,) array for a sweep of C responses.
+
+        A tie goes to the first, the smaller lambda on an ascending grid.
+        """
+        best = self.lambdas[np.argmin(self.gcv, axis=-1)]
+        return float(best) if best.ndim == 0 else best
 
 
 def lambda_path(system: RidgeSystem, grid) -> tuple[SweepResult, np.ndarray]:

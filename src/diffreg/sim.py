@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -177,53 +177,48 @@ def tss(data: DataSet, true_multipliers: np.ndarray):
     return np.sum((data.U * true_multipliers) ** 2, axis=(-2, -1))
 
 
-@dataclass(frozen=True)
-class RepRecord:
-    """Per-replication results; lambda-indexed arrays follow the grid order."""
-
-    rep: int
-    ess_lambda: np.ndarray
-    rss_lambda: np.ndarray
-    gcv_lambda: np.ndarray
-    trace_lambda: np.ndarray
-    gcv_best_lambda: float
-    ess_min_lambda: float
-    ess_min_value: float
-    theta_hat: float
-    ess_theta: float
-    tss: float
-    test_lambda: float | None
-    q_n: float | None
-    p_value: float | None
-    reject: bool | None
-
-
 @dataclass(frozen=True, eq=False)
 class McReport:
-    """All replication records plus the settings that produced them."""
+    """The replications of one cell as columns, plus the settings that produced them.
+
+    ``columns`` holds the records CSV's columns in file order: ``rep``, the
+    replication indices; ``ess_lambda``, ``rss_lambda``, ``gcv_lambda`` and
+    ``trace_lambda``, each (reps, m) in grid order; ``gcv_best_lambda``,
+    ``ess_min_lambda``, ``ess_min_value``, ``theta_hat``, ``ess_theta`` and
+    ``tss``; and the test's ``test_lambda``, ``q_n``, ``p_value`` and boolean
+    ``reject``, which are None without a test.  All others are (reps,) arrays,
+    one row per completed replication.
+    """
 
     config: SimConfig
-    records: tuple[RepRecord, ...]
+    columns: dict
     skipped: tuple = ()
     bootstrap_dumps: tuple = field(default=(), repr=False)
 
+    def header(self) -> list[str]:
+        """The records CSV's field names: a column's, or <stat>_lam_<lambda> per grid point."""
+        grid, names = self.config.lambda_grid, []
+        for name, col in self.columns.items():
+            stat = name.removesuffix("lambda")
+            names += [f"{stat}lam_{lam:g}" for lam in grid] if np.ndim(col) == 2 else [name]
+        return names
+
     def summary(self) -> dict:
-        """Aggregate means with standard errors, recomputed from records."""
-        recs = self.records
+        """Aggregate means with standard errors, reduced from the columns."""
+        cols = self.columns
         grid = self.config.lambda_grid
-        # one row per field, C-contiguous, so each row reduces as a 1-D array of its own
+        # one row per statistic, each reduced as a 1-D array of its own
         rows = np.concatenate([
-            [[r.ess_theta, r.theta_hat, r.tss, r.ess_min_value] for r in recs],
-            [np.concatenate([r.ess_lambda, r.gcv_lambda, r.rss_lambda, r.trace_lambda])
-             for r in recs],
-        ], axis=1).T
+            [cols["ess_theta"], cols["theta_hat"], cols["tss"], cols["ess_min_value"]],
+            *(cols[name].T for name in ("ess_lambda", "gcv_lambda", "rss_lambda", "trace_lambda")),
+        ])
         stats = _mean_se(rows)
         out = {
             "n": self.config.n,
             "snr": self.config.snr,
             "omega": self.config.omega,
             "eigen_sign": self.config.eigen_sign,
-            "reps": len(recs),
+            "reps": len(cols["rep"]),
             "skipped": len(self.skipped),
             "per_lambda": {},
             **dict(zip(("ess_theta", "theta_hat", "tss", "ess_min"), stats)),
@@ -233,12 +228,11 @@ class McReport:
             per = stats[4 + idx :: m]
             out["per_lambda"][f"{lam:g}"] = dict(zip(("ess", "gcv", "rss", "trace"), per))
         # the most frequent GCV choice; a tie goes to the smallest lambda, as in SweepResult
-        best, counts = np.unique([r.gcv_best_lambda for r in recs], return_counts=True)
+        best, counts = np.unique(cols["gcv_best_lambda"], return_counts=True)
         out["gcv_best_lambda_mode"] = float(best[np.argmax(counts)])
-        tested = [r for r in recs if r.p_value is not None]
-        if tested:
-            out["rejection_rate"] = float(np.mean([r.reject for r in tested]))
-            out["q_n"] = _mean_se([[r.q_n for r in tested]])[0]
+        if cols["p_value"] is not None:
+            out["rejection_rate"] = float(np.mean(cols["reject"]))
+            out["q_n"] = _mean_se([cols["q_n"]])[0]
         return out
 
 
@@ -309,11 +303,11 @@ def _stack_rep(
     Cell c's response is F_c = U mu_c + sigma_c eps on the one draw (U, eps).
     The sweep, the ESS refinement, the parametric fit and, when the cells
     test, both residual sets of every cell come from one RidgeSystem of U.
-    Returns the ``system``; per cell, its ``sweeps``, ``fits`` and
-    ``test_lambdas`` (None without a test); ``ess_min``, the (C,) lambdas and
-    ESS values of the refined minima; and, with a leading cell axis,
-    ``ess_lambda``, ``ess_theta``, ``tss``, ``eps_null`` and ``eps_fit``
-    (None without a test).
+    Returns the ``system``; the stacked ``sweep`` of (C, m) rows; per cell,
+    its ``fits`` and ``test_lambdas`` (None without a test); ``ess_min``, the
+    (C,) lambdas and ESS values of the refined minima; and, with a leading
+    cell axis, ``ess_lambda``, ``ess_theta``, ``tss``, ``eps_null`` and
+    ``eps_fit`` (None without a test).
     """
     first = configs[0]
     U, noise = _draw(first, np.random.default_rng(data_seed))
@@ -321,8 +315,7 @@ def _stack_rep(
     system = RidgeSystem(DataSet(U=U, F=F[0], basis=basis), km, responses=F)
     data, grid = system.data, first.lambda_grid
 
-    path, operators = lambda_path(system, grid)
-    sweeps = tuple(replace(path, rss=rss, gcv=gcv) for rss, gcv in zip(path.rss, path.gcv))
+    sweep, operators = lambda_path(system, grid)
     ess_l = operator_ess(system, operators, mus[:, None])
     ess_min = _refine_ess_lambda(
         lambda lams: operator_ess(system, system.operator_matrix(system.solve(lams)), mus[:, None]),
@@ -336,7 +329,7 @@ def _stack_rep(
         if first.test_lambda == "ess_min":
             test_lambdas = ess_min[0].tolist()
         elif first.test_lambda == "gcv_min":
-            test_lambdas = [sweep.best_lambda for sweep in sweeps]
+            test_lambdas = sweep.best_lambda.tolist()
         else:
             test_lambdas = [float(first.test_lambda)] * len(configs)
         eps_null = F - null_fit
@@ -344,7 +337,7 @@ def _stack_rep(
         eps_fit = (system.F - fit_at_test)[:, 0]
     return SimpleNamespace(
         system=system,
-        sweeps=sweeps,
+        sweep=sweep,
         ess_lambda=ess_l,
         ess_min=ess_min,
         fits=fits,
@@ -408,8 +401,9 @@ def run_mc_cells(
     once, stacks the cells' responses on it and factors one RidgeSystem of
     the shared predictors; the sweep, the ESS refinement, the parametric fit
     and both residual sets then run over a leading cell axis.  The bootstrap
-    test of every cell is one ``residual_test`` call on one (B, n) block, and
-    the cells' records are made from the results.  Each cell's report equals
+    test of every cell is one ``residual_test`` call on one (B, n) block.
+    The study stacks the replications' (C, ...) results once, at its end,
+    into each cell's ``McReport.columns``.  Each cell's report equals
     ``run_mc`` of that cell alone, bit for bit.
 
     A failing replication aborts the study before the next replication
@@ -443,14 +437,14 @@ def run_mc_cells(
     family = ParamFamily.scaled_neg_laplacian(basis)
     where = f"omega={first.omega:g}: " if len(configs) > 1 else ""
 
-    records = [[] for _ in configs]
+    done = []  # the (C, ...) columns of each completed replication
     dumps = [[] for _ in configs]
     skipped = []  # every cell's: a failure is its replication's
     for rep in range(first.reps):
         data_seed, boot_seed = _rep_streams(first.seed, rep)
         try:
             stack = _stack_rep(configs, basis, km, family, data_seed)
-            tests = (None,) * len(configs)
+            tests = ()
             if first.run_test:
                 tests = residual_test(stack.system, stack.test_lambdas, stack.fits, stack.eps_null,
                                       stack.eps_fit, first.B, first.strategy, boot_seed)
@@ -459,41 +453,44 @@ def run_mc_cells(
                 raise RuntimeError(f"{where}replication {rep} failed: {exc}") from exc
             skipped.append((rep, str(exc)))
         else:
-            for cell, gof in enumerate(tests):
-                test_lambda = q_n = p_value = reject = None
-                if gof is not None:
-                    test_lambda, q_n, p_value = gof.lam, gof.q_n, gof.p_value
-                    reject = bool(p_value < first.alpha)
-                    if rep < first.keep_bootstrap:
-                        dumps[cell].append((rep, gof.bootstrap_values))
-                sweep = stack.sweeps[cell]
-                records[cell].append(RepRecord(
-                    rep=rep,
-                    ess_lambda=stack.ess_lambda[cell],
-                    rss_lambda=sweep.rss,
-                    gcv_lambda=sweep.gcv,
-                    trace_lambda=sweep.trace,
-                    gcv_best_lambda=sweep.best_lambda,
-                    ess_min_lambda=float(stack.ess_min[0][cell]),
-                    ess_min_value=float(stack.ess_min[1][cell]),
-                    theta_hat=stack.fits[cell].theta,
-                    ess_theta=stack.ess_theta[cell],
-                    tss=float(stack.tss[cell]),
-                    test_lambda=test_lambda,
-                    q_n=q_n,
-                    p_value=p_value,
-                    reject=reject,
-                ))
+            sweep = stack.sweep
+            cols = {
+                "rep": [rep] * len(configs),
+                "ess_lambda": stack.ess_lambda,
+                "rss_lambda": sweep.rss,
+                "gcv_lambda": sweep.gcv,
+                "trace_lambda": np.broadcast_to(sweep.trace, sweep.gcv.shape),
+                "gcv_best_lambda": sweep.best_lambda,
+                "ess_min_lambda": stack.ess_min[0],
+                "ess_min_value": stack.ess_min[1],
+                "theta_hat": [fit.theta for fit in stack.fits],
+                "ess_theta": stack.ess_theta,
+                "tss": stack.tss,
+            }
+            if tests:
+                cols["test_lambda"] = [gof.lam for gof in tests]
+                cols["q_n"] = [gof.q_n for gof in tests]
+                cols["p_value"] = [gof.p_value for gof in tests]
+            if rep < first.keep_bootstrap:
+                for cell, gof in enumerate(tests):
+                    dumps[cell].append((rep, gof.bootstrap_values))
+            done.append(cols)
         if progress:
             print(f"\rreplication {rep + 1}/{first.reps}", end="", file=sys.stderr)
     if progress:
         print(file=sys.stderr)
-    if not records[0]:
+    if not done:
         rep, reason = skipped[0]
         raise RuntimeError(
             f"{where}all {first.reps} replications were skipped; replication {rep} failed: {reason}"
         )
+    # (C, reps, ...): row c holds cell c's columns, each contiguous
+    stacked = {name: np.stack([cols[name] for cols in done], axis=1) for name in done[0]}
+    if first.run_test:
+        stacked["reject"] = stacked["p_value"] < first.alpha
+    untested = {} if first.run_test else dict.fromkeys(("test_lambda", "q_n", "p_value", "reject"))
     return tuple(
-        McReport(config=config, records=tuple(r), skipped=tuple(skipped), bootstrap_dumps=tuple(d))
-        for config, r, d in zip(configs, records, dumps)
+        McReport(config, {**{name: col[c] for name, col in stacked.items()}, **untested},
+                 tuple(skipped), tuple(dumps[c]))
+        for c, config in enumerate(configs)
     )

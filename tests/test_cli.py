@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffreg.cli import main
+from diffreg.fileio import csv_bytes
 from diffreg.gof import STRATEGIES
 from diffreg.kernels import OP_KINDS, load_kernel_matrices
 from diffreg.presets import PRESETS, get_preset
@@ -69,6 +70,53 @@ def test_simulate_writes_records_and_summary(tmp_path):
     assert summary["config"]["n"] == 40
     assert "omega=0" in summary["cells"]
     assert summary["cells"]["omega=0"]["reps"] == 2
+
+
+def _fmt(value) -> str:
+    """One field as the CLI formatted it before the one-template writer, kept as its oracle."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+_EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+                1e-310, 1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, 1e16, 2.0**53 + 2]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_csv_writer_gives_the_bytes_of_the_per_value_writer(data):
+    rows = data.draw(st.integers(1, 5), label="rows")
+    floats = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+    kinds = st.lists(st.sampled_from(["float", "wide", "int", "bool", "absent"]), min_size=1,
+                     max_size=6)
+    # csv.writer quotes a lone empty field, a row no command writes: one column is always present
+    kinds = data.draw(kinds.filter(lambda ks: set(ks) != {"absent"}), label="kinds")
+    columns, header = [], []
+    for j, kind in enumerate(kinds):
+        width = data.draw(st.integers(1, 3), label="width") if kind == "wide" else 1
+        header += [f"c{j}_{k}" for k in range(width)]
+        if kind == "absent":
+            columns.append(None)
+            continue
+        entry = {"int": st.integers(-(2**63), 2**63 - 1), "bool": st.booleans()}.get(kind, floats)
+        values = data.draw(st.lists(entry, min_size=rows * width, max_size=rows * width))
+        column = np.array(values, dtype={"int": np.int64, "bool": bool}.get(kind, float))
+        columns.append(column.reshape(rows, width) if kind == "wide" else column)
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator=newline)
+    writer.writerow(header)
+    for i in range(rows):
+        fields = []
+        for col in columns:
+            fields += [None] if col is None else np.reshape(col[i], -1).tolist()
+        writer.writerow([_fmt(v) for v in fields])
+    assert csv_bytes(header, columns, "%.12g", newline) == want.getvalue().encode("utf-8")
 
 
 def test_simulate_byte_identical_reruns(tmp_path):
@@ -760,6 +808,27 @@ def test_an_output_operator_the_ridge_cannot_whiten_is_a_config_error(tmp_path, 
     assert "H_w'H_w overflows" in err
     _no_traceback_and_no_outputs(err, out)
     assert not cache.exists()
+
+
+@pytest.mark.parametrize("param", [1e152, 1e154])
+def test_a_design_whose_gram_eigenvalues_overflow_is_a_runtime_error(tmp_path, capsys, param):
+    # the kernel whitens, but a_j * b_k or the rank threshold overflows: the fit was zeroed
+    rng = np.random.default_rng(5)
+    for name in ("U.csv", "F.csv"):
+        rows = [",".join(f"{v!r}" for v in row) for row in rng.standard_normal((20, 4)).tolist()]
+        header = ",".join(f"{name[0].lower()}_{k + 1}" for k in range(4))
+        (tmp_path / name).write_text("\n".join([header, *rows]) + "\n")
+    doc = {
+        "dataset": {"u_csv": str(tmp_path / "U.csv"), "f_csv": str(tmp_path / "F.csv")},
+        "basis": {"p": 4},
+        "kernel": {"L": {"kind": "neg_laplacian_minus_const", "param": param}},
+        "lambda": 1.0,
+    }
+    out = tmp_path / "out"
+    assert main(["fit", "--config", write_config(tmp_path, "fit.json", doc), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the whitened design's Gram eigenvalues overflow\n"
+    _no_traceback_and_no_outputs(err, out)
 
 
 def test_integer_fields_keep_big_values_and_their_minimum(tmp_path, capsys):

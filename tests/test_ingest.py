@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import hashlib
 import io
+import json
 import os
 import shutil
 import tempfile
@@ -32,7 +33,9 @@ from diffreg.ingest import (
     load_dataset,
     load_trajectories,
     project_with_offset,
+    IngestReport,
     save_dataset,
+    save_ingest_provenance,
 )
 from diffreg.kernels import save_kernel_matrices
 
@@ -865,6 +868,20 @@ def test_row_scan_rejects_exactly_the_fields_numpy_rejects(field):
         with pytest.raises(DataError) as info:
             load_dataset(u_path, f_path, make_cosine_basis(p=2, n_quad=5))
     assert f"non-numeric entry in data row {1 if value is None else 2}: " in str(info.value)
+
+
+def test_ingest_provenance_is_strict_json(tmp_path):
+    report = IngestReport(n_in=2, n_out=1, skipped=(("s1", "end gate"),), dropped_rows=0)
+    path = tmp_path / "ingest.json"
+    save_ingest_provenance(str(path), report, default_recipe(), basis_on_interval())
+    assert json.loads(path.read_text())["recipe"]["derivative_gate"] is None
+    path.unlink()
+    # a NaN would be written as the bare token NaN, which is not JSON
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_ingest_provenance(
+            str(path), report, default_recipe(derivative_gate=float("nan")), basis_on_interval()
+        )
+    assert not path.exists()
 
 
 def test_save_dataset_bytes_match_the_csv_writer(tmp_path):

@@ -10,6 +10,7 @@ from diffreg import (
     KernelMatrices,
     KernelSpec,
     SingularSystemError,
+    SweepResult,
     assemble,
     fit,
     gcv,
@@ -468,9 +469,21 @@ def test_a_response_stack_matches_one_system_per_response(basis_p3, km_p3):
         np.testing.assert_array_equal(path.gcv[c], want.gcv)
         np.testing.assert_array_equal(path.trace, want.trace)
         np.testing.assert_array_equal(coefs[c], alone.solve(lams[c]))
+        assert path.best_lambda[c] == want.best_lambda
+    assert path.best_lambda.shape == (3,)
     for bad in (F[0], F[:, :6]):
         with pytest.raises(ValueError, match=r"responses are \(.*\), expected \(C, 7, 3\)"):
             RidgeSystem(DataSet(U=U, F=F[0], basis=basis_p3), km_p3, responses=bad)
+
+
+def test_best_lambda_of_a_stacked_sweep_is_one_per_row_with_ties_to_the_smaller():
+    lambdas = np.array([0.1, 1.0, 10.0])
+    gcv = np.array([[3.0, 2.0, 2.0], [1.0, 1.0, 5.0], [4.0, 3.0, 0.5]])
+    stacked = SweepResult(lambdas=lambdas, rss=gcv, gcv=gcv, trace=lambdas)
+    np.testing.assert_array_equal(stacked.best_lambda, [1.0, 0.1, 10.0])
+    for row, want in zip(gcv, [1.0, 0.1, 10.0]):
+        single = SweepResult(lambdas=lambdas, rss=row, gcv=row, trace=lambdas).best_lambda
+        assert type(single) is float and single == want
 
 
 @pytest.mark.parametrize("case", ["zero_column", "n_below_p", "noiseless", "stack"])

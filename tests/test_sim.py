@@ -1,7 +1,8 @@
 """Tests for data generation, calibration, ESS/TSS, and the MC harness."""
 
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +30,15 @@ from diffreg import (
     tss,
 )
 from diffreg.regress import lambda_path
-from diffreg.sim import RepRecord
+
+
+def records(report):
+    """One namespace per replication of ``report``, holding that row of every column."""
+    cols = report.columns
+    return [
+        SimpleNamespace(**{name: None if col is None else col[i] for name, col in cols.items()})
+        for i in range(len(cols["rep"]))
+    ]
 
 
 def test_calibrate_sigma_closed_form_single_term():
@@ -114,7 +123,7 @@ def test_ess_theta_exactly_quadratic_in_sigma():
     report_b = run_mc(SimConfig(snr=6.0, **base))
     sigma_a = calibrate_sigma(0.0, 3.0)
     sigma_b = calibrate_sigma(0.0, 6.0)
-    ratio = report_a.records[0].ess_theta / report_b.records[0].ess_theta
+    ratio = report_a.columns["ess_theta"][0] / report_b.columns["ess_theta"][0]
     assert ratio == pytest.approx((sigma_a / sigma_b) ** 2, rel=1e-10)
 
 
@@ -122,7 +131,7 @@ def test_run_mc_deterministic():
     config = SimConfig(n=40, reps=3, seed=8, B=100, refine_rounds=1)
     r1 = run_mc(config)
     r2 = run_mc(config)
-    for a, b in zip(r1.records, r2.records):
+    for a, b in zip(records(r1), records(r2), strict=True):
         np.testing.assert_array_equal(a.ess_lambda, b.ess_lambda)
         assert a.p_value == b.p_value
         assert a.theta_hat == b.theta_hat
@@ -132,7 +141,7 @@ def test_run_mc_single_rep_aggregation_identity():
     config = SimConfig(n=40, reps=1, seed=10, B=100)
     report = run_mc(config)
     summary = report.summary()
-    rec = report.records[0]
+    rec = records(report)[0]
     assert summary["ess_theta"]["mean"] == pytest.approx(rec.ess_theta)
     assert summary["ess_theta"]["se"] == 0.0
     assert summary["per_lambda"]["1000"]["ess"]["mean"] == pytest.approx(rec.ess_lambda[3])
@@ -143,7 +152,7 @@ def test_run_mc_records_match_replication_dataset():
     report = run_mc(config)
     for rep in range(2):
         data, mu = replication_dataset(config, rep)
-        assert report.records[rep].tss == pytest.approx(tss(data, mu), rel=1e-12)
+        assert report.columns["tss"][rep] == pytest.approx(tss(data, mu), rel=1e-12)
 
 
 def test_run_mc_factors_the_kernel_once(monkeypatch):
@@ -166,11 +175,11 @@ def test_run_mc_reuses_given_kernels(monkeypatch):
     want = run_mc(config)
     monkeypatch.setattr(sim, "assemble", None)  # a rebuild would fail
     got = run_mc(config, kernels=kernels)
-    for a, b in zip(want.records, got.records):
+    for a, b in zip(records(want), records(got), strict=True):
         np.testing.assert_array_equal(a.ess_lambda, b.ess_lambda)
         assert a.p_value == b.p_value
     # another omega cell shares the kernels
-    assert run_mc(replace(config, omega=1.5), kernels=kernels).records
+    assert run_mc(replace(config, omega=1.5), kernels=kernels).columns["rep"].size
 
 
 @pytest.mark.parametrize("change", [{"p": 5}, {"n_quad": 101}, {"h": 0.02}])
@@ -280,15 +289,15 @@ def test_permuted_lambda_grid_gives_identical_records():
     ascending = run_mc(SimConfig(lambda_grid=(1e0, 1e1, 1e2, 1e3, 1e4, 1e5), **base))
     permuted = run_mc(SimConfig(lambda_grid=[1e3, 1e0, 1e5, 1e1, 1e4, 1e2], **base))
     assert permuted.config.lambda_grid == ascending.config.lambda_grid
-    for a, b in zip(ascending.records, permuted.records):
-        for name, value in vars(a).items():
-            np.testing.assert_array_equal(getattr(b, name), value, err_msg=name)
+    assert list(permuted.columns) == list(ascending.columns)
+    for name, value in ascending.columns.items():
+        np.testing.assert_array_equal(permuted.columns[name], value, err_msg=name)
 
 
 def test_records_share_the_sweep_computation():
     config = SimConfig(n=40, seed=8, run_test=False, refine_rounds=0,
                        lambda_grid=[1e3, 1e0, 1e5, 1e1, 1e4, 1e2])
-    record = run_mc(config).records[0]
+    record = records(run_mc(config))[0]
     data, _ = replication_dataset(config, 0)
     km = assemble(
         data.basis, neg_laplacian(), identity_op(), neg_laplacian(), KernelSpec(h=config.h)
@@ -303,7 +312,7 @@ def test_records_share_the_sweep_computation():
 def test_gcv_tie_resolves_to_the_smaller_lambda():
     # at lambda this large the fit is zero to the last bit, so both GCV values are equal
     config = SimConfig(n=40, seed=3, run_test=False, refine_rounds=0, lambda_grid=(1e301, 1e300))
-    record = run_mc(config).records[0]
+    record = records(run_mc(config))[0]
     assert record.gcv_lambda[0] == record.gcv_lambda[1]
     assert record.gcv_best_lambda == 1e300
 
@@ -332,7 +341,7 @@ def test_run_mc_fail_fast_and_skip(monkeypatch):
     assert started == [0, 1]
     lenient = SimConfig(n=30, reps=3, seed=12, run_test=False, refine_rounds=0, skip_failures=True)
     report = run_mc(lenient)
-    assert len(report.records) == 2
+    assert report.columns["rep"].tolist() == [0, 2]
     assert report.skipped[0][0] == 1
 
 
@@ -343,24 +352,24 @@ def test_gcv_mode_tie_goes_to_the_smallest_lambda():
         ((1e5, 1e2, 1e2, 1e5), 1e2),
         ((1e5, 1e0, 1e5, 1e2), 1e5),  # a strict majority still wins over a smaller lambda
     ):
-        records = tuple(replace(r, gcv_best_lambda=lam) for r, lam in zip(report.records, best))
-        assert replace(report, records=records).summary()["gcv_best_lambda_mode"] == mode
+        columns = {**report.columns, "gcv_best_lambda": np.array(best)}
+        assert replace(report, columns=columns).summary()["gcv_best_lambda_mode"] == mode
 
 
 def test_summary_means_and_errors_equal_the_one_dimensional_ones():
     report = run_mc(SimConfig(n=30, p=4, reps=5, B=100, seed=9, refine_rounds=1))
     summary = report.summary()
     for name, values in (
-        ("ess_theta", [r.ess_theta for r in report.records]),
-        ("tss", [r.tss for r in report.records]),
-        ("q_n", [r.q_n for r in report.records]),
+        ("ess_theta", [r.ess_theta for r in records(report)]),
+        ("tss", [r.tss for r in records(report)]),
+        ("q_n", [r.q_n for r in records(report)]),
     ):
         arr = np.asarray(values, dtype=float)
         se = float(arr.std(ddof=1) / np.sqrt(arr.size))
         assert summary[name] == {
             "mean": float(arr.mean()), "se": se, "display": f"{arr.mean():.4g} ({se:.2g})"
         }
-    trace = np.array([r.trace_lambda[2] for r in report.records])
+    trace = np.array([r.trace_lambda[2] for r in records(report)])
     assert summary["per_lambda"]["100"]["trace"]["mean"] == float(trace.mean())
 
 
@@ -474,10 +483,9 @@ def study(**settings):
 def assert_same_report(got, want):
     assert got.config == want.config
     assert got.skipped == want.skipped
-    assert [rec.rep for rec in got.records] == [rec.rep for rec in want.records]
-    for a, b in zip(got.records, want.records):
-        for f in fields(RepRecord):
-            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), err_msg=f.name)
+    assert list(got.columns) == list(want.columns)
+    for name, value in want.columns.items():
+        np.testing.assert_array_equal(got.columns[name], value, err_msg=name)
     assert [rep for rep, _ in got.bootstrap_dumps] == [rep for rep, _ in want.bootstrap_dumps]
     for (_, a), (_, b) in zip(got.bootstrap_dumps, want.bootstrap_dumps):
         np.testing.assert_array_equal(a, b)
@@ -501,7 +509,7 @@ def test_a_study_draws_each_replications_bootstrap_block_once(monkeypatch):
     assert seeds == [sim._rep_streams(14, rep)[1] for rep in range(3)]
     # one test call per replication, over all three cells
     assert tested == [3, 3, 3]
-    assert all(len(report.records) == 3 for report in reports)
+    assert all(len(report.columns["rep"]) == 3 for report in reports)
     # without a test there is no block to draw
     seeds.clear()
     tested.clear()
@@ -516,7 +524,7 @@ def test_each_cell_of_a_study_equals_run_mc_of_that_cell(monkeypatch):
     for got, config in zip(run_mc_cells(configs, kernels=kernels), configs, strict=True):
         assert_same_report(got, run_mc(config))
         # each test drew the block of its replication's seed, as a test of its own would
-        for rec in got.records:
+        for rec in records(got):
             data, _ = replication_dataset(config, rec.rep, basis)
             seed = sim._rep_streams(config.seed, rec.rep)[1]
             alone = gof.bootstrap_test(data, km, rec.test_lambda, family, B=config.B, seed=seed)
@@ -528,7 +536,7 @@ def test_each_cell_of_a_study_equals_run_mc_of_that_cell(monkeypatch):
     for got, config in zip(reports, configs, strict=True):
         assert_same_report(got, run_mc(config))
     assert [report.skipped for report in reports] == [((1, "synthetic failure at 1"),)] * 3
-    assert [len(report.records) for report in reports] == [2, 2, 2]
+    assert [len(report.columns["rep"]) for report in reports] == [2, 2, 2]
 
 
 def test_a_study_fails_fast_in_replication_order(monkeypatch):
@@ -604,8 +612,8 @@ def test_each_record_equals_the_public_per_cell_functions(settings):
     basis, km = kernels = mc_kernels(configs[0])
     family = gof.ParamFamily.scaled_neg_laplacian(basis)
     for report, config in zip(run_mc_cells(configs, kernels=kernels), configs, strict=True):
-        assert [rec.rep for rec in report.records] == list(range(config.reps))
-        for rec in report.records:
+        assert report.columns["rep"].tolist() == list(range(config.reps))
+        for rec in records(report):
             data, mu = replication_dataset(config, rec.rep, basis)
             system = RidgeSystem(data, km)
             path, operators = lambda_path(system, config.lambda_grid)

@@ -336,7 +336,7 @@ def path_check(case: dict, work: str, routes: dict) -> dict:
     at_min = system.fitted(system.solve(lams[:, None]))
     alone = diffreg.RidgeSystem(draw(diffreg, case["p"], case["n"]), system.km)
     gaps = {
-        "rss_gap": gap([s.rss for s in stack.sweeps], sum_sq(system.F - fits)),
+        "rss_gap": gap(stack.sweep.rss, sum_sq(system.F - fits)),
         "ess_gap": gap(stack.ess_lambda, sum_sq(fits - truth)),
         "ess_min_gap": gap(values, sum_sq(at_min - truth)[:, 0]),
         "sweep_rss_gap": gap(sweep.rss, sum_sq(alone.F - alone.fitted(alone.solve(grid)))),

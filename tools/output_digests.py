@@ -13,8 +13,9 @@ that claims no numerical change must leave the printed list unchanged:
     diff before.txt after.txt
 
 The set covers simulate (a small table4 study under --threads 1 and 2, the
-same study with its lambda grid reversed, and a gcv_min/parametric cell
-with refine_rounds 3; --threads is accepted and ignored, so the
+same study with its lambda grid reversed, a gcv_min/parametric cell with
+refine_rounds 3, and a small cell with run_test false, the only records file
+whose four test columns are empty; --threads is accepted and ignored, so the
 ``simulate_table4_t2`` cell checks that the flag changes nothing: its
 digests must equal those of ``simulate_table4_t1``); fit and test on the
 dataset ``simulate_table4_t1`` dumps, which diffreg wrote with its .npz
@@ -73,6 +74,17 @@ SIM_GCV_CELL = {
     "test_lambda": "gcv_min",
     "refine_rounds": 3,
     "keep_bootstrap": 1,
+}
+SIM_NO_TEST_CELL = {
+    "n": 30,
+    "p": 4,
+    "n_quad": 41,
+    "snr": 3.0,
+    "omegas": [0.84],
+    "reps": 3,
+    "seed": 5,
+    "run_test": False,
+    "refine_rounds": 1,
 }
 
 
@@ -172,6 +184,7 @@ def main(argv: list[str]) -> int:
             "--preset", "table4", "--threads", threads)
     run("simulate", "simulate_table4_reversed_grid", SIM_REVERSED_GRID, "--preset", "table4")
     run("simulate", "simulate_gcv_parametric", SIM_GCV_CELL)
+    run("simulate", "simulate_no_test", SIM_NO_TEST_CELL)
     # a dataset diffreg wrote, so it loads from its sidecars where the tree writes them
     dumped = {
         "dataset": {"u_csv": "simulate_table4_t1/U.csv", "f_csv": "simulate_table4_t1/F.csv"},
