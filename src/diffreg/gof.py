@@ -220,66 +220,59 @@ def bootstrap_test(
     ``bootstrap_multipliers``).  ``seed`` must be a non-negative integer.
     This is ``residual_test`` of one cell.
     """
-    if B < 100:
-        raise ValueError(f"B must be >= 100, got {B}")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     check_lambdas(lam)
     system = RidgeSystem(data, km)
     theta = fit_parametric(data, family)
     eps_null = data.F - family.apply(data.U, theta.theta)
     eps_fit = data.F - system.fitted(system.solve(lam))
-    (result,) = residual_test(
-        system, [lam], [theta], eps_null[None], eps_fit[None], B, strategy, seed
-    )
-    return result
+    q_n, q_boot, p_value = residual_test(system, [lam], eps_null[None], eps_fit[None], B,
+                                         strategy, seed)
+    return GofResult(theta=theta, q_n=float(q_n[0]), bootstrap_values=q_boot[0],
+                     p_value=float(p_value[0]), strategy=strategy, lam=lam, seed=seed,
+                     n_parametric_replicates=_n_parametric(B, strategy))
+
+
+def _n_parametric(B: int, strategy: str) -> int:
+    """How many of the B replicates of ``strategy`` resample the null residuals."""
+    if B < 100:
+        raise ValueError(f"B must be >= 100, got {B}")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    return {"parametric": B, "nonparametric": 0}.get(strategy, int(round(B / 3)))
 
 
 def residual_test(
     system: RidgeSystem,
     lams: Sequence[float],
-    thetas: Sequence[ParametricFit],
     eps_null: np.ndarray,
     eps_fit: np.ndarray,
     B: int,
     strategy: str,
     seed: int,
-) -> tuple[GofResult, ...]:
-    """The test of ``bootstrap_test`` for C cells on one system; one result per cell.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The test of ``bootstrap_test`` for C cells on one system, as arrays.
 
-    Cell c is tested at ``lams[c]`` on its (n, p) residuals ``eps_null[c]``,
-    those of the parametric fit ``thetas[c]``, and ``eps_fit[c]``; both
-    residual arrays are (C, n, p) and the arguments are checked.  The (B, n)
-    block of ``seed`` is drawn once and every cell's products run on it, so
-    each result equals that cell's test alone, bit for bit.  The products
-    run one cell at a time and hold (n, p^2) numbers at their peak: stacked
-    over the cells they held C times that, which freshly allocated memory
-    made slower at the simulation sizes.
+    Cell c is tested at ``lams[c]`` on its (n, p) null residuals
+    ``eps_null[c]`` and fit residuals ``eps_fit[c]``, both (C, n, p).
+    Returns the (C,) statistics q_n, the (C, B) bootstrap replicates and the
+    (C,) p-values; row c equals that cell's ``bootstrap_test``, bit for bit,
+    as the (B, n) block of ``seed`` is drawn once and every cell's products
+    run on it.  ``B`` must be >= 100, ``strategy`` one of STRATEGIES, and
+    ``lams`` must hold one lambda per cell.  The products run one cell at a
+    time and hold (n, p^2) numbers at their peak: stacked over the cells
+    they held C times that, which freshly allocated memory made slower at
+    the simulation sizes.
     """
     n = system.n
-    n_para = B if strategy == "parametric" else 0
-    if strategy == "mixed":
-        n_para = int(round(B / 3))
+    n_para = _n_parametric(B, strategy)
     multipliers = bootstrap_multipliers(n, B, seed)
-
-    results = []
-    for lam, theta, null, fit in zip(lams, thetas, eps_null, eps_fit):
+    q_n, q_boot = np.empty(len(eps_null)), np.empty((len(eps_null), B))
+    for c, (lam, null, fit) in enumerate(zip(lams, eps_null, eps_fit, strict=True)):
         # the null residuals' outer product serves q_n and the null block of the bootstrap
         outer = system.residual_outer(null)
-        q_n = float(system.projected_sq_norms(lam, np.ones((1, n)) @ outer)[0]) / n
-        q_null = system.projected_sq_norms(lam, multipliers[:n_para] @ outer)
+        q_n[c] = system.projected_sq_norms(lam, np.ones((1, n)) @ outer)[0] / n
+        q_boot[c, :n_para] = system.projected_sq_norms(lam, multipliers[:n_para] @ outer)
         del outer  # freed before the fit residuals' (n, p^2) product is built
-        q_fit = system.smoothed_sq_norms(lam, fit, multipliers[n_para:])
-        q_boot = np.concatenate([q_null, q_fit]) / n
-        p_value = 1.0 - float(np.count_nonzero(q_n >= q_boot)) / B
-        results.append(GofResult(
-            theta=theta,
-            q_n=q_n,
-            bootstrap_values=q_boot,
-            p_value=p_value,
-            strategy=strategy,
-            lam=lam,
-            seed=seed,
-            n_parametric_replicates=n_para,
-        ))
-    return tuple(results)
+        q_boot[c, n_para:] = system.smoothed_sq_norms(lam, fit, multipliers[n_para:])
+    q_boot /= n
+    return q_n, q_boot, 1.0 - np.count_nonzero(q_n[:, None] >= q_boot, axis=1) / B

@@ -163,8 +163,8 @@ def load_trajectories(path: str, schema: TableSchema, lenient: bool = False) -> 
     """Parse a trajectory CSV into per-subject tracks.
 
     Rows with missing or non-numeric fields raise a parse error naming the
-    line, or are dropped and counted when ``lenient`` is set.  Blank lines
-    are skipped and not counted.
+    row's first line in the file, or are dropped and counted when
+    ``lenient`` is set.  Blank lines are skipped and not counted as dropped.
 
     The file is parsed in one pass by :func:`numpy.loadtxt`, with the
     subject column as Python strings and the value columns as floats.
@@ -206,7 +206,7 @@ def load_trajectories(path: str, schema: TableSchema, lenient: bool = False) -> 
             names, inverse, values = parse(fh)
         except ValueError:
             kept = []
-            for lineno, (row, text) in enumerate(_data_records(fh), start=2):
+            for lineno, row, text in _data_records(fh):
                 try:
                     check(row)
                 except ValueError as exc:
@@ -250,9 +250,11 @@ def _loadtxt(lines, **kwargs) -> np.ndarray | None:
 
 
 def _data_records(fh):
-    """Each non-blank CSV record after the header of ``fh``, as (fields, its source lines).
+    """Each non-blank CSV record after the header of ``fh``, as (the number of its
+    first line, its fields, its source lines).
 
-    Reads the file again from its start.
+    Reads the file again from its start.  Lines are numbered from 1, blank
+    lines and every line of a multi-line quoted field counted.
     """
     fh.seek(0)
     lines = fh.readlines()
@@ -261,7 +263,7 @@ def _data_records(fh):
     start = reader.line_num
     for row in reader:
         if row:
-            yield row, "".join(lines[start : reader.line_num])
+            yield start + 1, row, "".join(lines[start : reader.line_num])
         start = reader.line_num
 
 
@@ -558,7 +560,7 @@ def _sidecar_matrix(path: str, raw: bytes, width: int) -> np.ndarray | None:
 
 def _bad_data_row(path: str, width: int, fh, exc: ValueError) -> DataError:
     """The error naming the first data row of ``fh`` that is ragged or holds a non-number."""
-    for k, (row, _) in enumerate(_data_records(fh), start=1):
+    for k, (_, row, _) in enumerate(_data_records(fh), start=1):
         if len(row) != width:
             return DataError(
                 f"{path}: ragged rows: data row {k} has {len(row)} fields, the header {width}"

@@ -17,12 +17,11 @@ from __future__ import annotations
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from types import SimpleNamespace
 
 import numpy as np
 
 from .basis import BasisSystem, DataSet, make_cosine_basis
-from .gof import STRATEGIES, ParamFamily, ParametricFit, raw_thetas, residual_test
+from .gof import STRATEGIES, ParamFamily, raw_thetas, residual_test
 from .gof import bootstrap_test  # noqa: F401  perfbench/tracer.py wraps sim.bootstrap_test by name
 from .kernels import DEFAULT_OPERATORS, KernelMatrices, KernelSpec, assemble, kernel_provenance
 from .regress import RidgeSystem, check_lambdas, lambda_path, sum_sq_diff
@@ -297,17 +296,16 @@ def _stack_rep(
     km: KernelMatrices,
     family: ParamFamily,
     data_seed: np.random.SeedSequence,
-) -> SimpleNamespace:
+) -> tuple[RidgeSystem, dict, tuple | None]:
     """The shared step of a replication: one draw, one factorization, stacked responses.
 
     Cell c's response is F_c = U mu_c + sigma_c eps on the one draw (U, eps).
     The sweep, the ESS refinement, the parametric fit and, when the cells
     test, both residual sets of every cell come from one RidgeSystem of U.
-    Returns the ``system``; the stacked ``sweep`` of (C, m) rows; per cell,
-    its ``fits`` and ``test_lambdas`` (None without a test); ``ess_min``, the
-    (C,) lambdas and ESS values of the refined minima; and, with a leading
-    cell axis, ``ess_lambda``, ``ess_theta``, ``tss``, ``eps_null`` and
-    ``eps_fit`` (None without a test).
+    Returns the ``system``; the records CSV's columns from ``ess_lambda`` to
+    ``tss``, in file order, each with a leading cell axis; and, when the
+    cells test, the ``residual_test`` arguments (C test lambdas, (C, n, p)
+    null and fit residuals), else None.
     """
     first = configs[0]
     U, noise = _draw(first, np.random.default_rng(data_seed))
@@ -321,32 +319,31 @@ def _stack_rep(
         lambda lams: operator_ess(system, system.operator_matrix(system.solve(lams)), mus[:, None]),
         grid, ess_l, first.refine_rounds,
     )
-
-    fits = tuple(ParametricFit.clip(float(theta)) for theta in raw_thetas(U, F, family))
-    null_fit = family.apply(U, np.array([fit.theta for fit in fits])[:, None, None])
-    test_lambdas = eps_null = eps_fit = None
-    if first.run_test:
-        if first.test_lambda == "ess_min":
-            test_lambdas = ess_min[0].tolist()
-        elif first.test_lambda == "gcv_min":
-            test_lambdas = sweep.best_lambda.tolist()
-        else:
-            test_lambdas = [float(first.test_lambda)] * len(configs)
-        eps_null = F - null_fit
-        fit_at_test = system.fitted(system.solve(np.array(test_lambdas)[:, None]))
-        eps_fit = (system.F - fit_at_test)[:, 0]
-    return SimpleNamespace(
-        system=system,
-        sweep=sweep,
-        ess_lambda=ess_l,
-        ess_min=ess_min,
-        fits=fits,
-        ess_theta=ess(null_fit, data, mus[:, None]),
-        tss=tss(data, mus[:, None]),
-        test_lambdas=test_lambdas,
-        eps_null=eps_null,
-        eps_fit=eps_fit,
-    )
+    # clipped at the boundary of (0, inf) as ParametricFit.clip clips, -0.0 and NaN kept
+    thetas = [max(theta, 0.0) for theta in raw_thetas(U, F, family).tolist()]
+    null_fit = family.apply(U, np.array(thetas)[:, None, None])
+    columns = {
+        "ess_lambda": ess_l,
+        "rss_lambda": sweep.rss,
+        "gcv_lambda": sweep.gcv,
+        "trace_lambda": np.broadcast_to(sweep.trace, sweep.gcv.shape),
+        "gcv_best_lambda": sweep.best_lambda,
+        "ess_min_lambda": ess_min[0],
+        "ess_min_value": ess_min[1],
+        "theta_hat": thetas,
+        "ess_theta": ess(null_fit, data, mus[:, None]),
+        "tss": tss(data, mus[:, None]),
+    }
+    if not first.run_test:
+        return system, columns, None
+    if first.test_lambda == "ess_min":
+        lams = ess_min[0].tolist()
+    elif first.test_lambda == "gcv_min":
+        lams = sweep.best_lambda.tolist()
+    else:
+        lams = [float(first.test_lambda)] * len(configs)
+    fit_at_test = system.fitted(system.solve(np.array(lams)[:, None]))
+    return system, columns, (lams, F - null_fit, (system.F - fit_at_test)[:, 0])
 
 
 def _rep_streams(seed: int, rep: int) -> tuple[np.random.SeedSequence, int]:
@@ -402,8 +399,11 @@ def run_mc_cells(
     the shared predictors; the sweep, the ESS refinement, the parametric fit
     and both residual sets then run over a leading cell axis.  The bootstrap
     test of every cell is one ``residual_test`` call on one (B, n) block.
-    The study stacks the replications' (C, ...) results once, at its end,
-    into each cell's ``McReport.columns``.  Each cell's report equals
+    A replication's columns are those of ``_stack_rep`` after ``rep``, then
+    the test's ``test_lambda``, ``q_n`` and ``p_value``, each (C, ...); the
+    study stacks them once, at its end, into each cell's ``McReport.columns``,
+    and keeps rows of the (C, B) replicate block as the bootstrap dumps of
+    the first ``keep_bootstrap`` replications.  Each cell's report equals
     ``run_mc`` of that cell alone, bit for bit.
 
     A failing replication aborts the study before the next replication
@@ -443,37 +443,21 @@ def run_mc_cells(
     for rep in range(first.reps):
         data_seed, boot_seed = _rep_streams(first.seed, rep)
         try:
-            stack = _stack_rep(configs, basis, km, family, data_seed)
-            tests = ()
-            if first.run_test:
-                tests = residual_test(stack.system, stack.test_lambdas, stack.fits, stack.eps_null,
-                                      stack.eps_fit, first.B, first.strategy, boot_seed)
+            system, cols, test = _stack_rep(configs, basis, km, family, data_seed)
+            if test:
+                q_n, q_boot, p_value = residual_test(system, *test, first.B, first.strategy,
+                                                     boot_seed)
         except Exception as exc:
             if not first.skip_failures:
                 raise RuntimeError(f"{where}replication {rep} failed: {exc}") from exc
             skipped.append((rep, str(exc)))
         else:
-            sweep = stack.sweep
-            cols = {
-                "rep": [rep] * len(configs),
-                "ess_lambda": stack.ess_lambda,
-                "rss_lambda": sweep.rss,
-                "gcv_lambda": sweep.gcv,
-                "trace_lambda": np.broadcast_to(sweep.trace, sweep.gcv.shape),
-                "gcv_best_lambda": sweep.best_lambda,
-                "ess_min_lambda": stack.ess_min[0],
-                "ess_min_value": stack.ess_min[1],
-                "theta_hat": [fit.theta for fit in stack.fits],
-                "ess_theta": stack.ess_theta,
-                "tss": stack.tss,
-            }
-            if tests:
-                cols["test_lambda"] = [gof.lam for gof in tests]
-                cols["q_n"] = [gof.q_n for gof in tests]
-                cols["p_value"] = [gof.p_value for gof in tests]
-            if rep < first.keep_bootstrap:
-                for cell, gof in enumerate(tests):
-                    dumps[cell].append((rep, gof.bootstrap_values))
+            cols = {"rep": [rep] * len(configs), **cols}
+            if test:
+                cols.update(test_lambda=test[0], q_n=q_n, p_value=p_value)
+                if rep < first.keep_bootstrap:
+                    for cell, values in enumerate(q_boot):
+                        dumps[cell].append((rep, values))
             done.append(cols)
         if progress:
             print(f"\rreplication {rep + 1}/{first.reps}", end="", file=sys.stderr)

@@ -213,16 +213,37 @@ def test_residual_test_of_c_cells_equals_one_bootstrap_test_per_cell(
         eps_null.append(data.F - family.apply(U, thetas[-1].theta))
         eps_fit.append(data.F - system.fitted(system.solve(lam)))
     stacked = RidgeSystem(datasets[0], km_p3, responses=F)
-    got = gof.residual_test(stacked, lams, thetas, np.stack(eps_null), np.stack(eps_fit),
-                            100, strategy, 6)
-    assert len(got) == cells
-    for result, data, lam in zip(got, datasets, lams, strict=True):
+    q_n, q_boot, p_value = gof.residual_test(stacked, lams, np.stack(eps_null),
+                                             np.stack(eps_fit), 100, strategy, 6)
+    assert q_n.shape == p_value.shape == (cells,) and q_boot.shape == (cells, 100)
+    n_para = {"parametric": 100, "nonparametric": 0, "mixed": 33}[strategy]
+    for c, (theta, data, lam) in enumerate(zip(thetas, datasets, lams, strict=True)):
         alone = bootstrap_test(data, km_p3, lam, family, B=100, strategy=strategy, seed=6)
-        assert result.theta == alone.theta
-        assert (result.q_n, result.p_value, result.lam) == (alone.q_n, alone.p_value, alone.lam)
-        np.testing.assert_array_equal(result.bootstrap_values, alone.bootstrap_values)
-        assert result.to_json_dict() == alone.to_json_dict()
-    assert cells == 1 or got[1].theta.clipped
+        assert theta == alone.theta
+        assert (q_n[c], p_value[c], lam) == (alone.q_n, alone.p_value, alone.lam)
+        np.testing.assert_array_equal(q_boot[c], alone.bootstrap_values)
+        assert alone.to_json_dict() == {
+            "theta_hat": theta.theta, "theta_raw": theta.theta_raw,
+            "theta_clipped": theta.clipped, "q_n": q_n[c], "p_value": p_value[c],
+            "strategy": strategy, "lambda": lam, "seed": 6, "n_bootstrap": 100,
+            "n_parametric_replicates": n_para,
+        }
+    assert cells == 1 or thetas[1].clipped
+
+
+def test_residual_test_checks_its_arguments(basis_p3, km_p3):
+    U, F = random_dataset(basis_p3, n=10, seed=17)
+    system = RidgeSystem(DataSet(U=U, F=F, basis=basis_p3), km_p3)
+    eps = (F - U)[None]
+    for B, strategy, lams, message in (
+        (100, "bogus", [1.0], "strategy must be one of"),
+        (99, "mixed", [1.0], "B must be >= 100"),
+        (5, "parametric", [1.0], "B must be >= 100"),
+        (100, "mixed", [1.0, 2.0], r"zip\(\) argument 2 is shorter"),
+        (100, "nonparametric", [], r"zip\(\) argument 2 is longer"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            gof.residual_test(system, lams, eps, eps, B, strategy, 6)
 
 
 def test_bootstrap_seed_changes_replicates(basis_p3, km_p3):

@@ -147,6 +147,20 @@ def test_load_malformed_row_strict_and_lenient(tmp_path):
         assert len(table.subjects["s0"].ordinate) == len(rows) - 1
 
 
+@pytest.mark.parametrize("before", [
+    pytest.param("s0,6.3,280,300\n\n\n", id="blank_lines"),
+    pytest.param('"s\n1",6.3,280,300\ns0,6.4,281,301\n', id="multi_line_field"),
+])
+def test_a_malformed_row_is_named_by_its_line_in_the_file(tmp_path, before):
+    path = tmp_path / "lines.csv"
+    # the bad row sits on line 5, after lines 2-4 that hold one or two records
+    path.write_text(f"subject,log_p,T_real,T_pot\n{before}s0,abc,3.0,1.0\ns0,6.5,282,302\n",
+                    newline="")
+    with pytest.raises(DataError, match="malformed row at line 5: could not convert"):
+        load_trajectories(str(path), SCHEMA)
+    assert load_trajectories(str(path), SCHEMA, lenient=True).dropped_rows == 1
+
+
 def test_load_missing_column(tmp_path):
     path = tmp_path / "cols.csv"
     write_rows(path, [["s0", "6.3", "280"]], header=("subject", "log_p", "T_real"))
@@ -686,7 +700,12 @@ def reference_load_trajectories(path, schema, lenient=False):
         subject_col = index[schema.subject]
         value_cols = [index[c] for c in columns[1:]]
         width = max(subject_col, *value_cols) + 1
-        for lineno, row in enumerate(filter(None, reader), start=2):
+        start = reader.line_num
+        for row in reader:
+            # a record is named by its first line: blank lines and quoted line breaks count
+            first, start = start + 1, reader.line_num
+            if not row:
+                continue
             try:
                 if len(row) < width:
                     raise ValueError(f"row has {len(row)} of the header's {len(header)} fields")
@@ -698,7 +717,7 @@ def reference_load_trajectories(path, schema, lenient=False):
                 if lenient:
                     dropped += 1
                     continue
-                raise DataError(f"{path}: malformed row at line {lineno}: {exc}") from exc
+                raise DataError(f"{path}: malformed row at line {first}: {exc}") from exc
             raw.setdefault(subject, []).append(values)
     if not raw:
         raise DataError(f"{path}: no usable rows")

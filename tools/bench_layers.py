@@ -27,10 +27,11 @@ of this tree on that case, and its cases:
 - ``path`` (n = 200, p = 10, as ``mc_power`` runs it; and n = 2000, p = 20):
   the shared step of one replication of the five omega cells of ``table4``
   without their test (``replication``: the draw, the factorization, the
-  lambda sweep, its ESS and 2 rounds of ESS refinement, the parametric fit),
-  and ``gcv_sweep`` of one dataset on the preset's grid (``sweep``).
-  ``agrees``: RSS and ESS on the grid, the refined minima's ESS and the
-  sweep's RSS lie within PATH_TOL of sums over the explicit n x p fits.
+  lambda sweep, its ESS and 2 rounds of ESS refinement, the parametric fit,
+  returned as the records CSV's columns), and ``gcv_sweep`` of one dataset
+  on the preset's grid (``sweep``).  ``agrees``: the RSS and ESS columns on
+  the grid, the refined minima's ESS and the sweep's RSS lie within PATH_TOL
+  of sums over the explicit n x p fits.
 - ``setup`` (p = 10, n_quad = 201, as ``mc_power`` sets up; and p = 20,
   n_quad = 401, as ``analysis_large`` does): one fresh interpreter, started
   with the tree's ``src`` alone on PYTHONPATH, that imports ``diffreg.cli``
@@ -319,8 +320,8 @@ def path_routes(pkg, case: dict, work: str) -> dict:
 def path_check(case: dict, work: str, routes: dict) -> dict:
     """The largest relative gaps of the replication's and the sweep's sums from those
     over the explicit n x p fits, and whether all are within PATH_TOL."""
-    stack, sweep = routes["replication"](), routes["sweep"]()
-    system, grid = stack.system, sweep.lambdas
+    (system, columns, _), sweep = routes["replication"](), routes["sweep"]()
+    grid = sweep.lambdas
     mus = np.array([diffreg.true_multipliers(c.omega, c.p, c.eigen_sign)
                     for c in path_configs(diffreg, case)])
     truth = system.data.U * mus[:, None, None]
@@ -332,12 +333,12 @@ def path_check(case: dict, work: str, routes: dict) -> dict:
         return float(np.max(np.abs(np.asarray(got) - want) / np.abs(want)))
 
     fits = system.fitted(system.solve(grid))
-    lams, values = stack.ess_min
+    lams, values = columns["ess_min_lambda"], columns["ess_min_value"]
     at_min = system.fitted(system.solve(lams[:, None]))
     alone = diffreg.RidgeSystem(draw(diffreg, case["p"], case["n"]), system.km)
     gaps = {
-        "rss_gap": gap(stack.sweep.rss, sum_sq(system.F - fits)),
-        "ess_gap": gap(stack.ess_lambda, sum_sq(fits - truth)),
+        "rss_gap": gap(columns["rss_lambda"], sum_sq(system.F - fits)),
+        "ess_gap": gap(columns["ess_lambda"], sum_sq(fits - truth)),
         "ess_min_gap": gap(values, sum_sq(at_min - truth)[:, 0]),
         "sweep_rss_gap": gap(sweep.rss, sum_sq(alone.F - alone.fitted(alone.solve(grid)))),
     }

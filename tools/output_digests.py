@@ -24,10 +24,11 @@ is written with numpy alone and parsed (a tree that writes no sidecars
 parses this one too, to the same digests); sweep, fit, test and
 spectrum on (p, n) = (10, 200), (20, 2000) and (10, 6) with no kernel
 cache, a cache written and a cache read; sweep at (10, 200) with its grid
-reversed; test at (10, 200) on the basis interval [0.5, 2.0], whose test
-family's multipliers are not those of the unit interval; fit under four L
-kinds and under P in {identity, first_derivative} crossed with B in
-{neg_laplacian, first_derivative}; fit at (20, 2000) with bandwidth
+reversed; test at (10, 200) under the nonparametric and the parametric
+strategy, whose replicates all resample the fit or the null residuals, and on
+the basis interval [0.5, 2.0], whose test family's multipliers are not those
+of the unit interval; fit under four L kinds and under P in {identity,
+first_derivative} crossed with B in {neg_laplacian, first_derivative}; fit at (20, 2000) with bandwidth
 h = 0.2, where K is singular and the jitter alone fixes c_hat on its null
 space; and ``ingest --preset era5`` on a small
 trajectory CSV with repeated ordinates, a subject split across the file
@@ -211,6 +212,10 @@ def main(argv: list[str]) -> int:
             for command, settings in commands.items():
                 run(command, f"{command}_{label}_{mode}", {**base, **settings, "kernel": kernel})
         if label == "p10_n200":
+            # the strategies whose replicate blocks are all fit (n_para = 0) or all null (n_para = B)
+            for strategy in ("nonparametric", "parametric"):
+                settings = {**base, **commands["test"], "strategy": strategy, "kernel": {}}
+                run("test", f"test_{label}_{strategy}", settings)
             # sweep sorts its grid, so this sweep.csv matches sweep_p10_n200_nocache's;
             # only the config embedded in sweep.json differs
             reversed_sweep = {"lambda_grid": commands["sweep"]["lambda_grid"][::-1], "kernel": {}}
