@@ -46,14 +46,16 @@ def composite_gauss_legendre(
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     n_panels = max(1, int(np.ceil(n_nodes / _PANEL_TARGET)))
     per, extra = divmod(n_nodes, n_panels)
-    counts = [per + 1] * extra + [per] * (n_panels - extra)
     edges = np.linspace(a, b, n_panels + 1)
-    rules = {count: np.polynomial.legendre.leggauss(count) for count in set(counts)}
+    lo, hi = edges[:-1, None], edges[1:, None]
     nodes, weights = [], []
-    for count, lo, hi in zip(counts, edges[:-1], edges[1:]):
-        x, w = rules[count]
-        nodes.append((hi - lo) / 2 * (x + 1) + lo)
-        weights.append(w * (hi - lo) / 2)
+    # the first `extra` panels hold per + 1 nodes and the others per: one broadcast each
+    for count, panels in ((per + 1, slice(0, extra)), (per, slice(extra, n_panels))):
+        if panels.start < panels.stop:
+            x, w = np.polynomial.legendre.leggauss(count)
+            span = hi[panels] - lo[panels]
+            nodes.append((span / 2 * (x + 1) + lo[panels]).ravel())
+            weights.append((w * span / 2).ravel())
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -114,12 +116,9 @@ class BasisSystem:
         ks = np.arange(1, self.p + 1)
         arg = np.outer(x - a, ks) * np.pi / L
         amp = np.sqrt(2.0 / L) * self.frequencies**order
-        if order % 2 == 0:
-            vals = amp * np.cos(arg)
-        else:
-            vals = -amp * np.sin(arg)
-        sign = {0: 1.0, 1: 1.0, 2: -1.0, 3: -1.0}[order % 4]
-        return sign * vals
+        # the derivatives of cos cycle through -sin, -cos, sin and cos
+        vals = amp * (np.cos(arg) if order % 2 == 0 else -np.sin(arg))
+        return vals if order % 4 < 2 else -vals
 
     def quad_values(self) -> np.ndarray:
         """phi_k on the quadrature grid, shape (n_quad, p)."""

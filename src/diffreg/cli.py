@@ -123,6 +123,24 @@ _DS_PROPS = {
     "kernel": _KERNEL_SCHEMA,
 }
 
+
+def _response_schema(kind: str, *required: str, **properties) -> dict:
+    """The schema of one ingest response type: its type, variable and ``properties``."""
+    return {
+        "type": "object",
+        "properties": {"type": {"const": kind}, "variable": {"type": "string"}, **properties},
+        "required": ["type", "variable", *required],
+        "additionalProperties": False,
+    }
+
+
+_RESPONSE_SCHEMAS = [
+    _response_schema("thermo", kappa={"type": "number", "minimum": 0}, p0=_NUM_POS),
+    _response_schema("identity"),
+    _response_schema("spectral", "multipliers",
+                     multipliers={"type": "array", "items": {"type": "number"}, "minItems": 1}),
+]
+
 SCHEMAS = {
     "simulate": {
         "type": "object",
@@ -211,44 +229,7 @@ SCHEMAS = {
                 "type": "object",
                 "properties": {
                     "predictor": {"type": "string"},
-                    "response": {
-                        "oneOf": [
-                            {
-                                "type": "object",
-                                "properties": {
-                                    "type": {"const": "thermo"},
-                                    "variable": {"type": "string"},
-                                    "kappa": {"type": "number", "minimum": 0},
-                                    "p0": _NUM_POS,
-                                },
-                                "required": ["type", "variable"],
-                                "additionalProperties": False,
-                            },
-                            {
-                                "type": "object",
-                                "properties": {
-                                    "type": {"const": "identity"},
-                                    "variable": {"type": "string"},
-                                },
-                                "required": ["type", "variable"],
-                                "additionalProperties": False,
-                            },
-                            {
-                                "type": "object",
-                                "properties": {
-                                    "type": {"const": "spectral"},
-                                    "variable": {"type": "string"},
-                                    "multipliers": {
-                                        "type": "array",
-                                        "items": {"type": "number"},
-                                        "minItems": 1,
-                                    },
-                                },
-                                "required": ["type", "variable", "multipliers"],
-                                "additionalProperties": False,
-                            },
-                        ]
-                    },
+                    "response": {"oneOf": _RESPONSE_SCHEMAS},
                     "interval": _PAIR,
                     "start_gate": {"oneOf": [_PAIR, {"type": "null"}]},
                     "end_gate": {"oneOf": [_PAIR, {"type": "null"}]},
@@ -600,26 +581,26 @@ def resolve_config(command: str, preset: str | None, config_path: str | None, se
 
 
 def main(argv=None) -> int:
+    # one flat parser: every command takes the same options
     parser = argparse.ArgumentParser(
         prog="diffreg",
         description="Differential function-on-function regression toolkit",
+        epilog="""commands:
+  simulate  run a Monte Carlo study
+  fit       fit the operator estimator to a dataset
+  test      run the bootstrap goodness-of-fit test
+  sweep     evaluate the GCV criterion over a lambda grid
+  spectrum  report the generalized eigenvalue diagnostic
+  ingest    build a dataset from trajectory CSV data""",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"diffreg {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("simulate", "run a Monte Carlo study"),
-        ("fit", "fit the operator estimator to a dataset"),
-        ("test", "run the bootstrap goodness-of-fit test"),
-        ("sweep", "evaluate the GCV criterion over a lambda grid"),
-        ("spectrum", "report the generalized eigenvalue diagnostic"),
-        ("ingest", "build a dataset from trajectory CSV data"),
-    ):
-        sp = sub.add_parser(name, help=blurb)
-        sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--preset", help="named preset (see diffreg.presets)")
-        sp.add_argument("--seed", type=int, help="override the config seed")
-        sp.add_argument("--threads", type=int, help="accepted, ignored; use OPENBLAS_NUM_THREADS")
-        sp.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--preset", help="named preset (see diffreg.presets)")
+    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--threads", type=int, help="accepted, ignored; use OPENBLAS_NUM_THREADS")
+    parser.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
 
     try:

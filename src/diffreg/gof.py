@@ -258,12 +258,13 @@ def residual_test(
     (C,) p-values; row c equals that cell's ``bootstrap_test``, bit for bit,
     as the (B, n) block of ``seed`` is drawn once and every cell's products
     run on it.  ``B`` must be >= 100, ``strategy`` one of STRATEGIES, and
-    ``lams`` must hold one lambda per cell.  The products run one cell at a
-    time and hold (n, p^2) numbers at their peak: stacked over the cells
-    they held C times that, which freshly allocated memory made slower at
-    the simulation sizes.
+    ``lams`` must hold one lambda per cell, each one ``check_lambdas``
+    admits.  The products run one cell at a time and hold (n, p^2) numbers
+    at their peak: stacked over the cells they held C times that, which
+    freshly allocated memory made slower at the simulation sizes.
     """
     n = system.n
+    check_lambdas(lams, "lambda", n)
     n_para = _n_parametric(B, strategy)
     multipliers = bootstrap_multipliers(n, B, seed)
     q_n, q_boot = np.empty(len(eps_null)), np.empty((len(eps_null), B))

@@ -69,20 +69,22 @@ class LinearOpSpec:
         )
 
     def apply_kernel_grid(
-        self, diff: np.ndarray, h: float, k1: np.ndarray | None = None
+        self, diff: np.ndarray, h: float, k1: np.ndarray | None = None, sq: np.ndarray | None = None
     ) -> np.ndarray:
         """[L_y K1](y, eta) on a grid, given diff = y - eta elementwise.
 
         Uses the analytic derivatives of the Gaussian; the first argument
-        (rows of ``diff``) is the differentiated one.  ``k1``, when given,
-        is ``gaussian_kernel(diff, h)`` already evaluated.
+        (rows of ``diff``) is the differentiated one.  ``k1`` and ``sq``,
+        when given, are ``gaussian_kernel(diff, h)`` and ``diff**2`` already
+        evaluated; the -d^2/dx^2 part is written over ``sq``.
         """
-        if k1 is None:
-            k1 = gaussian_kernel(diff, h)
+        k1 = gaussian_kernel(diff, h) if k1 is None else k1
+        sq = np.square(diff, out=np.empty(np.shape(diff))) if sq is None else sq
         return self._combine(
             lambda: k1,
             lambda: -diff / h**2 * k1,
-            lambda: (h**2 - diff**2) / h**4 * k1,
+            # (h^2 - sq) / h^4 * k1, in place
+            lambda: np.multiply(np.divide(np.subtract(h**2, sq, out=sq), h**4, out=sq), k1, out=sq),
         )
 
     def _combine(self, identity, first, neg_second) -> np.ndarray:
@@ -148,9 +150,25 @@ class KernelSpec:
             )
 
 
-def gaussian_kernel(diff: np.ndarray, h: float) -> np.ndarray:
-    """Density-normalized Gaussian kernel evaluated at pairwise differences."""
-    return np.exp(-(diff**2) / (2.0 * h * h)) / np.sqrt(2.0 * np.pi * h * h)
+#: K1 is exactly 0 where its exponent is below this: exp there is below 1e-304,
+#: and exp's subnormal results, and products with them, take a slow path on x86
+EXP_CUTOFF = -700.0
+
+
+def gaussian_kernel(diff: np.ndarray, h: float, sq: np.ndarray | None = None) -> np.ndarray:
+    """Density-normalized Gaussian kernel evaluated at pairwise differences.
+
+    Exactly 0 where the exponent -diff^2 / (2 h^2) is below EXP_CUTOFF.
+    ``sq``, when given, is ``diff**2`` already evaluated, and ``diff`` is unread.
+    """
+    sq = np.square(np.asarray(diff, dtype=float)) if sq is None else sq
+    # one new array, worked in place; sq / -(2 h^2) equals -sq / (2 h^2) bit for bit
+    k1 = np.divide(sq, -2.0 * h * h, out=np.empty(np.shape(sq)))
+    below = k1 < EXP_CUTOFF
+    np.exp(np.maximum(k1, EXP_CUTOFF, out=k1), out=k1)
+    k1 /= np.sqrt(2.0 * np.pi * h * h)
+    k1[below] = 0.0
+    return k1[()]  # a scalar for a scalar diff
 
 
 def kernel_gram(weights: np.ndarray, values: np.ndarray, kernel_grid: np.ndarray) -> np.ndarray:
@@ -271,7 +289,10 @@ def _factor_matrices(
     """The (x, xi) factor C, and the (y, eta) factors M and M_L for the given L."""
     nodes, w = basis.quad_nodes, basis.quad_weights
     diff = nodes[:, None] - nodes[None, :]
-    k1 = gaussian_kernel(diff, spec.h)
+    # each n_quad^2 grid is a fresh allocation, which costs more to touch than to fill:
+    # diff is squared in place unless L's d/dx reads it, and L's grid is written over its square
+    sq = np.square(diff, out=None if L.kind == "first_derivative" else diff)
+    k1 = gaussian_kernel(diff, spec.h, sq)
 
     C = kernel_gram(w, P.apply_at(basis, nodes), k1)
     C = (C + C.T) / 2
@@ -285,7 +306,7 @@ def _factor_matrices(
     M = (M + M.T) / 2
     if L.kind == "identity":
         return C, (M, M)
-    return C, (M, kernel_gram(w, phi, L.apply_kernel_grid(diff, spec.h, k1)))
+    return C, (M, kernel_gram(w, phi, L.apply_kernel_grid(diff, spec.h, k1, sq)))
 
 
 def kernel_provenance(
@@ -334,17 +355,14 @@ def assemble(
 
 
 def save_kernel_matrices(km: KernelMatrices, path: str) -> None:
-    """Write C, M, M_L and the provenance header to an .npz file.
+    """Write C, M, M_L and the provenance header to an uncompressed .npz file.
 
     The file is written with :func:`~diffreg.fileio.write_atomic`, so a
     reader never sees a partial cache.
     """
     buf = io.BytesIO()
-    np.savez_compressed(
-        buf,
-        **{name: getattr(km, name) for name in _FACTORS},
-        provenance=json.dumps(km.provenance, sort_keys=True),
-    )
+    provenance = json.dumps(km.provenance, sort_keys=True)
+    np.savez(buf, **{name: getattr(km, name) for name in _FACTORS}, provenance=provenance)
     write_atomic(path, buf.getvalue())
 
 

@@ -186,6 +186,29 @@ def test_preset_command_mismatch(capsys):
     assert "simulate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "fit", "test", "sweep", "spectrum", "ingest"])
+def test_each_command_has_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--config" in out and "--out" in out
+    assert "evaluate the GCV criterion over a lambda grid" in out  # the blurbs of every command
+
+
+def test_an_unknown_command_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["regress", "--preset", "table1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'regress'" in capsys.readouterr().err
+
+
+def test_an_option_before_the_command_is_accepted(tmp_path):
+    out, config = tmp_path / "out", write_config(tmp_path, "sim.json", sim_config(reps=1))
+    assert main(["--out", str(out), "--seed", "4", "simulate", "--config", config]) == 0
+    assert json.loads((out / "summary.json").read_text())["config"]["seed"] == 4
+
+
 def test_presets_validate_against_schemas(tmp_path):
     # every preset must pass its own schema once required inputs are set
     import jsonschema

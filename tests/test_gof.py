@@ -240,10 +240,22 @@ def test_residual_test_checks_its_arguments(basis_p3, km_p3):
         (99, "mixed", [1.0], "B must be >= 100"),
         (5, "parametric", [1.0], "B must be >= 100"),
         (100, "mixed", [1.0, 2.0], r"zip\(\) argument 2 is shorter"),
-        (100, "nonparametric", [], r"zip\(\) argument 2 is longer"),
+        (100, "nonparametric", [], "lambda must be nonempty and positive"),
     ):
         with pytest.raises(ValueError, match=message):
             gof.residual_test(system, lams, eps, eps, B, strategy, 6)
+    with pytest.raises(ValueError, match=r"zip\(\) argument 2 is longer"):
+        gof.residual_test(system, [1.0], eps[[0, 0]], eps[[0, 0]], 100, "nonparametric", 6)
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.0, np.nan, np.inf, 1e308])
+def test_residual_test_checks_its_lambdas(basis_p3, km_p3, lam):
+    # 1e308 is finite, but n * lambda overflows at n = 10
+    U, F = random_dataset(basis_p3, n=10, seed=17)
+    system = RidgeSystem(DataSet(U=U, F=F, basis=basis_p3), km_p3)
+    eps = np.stack([F - U, F - 2 * U])
+    with pytest.raises(ValueError, match="lambda must"):
+        gof.residual_test(system, [1.0, lam], eps, eps, 100, "mixed", 6)
 
 
 def test_bootstrap_seed_changes_replicates(basis_p3, km_p3):

@@ -1,5 +1,8 @@
 """Tests for kernel assembly against independent quadrature oracles."""
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,10 @@ from diffreg import (
     save_kernel_matrices,
     scaled_neg_laplacian,
 )
+from diffreg import kernels
 from diffreg.kernels import LinearOpSpec, gaussian_kernel, kernel_gram
+
+from bench_layers import plain_exp_factors
 
 
 def trapz_rule(n, a=0.0, b=1.0):
@@ -241,6 +247,45 @@ def test_a_kernel_that_overflows_on_its_basis_is_rejected_without_warnings():
         assemble(basis, neg_laplacian(), identity_op(), neg_laplacian(), KernelSpec(h=0.01))
 
 
+L_KINDS = [LinearOpSpec("identity"), LinearOpSpec("neg_laplacian"),
+           LinearOpSpec("neg_laplacian_minus_const", 2.0), LinearOpSpec("scaled_neg_laplacian", 0.5),
+           LinearOpSpec("first_derivative")]
+
+
+@pytest.mark.parametrize("p", [4, 10])
+@pytest.mark.parametrize("h", [0.001, 0.01, 0.2])
+@pytest.mark.parametrize("L", L_KINDS, ids=lambda L: L.kind)
+def test_assembled_factors_equal_the_plain_exp_formula_bit_for_bit(p, h, L):
+    # at h = 0.001 most of the grid's exponents are below the cutoff, at 0.2 none is
+    basis = make_cosine_basis(p, 20 * p + 1)
+    want = plain_exp_factors(basis, neg_laplacian(), identity_op(), h, L)
+    km = assemble(basis, neg_laplacian(), identity_op(), L, KernelSpec(h=h))
+    for name, factor in zip(("C", "M", "M_L"), want):
+        assert getattr(km, name).tobytes() == factor.tobytes(), name
+
+
+def test_gaussian_kernel_is_zero_below_the_cutoff_and_never_subnormal():
+    h = 0.01
+    diff = np.linspace(-1.0, 1.0, 40001)
+    k1 = gaussian_kernel(diff, h)
+    exponent = -(diff**2) / (2.0 * h * h)
+    assert np.count_nonzero(exponent < -745) > 0  # where exp underflows to 0
+    assert np.count_nonzero((exponent > -745) & (exponent < -708)) > 0  # where it is subnormal
+    assert np.all(k1[exponent < kernels.EXP_CUTOFF] == 0.0)
+    assert np.all(k1[exponent >= kernels.EXP_CUTOFF] >= np.finfo(float).tiny)
+    kept = exponent >= kernels.EXP_CUTOFF
+    with np.errstate(under="ignore"):
+        assert np.array_equal(k1[kept], (np.exp(exponent) / np.sqrt(2.0 * np.pi * h * h))[kept])
+
+
+def test_the_kernel_and_its_operator_grids_take_a_scalar():
+    for diff, zero in ((0.001, False), (1.0, True)):
+        value = gaussian_kernel(diff, 0.01)
+        assert np.ndim(value) == 0 and isinstance(value, np.floating)
+        assert (value == 0.0) == zero
+        assert value == gaussian_kernel(np.array([diff]), 0.01)[0]
+        for L in L_KINDS:
+            assert L.apply_kernel_grid(diff, 0.01) == L.apply_kernel_grid(np.array([diff]), 0.01)[0]
 
 
 def test_save_load_round_trip(tmp_path):
@@ -252,6 +297,21 @@ def test_save_load_round_trip(tmp_path):
     for name in ("C", "M", "M_L"):
         assert np.array_equal(getattr(loaded, name), getattr(km, name))
     assert loaded.provenance == km.provenance
+
+
+def test_a_compressed_cache_loads_as_the_uncompressed_one(tmp_path):
+    basis = make_cosine_basis(p=3, n_quad=101)
+    km = assemble(basis, neg_laplacian(), identity_op(), neg_laplacian(), KernelSpec(h=0.2))
+    plain, packed = str(tmp_path / "plain.npz"), str(tmp_path / "packed.npz")
+    save_kernel_matrices(km, plain)
+    np.savez_compressed(packed, C=km.C, M=km.M, M_L=km.M_L,
+                        provenance=json.dumps(km.provenance, sort_keys=True))
+    with zipfile.ZipFile(plain) as archive:
+        assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+    a, b = load_kernel_matrices(plain), load_kernel_matrices(packed)
+    for name in ("C", "M", "M_L"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.provenance == b.provenance
 
 
 def test_kernel_factors_are_read_only(tmp_path):

@@ -78,7 +78,8 @@ def test_npz_entries_keep_the_digest_a_string(tmp_path):
 
 SMALL_CASES = {"streams": {"n": 30, "B": 8}, "ridge": {"p": 4, "n": 30},
                "dataset_io": {"p": 4, "n": 30}, "simulate": {"n": 30, "p": 4, "B": 100, "reps": 2},
-               "path": {"n": 30, "p": 4}, "setup": {"p": 4, "n_quad": 41}}
+               "path": {"n": 30, "p": 4}, "setup": {"p": 4, "n_quad": 41},
+               "kernels": {"p": 4, "n_quad": 41, "h": 0.01}}
 
 
 def check_layer(layer, case, work):
@@ -113,6 +114,19 @@ def test_scaled_norms_fail_the_oracle(tmp_path, monkeypatch):
     monkeypatch.setattr(diffreg.RidgeSystem, "smoothed_sq_norms",
                         lambda self, *args: norms(self, *args) * (1 + 1e-6))
     assert check_layer("ridge", SMALL_CASES["ridge"], tmp_path)["agrees"] is False
+
+
+def test_a_factor_one_ulp_off_fails_the_kernels_check(tmp_path, monkeypatch):
+    factors = diffreg.kernels._factor_matrices
+
+    def nudged(*args):
+        C, (M, M_L) = factors(*args)
+        M_L = M_L.copy()
+        M_L[0, 0] = np.nextafter(M_L[0, 0], np.inf)
+        return C, (M, M_L)
+
+    monkeypatch.setattr(diffreg.kernels, "_factor_matrices", nudged)
+    assert check_layer("kernels", SMALL_CASES["kernels"], tmp_path) == {"factors_identical": False}
 
 
 def test_swapped_multiplier_rows_fail_the_stream_check(tmp_path, monkeypatch):

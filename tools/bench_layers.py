@@ -5,6 +5,11 @@
 LAYERS maps each layer to the timed routes of one tree on one case, a check
 of this tree on that case, and its cases:
 
+- ``kernels`` ((p, n_quad) in {(10, 201), (20, 401), (30, 601)} x h in {0.01,
+  0.2}): ``assemble`` of the default kernels, P = L = -laplacian and B =
+  identity (``assemble``).  ``factors_identical``: C, M and M_L equal, bit
+  for bit, those of the plain formula exp(-d^2 / (2 h^2)) / sqrt(2 pi h^2)
+  (``plain_exp_factors``), whose grid at h = 0.01 holds subnormals.
 - ``streams`` (n in {200, 2000}, B = 200): the (B, n) wild-multiplier block
   of one bootstrap test, by a loop over ``SeedSequence(seed).spawn(B)``
   (``spawn_loop``) and by ``gof.bootstrap_multipliers`` (``derived``).
@@ -111,6 +116,49 @@ def draw(pkg, p: int, n: int, seed: int = SEED):
     return pkg.DataSet(U=U, F=F, basis=pkg.make_cosine_basis(p, N_QUAD))
 
 
+def plain_exp_factors(basis, P, B, h: float, L) -> tuple:
+    """C, M and M_L assembled with the plain formula exp(-d^2 / (2 h^2)) / sqrt(2 pi h^2),
+    its subnormals and all, and the L grids written out per kind."""
+    nodes, w = basis.quad_nodes, basis.quad_weights
+    diff = nodes[:, None] - nodes[None, :]
+    k1 = np.exp(-(diff**2) / (2.0 * h * h)) / np.sqrt(2.0 * np.pi * h * h)
+    neg_second = (h**2 - diff**2) / h**4 * k1
+    grid = {
+        "identity": k1,
+        "first_derivative": -diff / h**2 * k1,
+        "neg_laplacian": neg_second,
+        "neg_laplacian_minus_const": neg_second - L.param * k1,
+        "scaled_neg_laplacian": L.param * neg_second,
+    }[L.kind]
+    C = diffreg.kernels.kernel_gram(w, P.apply_at(basis, nodes), k1)
+    b_vals = B.apply_at(basis, np.array(basis.interval))
+    bc = b_vals.T @ b_vals
+    C = (C + C.T) / 2 + (bc + bc.T) / 2
+    phi = basis.quad_values()
+    M = diffreg.kernels.kernel_gram(w, phi, k1)
+    M = (M + M.T) / 2
+    # the identity's M_L is M itself
+    return C, M, M if L.kind == "identity" else diffreg.kernels.kernel_gram(w, phi, grid)
+
+
+def default_ops(pkg) -> tuple:
+    """P, B and L of the default kernels: -laplacian, identity, -laplacian."""
+    return pkg.neg_laplacian(), pkg.identity_op(), pkg.neg_laplacian()
+
+
+def kernels_routes(pkg, case: dict, work: str) -> dict:
+    basis, spec = pkg.make_cosine_basis(case["p"], case["n_quad"]), pkg.KernelSpec(h=case["h"])
+    return {"assemble": lambda: pkg.assemble(basis, *default_ops(pkg), spec)}
+
+
+def kernels_check(case: dict, work: str, routes: dict) -> dict:
+    km, basis = routes["assemble"](), diffreg.make_cosine_basis(case["p"], case["n_quad"])
+    P, B, L = default_ops(diffreg)
+    want = plain_exp_factors(basis, P, B, case["h"], L)
+    got = (km.C, km.M, km.M_L)
+    return {"factors_identical": all(a.tobytes() == b.tobytes() for a, b in zip(got, want))}
+
+
 def streams_routes(pkg, case: dict, work: str) -> dict:
     gof, n, B = module(pkg, "gof"), case["n"], case["B"]
     return {
@@ -131,9 +179,7 @@ def multipliers(n: int) -> np.ndarray:
 
 def ridge_routes(pkg, case: dict, work: str) -> dict:
     data, W = draw(pkg, case["p"], case["n"]), multipliers(case["n"])
-    # the default kernels: P = L = -laplacian, B = identity
-    ops = pkg.neg_laplacian(), pkg.identity_op(), pkg.neg_laplacian()
-    km = pkg.assemble(data.basis, *ops, pkg.KernelSpec(h=H))
+    km = pkg.assemble(data.basis, *default_ops(pkg), pkg.KernelSpec(h=H))
     system = pkg.RidgeSystem(data, km)  # also computes and caches the kernels' whitening
     return {
         "factor": lambda: pkg.RidgeSystem(data, km),
@@ -398,6 +444,8 @@ def simulate_check(case: dict, work: str, routes: dict) -> dict:
 
 
 LAYERS = {
+    "kernels": (kernels_routes, kernels_check, tuple({"p": p, "n_quad": n_quad, "h": h}
+                for p, n_quad in ((10, 201), (20, 401), (30, 601)) for h in (0.01, 0.2))),
     "streams": (streams_routes, streams_check, tuple({"n": n, "B": 200} for n in (200, 2000))),
     "ridge": (ridge_routes, ridge_check, SWEEP),
     "dataset_io": (dataset_io_routes, dataset_io_check, SWEEP),

@@ -28,7 +28,9 @@ reversed; test at (10, 200) under the nonparametric and the parametric
 strategy, whose replicates all resample the fit or the null residuals, and on
 the basis interval [0.5, 2.0], whose test family's multipliers are not those
 of the unit interval; fit under four L kinds and under P in {identity,
-first_derivative} crossed with B in {neg_laplacian, first_derivative}; fit at (20, 2000) with bandwidth
+first_derivative} crossed with B in {neg_laplacian, first_derivative}; sweep
+and fit at (10, 200) with bandwidth h = 0.001, where the kernel is exactly 0
+on most of the quadrature grid; fit at (20, 2000) with bandwidth
 h = 0.2, where K is singular and the jitter alone fixes c_hat on its null
 space; and ``ingest --preset era5`` on a small
 trajectory CSV with repeated ordinates, a subject split across the file
@@ -228,6 +230,10 @@ def main(argv: list[str]) -> int:
                 for B in FIT_B_KINDS:
                     kernel = {"P": {"kind": P}, "B": {"kind": B}}
                     run("fit", f"fit_{label}_P_{P}_B_{B}", {**base, "lambda": 10.0, "kernel": kernel})
+            # h = 0.001: 92% of the Gaussian grid's exponents lie below the kernel's cutoff
+            for command in ("sweep", "fit"):
+                narrow = {**base, **commands[command], "kernel": {"h": 0.001}}
+                run(command, f"{command}_{label}_h0.001", narrow)
         if label == "p20_n2000":
             run("fit", f"fit_{label}_h0.2", {**base, "lambda": 10.0, "kernel": {"h": 0.2}})
 
