@@ -30,7 +30,6 @@ from .gof import (
     bootstrap_multipliers,
     bootstrap_test,
     fit_parametric,
-    qn_statistic,
     wild_multipliers,
 )
 from .kernels import (
@@ -51,10 +50,8 @@ from .regress import (
     RidgeSystem,
     SweepResult,
     fit,
-    gcv,
     gcv_sweep,
     predict,
-    rss,
     spectrum_diag,
 )
 from .sim import (
@@ -103,7 +100,6 @@ __all__ = [
     "first_derivative",
     "fit",
     "fit_parametric",
-    "gcv",
     "gcv_sweep",
     "gen_dataset",
     "identity_op",
@@ -115,9 +111,7 @@ __all__ = [
     "neg_laplacian_minus_const",
     "predict",
     "project",
-    "qn_statistic",
     "replication_dataset",
-    "rss",
     "run_mc",
     "run_mc_cells",
     "save_kernel_matrices",

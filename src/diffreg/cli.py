@@ -345,6 +345,25 @@ def _passes(schema: dict, value, path: str) -> bool:
     return True
 
 
+def _as_ints(schema: dict, value):
+    """``value``, checked against ``schema``, with each float at an "integer" position an int.
+
+    JSON Schema counts an integral float such as 2.0 as an integer, so
+    ``check_schema`` admits it where the commands need an int.
+    """
+    if schema.get("type") == "integer" and isinstance(value, float):
+        return int(value)
+    if "properties" in schema and isinstance(value, dict):
+        properties = schema["properties"]
+        return {key: _as_ints(properties.get(key, {}), item) for key, item in value.items()}
+    if "items" in schema and isinstance(value, list):
+        return [_as_ints(schema["items"], item) for item in value]
+    for sub in schema.get("oneOf", ()):
+        if _passes(sub, value, "$"):
+            return _as_ints(sub, value)
+    return value
+
+
 def _deep_merge(base: dict, override: dict) -> dict:
     merged = dict(base)
     for key, value in override.items():
@@ -548,7 +567,9 @@ COMMANDS = {
 def resolve_config(command: str, preset: str | None, config_path: str | None, seed: int | None) -> dict:
     """Merge preset and config file, apply CLI overrides, and check the command's schema.
 
-    Raises SchemaError, naming the JSON path, for the first value the
+    An integral float in an integer field, such as ``"reps": 2.0``, comes
+    back as an int, so a command and its outputs see the config of its int
+    twin.  Raises SchemaError, naming the JSON path, for the first value the
     schema rejects in a depth-first walk (``check_schema``); ValueError for
     a missing config, an unknown or mismatched preset, a malformed or
     non-finite JSON document; OSError for an unreadable file.
@@ -577,7 +598,7 @@ def resolve_config(command: str, preset: str | None, config_path: str | None, se
     if seed is not None:
         merged["seed"] = seed
     check_schema(SCHEMAS[command], merged)
-    return merged
+    return _as_ints(SCHEMAS[command], merged)
 
 
 def main(argv=None) -> int:

@@ -9,6 +9,9 @@ smooths the null residuals with the nonparametric fit's smoothing matrix,
 
 and critical values come from wild-bootstrap replicates with two-point
 golden-ratio multipliers whose first three moments are 0, 1, 1.
+``residual_test`` computes Q_n and every replicate in the eigenbasis of the
+fit's ``RidgeSystem``, without forming S; the plain Q_n of one residual set
+is a reference form of the test oracle ``tools/dense.py``.
 """
 
 from __future__ import annotations
@@ -157,14 +160,6 @@ def bootstrap_multipliers(n: int, B: int, seed: int) -> np.ndarray:
     if state != check:
         raise RuntimeError("derived bootstrap streams disagree with numpy's SeedSequence.spawn")
     return np.stack(rows)
-
-
-def qn_statistic(system: RidgeSystem, lam: float, residuals: np.ndarray) -> float:
-    """Q_n = n^{-1} || S vec(residuals) ||^2, S the smoother of ``system`` at ``lam``."""
-    residuals = np.asarray(residuals, dtype=float)
-    if residuals.shape != (system.n, system.p):
-        raise ValueError(f"residuals are {residuals.shape}, expected ({system.n}, {system.p})")
-    return float(system.smoothed_sq_norms(lam, residuals, np.ones((1, system.n)))[0]) / system.n
 
 
 @dataclass(frozen=True, eq=False)

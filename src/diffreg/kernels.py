@@ -15,7 +15,9 @@ M    the K1 Gram of the basis, and M_L the same with K1 replaced by its
 image under L acting on the first argument.  Flat indices pair (j, k) as
 j + k*p (j fastest), so K = C kron M and K_L = C kron M_L.  Only the three
 p x p factors are assembled, stored and cached (3 p^2 numbers instead of
-2 p^4); the p^2 x p^2 matrices are formed on request for dense checks.
+2 p^4).  The dense p^2 x p^2 forms, K, K_L and the jittered penalty of
+the ridge solve, live in the test oracle ``tools/dense.py``; the ``K`` and
+``K_L`` properties remain only for the benchmark's tests.
 """
 
 from __future__ import annotations
@@ -218,12 +220,16 @@ class KernelMatrices:
 
     @property
     def K(self) -> np.ndarray:
-        """The dense p^2 x p^2 Gram matrix C kron M."""
+        """The dense p^2 x p^2 Gram matrix C kron M.
+
+        Only ``perfbench/tests`` calls it; it goes when those tests form the
+        np.kron of the factors themselves, as ``tools/dense.py`` does.
+        """
         return np.kron(self.C, self.M)
 
     @property
     def K_L(self) -> np.ndarray:
-        """The dense p^2 x p^2 Gram matrix C kron M_L."""
+        """The dense p^2 x p^2 Gram matrix C kron M_L; kept for the same reason as ``K``."""
         return np.kron(self.C, self.M_L)
 
     @property
@@ -232,28 +238,17 @@ class KernelMatrices:
         eps_C, eps_M = (1e-10 * float(np.trace(factor)) / self.p for factor in (self.C, self.M))
         return eps_C, eps_M
 
-    @property
-    def K_eps(self) -> np.ndarray:
-        """The dense p^2 x p^2 penalty (C + eps_C I) kron (M + eps_M I) of the ridge solve.
-
-        Built from the symmetrized factors, as ``whitening`` factors them.
-        """
-        C_eps, M_eps = (
-            (factor + factor.T) / 2 + eps * np.eye(self.p)
-            for factor, eps in zip((self.C, self.M), self.jitters)
-        )
-        return np.kron(C_eps, M_eps)
-
     @functools.cached_property
     def whitening(self) -> tuple[np.ndarray, ...]:
         """Kernel-only factors of the rotated ridge design: (P_C, R_C, a, H, T_M).
 
         C = Q_C diag(l_C) Q_C' and M = Q_M diag(l_M) Q_M' (both symmetrized)
-        diagonalize K_eps, with whitening weights D_C = diag(l_C + eps_C)^{-1/2}
-        and D_M = diag(l_M + eps_M)^{-1/2}.  The M-side eigenproblem
-        H_w'H_w = V_M diag(a) V_M' of H_w = M_L Q_M D_M is solved here, once per
-        kernel, and V_M is folded into H = H_w V_M and T_M = Q_M D_M V_M.  A
-        dataset's side is U P_C, with P_C = Q_C diag(l_C) D_C and R_C = Q_C D_C.
+        diagonalize the penalty (C + eps_C I) kron (M + eps_M I), with whitening
+        weights D_C = diag(l_C + eps_C)^{-1/2} and D_M = diag(l_M + eps_M)^{-1/2}.
+        The M-side eigenproblem H_w'H_w = V_M diag(a) V_M' of H_w = M_L Q_M D_M
+        is solved here, once per kernel, and V_M is folded into H = H_w V_M and
+        T_M = Q_M D_M V_M.  A dataset's side is U P_C, with P_C = Q_C diag(l_C) D_C
+        and R_C = Q_C D_C.
         Raises SingularSystemError when C or M is not positive definite after
         its jitter, and ValueError when H_w'H_w overflows; a raised error is
         not cached, so every use raises.

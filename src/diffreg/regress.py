@@ -34,9 +34,11 @@ to them; ``solve`` and ``lambda_path`` then add a leading response axis.
 Sums over the n rows are taken on p x p factors of U = QR: the RSS of
 operator matrices D is ||F - Q Q'F||^2 + ||Q'F - R D'||^2, and the ESS is
 ||U E'||^2 = ||R E'||^2 for E = D - diag(mu); neither subtracts large
-terms, and no n x p fit is formed (with n <= p, Q = I).  ``smooth``,
-``smoothed_sq_norms`` and ``smoother`` apply the smoothing matrix at one
-lambda; ``smoother`` is ``smooth`` of the identity.
+terms, and no n x p fit is formed (with n <= p, Q = I).
+``smoothed_sq_norms`` applies the smoothing matrix at one lambda to
+row-weighted residuals and returns only their squared norms.  The dense
+smoothing matrix, the p^2 x p^2 penalty and the plain RSS and GCV of one
+fit are reference forms of the test oracle ``tools/dense.py``.
 """
 
 from __future__ import annotations
@@ -191,14 +193,6 @@ class RidgeSystem:
         s2 = self._shifted(lam)
         return float(s2.max() / s2.min())
 
-    def smooth(self, lam: float, cols: np.ndarray) -> np.ndarray:
-        """S @ cols for a stacked (n*p,) vector or (n*p, m) matrix."""
-        E = cols.reshape(self.n, self.p, -1, order="F")
-        proj = np.einsum("ik,ijm,jl->lkm", self.G, E, self.H, optimize=True)
-        inverse = self._over_shifted(1.0, lam).reshape(self.p, self.p, 1)
-        out = np.einsum("ik,lkm,jl->ijm", self.G, proj * inverse, self.H, optimize=True)
-        return out.reshape(cols.shape, order="F")
-
     def smoothed_sq_norms(
         self, lam: float, residuals: np.ndarray, weights: np.ndarray
     ) -> np.ndarray:
@@ -220,10 +214,6 @@ class RidgeSystem:
         """``smoothed_sq_norms`` of rows already taken to the eigenbasis, ``weights @ outer``."""
         core = projections * (np.sqrt(self.s2) * self._over_shifted(1.0, lam))
         return np.einsum("bk,bk->b", core, core)
-
-    def smoother(self, lam: float) -> np.ndarray:
-        """The dense (n*p) x (n*p) smoothing matrix, ``smooth`` applied to the identity."""
-        return self.smooth(lam, np.eye(self.n * self.p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,12 +267,6 @@ def predict(fit_result: FitResult, u: FuncVec) -> FuncVec:
     return FuncVec(coeffs=dmat @ u.coeffs, basis=u.basis)
 
 
-def rss(fit_result: FitResult, data: DataSet) -> float:
-    """Residual sum of squares sum_i ||F_i - D_hat(U_i)||^2 in L2."""
-    dmat = fit_result.system.operator_matrix(fit_result.c_hat)
-    return float(np.sum((data.F - data.U @ dmat.T) ** 2))
-
-
 def sum_sq_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The sum of (a - b)^2 over the last two axes, one per leading index.
 
@@ -301,15 +285,6 @@ def gcv_value(rss_val, n: int, p: int, trace):
     if np.any(np.asarray(trace) / (n * p) >= 1.0):
         raise GcvDegenerateError(float(np.max(trace)), n, p)
     return rss_val / n / (1.0 - trace / (n * p)) ** 2
-
-
-def gcv(fit_result: FitResult, data: DataSet) -> float:
-    """Generalized cross-validation score of a fit, on the dataset it was fitted to."""
-    if data is not fit_result.system.data:
-        raise ValueError("gcv needs the dataset the fit was computed from")
-    return gcv_value(
-        rss(fit_result, data), data.n, data.p, fit_result.system.trace(fit_result.lam)
-    )
 
 
 @dataclass(frozen=True, eq=False)

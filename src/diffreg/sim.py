@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .basis import BasisSystem, DataSet, make_cosine_basis
-from .gof import STRATEGIES, ParamFamily, raw_thetas, residual_test
+from .gof import STRATEGIES, ParamFamily, ParametricFit, raw_thetas, residual_test
 from .gof import bootstrap_test  # noqa: F401  perfbench/tracer.py wraps sim.bootstrap_test by name
 from .kernels import DEFAULT_OPERATORS, KernelMatrices, KernelSpec, assemble, kernel_provenance
 from .regress import RidgeSystem, check_lambdas, lambda_path, sum_sq_diff
@@ -319,8 +319,7 @@ def _stack_rep(
         lambda lams: operator_ess(system, system.operator_matrix(system.solve(lams)), mus[:, None]),
         grid, ess_l, first.refine_rounds,
     )
-    # clipped at the boundary of (0, inf) as ParametricFit.clip clips, -0.0 and NaN kept
-    thetas = [max(theta, 0.0) for theta in raw_thetas(U, F, family).tolist()]
+    thetas = [ParametricFit.clip(theta).theta for theta in raw_thetas(U, F, family).tolist()]
     null_fit = family.apply(U, np.array(thetas)[:, None, None])
     columns = {
         "ess_lambda": ess_l,

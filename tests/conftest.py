@@ -44,18 +44,3 @@ def random_dataset(basis, n, seed, noise=0.1, multipliers=None):
     F = U * multipliers + noise * rng.standard_normal((n, p))
     return U, F
 
-
-def design_by_loops(U, K_L):
-    """The (n*p) x p^2 design A, index by index, independent of the package.
-
-    Row (i + j'*n) of A applied to c is the j'-th output coefficient of the
-    fitted operator at sample i: sum_{k'} U[i, k'] * K_L[j' + k'*p, :] @ c.
-    """
-    n, p = U.shape
-    A = np.zeros((n * p, p * p))
-    for i in range(n):
-        for j_out in range(p):
-            row = i + j_out * n
-            for k_in in range(p):
-                A[row, :] += U[i, k_in] * K_L[j_out + k_in * p, :]
-    return A

@@ -2,8 +2,10 @@
 
 import contextlib
 import csv
+import functools
 import io
 import json
+import operator
 import os
 import tempfile
 import zipfile
@@ -13,12 +15,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffreg.cli import main
+from diffreg.basis import DataSet, make_cosine_basis
+from diffreg.cli import SCHEMAS, main
 from diffreg.fileio import csv_bytes
 from diffreg.gof import STRATEGIES
+from diffreg.ingest import save_dataset
 from diffreg.kernels import OP_KINDS, load_kernel_matrices
 from diffreg.presets import PRESETS, get_preset
 
+import dense
 from test_ingest import synthetic_rows, write_rows
 
 
@@ -357,7 +362,8 @@ def test_kernel_cache_of_the_old_jitter_policy_is_stale(tmp_path, dataset_dir, c
 
 def _old_layout(path, good, data):
     km = load_kernel_matrices(good)
-    np.savez_compressed(path, K=km.K, K_L=km.K_L, provenance=json.dumps(km.provenance))
+    np.savez_compressed(path, K=dense.K(km), K_L=dense.K_L(km),
+                        provenance=json.dumps(km.provenance))
 
 
 def _truncated(path, good, data):
@@ -863,6 +869,75 @@ def test_integer_fields_keep_big_values_and_their_minimum(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error at $.p: ") and "less than the minimum of 1" in err
     _no_traceback_and_no_outputs(err, out)
+
+
+def _integer_paths(schema, path=()):
+    """The key path of every "integer" field of ``schema``; an array's items sit at index 0."""
+    if schema.get("type") == "integer":
+        yield path
+    for key, sub in schema.get("properties", {}).items():
+        yield from _integer_paths(sub, (*path, key))
+    if "items" in schema:
+        yield from _integer_paths(schema["items"], (*path, 0))
+    for sub in schema.get("oneOf", ()):
+        yield from _integer_paths(sub, path)
+
+
+INTEGER_FIELDS = [(command, path) for command, schema in SCHEMAS.items()
+                  for path in _integer_paths(schema)]
+
+
+@pytest.fixture(scope="module")
+def integer_configs(tmp_path_factory):
+    """A config per command that sets every integer field, on small inputs; each exits 0."""
+    folder = tmp_path_factory.mktemp("inputs")
+    U, F = np.random.default_rng(8).standard_normal((2, 12, 4))
+    save_dataset(DataSet(U=U, F=F, basis=make_cosine_basis(4, 41)), str(folder / "U.csv"),
+                 str(folder / "F.csv"))
+    rng = np.random.default_rng(9)
+    rows = []
+    for i in range(4):
+        rows += synthetic_rows(f"s{i}", rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4), m=121,
+                               x_range=(6.295, 6.905))
+    write_rows(folder / "tracks.csv", rows)
+    data = {"dataset": {"u_csv": str(folder / "U.csv"), "f_csv": str(folder / "F.csv")},
+            "basis": {"p": 4, "n_quad": 41}, "seed": 3}
+    return {
+        "simulate": sim_config(n=20, p=4, reps=1, seed=3, n_quad=41, refine_rounds=1,
+                               keep_bootstrap=1),
+        "fit": {**data, "lambda": 1e2},
+        "sweep": {**data, "lambda_grid": [1e1, 1e2]},
+        "test": {**data, "lambda": 1e2, "B": 100},
+        "spectrum": {**data, "top_m": 3},
+        "ingest": {"input": str(folder / "tracks.csv"), "basis": {"p": 4, "n_quad": 41},
+                   "seed": 3},
+    }
+
+
+@pytest.mark.parametrize("command, path", INTEGER_FIELDS,
+                         ids=[f"{command}-{'.'.join(map(str, path))}"
+                              for command, path in INTEGER_FIELDS])
+def test_an_integral_float_in_an_integer_field_runs_as_its_int(
+    tmp_path, capsys, integer_configs, command, path
+):
+    # JSON Schema counts 2.0 as an integer, so the checker admits it where the command needs an int
+    doc = integer_configs[command]
+    twin = json.loads(json.dumps(doc))
+    *parents, key = path
+    field = functools.reduce(operator.getitem, parents, twin)
+    field[key] = float(field[key])
+    runs = []
+    for name, config in (("int", doc), ("float", twin)):
+        out = tmp_path / name
+        argv = [command, "--config", write_config(tmp_path, f"{name}.json", config),
+                "--out", str(out), *(["--preset", "era5"] if command == "ingest" else [])]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        runs.append((code, err, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+    assert runs[0][0] == 0, runs[0][1]
+    # the provenance of every output records the int
+    assert runs[1] == runs[0]
 
 
 @pytest.mark.parametrize("via", ["config", "flag"])

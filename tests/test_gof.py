@@ -17,13 +17,13 @@ from diffreg import (
     fit,
     fit_parametric,
     make_cosine_basis,
-    qn_statistic,
     wild_multipliers,
 )
 from diffreg import gof
 from diffreg.gof import GOLDEN_MINUS, GOLDEN_PLUS
 from diffreg.regress import RidgeSystem
 
+import dense
 from conftest import random_dataset
 
 
@@ -143,13 +143,13 @@ def test_bootstrap_multipliers_accept_numpy_integer_seeds():
 def test_qn_zero_residuals(basis_p3, km_p3):
     U, F = random_dataset(basis_p3, n=6, seed=5)
     system = RidgeSystem(DataSet(U=U, F=F, basis=basis_p3), km_p3)
-    assert qn_statistic(system, 1.0, np.zeros((6, 3))) == 0.0
+    assert dense.qn_statistic(system, 1.0, np.zeros((6, 3))) == 0.0
 
 
 def test_qn_zero_smoother(basis_p3, km_p3):
     U, F = random_dataset(basis_p3, n=6, seed=6)
     system = RidgeSystem(DataSet(U=U, F=F, basis=basis_p3), km_p3)
-    assert qn_statistic(system, 1e15, np.ones((6, 3))) < 1e-12
+    assert dense.qn_statistic(system, 1e15, np.ones((6, 3))) < 1e-12
 
 
 def test_qn_hand_computed_identity_smoother():
@@ -159,14 +159,15 @@ def test_qn_hand_computed_identity_smoother():
     km = KernelMatrices(C=np.eye(2), M=np.eye(2), M_L=np.eye(2))
     data = DataSet(U=np.eye(2), F=np.zeros((2, 2)), basis=make_cosine_basis(2, 11))
     system = RidgeSystem(data, km)
-    assert qn_statistic(system, 0.0, np.array([[1.0, 0.0], [2.0, 0.0]])) == pytest.approx(2.5)
+    residuals = np.array([[1.0, 0.0], [2.0, 0.0]])
+    assert dense.qn_statistic(system, 0.0, residuals) == pytest.approx(2.5)
 
 
 def test_qn_shape_check(basis_p3, km_p3):
     U, F = random_dataset(basis_p3, n=6, seed=7)
     system = RidgeSystem(DataSet(U=U, F=F, basis=basis_p3), km_p3)
     with pytest.raises(ValueError):
-        qn_statistic(system, 1.0, np.zeros((5, 3)))
+        dense.qn_statistic(system, 1.0, np.zeros((5, 3)))
 
 
 def test_bootstrap_rejects_small_B(basis_p3, km_p3):

@@ -22,7 +22,7 @@ from diffreg import (
 from diffreg import kernels
 from diffreg.kernels import LinearOpSpec, gaussian_kernel, kernel_gram
 
-from bench_layers import plain_exp_factors
+import dense
 
 
 def trapz_rule(n, a=0.0, b=1.0):
@@ -58,7 +58,7 @@ def test_single_entry_against_brute_force_quadrature():
     h = 0.2
     basis = make_cosine_basis(p=1, n_quad=101)
     spec = KernelSpec(h=h, include_boundary=False)
-    K = assemble(basis, identity_op(), identity_op(), identity_op(), spec).K
+    K = dense.K(assemble(basis, identity_op(), identity_op(), identity_op(), spec))
     oracle = trapz_double_integral(
         lambda s, t: gaussian_kernel(s - t, h) * phi(1, s) * phi(1, t)
     )
@@ -68,7 +68,7 @@ def test_single_entry_against_brute_force_quadrature():
 
 def test_assembled_K_is_exactly_symmetric():
     basis = make_cosine_basis(p=4, n_quad=101)
-    K = assemble(basis, neg_laplacian(), identity_op(), identity_op(), KernelSpec(h=0.2)).K
+    K = dense.K(assemble(basis, neg_laplacian(), identity_op(), identity_op(), KernelSpec(h=0.2)))
     assert np.array_equal(K, K.T)
 
 
@@ -76,7 +76,7 @@ def test_large_bandwidth_flattens_interior():
     # h >> 1 makes K1 nearly constant and cosines integrate it to ~0
     basis = make_cosine_basis(p=3, n_quad=101)
     spec = KernelSpec(h=10.0, include_boundary=False)
-    K = assemble(basis, identity_op(), identity_op(), identity_op(), spec).K
+    K = dense.K(assemble(basis, identity_op(), identity_op(), identity_op(), spec))
     assert np.max(np.abs(K)) < 1e-3
 
 
@@ -84,7 +84,7 @@ def test_identity_L_reproduces_K():
     basis = make_cosine_basis(p=3, n_quad=101)
     spec = KernelSpec(h=0.2)
     km = assemble(basis, neg_laplacian(), identity_op(), identity_op(), spec)
-    K, K_L = km.K, km.K_L
+    K, K_L = dense.K(km), dense.K_L(km)
     assert np.max(np.abs(K_L - K)) < 1e-12 * np.max(np.abs(K))
 
 
@@ -108,7 +108,7 @@ def test_neg_laplacian_factor_against_brute_force():
     basis = make_cosine_basis(p=1, n_quad=101)
     spec = KernelSpec(h=h, include_boundary=False)
     km = assemble(basis, identity_op(), identity_op(), neg_laplacian(), spec)
-    K, K_L = km.K, km.K_L
+    K, K_L = dense.K(km), dense.K_L(km)
     factor = K_L[0, 0] / np.sqrt(K[0, 0])  # C * M_L over sqrt(C * M) with C = M
     oracle = trapz_double_integral(
         lambda s, t: neg_laplacian().apply_kernel_grid(s - t, h) * phi(1, s) * phi(1, t)
@@ -153,8 +153,8 @@ def test_kernel_gram_invariant_under_node_relabeling():
 def test_quadrature_convergence_under_doubling(h, n1, n2):
     spec = KernelSpec(h=h)
     ops = (neg_laplacian(), identity_op(), identity_op())
-    K1 = assemble(make_cosine_basis(p=4, n_quad=n1), *ops, spec).K
-    K2 = assemble(make_cosine_basis(p=4, n_quad=n2), *ops, spec).K
+    K1 = dense.K(assemble(make_cosine_basis(p=4, n_quad=n1), *ops, spec))
+    K2 = dense.K(assemble(make_cosine_basis(p=4, n_quad=n2), *ops, spec))
     assert np.max(np.abs(K1 - K2)) < 1e-8 * np.max(np.abs(K2))
 
 
@@ -165,8 +165,8 @@ def test_boundary_contribution_closed_form():
     spec_on = KernelSpec(h=0.2, include_boundary=True)
     spec_off = KernelSpec(h=0.2, include_boundary=False)
     P = neg_laplacian()
-    K_on = assemble(basis, P, identity_op(), identity_op(), spec_on).K
-    K_off = assemble(basis, P, identity_op(), identity_op(), spec_off).K
+    K_on = dense.K(assemble(basis, P, identity_op(), identity_op(), spec_on))
+    K_off = dense.K(assemble(basis, P, identity_op(), identity_op(), spec_off))
     M = kernel_gram(
         basis.quad_weights,
         basis.quad_values(),
@@ -180,7 +180,8 @@ def test_boundary_contribution_closed_form():
 def test_assembled_K_is_psd():
     basis = make_cosine_basis(p=10, n_quad=201)
     km = assemble(basis, neg_laplacian(), identity_op(), neg_laplacian(), KernelSpec(h=0.01))
-    eigs = np.linalg.eigvalsh((km.K + km.K.T) / 2)
+    K = dense.K(km)
+    eigs = np.linalg.eigvalsh((K + K.T) / 2)
     assert eigs.min() >= -1e-8 * eigs.max()
 
 
@@ -258,7 +259,7 @@ L_KINDS = [LinearOpSpec("identity"), LinearOpSpec("neg_laplacian"),
 def test_assembled_factors_equal_the_plain_exp_formula_bit_for_bit(p, h, L):
     # at h = 0.001 most of the grid's exponents are below the cutoff, at 0.2 none is
     basis = make_cosine_basis(p, 20 * p + 1)
-    want = plain_exp_factors(basis, neg_laplacian(), identity_op(), h, L)
+    want = dense.plain_exp_factors(basis, neg_laplacian(), identity_op(), h, L)
     km = assemble(basis, neg_laplacian(), identity_op(), L, KernelSpec(h=h))
     for name, factor in zip(("C", "M", "M_L"), want):
         assert getattr(km, name).tobytes() == factor.tobytes(), name

@@ -27,7 +27,7 @@ from diffreg import (  # noqa: E402
 )
 from diffreg.kernels import OP_KINDS, LinearOpSpec  # noqa: E402
 
-from conftest import design_by_loops  # noqa: E402
+import dense  # noqa: E402
 
 EPS = np.finfo(float).eps
 
@@ -57,8 +57,8 @@ def test_kronecker_core_matches_dense_oracle(
     # Gram eigenvalues at roundoff level read 0, so rank n*p < p^2 leaves zeros
     assert system.s2.min() >= 0.0 and np.count_nonzero(system.s2) <= n * p
 
-    A = design_by_loops(U, km.K_L)
-    K_eff = km.K_eps
+    A = dense.design_by_loops(U, dense.K_L(km))
+    K_eff = dense.K_eps(km)
     gram = A.T @ A
     # one call per quantity serves the whole lambda grid, one row per lambda
     c_hats = system.solve(lams)
@@ -83,10 +83,11 @@ def test_kronecker_core_matches_dense_oracle(
         assert np.max(np.abs(fitted_hat - fitted)) <= tol * np.max(np.abs(F))
         assert abs(trace - np.trace(lu_solve(lu, gram))) <= tol * n * p
 
-        eigs = np.linalg.eigvalsh(system.smoother(lam))
+        eigs = np.linalg.eigvalsh(dense.smoother(system, lam))
         assert eigs.min() >= -tol and eigs.max() < 1.0
         smoothed = A @ lu_solve(lu, A.T @ cols)
-        assert np.max(np.abs(system.smooth(lam, cols) - smoothed)) <= tol * np.max(np.abs(cols))
+        gap = np.max(np.abs(dense.smooth(system, lam, cols) - smoothed))
+        assert gap <= tol * np.max(np.abs(cols))
         smoothed = A @ lu_solve(lu, A.T @ weighted)
         norms = np.sum(smoothed**2, axis=0)
         got = system.smoothed_sq_norms(lam, F, weights)

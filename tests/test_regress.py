@@ -13,13 +13,11 @@ from diffreg import (
     SweepResult,
     assemble,
     fit,
-    gcv,
     gcv_sweep,
     identity_op,
     make_cosine_basis,
     neg_laplacian,
     predict,
-    rss,
     spectrum_diag,
 )
 from diffreg.gof import ParamFamily, bootstrap_test
@@ -27,7 +25,8 @@ from diffreg.kernels import load_kernel_matrices, save_kernel_matrices
 from diffreg.regress import RidgeSystem, gcv_value, lambda_path
 from diffreg.sim import SimConfig, mc_kernels, replication_dataset, run_mc
 
-from conftest import design_by_loops, random_dataset
+import dense
+from conftest import random_dataset
 
 
 def objective(c, A, y, K, n, lam):
@@ -48,7 +47,7 @@ def test_design_matches_loop_construction(basis_p3, km_p3):
     U, F = random_dataset(basis_p3, n=5, seed=0)
     system = RidgeSystem(DataSet(U=U, F=F, basis=basis_p3), km_p3)
     c = np.random.default_rng(0).standard_normal(9)
-    expected = (design_by_loops(U, km_p3.K_L) @ c).reshape(5, 3, order="F")
+    expected = (dense.design_by_loops(U, dense.K_L(km_p3)) @ c).reshape(5, 3, order="F")
     np.testing.assert_allclose(system.fitted(c), expected, atol=1e-12)
 
 
@@ -65,9 +64,9 @@ def test_fit_matches_generic_dense_solver(basis_p3, km_p3):
     data = DataSet(U=U, F=F, basis=basis_p3)
     lam = 0.5
     result = fit(data, km_p3, lam)
-    A = design_by_loops(U, km_p3.K_L)
+    A = dense.design_by_loops(U, dense.K_L(km_p3))
     y = F.flatten(order="F")
-    oracle = np.linalg.solve(A.T @ A + data.n * lam * km_p3.K_eps, A.T @ y)
+    oracle = np.linalg.solve(A.T @ A + data.n * lam * dense.K_eps(km_p3), A.T @ y)
     assert np.max(np.abs(result.c_hat - oracle)) < 1e-8 * max(1.0, np.max(np.abs(oracle)))
 
 
@@ -79,9 +78,9 @@ def test_gradient_vanishes_at_solution(basis_p3, km_p3):
     data = DataSet(U=U, F=F, basis=basis_p3)
     lam = 0.5
     result = fit(data, km_p3, lam)
-    A = design_by_loops(U, km_p3.K_L)
+    A = dense.design_by_loops(U, dense.K_L(km_p3))
     y = F.flatten(order="F")
-    f = lambda c: objective(c, A, y, km_p3.K_eps, data.n, lam)
+    f = lambda c: objective(c, A, y, dense.K_eps(km_p3), data.n, lam)
     grad = fd_gradient(f, result.c_hat)
     assert np.max(np.abs(grad)) < 1e-8 * f(result.c_hat)
 
@@ -148,7 +147,7 @@ def test_smoother_matches_predictions(basis_p3, km_p3):
     fitted = np.stack(
         [predict(result, FuncVec(U[i], basis_p3)).coeffs for i in range(data.n)]
     )
-    diff = fitted.flatten(order="F") - system.smooth(lam, F.flatten(order="F"))
+    diff = fitted.flatten(order="F") - dense.smooth(system, lam, F.flatten(order="F"))
     assert np.linalg.norm(diff) < 1e-9
 
 
@@ -157,13 +156,13 @@ def test_smoother_total_shrinkage(basis_p3, km_p3):
     data = DataSet(U=U, F=F, basis=basis_p3)
     system = RidgeSystem(data, km_p3)
     assert system.trace(1e12) < 1e-6
-    assert np.max(np.abs(system.smoother(1e12))) < 1e-6
+    assert np.max(np.abs(dense.smoother(system, 1e12))) < 1e-6
 
 
 def test_smoother_eigenvalues_in_unit_interval(basis_p3, km_p3):
     U, F = random_dataset(basis_p3, n=10, seed=11)
     data = DataSet(U=U, F=F, basis=basis_p3)
-    S = RidgeSystem(data, km_p3).smoother(0.5)
+    S = dense.smoother(RidgeSystem(data, km_p3), 0.5)
     assert np.max(np.abs(S - S.T)) < 1e-10 * max(1.0, np.max(np.abs(S)))
     eigs = np.linalg.eigvalsh((S + S.T) / 2)
     assert eigs.min() >= -1e-10
@@ -197,7 +196,7 @@ def test_rss_zero_for_perfect_fit(basis_p3, km_p3):
     U, _ = random_dataset(basis_p3, n=5, seed=13)
     data = DataSet(U=U, F=np.zeros_like(U), basis=basis_p3)
     result = fit(data, km_p3, lam=1.0)
-    assert rss(result, data) == 0.0
+    assert dense.rss(result, data) == 0.0
 
 
 def test_rss_and_gcv_null_model_limit(basis_p3, km_p3):
@@ -205,8 +204,8 @@ def test_rss_and_gcv_null_model_limit(basis_p3, km_p3):
     data = DataSet(U=U, F=F, basis=basis_p3)
     result = fit(data, km_p3, lam=1e12)
     total = float(np.sum(F**2))
-    assert abs(rss(result, data) - total) < 1e-3 * total
-    assert abs(gcv(result, data) - total / data.n) < 2e-3 * total / data.n
+    assert abs(dense.rss(result, data) - total) < 1e-3 * total
+    assert abs(dense.gcv(result, data) - total / data.n) < 2e-3 * total / data.n
 
 
 def test_gcv_rejects_other_data_and_rss_accepts_it(basis_p3, km_p3):
@@ -215,9 +214,9 @@ def test_gcv_rejects_other_data_and_rss_accepts_it(basis_p3, km_p3):
     other = DataSet(U=U, F=F + 0.5, basis=basis_p3)
     result = fit(data, km_p3, lam=1.0)
     with pytest.raises(ValueError, match="dataset the fit was computed from"):
-        gcv(result, other)
+        dense.gcv(result, other)
     # a held-out residual sum of squares is meaningful
-    assert rss(result, other) > rss(result, data)
+    assert dense.rss(result, other) > dense.rss(result, data)
 
 
 def test_gcv_degenerate_denominator():
@@ -257,8 +256,8 @@ def test_gcv_sweep_sorts_the_grid_and_picks_the_gcv_minimum(basis_p3, km_p3):
     system = RidgeSystem(data, km_p3)
     for k, lam in enumerate(result.lambdas):
         single = fit(data, km_p3, lam)
-        assert result.rss[k] == pytest.approx(rss(single, data), rel=1e-9)
-        assert result.gcv[k] == pytest.approx(gcv(single, data), rel=1e-9)
+        assert result.rss[k] == pytest.approx(dense.rss(single, data), rel=1e-9)
+        assert result.gcv[k] == pytest.approx(dense.gcv(single, data), rel=1e-9)
         assert result.trace[k] == pytest.approx(system.trace(lam), rel=1e-12)
 
 

@@ -600,6 +600,19 @@ def test_a_shared_failure_skips_every_cell_with_the_message_of_the_cell_alone():
         assert str(info.value) == f"omega={cells[0].omega:g}: {alone[cells[0].omega]}"
 
 
+def test_the_shared_step_clips_theta_as_the_parametric_fit_does(monkeypatch):
+    # a negative theta becomes 0.0; -0.0 and NaN are kept, bit for bit
+    raw = np.array([-2.0, -0.0, np.nan])
+    monkeypatch.setattr(sim, "raw_thetas", lambda U, F, family: raw)
+    configs = tuple(study(run_test=False))
+    basis, km = mc_kernels(configs[0])
+    family = gof.ParamFamily.scaled_neg_laplacian(basis)
+    _, columns, _ = sim._stack_rep(configs, basis, km, family, sim._rep_streams(14, 0)[0])
+    want = np.array([gof.ParametricFit.clip(theta).theta for theta in raw.tolist()])
+    assert want.tobytes() == np.array([0.0, -0.0, np.nan]).tobytes()
+    assert np.array(columns["theta_hat"]).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("settings", [
     {"refine_rounds": 0},
     {"refine_rounds": 3, "test_lambda": "gcv_min", "strategy": "parametric"},

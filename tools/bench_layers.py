@@ -9,7 +9,7 @@ of this tree on that case, and its cases:
   0.2}): ``assemble`` of the default kernels, P = L = -laplacian and B =
   identity (``assemble``).  ``factors_identical``: C, M and M_L equal, bit
   for bit, those of the plain formula exp(-d^2 / (2 h^2)) / sqrt(2 pi h^2)
-  (``plain_exp_factors``), whose grid at h = 0.01 holds subnormals.
+  (``dense.plain_exp_factors``), whose grid at h = 0.01 holds subnormals.
 - ``streams`` (n in {200, 2000}, B = 200): the (B, n) wild-multiplier block
   of one bootstrap test, by a loop over ``SeedSequence(seed).spawn(B)``
   (``spawn_loop``) and by ``gof.bootstrap_multipliers`` (``derived``).
@@ -90,6 +90,7 @@ if __name__ == "__main__":  # pin BLAS before numpy loads it, and import this tr
 import numpy as np  # noqa: E402
 
 import compare_outputs  # noqa: E402
+import dense  # noqa: E402
 import diffreg  # noqa: E402
 
 SEED = 20250101
@@ -116,31 +117,6 @@ def draw(pkg, p: int, n: int, seed: int = SEED):
     return pkg.DataSet(U=U, F=F, basis=pkg.make_cosine_basis(p, N_QUAD))
 
 
-def plain_exp_factors(basis, P, B, h: float, L) -> tuple:
-    """C, M and M_L assembled with the plain formula exp(-d^2 / (2 h^2)) / sqrt(2 pi h^2),
-    its subnormals and all, and the L grids written out per kind."""
-    nodes, w = basis.quad_nodes, basis.quad_weights
-    diff = nodes[:, None] - nodes[None, :]
-    k1 = np.exp(-(diff**2) / (2.0 * h * h)) / np.sqrt(2.0 * np.pi * h * h)
-    neg_second = (h**2 - diff**2) / h**4 * k1
-    grid = {
-        "identity": k1,
-        "first_derivative": -diff / h**2 * k1,
-        "neg_laplacian": neg_second,
-        "neg_laplacian_minus_const": neg_second - L.param * k1,
-        "scaled_neg_laplacian": L.param * neg_second,
-    }[L.kind]
-    C = diffreg.kernels.kernel_gram(w, P.apply_at(basis, nodes), k1)
-    b_vals = B.apply_at(basis, np.array(basis.interval))
-    bc = b_vals.T @ b_vals
-    C = (C + C.T) / 2 + (bc + bc.T) / 2
-    phi = basis.quad_values()
-    M = diffreg.kernels.kernel_gram(w, phi, k1)
-    M = (M + M.T) / 2
-    # the identity's M_L is M itself
-    return C, M, M if L.kind == "identity" else diffreg.kernels.kernel_gram(w, phi, grid)
-
-
 def default_ops(pkg) -> tuple:
     """P, B and L of the default kernels: -laplacian, identity, -laplacian."""
     return pkg.neg_laplacian(), pkg.identity_op(), pkg.neg_laplacian()
@@ -154,7 +130,7 @@ def kernels_routes(pkg, case: dict, work: str) -> dict:
 def kernels_check(case: dict, work: str, routes: dict) -> dict:
     km, basis = routes["assemble"](), diffreg.make_cosine_basis(case["p"], case["n_quad"])
     P, B, L = default_ops(diffreg)
-    want = plain_exp_factors(basis, P, B, case["h"], L)
+    want = dense.plain_exp_factors(basis, P, B, case["h"], L)
     got = (km.C, km.M, km.M_L)
     return {"factors_identical": all(a.tobytes() == b.tobytes() for a, b in zip(got, want))}
 
@@ -198,12 +174,13 @@ def ridge_check(case: dict, work: str, routes: dict) -> dict:
     U, F, km = system.data.U, system.data.F, system.km
     n, p = U.shape
     # T[j', k', :] c is output coefficient j' of the operator applied to basis function k'
-    T = km.K_L.reshape(p, p, p * p, order="F")
+    T = dense.K_L(km).reshape(p, p, p * p, order="F")
     gram = np.einsum("jkc,kl,jld->cd", T, U.T @ U, T, optimize=True)
     rhs = np.einsum("jkc,kj->c", T, U.T @ F)
+    K_eps = dense.K_eps(km)
     fitted_gap = trace_gap = 0.0
     for lam in ORACLE_LAMBDAS:
-        normal = gram + n * lam * km.K_eps
+        normal = gram + n * lam * K_eps
         fitted = np.einsum("ik,jkc,c->ij", U, T, np.linalg.solve(normal, rhs), optimize=True)
         got = system.fitted(system.solve(lam))
         fitted_gap = max(fitted_gap, float(np.abs(got - fitted).max() / np.abs(F).max()))
@@ -214,7 +191,7 @@ def ridge_check(case: dict, work: str, routes: dict) -> dict:
     W = multipliers(n)
     products = (U[:, :, None] * F[:, None, :]).reshape(n, p * p)
     rhs_w = np.einsum("jkc,bkj->cb", T, (W @ products).reshape(-1, p, p), optimize=True)
-    c_w = np.linalg.solve(gram + n * NORMS_LAMBDA * km.K_eps, rhs_w)
+    c_w = np.linalg.solve(gram + n * NORMS_LAMBDA * K_eps, rhs_w)
     norms = np.einsum("cb,cd,db->b", c_w, gram, c_w)
     norms_gap = float(np.abs(routes["norms"]() - norms).max() / norms.max())
     gaps = {"oracle_fitted_gap": fitted_gap, "oracle_trace_gap": trace_gap,
